@@ -2,11 +2,13 @@
 // requirements; even long delays can be tolerated ... We are working on
 // improving NTCP performance" for near-real-time experiments.
 //
-// Measures per-step NTCP cost vs simulated WAN RTT over the *scheduled*
-// (real-latency) network, and the ablation DESIGN.md calls out: the
-// two-phase propose/execute protocol costs two round trips per site per
-// step; a single-shot variant (execute-with-implicit-propose) would halve
-// that but gives up the negotiate-before-moving safety property.
+// Measures per-step NTCP cost vs simulated WAN RTT over the kVirtual
+// network — modeled latency read from the network's virtual clock, exact
+// and deterministic, with the host wall time the simulation took next to
+// it — and the ablation DESIGN.md calls out: the two-phase
+// propose/execute protocol costs two round trips per site per step; a
+// single-shot variant (execute-with-implicit-propose) would halve that but
+// gives up the negotiate-before-moving safety property.
 #include <cstdio>
 
 #include "net/network.h"
@@ -35,113 +37,134 @@ std::unique_ptr<plugins::SimulationPlugin> ElasticPlugin() {
 
 int main() {
   std::printf("==== E11 (§5): NTCP step latency vs WAN round-trip time "
-              "====\n\n");
+              "(modeled, kVirtual) ====\n\n");
   util::TextTable table({"one-way delay [ms]", "two-phase step [ms]",
                          "single-shot step [ms]", "speedup",
-                         "1500-step two-phase [min]"});
+                         "1500-step two-phase [min]", "host wall [us/step]"});
 
   for (const int delay_ms : {0, 5, 15, 30, 50}) {
-    net::Network network(net::DeliveryMode::kScheduled);
+    net::Network network(net::DeliveryMode::kVirtual);
+    util::Clock* clock = network.clock();
     net::LinkModel wan;
     wan.latency_micros = delay_ms * 1000;
     network.SetDefaultLink(wan);
 
-    ntcp::NtcpServer server(&network, "ntcp.site", ElasticPlugin());
+    ntcp::NtcpServer server(&network, "ntcp.site", ElasticPlugin(), clock);
     if (!server.Start().ok()) return 1;
     net::RpcClient rpc(&network, "coordinator");
     ntcp::RetryPolicy policy;
     policy.rpc_timeout_micros = 2'000'000;
-    ntcp::NtcpClient client(&rpc, "ntcp.site", policy);
+    ntcp::NtcpClient client(&rpc, "ntcp.site", policy, clock);
 
-    const int steps = delay_ms == 0 ? 200 : 20;
+    constexpr int kSteps = 1000;
 
     // Two-phase (the real protocol): propose, then execute.
     util::SampleStats two_phase;
-    for (int i = 0; i < steps; ++i) {
+    const util::Stopwatch host;
+    for (int i = 0; i < kSteps; ++i) {
       ntcp::Proposal proposal;
       proposal.transaction_id = "tp-" + std::to_string(i);
       proposal.actions.push_back({"cp", {0.001}, {}});
-      const util::Stopwatch watch;
+      const std::int64_t t0 = clock->NowMicros();
       if (!client.Propose(proposal).ok()) return 1;
       if (!client.Execute(proposal.transaction_id).ok()) return 1;
-      two_phase.Add(watch.ElapsedMicros() / 1000.0);
+      two_phase.Add((clock->NowMicros() - t0) / 1000.0);
     }
+    const double host_us_per_step =
+        static_cast<double>(host.ElapsedMicros()) / kSteps;
 
     // Single-shot ablation: one RPC that proposes AND executes. Emulated by
     // measuring a lone execute after pre-proposing out of band.
     util::SampleStats single_shot;
-    for (int i = 0; i < steps; ++i) {
+    for (int i = 0; i < kSteps; ++i) {
       ntcp::Proposal proposal;
       proposal.transaction_id = "ss-" + std::to_string(i);
       proposal.actions.push_back({"cp", {0.001}, {}});
       if (!client.Propose(proposal).ok()) return 1;  // out-of-band
-      const util::Stopwatch watch;
+      const std::int64_t t0 = clock->NowMicros();
       if (!client.Execute(proposal.transaction_id).ok()) return 1;
-      single_shot.Add(watch.ElapsedMicros() / 1000.0);
+      single_shot.Add((clock->NowMicros() - t0) / 1000.0);
     }
 
     const double steps1500_minutes = two_phase.mean() * 1500.0 / 60000.0;
     table.AddRow({std::to_string(delay_ms),
                   util::Format("%.2f", two_phase.mean()),
                   util::Format("%.2f", single_shot.mean()),
-                  util::Format("%.2fx",
-                               two_phase.mean() /
-                                   std::max(single_shot.mean(), 1e-9)),
-                  util::Format("%.1f", steps1500_minutes)});
+                  delay_ms == 0
+                      ? std::string("-")
+                      : util::Format("%.2fx",
+                                     two_phase.mean() / single_shot.mean()),
+                  util::Format("%.1f", steps1500_minutes),
+                  util::Format("%.1f", host_us_per_step)});
   }
   std::printf("%s\n", table.ToString().c_str());
 
-  // ---- parallel-site ablation: the implemented §5 optimization ----------
-  std::printf("==== E11b: 3-site step cost, sequential vs overlapped rounds "
-              "====\n\n");
+  // ---- overlapped-site ablation: the implemented §5 optimization --------
+  std::printf("==== E11b: 3-site step cost, sequential vs async engine "
+              "(modeled, kVirtual) ====\n\n");
   util::TextTable parallel_table({"one-way delay [ms]", "sequential [ms]",
-                                  "thread/site [ms]", "async [ms]",
-                                  "async speedup"});
+                                  "async [ms]", "async speedup",
+                                  "host wall seq/async [us/step]"});
   for (const int delay_ms : {5, 15, 30}) {
-    net::Network network(net::DeliveryMode::kScheduled);
+    net::Network network(net::DeliveryMode::kVirtual);
+    util::Clock* clock = network.clock();
     net::LinkModel wan;
     wan.latency_micros = delay_ms * 1000;
     network.SetDefaultLink(wan);
     std::vector<std::unique_ptr<ntcp::NtcpServer>> servers;
     for (const std::string endpoint : {"s1", "s2", "s3"}) {
-      auto server = std::make_unique<ntcp::NtcpServer>(&network, endpoint,
-                                                       ElasticPlugin());
+      auto server = std::make_unique<ntcp::NtcpServer>(
+          &network, endpoint, ElasticPlugin(), clock);
       if (!server->Start().ok()) return 1;
       servers.push_back(std::move(server));
     }
+    struct Cost {
+      double modeled_ms_per_step = -1.0;
+      double host_us_per_step = 0.0;
+    };
     auto run = [&](psd::StepEngine engine, const std::string& name) {
       psd::CoordinatorConfig config;
       config.run_id = name;
       config.mass = structural::Matrix::Identity(1) * 5e4;
       config.damping = structural::Matrix::Identity(1) * 1e4;
       config.iota = {1.0};
-      config.motion = structural::SinePulse(0.02, 9, 1.0, 1.0);
+      config.motion = structural::SinePulse(0.02, 200, 1.0, 1.0);
       config.sites = {{"S1", "s1", "cp", {0}},
                       {"S2", "s2", "cp", {0}},
                       {"S3", "s3", "cp", {0}}};
       config.step_engine = engine;
       net::RpcClient rpc(&network, name + ".coordinator");
-      psd::SimulationCoordinator coordinator(config, &rpc);
+      psd::SimulationCoordinator coordinator(config, &rpc, clock);
+      const std::int64_t t0 = clock->NowMicros();
       const psd::RunReport report = coordinator.Run();
-      return report.completed
-                 ? report.wall_seconds * 1000.0 / report.steps_completed
-                 : -1.0;
+      Cost cost;
+      if (report.completed && report.steps_completed > 0) {
+        const double steps = static_cast<double>(report.steps_completed);
+        cost.modeled_ms_per_step = (clock->NowMicros() - t0) / 1000.0 / steps;
+        cost.host_us_per_step = report.wall_seconds * 1e6 / steps;
+      }
+      return cost;
     };
-    const double sequential_ms = run(psd::StepEngine::kSequential,
-                                     "seq" + std::to_string(delay_ms));
-    const double parallel_ms = run(psd::StepEngine::kThreadPerSite,
-                                   "par" + std::to_string(delay_ms));
-    const double async_ms = run(psd::StepEngine::kAsync,
-                                "asy" + std::to_string(delay_ms));
+    const Cost sequential = run(psd::StepEngine::kSequential,
+                                "seq" + std::to_string(delay_ms));
+    const Cost async = run(psd::StepEngine::kAsync,
+                           "asy" + std::to_string(delay_ms));
+    if (sequential.modeled_ms_per_step < 0 || async.modeled_ms_per_step < 0) {
+      return 1;
+    }
     parallel_table.AddRow(
-        {std::to_string(delay_ms), util::Format("%.1f", sequential_ms),
-         util::Format("%.1f", parallel_ms), util::Format("%.1f", async_ms),
-         util::Format("%.2fx", sequential_ms / std::max(async_ms, 1e-9))});
+        {std::to_string(delay_ms),
+         util::Format("%.1f", sequential.modeled_ms_per_step),
+         util::Format("%.1f", async.modeled_ms_per_step),
+         util::Format("%.2fx", sequential.modeled_ms_per_step /
+                                   async.modeled_ms_per_step),
+         util::Format("%.1f / %.1f", sequential.host_us_per_step,
+                      async.host_us_per_step)});
   }
   std::printf("%s\n", parallel_table.ToString().c_str());
 
   std::printf(
-      "shape: step cost is ~2 RTT for the two-phase protocol and ~1 RTT\n"
+      "shape: step cost is 2 RTT for the two-phase protocol and 1 RTT\n"
       "single-shot. At transcontinental delays (30-50 ms) a 1500-step\n"
       "experiment spends minutes in protocol — tolerable for PSD testing\n"
       "(the real MOST took ~5 h because rigs settle in real time), but the\n"

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI matrix: builds the tree three times — Release (invariants compiled
 # out), RelWithDebInfo under ASan+UBSan (invariants live), and TSan over
-# the concurrency-heavy suites (async step engine, RPC signaling, MPlugin
-# long poll/wake) — with warnings as errors throughout, runs the full test
+# the concurrency-heavy suites (MPlugin backend thread and long poll/wake,
+# farm worker pool) — with warnings as errors throughout, runs the full test
 # suite in the first two, then gates on protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +
@@ -49,10 +49,11 @@ cmake -B "$prefix-tsan" -S "$repo" -DNEES_WERROR=ON \
 cmake --build "$prefix-tsan" -j "$jobs" \
       --target net_test ntcp_test psd_test plugins_test most_test \
                farm_test nees_farm_cli
-# The suites that exercise real threads: the completion-driven step engine
-# vs thread-per-site, per-call RPC signaling, the MPlugin long-poll/wake
-# handshake, the full MOST assembly over the kScheduled network, and the
-# multi-tenant farm's worker pool + swarm shards over one shared fabric.
+# The suites that exercise real threads: the in-process MPlugin
+# PollingBackend thread and its long-poll/wake handshake (plugins_test,
+# most_test), and the multi-tenant farm's worker pool + swarm shards over
+# one shared kImmediate fabric (farm_test). The net/ntcp/psd suites cover
+# the RPC, NTCP and coordinator code those threads run through.
 for suite in net_test ntcp_test psd_test plugins_test most_test farm_test; do
   echo "-- tsan: $suite"
   "$prefix-tsan/tests/$suite" --gtest_brief=1
@@ -152,8 +153,8 @@ require_keys() {
   done
 }
 require_keys BENCH_step_engine.json sites engine mode steps_per_sec \
-             propose_phase_ms_mean execute_phase_ms_mean threads_spawned \
-             frames_per_step wal wal_records completed
+             modeled_steps_per_sec propose_phase_ms_mean \
+             execute_phase_ms_mean frames_per_step wal wal_records completed
 require_keys BENCH_fuzz.json seeds failures wall_seconds seeds_per_hour \
              virtual_events events_per_second site_crashes site_recoveries \
              transactions_recovered inflight_failed \

@@ -212,8 +212,6 @@ std::string_view EngineName(psd::StepEngine engine) {
   switch (engine) {
     case psd::StepEngine::kSequential:
       return "sequential";
-    case psd::StepEngine::kThreadPerSite:
-      return "thread-per-site";
     case psd::StepEngine::kAsync:
       return "async";
   }
@@ -598,7 +596,6 @@ FuzzScenario GenerateScenario(std::uint64_t seed) {
   s.shape = FuzzTemplate::kStandard;
   s.sites = static_cast<std::size_t>(topo.UniformInt(3, 32));
   s.steps = static_cast<std::size_t>(topo.UniformInt(8, 24));
-  // kThreadPerSite is excluded: threads break virtual-time determinism.
   s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
                                     : psd::StepEngine::kSequential;
   s.heartbeat_micros = 1000LL * timing.UniformInt(150, 400);

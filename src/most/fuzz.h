@@ -128,8 +128,6 @@ struct FuzzScenario {
   FuzzTemplate shape = FuzzTemplate::kStandard;
   std::size_t sites = 3;
   std::size_t steps = 12;
-  /// kThreadPerSite is deliberately excluded: worker threads would race the
-  /// single-threaded virtual event loop and break seed determinism.
   psd::StepEngine engine = psd::StepEngine::kAsync;
   std::vector<net::LinkModel> site_links;  // coordinator<->site, per site
   std::int64_t heartbeat_micros = 250'000;

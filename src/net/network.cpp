@@ -29,23 +29,10 @@ Network::Network(DeliveryMode mode, std::uint64_t fault_seed)
       clock_(&util::SystemClock::Instance()),
       rng_(fault_seed),
       schedule_rng_(fault_seed ^ 0x5C4D3E2F1A0B9C8DULL) {
-  if (mode_ == DeliveryMode::kScheduled) {
-    delivery_thread_ = std::thread([this] { DeliveryLoop(); });
-  } else if (mode_ == DeliveryMode::kVirtual) {
+  if (mode_ == DeliveryMode::kVirtual) {
     owned_virtual_clock_ = std::make_unique<util::SimClock>();
     virtual_clock_ = owned_virtual_clock_.get();
     clock_ = &pump_clock_;
-  }
-}
-
-Network::~Network() {
-  if (mode_ == DeliveryMode::kScheduled) {
-    {
-      util::MutexLock lock(mu_);
-      shutting_down_ = true;
-      pending_cv_.NotifyAll();
-    }
-    delivery_thread_.join();
   }
 }
 
@@ -137,9 +124,8 @@ util::Status Network::Send(Message message) {
   std::shared_ptr<Handler> handler;
   std::int64_t delay = 0;
   bool dropped = false;
-  bool scheduled = false;
   bool deferred = false;  // kVirtual: delivery accounting happens at arrival
-  // Ids survive the scheduled-path move (they are 4-byte values, and the
+  // Ids survive the kVirtual enqueue move (they are 4-byte values, and the
   // interned names they point at live for the process lifetime).
   const EndpointId from = message.from;
   const EndpointId to = message.to;
@@ -184,21 +170,12 @@ util::Status Network::Send(Message message) {
         pending_.push(ScheduledMessage{now + delay, schedule_rng_.NextU64(),
                                        next_sequence_++, delay,
                                        std::move(message)});
-        scheduled = true;
         deferred = true;
       } else {
         ++link.metrics.delivered;
         link.metrics.bytes_delivered += message.WireSize();
         ++total_.delivered;
         total_.bytes_delivered += message.WireSize();
-
-        if (mode_ == DeliveryMode::kScheduled) {
-          pending_.push(ScheduledMessage{now + delay, 0, next_sequence_++,
-                                         delay, std::move(message)});
-          ++in_flight_;
-          pending_cv_.NotifyAll();
-          scheduled = true;
-        }
       }
     }
   }
@@ -216,48 +193,11 @@ util::Status Network::Send(Message message) {
     tracer_->metrics().Observe("net.delay_micros",
                                static_cast<double>(delay));
   }
-  if (scheduled) return util::OkStatus();
   // Immediate mode: run the handler inline, outside the lock so handlers
   // can send further messages without deadlocking. The message is moved:
   // delivery is the end of its life on the wire.
   (*handler)(std::move(message));
   return util::OkStatus();
-}
-
-void Network::Dispatch(Message message) {
-  std::shared_ptr<Handler> handler;
-  {
-    util::MutexLock lock(mu_);
-    if (auto* slot = endpoints_.Find(message.to.raw())) handler = *slot;
-  }
-  if (handler) (*handler)(std::move(message));
-}
-
-void Network::DeliveryLoop() {
-  util::MutexLock lock(mu_);
-  for (;;) {
-    if (shutting_down_) return;
-    if (pending_.empty()) {
-      while (!shutting_down_ && pending_.empty()) pending_cv_.Wait(mu_);
-      continue;
-    }
-    const std::int64_t now = clock_->NowMicros();
-    const std::int64_t due = pending_.top().due_micros;
-    if (due > now) {
-      pending_cv_.WaitFor(mu_, due - now);
-      continue;
-    }
-    // Move the payload out of the heap slot before popping; the comparator
-    // only reads due_micros/sequence, so the moved-from message is inert.
-    Message message =
-        std::move(const_cast<ScheduledMessage&>(pending_.top()).message);
-    pending_.pop();
-    lock.Unlock();
-    Dispatch(std::move(message));
-    lock.Lock();
-    --in_flight_;
-    if (in_flight_ == 0) quiesce_cv_.NotifyAll();
-  }
 }
 
 // --- virtual-time event loop -----------------------------------------------
@@ -554,16 +494,6 @@ void Network::SetClock(util::Clock* clock) {
     return;
   }
   clock_ = clock;
-}
-
-void Network::Quiesce() {
-  if (mode_ == DeliveryMode::kImmediate) return;
-  if (mode_ == DeliveryMode::kVirtual) {
-    RunUntilQuiescent();
-    return;
-  }
-  util::MutexLock lock(mu_);
-  while (in_flight_ != 0) quiesce_cv_.Wait(mu_);
 }
 
 }  // namespace nees::net

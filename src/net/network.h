@@ -2,14 +2,11 @@
 //
 // Endpoints register a handler under a globally unique name ("ntcp.uiuc",
 // "repo.ncsa", ...). Messages are routed through per-directed-link models
-// that add latency and inject faults. Three delivery modes:
+// that add latency and inject faults. Two delivery modes:
 //
 //  * kImmediate  — the handler runs inline on the sender's thread; latency
 //                  is recorded in metrics but not slept. Deterministic;
-//                  used by unit tests and the fault-schedule experiments.
-//  * kScheduled  — a background thread delivers messages after their real
-//                  latency elapses. Used by latency benches (E11) and the
-//                  wall-clock MOST runs.
+//                  used by unit tests, the examples and the farm.
 //  * kVirtual    — deterministic discrete-event simulation. Messages and
 //                  timers land in one seeded priority queue ordered by
 //                  simulated arrival time on an owned SimClock, with seeded
@@ -20,7 +17,9 @@
 //                  (RPC waits, backoff sleeps, long polls) pump this loop
 //                  instead of parking on condition variables, so an entire
 //                  MOST-shaped run replays bit-identically from its seed.
-//                  Used by the nees_fuzz harness.
+//                  Used by the nees_fuzz harness and by every latency
+//                  bench: overlapped round trips (RpcClient::CallAsync +
+//                  WaitAnyUntil) are measured exactly, in modeled time.
 //
 // Fault API: per-link drop probability, time-window outages, manual
 // up/down, and DropNext(n) for deterministic single-message faults. In
@@ -34,7 +33,6 @@
 #include <memory>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/endpoint.h"
@@ -52,7 +50,7 @@ class Tracer;
 
 namespace nees::net {
 
-enum class DeliveryMode { kImmediate, kScheduled, kVirtual };
+enum class DeliveryMode { kImmediate, kVirtual };
 
 class Network {
  public:
@@ -63,7 +61,6 @@ class Network {
 
   explicit Network(DeliveryMode mode = DeliveryMode::kImmediate,
                    std::uint64_t fault_seed = 42);
-  ~Network();
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -137,8 +134,8 @@ class Network {
   /// clock() keeps returning the pumping facade described below.
   void SetClock(util::Clock* clock);
 
-  /// The clock protocol layers should use. In kImmediate/kScheduled this is
-  /// whatever SetClock installed. In kVirtual it is a pumping facade:
+  /// The clock protocol layers should use. In kImmediate this is whatever
+  /// SetClock installed. In kVirtual it is a pumping facade:
   /// NowMicros() reads the virtual timeline and SleepMicros(d) runs
   /// AdvanceTo(now + d), so a "sleeping" caller (retry backoff, heartbeat
   /// wait) delivers every event due in the window, in order, before waking.
@@ -155,10 +152,6 @@ class Network {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   DeliveryMode mode() const { return mode_; }
-
-  /// Blocks until all scheduled in-flight messages are delivered. kVirtual:
-  /// runs the event loop to quiescence; immediate mode returns at once.
-  void Quiesce();
 
   // --- virtual-time event loop (kVirtual only) ----------------------------
   /// Schedules `fn` on the event loop at absolute virtual time `due_micros`
@@ -210,7 +203,7 @@ class Network {
 
   struct ScheduledMessage {
     std::int64_t due_micros;
-    std::uint64_t tie;       // seeded tiebreak (kVirtual; 0 in kScheduled)
+    std::uint64_t tie;       // seeded tiebreak between simultaneous events
     std::uint64_t sequence;  // FIFO tiebreak of last resort
     std::int64_t delay_micros;  // modeled link delay, for arrival tracing
     Message message;
@@ -261,8 +254,6 @@ class Network {
   bool CorruptInFlight(LinkState& link, Message& message) NEES_REQUIRES(mu_);
   bool InPartition(EndpointId from, EndpointId to) const
       NEES_REQUIRES(mu_);
-  void DeliveryLoop();
-  void Dispatch(Message message);
   /// Core virtual-time step; `advance_on_idle` distinguishes PumpOneUntil
   /// (clock jumps to the limit when nothing is due) from AdvanceTo /
   /// RunUntilQuiescent internals (which advance separately or not at all).
@@ -299,24 +290,18 @@ class Network {
   util::OpenHashMap<std::uint32_t, bool> crashed_endpoints_
       NEES_GUARDED_BY(mu_);
 
-  // kScheduled + kVirtual shared queue
-  std::priority_queue<ScheduledMessage, std::vector<ScheduledMessage>,
-                      std::greater<>>
-      pending_ NEES_GUARDED_BY(mu_);
-  std::uint64_t next_sequence_ NEES_GUARDED_BY(mu_) = 0;
-  std::size_t in_flight_ NEES_GUARDED_BY(mu_) = 0;
-  util::CondVar pending_cv_;
-  util::CondVar quiesce_cv_;
-  bool shutting_down_ NEES_GUARDED_BY(mu_) = false;
-  std::thread delivery_thread_;
-
-  // kVirtual machinery. The schedule rng is a dedicated stream (NOT rng_,
-  // whose draw sequence the fault model owns) so tie-breaking explores
-  // different interleavings per seed without perturbing drop decisions.
+  // kVirtual machinery: in-flight messages and timers. The schedule rng is
+  // a dedicated stream (NOT rng_, whose draw sequence the fault model owns)
+  // so tie-breaking explores different interleavings per seed without
+  // perturbing drop decisions.
   std::unique_ptr<util::SimClock> owned_virtual_clock_;
   util::SimClock* virtual_clock_ = nullptr;
   PumpClock pump_clock_{this};
   util::Rng schedule_rng_ NEES_GUARDED_BY(mu_);
+  std::priority_queue<ScheduledMessage, std::vector<ScheduledMessage>,
+                      std::greater<>>
+      pending_ NEES_GUARDED_BY(mu_);
+  std::uint64_t next_sequence_ NEES_GUARDED_BY(mu_) = 0;
   std::priority_queue<ScheduledTimer, std::vector<ScheduledTimer>,
                       std::greater<>>
       timers_ NEES_GUARDED_BY(mu_);

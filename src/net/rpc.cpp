@@ -1,7 +1,6 @@
 #include "net/rpc.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <utility>
 
@@ -367,22 +366,13 @@ void RpcClient::HandleMessage(Message message) {
   Bytes body;
   const util::Status decoded =
       ConsumeResponseEnvelope(&message.payload, &status, &body);
-  std::shared_ptr<PendingCall> call;
-  std::shared_ptr<CallBatch> batch;
-  {
-    util::MutexLock lock(mu_);
-    auto* slot = pending_.Find(message.correlation_id);
-    if (slot == nullptr) return;  // late/duplicate response: ignore
-    call = *slot;
-    call->status = decoded.ok() ? status : decoded;
-    call->response = std::move(body);
-    call->done = true;
-    batch = call->batch;
-  }
-  // Per-call signaling: wake only this call's waiter (and its batch, if it
-  // is part of a WaitAll/WaitAnyUntil group) — no client-wide herd.
-  call->cv.NotifyAll();
-  if (batch) batch->cv.NotifyAll();
+  util::MutexLock lock(mu_);
+  auto* slot = pending_.Find(message.correlation_id);
+  if (slot == nullptr) return;  // late/duplicate response: ignore
+  PendingCall& call = **slot;
+  call.status = decoded.ok() ? status : decoded;
+  call.response = std::move(body);
+  call.done = true;
 }
 
 void RpcClient::HandleBatchResponse(Message message) {
@@ -398,12 +388,6 @@ void RpcClient::HandleBatchResponse(Message message) {
     util::ReleaseFrame(std::move(body));
     return;
   }
-  struct Woken {
-    std::shared_ptr<PendingCall> call;
-    std::shared_ptr<CallBatch> batch;
-  };
-  std::vector<Woken> woken;
-  woken.reserve(*count);
   {
     util::MutexLock lock(mu_);
     for (std::uint32_t i = 0; i < *count; ++i) {
@@ -416,20 +400,15 @@ void RpcClient::HandleBatchResponse(Message message) {
       }
       auto* slot = pending_.Find(*correlation);
       if (slot == nullptr) continue;  // late/duplicate sub-response
-      std::shared_ptr<PendingCall>& call = *slot;
-      call->status = util::Status(static_cast<util::ErrorCode>(*code),
-                                  *std::move(text));
-      call->response = util::AcquireFrame(view->size());
-      call->response.assign(view->begin(), view->end());
-      call->done = true;
-      woken.push_back({call, call->batch});
+      PendingCall& call = **slot;
+      call.status = util::Status(static_cast<util::ErrorCode>(*code),
+                                 *std::move(text));
+      call.response = util::AcquireFrame(view->size());
+      call.response.assign(view->begin(), view->end());
+      call.done = true;
     }
   }
   util::ReleaseFrame(std::move(body));
-  for (Woken& entry : woken) {
-    entry.call->cv.NotifyAll();
-    if (entry.batch) entry.batch->cv.NotifyAll();
-  }
 }
 
 std::string RpcClient::AsyncCall::TimeoutMessage() const {
@@ -452,7 +431,6 @@ void RpcClient::RecycleCallLocked(std::shared_ptr<PendingCall> call) {
   call->status = util::OkStatus();
   util::ReleaseFrame(std::move(call->response));
   call->response.clear();
-  call->batch.reset();
   call_pool_.push_back(std::move(call));
 }
 
@@ -587,23 +565,15 @@ void RpcClient::FlushBatch() {
     }
     send_status = network_->Send(std::move(request));
 
-    std::vector<std::shared_ptr<PendingCall>> failed;
-    {
-      util::MutexLock lock(mu_);
-      for (StagedCall& call : group.calls) {
-        if (!send_status.ok() && !call.state->done) {
-          call.state->status = util::Unavailable(
-              "send to " + group.target.str() + " failed: " +
-              send_status.message());
-          call.state->done = true;
-          failed.push_back(call.state);
-        }
-        call.state->sent = true;
+    util::MutexLock lock(mu_);
+    for (StagedCall& call : group.calls) {
+      if (!send_status.ok() && !call.state->done) {
+        call.state->status = util::Unavailable(
+            "send to " + group.target.str() + " failed: " +
+            send_status.message());
+        call.state->done = true;
       }
-    }
-    for (std::shared_ptr<PendingCall>& state : failed) {
-      state->cv.NotifyAll();
-      if (state->batch) state->batch->cv.NotifyAll();
+      call.state->sent = true;
     }
   }
   // Park the emptied shells (and the staging vector's own buffer) so the
@@ -634,19 +604,14 @@ util::Result<Bytes> RpcClient::AsyncCall::Wait() {
     }
     if (staged) client->FlushBatch();
   }
-  // A blocking wait while any lock is held risks a distributed stall: the
-  // response handler may need that very lock. Lockdep flags it. Immediate
-  // mode never blocks (responses resolved inline during Send), so only the
-  // modes that actually park or pump are checked.
-  if (client->network_->mode() != DeliveryMode::kImmediate) {
-    util::lockdep::CheckBlockingCall("RpcClient::AsyncCall::Wait");
-  }
-
   if (client->network_->mode() == DeliveryMode::kVirtual) {
-    // Virtual mode: drive the event loop from this thread instead of
-    // parking on the call's condition variable. Response handlers run
-    // inline inside PumpOneUntil and take client->mu_, so the lock is
-    // released around each pump.
+    // A pumping wait while any lock is held risks a distributed stall: the
+    // response handler may need that very lock. Lockdep flags it. Immediate
+    // mode never waits (responses resolved inline during Send).
+    util::lockdep::CheckBlockingCall("RpcClient::AsyncCall::Wait");
+    // Drive the event loop from this thread. Response handlers run inline
+    // inside PumpOneUntil and take client->mu_, so the lock is released
+    // around each pump.
     for (;;) {
       {
         util::MutexLock lock(client->mu_);
@@ -661,13 +626,6 @@ util::Result<Bytes> RpcClient::AsyncCall::Wait() {
   Bytes response;
   {
     util::MutexLock lock(client->mu_);
-    if (client->network_->mode() == DeliveryMode::kScheduled) {
-      while (!state_->done) {
-        const std::int64_t now = client->network_->clock()->NowMicros();
-        if (now >= deadline_micros_) break;
-        state_->cv.WaitFor(client->mu_, deadline_micros_ - now);
-      }
-    }
     // Immediate mode: the response (if any) was delivered inline during
     // Send; if state->done is false the message was dropped en route.
     client->pending_.Erase(correlation_);
@@ -710,7 +668,7 @@ bool RpcClient::AsyncCall::TryResolve(util::Result<Bytes>* out) {
   // answered nor lost. The flush (or a Wait) moves it along.
   if (!state_->sent) return false;
   // Immediate mode resolves unanswered calls at once (see header); in
-  // scheduled mode the call times out when the clock passes the deadline.
+  // kVirtual mode the call times out when the clock passes the deadline.
   if (client->network_->mode() == DeliveryMode::kImmediate ||
       client->network_->clock()->NowMicros() >= deadline_micros_) {
     client->pending_.Erase(correlation_);
@@ -736,62 +694,9 @@ void RpcClient::WaitAnyUntil(const std::vector<AsyncCall*>& calls,
                              std::int64_t wake_micros, bool wait_for_all) {
   // Anything still staged must hit the wire before a wait makes sense.
   FlushBatch();
-  if (network_->mode() == DeliveryMode::kVirtual) {
-    util::lockdep::CheckBlockingCall("RpcClient::WaitAnyUntil");
-    WaitAnyUntilVirtual(calls, wake_micros, wait_for_all);
-    return;
-  }
-  if (network_->mode() != DeliveryMode::kScheduled) return;
+  // Immediate mode: every call resolved inline during issue.
+  if (network_->mode() != DeliveryMode::kVirtual) return;
   util::lockdep::CheckBlockingCall("RpcClient::WaitAnyUntil");
-  auto batch = std::make_shared<CallBatch>();
-  util::MutexLock lock(mu_);
-  // Snapshot the calls that are unresolved right now; the wait ends when
-  // one of *these* completes (an already-resolved call would otherwise
-  // satisfy the predicate forever) or when its deadline lapses.
-  struct Watched {
-    std::shared_ptr<PendingCall> state;
-    std::int64_t deadline_micros;
-  };
-  std::vector<Watched> watched;
-  for (AsyncCall* call : calls) {
-    if (call->client_ == nullptr || !call->send_error_.ok()) {
-      if (!wait_for_all) return;  // resolved: caller should harvest first
-      continue;
-    }
-    if (call->state_->done) {
-      if (!wait_for_all) return;
-      continue;
-    }
-    watched.push_back({call->state_, call->deadline_micros_});
-    call->state_->batch = batch;
-  }
-  while (!watched.empty()) {
-    const std::int64_t now = network_->clock()->NowMicros();
-    std::int64_t wake = wait_for_all
-                            ? std::numeric_limits<std::int64_t>::max()
-                            : wake_micros;
-    bool any_live = false;
-    bool any_done = false;
-    for (const Watched& entry : watched) {
-      if (entry.state->done) {
-        any_done = true;
-        continue;
-      }
-      if (entry.deadline_micros <= now) continue;  // lapsed: counts resolved
-      any_live = true;
-      wake = std::min(wake, entry.deadline_micros);
-    }
-    if (!any_live) break;                   // everything resolved or lapsed
-    if (any_done && !wait_for_all) break;   // WaitAny: one completion is enough
-    if (now >= wake) break;
-    batch->cv.WaitFor(mu_, wake - now);
-  }
-  for (Watched& entry : watched) entry.state->batch.reset();
-}
-
-void RpcClient::WaitAnyUntilVirtual(const std::vector<AsyncCall*>& calls,
-                                    std::int64_t wake_micros,
-                                    bool wait_for_all) {
   for (;;) {
     std::int64_t wake = wait_for_all
                             ? std::numeric_limits<std::int64_t>::max()

@@ -109,15 +109,9 @@ class RpcServer {
   Authenticator authenticator_ NEES_GUARDED_BY(mu_);
 };
 
-/// Shared wakeup channel for a batch of calls (WaitAll / WaitAnyUntil):
-/// completing any attached call signals the batch's waiter.
-struct CallBatch {
-  util::CondVar cv;
-};
-
 /// Slot a response lands in; shared between the client and async handles.
-/// Each call carries its own condition variable so a completion wakes only
-/// its waiter (plus the batch, if attached) — never every in-flight call.
+/// Responses are written by the client's network handler: inline during
+/// Send under kImmediate, from the event loop a waiter pumps under kVirtual.
 struct PendingCall {
   bool done = false;
   /// False while the call is staged inside an open BeginBatch window (not
@@ -127,8 +121,6 @@ struct PendingCall {
   bool sent = true;
   util::Status status;
   Bytes response;
-  util::CondVar cv;
-  std::shared_ptr<CallBatch> batch;
 };
 
 class RpcClient {
@@ -270,21 +262,16 @@ class RpcClient {
   /// Pops a recycled PendingCall (or allocates the pool's first few).
   std::shared_ptr<PendingCall> AcquireCallLocked() NEES_REQUIRES(mu_);
   /// Returns a resolved slot to the pool. Only the last owner may recycle:
-  /// a response handler can still hold a transient reference while it
-  /// signals the slot's condition variable outside the lock, so a slot
-  /// with use_count() > 1 is simply dropped and freed normally.
+  /// a slot still referenced elsewhere (e.g. by a staged batch entry) is
+  /// simply dropped and freed normally.
   void RecycleCallLocked(std::shared_ptr<PendingCall> call)
       NEES_REQUIRES(mu_);
 
-  /// Shared engine behind WaitAll (wait_for_all) and WaitAnyUntil.
+  /// Shared engine behind WaitAll (wait_for_all) and WaitAnyUntil: pumps
+  /// the kVirtual event loop one event at a time between predicate checks.
+  /// Single-threaded and deterministic.
   void WaitAnyUntil(const std::vector<AsyncCall*>& calls,
                     std::int64_t wake_micros, bool wait_for_all);
-
-  /// kVirtual counterpart: instead of parking on a batch condition
-  /// variable, pump the network event loop one event at a time between
-  /// predicate checks. Single-threaded and deterministic.
-  void WaitAnyUntilVirtual(const std::vector<AsyncCall*>& calls,
-                           std::int64_t wake_micros, bool wait_for_all);
 
   Network* network_;
   std::string endpoint_;
@@ -304,7 +291,7 @@ class RpcClient {
   /// capacity instead of reallocating. Bounded by the widest fan-out seen.
   std::vector<StagedTarget> staging_pool_ NEES_GUARDED_BY(mu_);
   /// Recycled PendingCall slots: every resolved call hands its slot back
-  /// (condition variable and response capacity intact), so steady-state
+  /// (response capacity intact), so steady-state
   /// traffic allocates no per-call control blocks.
   std::vector<std::shared_ptr<PendingCall>> call_pool_ NEES_GUARDED_BY(mu_);
 };

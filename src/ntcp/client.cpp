@@ -54,7 +54,7 @@ struct NtcpClient::AsyncOp::State {
   net::Bytes body;  // kept for reissue on retry; pooled, released on finish
   int attempt = 1;
   std::int64_t backoff_micros = 0;
-  bool auth_refreshed = false;  // one credential refresh per operation
+  bool auth_refreshed = false;  // the last attempt followed a refresh
   Phase phase = Phase::kInFlight;
   net::RpcClient::AsyncCall call;
   std::int64_t resume_at_micros = 0;  // backoff expiry (client clock)
@@ -130,6 +130,11 @@ bool NtcpClient::AsyncOp::Pump() {
       const bool auth_error =
           error.code() == util::ErrorCode::kUnauthenticated ||
           error.code() == util::ErrorCode::kPermissionDenied;
+      // Only a rejection *immediately* after a refresh is final. A retry
+      // that failed some other way (e.g. timed out behind a slow backend)
+      // may outlive the refreshed token, so the next rejection earns
+      // another refresh.
+      if (!auth_error) s.auth_refreshed = false;
       if (auth_error && !s.auth_refreshed &&
           client->auth_refresher_ != nullptr) {
         // An auth rejection is definitive for *this credential*, not for
@@ -166,7 +171,7 @@ bool NtcpClient::AsyncOp::Pump() {
         finish(error, std::string(util::ErrorCodeName(error.code())));
         return true;
       }
-      if (s.attempt == client->policy_.max_attempts) {
+      if (s.attempt >= client->policy_.max_attempts) {
         ++client->stats_.gave_up;
         finish(error, "exhausted");
         return true;
@@ -250,7 +255,8 @@ NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
   s.call =
       rpc_->CallAsync(server_id_, method, s.body, policy_.rpc_timeout_micros);
   // Pump once so immediate-mode delivery (response already in the slot)
-  // resolves without a wait; in scheduled mode this is a cheap no-op.
+  // resolves without a wait; under kVirtual this is a cheap no-op (the
+  // response is still in flight until a waiter pumps the event loop).
   op.Pump();
   return op;
 }

@@ -133,9 +133,13 @@ class NtcpClient {
   /// Optional credential-refresh hook. When set, an operation rejected with
   /// kUnauthenticated / kPermissionDenied runs this (expected to redo the
   /// GSI handshake and install a fresh token on the RpcClient), then — if
-  /// it succeeds — backs off and reissues the request once instead of
-  /// failing the operation. One refresh per operation: a rejection *after*
-  /// a refresh is a real authorization answer, not a stale credential.
+  /// it succeeds — backs off and reissues the request instead of failing
+  /// the operation. A rejection *immediately after* a refresh is a real
+  /// authorization answer, not a stale credential, and is final. Any other
+  /// failure in between (a timeout, say) re-arms the refresh: by the next
+  /// rejection the refreshed token may itself have expired. Every refresh
+  /// spends an attempt, so refreshes are bounded by
+  /// RetryPolicy::max_attempts.
   void set_auth_refresher(std::function<util::Status()> refresher) {
     auth_refresher_ = std::move(refresher);
   }

@@ -272,13 +272,13 @@ void PollingBackend::Loop() {
 }
 
 // ---------------------------------------------------------------------------
-// RemotePollingBackend
+// Remote poll cycle
 
 namespace {
 
 // One poll+compute+notify cycle against the plugin's RPC surface; returns
-// true if work was done. Shared by the threaded RemotePollingBackend and
-// the event-driven VirtualPollingBackend.
+// true if work was done. VirtualPollingBackend runs it on every wake and
+// heartbeat.
 util::Result<bool> RunPollCycle(net::RpcClient* rpc,
                                 const std::string& plugin_endpoint,
                                 const PollingBackend::Compute& compute,
@@ -310,81 +310,6 @@ util::Result<bool> RunPollCycle(net::RpcClient* rpc,
 }
 
 }  // namespace
-
-RemotePollingBackend::RemotePollingBackend(net::RpcClient* rpc,
-                                           std::string plugin_endpoint,
-                                           Compute compute,
-                                           std::int64_t heartbeat_micros)
-    : rpc_(rpc),
-      plugin_endpoint_(std::move(plugin_endpoint)),
-      compute_(std::move(compute)),
-      heartbeat_micros_(heartbeat_micros) {}
-
-RemotePollingBackend::~RemotePollingBackend() { Stop(); }
-
-void RemotePollingBackend::BindWakeRpc(net::RpcServer& server) {
-  server.RegisterOneWay(
-      "mplugin.wake",
-      [this](const net::CallContext&, const net::Bytes&) { Wake(); });
-}
-
-void RemotePollingBackend::Wake() {
-  ++wakes_;
-  {
-    util::MutexLock lock(mu_);
-    wake_pending_ = true;
-  }
-  wake_cv_.NotifyOne();
-}
-
-void RemotePollingBackend::Start() {
-  if (running_.exchange(true)) return;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void RemotePollingBackend::Stop() {
-  if (!running_.exchange(false)) return;
-  wake_cv_.NotifyAll();
-  if (thread_.joinable()) thread_.join();
-}
-
-void RemotePollingBackend::Loop() {
-  while (running_) {
-    {
-      // Park until a wake arrives. The heartbeat bounds how stale we can
-      // get if a wake message is dropped by the (lossy) network.
-      util::MutexLock lock(mu_);
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(heartbeat_micros_);
-      while (!wake_pending_ && running_) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        wake_cv_.WaitFor(
-            mu_, std::chrono::duration_cast<std::chrono::microseconds>(
-                     deadline - now)
-                     .count());
-      }
-      wake_pending_ = false;
-    }
-    if (!running_) break;
-    // Drain: one wake may cover several enqueued proposals.
-    for (;;) {
-      auto worked = PollOnce(/*max_wait_micros=*/0);
-      if (!worked.ok()) {
-        NEES_LOG_WARN("plugins.backend")
-            << "remote poll cycle failed: " << worked.status().ToString();
-        break;
-      }
-      if (!*worked) break;
-      ++processed_;
-    }
-  }
-}
-
-util::Result<bool> RemotePollingBackend::PollOnce(
-    std::int64_t max_wait_micros) {
-  return RunPollCycle(rpc_, plugin_endpoint_, compute_, max_wait_micros);
-}
 
 // ---------------------------------------------------------------------------
 // VirtualPollingBackend

@@ -144,66 +144,13 @@ class PollingBackend {
   std::atomic<std::uint64_t> processed_{0};
 };
 
-/// Remote backend speaking the RPC surface — used to demonstrate that the
-/// poll service works across the (simulated) network like Matlab at NCSA.
-///
-/// Two modes:
-///   * PollOnce() — caller-driven single poll cycle (tests, custom loops);
-///   * Start()/Stop() — a worker thread that sits idle until Wake() (bound
-///     to a one-way "mplugin.wake" RPC via BindWakeRpc and driven by the
-///     plugin's work notifier), then drains the queue. A heartbeat re-polls
-///     every `heartbeat_micros` in case a wake message was lost, so the
-///     notifier is an optimization, never a correctness requirement.
-///
-/// Wake() only sets a flag — it never blocks or issues RPCs — so it is safe
-/// to invoke from the network's single delivery thread in kScheduled mode.
-class RemotePollingBackend {
- public:
-  using Compute = PollingBackend::Compute;
-
-  RemotePollingBackend(net::RpcClient* rpc, std::string plugin_endpoint,
-                       Compute compute,
-                       std::int64_t heartbeat_micros = 250'000);
-  ~RemotePollingBackend();
-
-  /// Performs one poll+compute+notify cycle; returns true if work was done.
-  util::Result<bool> PollOnce(std::int64_t max_wait_micros = 0);
-
-  /// Registers the one-way "mplugin.wake" method on `server` (the backend's
-  /// own control endpoint, distinct from its RpcClient endpoint).
-  void BindWakeRpc(net::RpcServer& server);
-
-  /// Signals the worker thread that work is (probably) available.
-  void Wake();
-
-  void Start();
-  void Stop();
-
-  std::uint64_t processed() const { return processed_; }
-  std::uint64_t wakes() const { return wakes_; }
-
- private:
-  void Loop();
-
-  net::RpcClient* rpc_;
-  std::string plugin_endpoint_;
-  Compute compute_;
-  std::int64_t heartbeat_micros_;
-  util::Mutex mu_{"plugins.RemoteBackend"};
-  util::CondVar wake_cv_;
-  bool wake_pending_ NEES_GUARDED_BY(mu_) = false;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> processed_{0};
-  std::atomic<std::uint64_t> wakes_{0};
-};
-
-/// Event-driven backend for DeliveryMode::kVirtual: no thread at all. A
-/// one-way "mplugin.wake" delivery drains the plugin's queue inline on the
-/// network's event loop, and a self-rescheduling heartbeat timer re-polls
-/// every `heartbeat_micros` of *virtual* time in case a wake was lost — the
-/// same wake-or-heartbeat contract as RemotePollingBackend ("a lost wake
-/// only delays, never stalls"), replayed deterministically per seed. Each
+/// Remote backend speaking the RPC surface (Matlab at NCSA, across the
+/// simulated network), event-driven for DeliveryMode::kVirtual: no thread
+/// at all. A one-way "mplugin.wake" delivery drains the plugin's queue
+/// inline on the network's event loop, and a self-rescheduling heartbeat
+/// timer re-polls every `heartbeat_micros` of *virtual* time in case a wake
+/// was lost ("a lost wake only delays, never stalls"), replayed
+/// deterministically per seed. Each
 /// poll/compute/notify cycle issues blocking RPCs whose waits pump the
 /// event loop recursively.
 ///

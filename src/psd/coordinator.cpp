@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <thread>
 
 #include "check/invariant.h"
 #include "obs/trace.h"
@@ -112,28 +111,12 @@ util::Status SimulationCoordinator::EnsureInitialized() {
 
 util::Status SimulationCoordinator::ForEachSite(
     const std::function<util::Status(std::size_t site)>& work) {
-  const std::size_t count = config_.sites.size();
-  std::vector<util::Status> statuses(count);
-  if (config_.step_engine != StepEngine::kThreadPerSite || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      statuses[i] = work(i);
-    }
-  } else {
-    // One thread per site: NTCP rounds to independent sites overlap, so
-    // the phase costs one round trip instead of `count`. Each thread only
-    // touches its own client and its own stats slot.
-    std::vector<std::thread> workers;
-    for (std::size_t i = 1; i < count; ++i) {
-      workers.emplace_back([&, i] { statuses[i] = work(i); });
-    }
-    threads_spawned_ += workers.size();
-    statuses[0] = work(0);
-    for (std::thread& worker : workers) worker.join();
+  util::Status first_error;
+  for (std::size_t i = 0; i < config_.sites.size(); ++i) {
+    const util::Status status = work(i);
+    if (!status.ok() && first_error.ok()) first_error = status;
   }
-  for (const util::Status& status : statuses) {
-    if (!status.ok()) return status;
-  }
-  return util::OkStatus();
+  return first_error;
 }
 
 util::Status SimulationCoordinator::ProposeAllAsync(
@@ -148,8 +131,7 @@ util::Status SimulationCoordinator::ProposeAllAsync(
     proposal_scratch_.resize(site_count);
   }
   // Stage the whole fan-out, then flush it as one framed send per site.
-  const bool batching = config_.batch_site_rpcs;
-  if (batching) rpc_->BeginBatch();
+  rpc_->BeginBatch();
   for (std::size_t i = 0; i < site_count; ++i) {
     const SubstructureSite& site = config_.sites[i];
     // Explicit span parenting: every site's spans are created from this one
@@ -176,7 +158,7 @@ util::Status SimulationCoordinator::ProposeAllAsync(
     action.target_force.clear();
     ops[i] = clients_[i]->ProposeAsync(proposal, site_spans[i]);
   }
-  if (batching) rpc_->FlushBatch();
+  rpc_->FlushBatch();
   ntcp::NtcpClient::AwaitAll(ops);
 
   util::Status first_error;
@@ -207,8 +189,7 @@ util::Status SimulationCoordinator::ExecuteAllAsync(
   if (ops.size() != site_count) ops.resize(site_count);
   std::vector<std::uint64_t>& site_spans = site_spans_scratch_;
   site_spans.assign(site_count, 0);
-  const bool batching = config_.batch_site_rpcs;
-  if (batching) rpc_->BeginBatch();
+  rpc_->BeginBatch();
   for (std::size_t i = 0; i < site_count; ++i) {
     if (config_.tracer != nullptr) {
       site_spans[i] = config_.tracer->BeginSpanId("site.execute",
@@ -219,7 +200,7 @@ util::Status SimulationCoordinator::ExecuteAllAsync(
     }
     ops[i] = clients_[i]->ExecuteAsync(transaction_ids[i], site_spans[i]);
   }
-  if (batching) rpc_->FlushBatch();
+  rpc_->FlushBatch();
   ntcp::NtcpClient::AwaitAll(ops);
 
   util::Status first_error;
@@ -285,8 +266,6 @@ util::Status SimulationCoordinator::CycleOnce(
   } else {
     proposed = ForEachSite([&](std::size_t i) {
       const SubstructureSite& site = config_.sites[i];
-      // Explicit parent: under kThreadPerSite this lambda runs off-thread,
-      // where the implicit stack would not see the step span.
       obs::Span site_span;
       if (config_.tracer != nullptr) {
         site_span = config_.tracer->StartSpanWithParent(
@@ -570,7 +549,6 @@ RunReport SimulationCoordinator::Run() {
     report.transient_faults_recovered += client->stats().recovered;
   }
   report.wall_seconds = watch.ElapsedSeconds();
-  report.threads_spawned = threads_spawned_;
   report.propose_phase_micros = propose_phase_micros_;
   report.execute_phase_micros = execute_phase_micros_;
   report.wal_records = wal_records_;

@@ -56,14 +56,11 @@ enum class StepEngine {
   /// One site after another on the coordinator thread; a phase costs
   /// `sites` round trips. The §3 baseline.
   kSequential,
-  /// One worker thread per additional site per phase (the E11b
-  /// optimization): ~1 RTT per phase, but ~2 x sites threads per step.
-  kThreadPerSite,
-  /// Completion-driven: issue every site's request, then multiplex all the
-  /// completions (and retry backoff timers) on the coordinator thread.
-  /// ~1 RTT per phase with zero thread creation (the §5 near-real-time
-  /// path). In kImmediate delivery this degenerates to the sequential
-  /// order, so results are bit-identical to kSequential.
+  /// Completion-driven: issue every site's request (staged as one framed
+  /// "rpc.batch" send per site), then multiplex all the completions (and
+  /// retry backoff timers) on the coordinator thread. ~1 RTT per phase
+  /// (the §5 near-real-time path). In kImmediate delivery this degenerates
+  /// to the sequential order, so results are bit-identical to kSequential.
   kAsync,
 };
 
@@ -86,15 +83,8 @@ struct CoordinatorConfig {
   int max_step_attempts = 3;      // re-proposals per step (kFaultTolerant)
   std::int64_t proposal_timeout_micros = 60'000'000;
   /// Fan-out strategy per phase; results are identical across engines
-  /// (only wall time and threading behavior change).
+  /// (only the modeled phase latency changes).
   StepEngine step_engine = StepEngine::kAsync;
-  /// kAsync only: stage each phase's per-site requests on the shared
-  /// RpcClient (BeginBatch/FlushBatch) so the fan-out leaves the
-  /// coordinator as one framed message per site per phase instead of one
-  /// per call. Wire format for a single staged call is identical to an
-  /// unbatched request, and the per-site resolution order is unchanged, so
-  /// histories stay bit-identical to the unbatched engines.
-  bool batch_site_rpcs = true;
 
   PsdIntegrator integrator = PsdIntegrator::kCentralDifference;
   /// Initial stiffness estimate K0; required (square, n x n) for
@@ -133,12 +123,9 @@ struct RunReport {
   std::vector<SiteStats> site_stats;
   std::uint64_t transient_faults_recovered = 0;
   double wall_seconds = 0.0;
-  /// Worker threads created across the run (0 under kSequential/kAsync —
-  /// the async engine's "zero thread creation per step" claim is assertable
-  /// from this counter).
-  std::uint64_t threads_spawned = 0;
-  /// Wall micros per propose-all / execute-all phase (one sample per
-  /// phase attempt), for the E13 latency breakdown.
+  /// Micros on the coordinator's clock per propose-all / execute-all phase
+  /// (one sample per phase attempt), for the E13 latency breakdown: modeled
+  /// time when the clock is a kVirtual network's, wall time otherwise.
   util::SampleStats propose_phase_micros;
   util::SampleStats execute_phase_micros;
   /// WAL activity this run (0 when no log is attached).
@@ -205,7 +192,6 @@ class SimulationCoordinator {
   const structural::TimeHistory& history() const { return history_; }
   std::size_t current_step() const { return step_; }
   std::vector<SiteStats> site_stats() const;
-  std::uint64_t threads_spawned() const { return threads_spawned_; }
 
  private:
   util::Status EnsureInitialized();
@@ -217,10 +203,12 @@ class SimulationCoordinator {
   void WalLogSiteOutcome(const std::string& transaction_id,
                          const std::string& site, bool executed);
   void WalSync();
-  /// One full propose-all / execute-all cycle for the current step; fills
-  /// `forces` with the assembled restoring force vector.
+  /// Runs `work` for every site in order (the kSequential engine); returns
+  /// the first error after all sites have run.
   util::Status ForEachSite(
       const std::function<util::Status(std::size_t site)>& work);
+  /// One full propose-all / execute-all cycle for the current step; fills
+  /// `forces` with the assembled restoring force vector.
   util::Status RunNtcpCycle(const structural::Vector& displacement,
                             structural::Vector& forces,
                             std::vector<ntcp::TransactionResult>& results);
@@ -230,8 +218,7 @@ class SimulationCoordinator {
 
   /// Completion-driven phases (StepEngine::kAsync): issue all sites'
   /// requests, then multiplex completions on the calling thread.
-  /// `accepted` / `executed` record per-site success (char, not bool:
-  /// the thread engine writes the same slots concurrently).
+  /// `accepted` / `executed` record per-site success.
   util::Status ProposeAllAsync(const std::vector<std::string>& transaction_ids,
                                const structural::Vector& displacement,
                                std::vector<char>& accepted);
@@ -264,7 +251,6 @@ class SimulationCoordinator {
   structural::Vector a_;
   structural::TimeHistory history_;
   std::uint64_t transient_recovered_ = 0;
-  std::uint64_t threads_spawned_ = 0;
   wal::Log* wal_ = nullptr;
   std::uint64_t wal_records_ = 0;
   std::uint64_t wal_sync_failures_ = 0;
@@ -273,8 +259,7 @@ class SimulationCoordinator {
 
   // Per-step scratch reused across steps: the strings, proposals, and op
   // slots keep their capacity, so the steady-state propose/execute path
-  // allocates nothing in the coordinator itself. Only touched by the
-  // coordinator thread (workers under kThreadPerSite read, never resize).
+  // allocates nothing in the coordinator itself.
   std::vector<std::string> txn_ids_scratch_;
   std::vector<char> accepted_scratch_;
   std::vector<char> executed_scratch_;

@@ -1,7 +1,7 @@
 #include "repo/gridftp.h"
 
 #include <algorithm>
-#include <thread>
+#include <limits>
 
 #include "util/sha256.h"
 
@@ -140,28 +140,62 @@ util::Result<net::Bytes> GridFtpClient::CallChunked(const std::string& server,
   return last;
 }
 
-util::Status GridFtpClient::RunStreams(
-    const std::function<util::Status(int stream)>& work) {
-  const int streams = std::max(options_.streams, 1);
-  if (streams == 1) return work(0);
-  util::Mutex status_mu{"repo.GridFtpClient.streams"};
+util::Status GridFtpClient::RunChunks(
+    const std::string& server, const std::string& method, std::size_t count,
+    const std::function<net::Bytes(std::size_t index)>& request,
+    const std::function<util::Status(std::size_t index, net::Bytes reply)>&
+        consume) {
+  struct InFlight {
+    std::size_t index;
+    int attempt;
+    net::RpcClient::AsyncCall call;
+  };
+  const std::size_t window =
+      static_cast<std::size_t>(std::max(options_.streams, 1));
+  const net::MethodId method_id(method);
+  std::vector<InFlight> in_flight;
+  std::vector<net::RpcClient::AsyncCall*> handles;
+  auto issue = [&](std::size_t index, int attempt) {
+    in_flight.push_back({index, attempt,
+                         rpc_->CallAsync(server, method_id, request(index),
+                                         options_.rpc_timeout_micros)});
+  };
   util::Status first_error;
-  std::vector<std::thread> workers;
-  for (int stream = 1; stream < streams; ++stream) {
-    workers.emplace_back([&, stream] {
-      const util::Status status = work(stream);
-      if (!status.ok()) {
-        util::MutexLock lock(status_mu);
-        if (first_error.ok()) first_error = status;
+  std::size_t next = 0;
+  for (;;) {
+    while (first_error.ok() && next < count && in_flight.size() < window) {
+      issue(next++, 0);
+    }
+    if (in_flight.empty()) return first_error;
+    handles.clear();
+    for (InFlight& entry : in_flight) handles.push_back(&entry.call);
+    rpc_->WaitAnyUntil(handles, std::numeric_limits<std::int64_t>::max());
+    // Harvest every resolved call in issue order. A retry is appended to
+    // the window, so a kImmediate reissue (resolved inline) is harvested in
+    // this same pass.
+    for (std::size_t i = 0; i < in_flight.size();) {
+      util::Result<net::Bytes> result = util::Internal("unresolved");
+      if (!in_flight[i].call.TryResolve(&result)) {
+        ++i;
+        continue;
       }
-    });
-  }
-  const util::Status status = work(0);
-  for (std::thread& worker : workers) worker.join();
-  {
-    util::MutexLock lock(status_mu);
-    if (!status.ok() && first_error.ok()) first_error = status;
-    return first_error;
+      const std::size_t index = in_flight[i].index;
+      const int attempt = in_flight[i].attempt;
+      in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(i));
+      util::Status status = result.status();
+      if (status.ok()) {
+        status = consume(index, *std::move(result));
+        if (status.ok()) {
+          ++chunks_;
+          if (attempt > 0) ++retried_;
+        }
+      } else if (status.transient() && attempt < options_.chunk_retries &&
+                 first_error.ok()) {
+        issue(index, attempt + 1);
+        continue;
+      }
+      if (!status.ok() && first_error.ok()) first_error = status;
+    }
   }
 }
 
@@ -182,35 +216,30 @@ util::Result<Bytes> GridFtpClient::Download(const std::string& server,
   const std::size_t chunk = options_.chunk_bytes;
   const std::size_t total_chunks = size == 0 ? 0 : (size + chunk - 1) / chunk;
 
-  // Stripe chunks round-robin across parallel streams, each on its own
-  // thread: over a latency-bearing WAN the per-chunk round trips overlap,
-  // which is exactly why GridFTP stripes transfers.
-  auto fetch_stream = [&](int stream) -> util::Status {
-    for (std::size_t index = static_cast<std::size_t>(stream);
-         index < total_chunks;
-         index += static_cast<std::size_t>(options_.streams)) {
-      const std::size_t offset = index * chunk;
-      const std::size_t want = std::min(chunk, size - offset);
-      util::ByteWriter read_writer;
-      read_writer.WriteString(path);
-      read_writer.WriteU64(offset);
-      read_writer.WriteU64(want);
-      NEES_ASSIGN_OR_RETURN(
-          net::Bytes reply,
-          CallChunked(server, "gftp.read", read_writer.Take()));
-      util::ByteReader reply_reader(reply);
-      NEES_ASSIGN_OR_RETURN(Bytes piece, reply_reader.ReadBytes());
-      if (piece.size() != want) {
-        return util::DataLoss("short read at offset " +
-                              std::to_string(offset));
-      }
-      // Streams write disjoint ranges of `content`; no locking needed.
-      std::copy(piece.begin(), piece.end(), content.begin() + offset);
-      ++chunks_;
+  // Stripe the chunks through the async window: over a latency-bearing WAN
+  // the per-chunk round trips overlap, which is exactly why GridFTP
+  // stripes transfers.
+  auto read_request = [&](std::size_t index) {
+    const std::size_t offset = index * chunk;
+    util::ByteWriter read_writer;
+    read_writer.WriteString(path);
+    read_writer.WriteU64(offset);
+    read_writer.WriteU64(std::min(chunk, size - offset));
+    return read_writer.Take();
+  };
+  auto store_piece = [&](std::size_t index,
+                         net::Bytes reply) -> util::Status {
+    const std::size_t offset = index * chunk;
+    util::ByteReader reply_reader(reply);
+    NEES_ASSIGN_OR_RETURN(Bytes piece, reply_reader.ReadBytes());
+    if (piece.size() != std::min(chunk, size - offset)) {
+      return util::DataLoss("short read at offset " + std::to_string(offset));
     }
+    std::copy(piece.begin(), piece.end(), content.begin() + offset);
     return util::OkStatus();
   };
-  NEES_RETURN_IF_ERROR(RunStreams(fetch_stream));
+  NEES_RETURN_IF_ERROR(
+      RunChunks(server, "gftp.read", total_chunks, read_request, store_piece));
   last_report_.bytes = content.size();
   last_report_.chunks = chunks_;
   last_report_.retried_chunks = retried_;
@@ -240,25 +269,19 @@ util::Status GridFtpClient::Upload(const std::string& server,
   const std::size_t chunk = options_.chunk_bytes;
   const std::size_t total_chunks =
       content.empty() ? 0 : (content.size() + chunk - 1) / chunk;
-  auto push_stream = [&](int stream) -> util::Status {
-    for (std::size_t index = static_cast<std::size_t>(stream);
-         index < total_chunks;
-         index += static_cast<std::size_t>(options_.streams)) {
-      const std::size_t offset = index * chunk;
-      const std::size_t take = std::min(chunk, content.size() - offset);
-      util::ByteWriter chunk_writer;
-      chunk_writer.WriteString(transfer_id);
-      chunk_writer.WriteU64(offset);
-      chunk_writer.WriteBytes(Bytes(content.begin() + offset,
-                                    content.begin() + offset + take));
-      NEES_RETURN_IF_ERROR(
-          CallChunked(server, "gftp.writeChunk", chunk_writer.Take())
-              .status());
-      ++chunks_;
-    }
-    return util::OkStatus();
+  auto write_request = [&](std::size_t index) {
+    const std::size_t offset = index * chunk;
+    const std::size_t take = std::min(chunk, content.size() - offset);
+    util::ByteWriter chunk_writer;
+    chunk_writer.WriteString(transfer_id);
+    chunk_writer.WriteU64(offset);
+    chunk_writer.WriteBytes(Bytes(content.begin() + offset,
+                                  content.begin() + offset + take));
+    return chunk_writer.Take();
   };
-  NEES_RETURN_IF_ERROR(RunStreams(push_stream));
+  NEES_RETURN_IF_ERROR(RunChunks(
+      server, "gftp.writeChunk", total_chunks, write_request,
+      [](std::size_t, net::Bytes) { return util::OkStatus(); }));
   last_report_.bytes = content.size();
   last_report_.chunks = chunks_;
   last_report_.retried_chunks = retried_;

@@ -3,10 +3,11 @@
 // the NEESgrid repository used for all file movement (§2.3, §3.2).
 //
 // The protocol is pull/push in fixed-size chunks. A logical transfer is
-// striped across `streams` interleaved chunk sequences; with a
-// bandwidth-limited link this models GridFTP's parallel-stream behaviour
-// (bench E3 sweeps stream count). Every completed transfer is verified
-// against its SHA-256 digest; a mismatch fails with kDataLoss.
+// striped across up to `streams` outstanding chunk calls (an async window
+// on one RpcClient); over a latency-bearing link their round trips overlap,
+// which models GridFTP's parallel-stream behaviour (bench E3 sweeps stream
+// count in modeled time). Every completed transfer is verified against its
+// SHA-256 digest; a mismatch fails with kDataLoss.
 //
 // RPC surface:
 //   gftp.stat        {path} -> {size, sha256hex}
@@ -16,7 +17,6 @@
 //   gftp.commit      {transfer_id} -> {}    (verifies checksum, installs)
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -61,7 +61,7 @@ class GridFtpServer {
 
 struct TransferOptions {
   std::size_t chunk_bytes = 16 * 1024;
-  int streams = 4;           // interleaved chunk sequences
+  int streams = 4;           // outstanding chunk calls (the stripe window)
   int chunk_retries = 3;     // transient-failure retries per chunk
   std::int64_t rpc_timeout_micros = 5'000'000;
 };
@@ -90,15 +90,26 @@ class GridFtpClient {
   util::Result<net::Bytes> CallChunked(const std::string& server,
                                        const std::string& method,
                                        const net::Bytes& body);
-  /// Runs `work(stream)` on options_.streams threads; returns first error.
-  util::Status RunStreams(
-      const std::function<util::Status(int stream)>& work);
+  /// Sends chunk calls 0..count-1 to `method` through a window of at most
+  /// options_.streams outstanding CallAsync calls, harvested with
+  /// WaitAnyUntil: under kVirtual the stripes' round trips overlap in
+  /// modeled time; under kImmediate the window resolves in issue order. A
+  /// transient failure re-issues the same chunk, up to chunk_retries times.
+  /// `request(index)` builds a chunk's body and `consume(index, reply)`
+  /// takes a successful answer. After the first error no new chunk is
+  /// issued; the error is returned once the window has drained.
+  util::Status RunChunks(
+      const std::string& server, const std::string& method,
+      std::size_t count,
+      const std::function<net::Bytes(std::size_t index)>& request,
+      const std::function<util::Status(std::size_t index, net::Bytes reply)>&
+          consume);
 
   net::RpcClient* rpc_;
   TransferOptions options_;
   TransferReport last_report_;
-  std::atomic<int> chunks_{0};
-  std::atomic<int> retried_{0};
+  int chunks_ = 0;
+  int retried_ = 0;
 };
 
 /// Lowercase hex SHA-256 of a byte buffer (shared by client and server).

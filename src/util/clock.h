@@ -1,7 +1,7 @@
 // Time sources. The experiment stack is written against the Clock interface
-// so tests run against a manually-advanced SimClock (deterministic, fast)
-// while benches and examples run against the wall clock — the same split the
-// DESIGN.md ablation list calls "immediate vs scheduled delivery".
+// so tests and latency benches run against a manually-advanced SimClock
+// (deterministic, fast; a kVirtual network's modeled timeline) while the
+// examples run against the wall clock.
 #pragma once
 
 #include <chrono>

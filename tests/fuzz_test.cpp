@@ -28,8 +28,6 @@ TEST(FuzzScenarioTest, ParametersStayInBounds) {
     EXPECT_GE(s.steps, 8u) << seed;
     EXPECT_LE(s.steps, 24u) << seed;
     EXPECT_EQ(s.site_links.size(), s.sites) << seed;
-    // kThreadPerSite would race the single-threaded virtual event loop.
-    EXPECT_NE(s.engine, psd::StepEngine::kThreadPerSite) << seed;
     // 8 base + 2 crash + 2 corrupt + 1 skew + 1 credential-expiry.
     EXPECT_LE(s.faults.size(), 14u) << seed;
     for (const net::LinkModel& link : s.site_links) {

@@ -140,22 +140,14 @@ TEST_F(MostRunTest, AsyncEngineBitIdenticalToSequential) {
   // E5/E6 determinism gate: in kImmediate delivery the completion-driven
   // engine resolves each site's call inline in issue order, so the hybrid
   // displacement record must match the sequential baseline bit for bit —
-  // including across a recovered transient fault. The async engine runs
-  // twice, unbatched and with per-site RPC batching, so the batch envelope
-  // is held to the same bit-for-bit standard.
-  struct EngineCase {
-    psd::StepEngine engine;
-    bool batch;
-  };
-  const EngineCase cases[] = {
-      {psd::StepEngine::kSequential, false},
-      {psd::StepEngine::kAsync, false},
-      {psd::StepEngine::kAsync, true},
-  };
-  structural::TimeHistory histories[3];
+  // including across a recovered transient fault. The async engine stages
+  // each phase as one "rpc.batch" frame per site, so the batch envelope is
+  // held to the same bit-for-bit standard.
+  const psd::StepEngine engines[] = {psd::StepEngine::kSequential,
+                                     psd::StepEngine::kAsync};
+  structural::TimeHistory histories[2];
   std::size_t engine_index = 0;
-  for (const EngineCase& c : cases) {
-    const psd::StepEngine engine = c.engine;
+  for (const psd::StepEngine engine : engines) {
     util::SimClock clock{1'000'000};  // identical start time per run
     net::Network network;
     network.SetClock(&clock);
@@ -167,7 +159,6 @@ TEST_F(MostRunTest, AsyncEngineBitIdenticalToSequential) {
     auto config = experiment.MakeCoordinatorConfig(
         psd::FaultPolicy::kFaultTolerant, "det");
     config.retry.initial_backoff_micros = 1'000;
-    config.batch_site_rpcs = c.batch;
     psd::SimulationCoordinator coordinator(config, &rpc, &clock);
     MostFaultSchedule faults(&network, "det.coordinator",
                              MostExperiment::kNtcpCu);
@@ -180,20 +171,14 @@ TEST_F(MostRunTest, AsyncEngineBitIdenticalToSequential) {
     const psd::RunReport report = coordinator.Run();
     ASSERT_TRUE(report.completed) << report.failure.ToString();
     EXPECT_GE(report.transient_faults_recovered, 1u);
-    if (engine == psd::StepEngine::kAsync) {
-      EXPECT_EQ(report.threads_spawned, 0u);
-    }
     histories[engine_index++] = report.history;
   }
-  for (std::size_t variant = 1; variant < 3; ++variant) {
-    ASSERT_EQ(histories[0].displacement.size(),
-              histories[variant].displacement.size());
-    for (std::size_t i = 0; i < histories[0].displacement.size(); ++i) {
-      ASSERT_EQ(histories[0].displacement[i][0],
-                histories[variant].displacement[i][0])
-          << (variant == 1 ? "unbatched" : "batched")
-          << " async diverged at step " << i;
-    }
+  ASSERT_EQ(histories[0].displacement.size(),
+            histories[1].displacement.size());
+  for (std::size_t i = 0; i < histories[0].displacement.size(); ++i) {
+    ASSERT_EQ(histories[0].displacement[i][0],
+              histories[1].displacement[i][0])
+        << "batched async diverged at step " << i;
   }
 }
 
@@ -375,28 +360,6 @@ TEST_F(MostRunTest, SafetyInterlockMidRunStopsTheExperiment) {
   // The other sites stopped with it: executions equal completed steps + the
   // one aborted step at most.
   EXPECT_LE(experiment.ServerStats(MostExperiment::kNtcpCu).executions, 62u);
-}
-
-TEST_F(MostRunTest, RunsOverScheduledNetworkWithRealLatency) {
-  // The same stack over the threaded, real-latency network: proves nothing
-  // depends on the deterministic immediate mode.
-  net::Network network(net::DeliveryMode::kScheduled);
-  net::LinkModel wan;
-  wan.latency_micros = 200;  // 0.2 ms each way
-  network.SetDefaultLink(wan);
-  MostOptions options = SmallOptions(60, false);
-  options.with_repository = false;  // keep the threaded run lean
-  options.daq_flush_every_steps = 0;
-  MostExperiment experiment(&network, &util::SystemClock::Instance(),
-                            options);
-  auto report = experiment.Run(psd::FaultPolicy::kFaultTolerant, "sched");
-  ASSERT_TRUE(report.ok());
-  ASSERT_TRUE(report->completed) << report->failure.ToString();
-  EXPECT_EQ(report->steps_completed, 59u);
-  // The async engine overlaps the three sites, so a step pays ~2 RTTs
-  // (propose + execute), not 6: real WAN latency, but no serialization.
-  EXPECT_GT(report->wall_seconds, 59 * 2 * 0.0004);
-  EXPECT_EQ(report->threads_spawned, 0u);
 }
 
 // --- Mini-MOST (§3.5) ---------------------------------------------------------

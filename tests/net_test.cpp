@@ -755,8 +755,14 @@ TEST(RpcBatchWireTest, SingletonBatchIsWireIdenticalToPlainRequest) {
   EXPECT_NE(frames[1].correlation_id, frames[0].correlation_id);
 }
 
+// --- overlapped calls: CallAsync + WaitAll / WaitAnyUntil --------------------
+//
+// Latency-scheduled delivery under kVirtual: every message lands at its
+// modeled arrival time on the network's virtual clock, so the cost of an
+// overlapped round trip is asserted exactly, in modeled microseconds.
+
 TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
-  Network network(DeliveryMode::kScheduled);
+  Network network(DeliveryMode::kVirtual);
   LinkModel model;
   model.latency_micros = 3'000;
   network.SetDefaultLink(model);
@@ -768,9 +774,9 @@ TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
       });
   RpcClient client(&network, "client");
 
-  // N overlapped calls should cost ~1 RTT, not N.
+  // N overlapped calls cost exactly 1 RTT, not N.
   constexpr int kCalls = 8;
-  util::Stopwatch watch;
+  const std::int64_t t0 = network.clock()->NowMicros();
   std::vector<RpcClient::AsyncCall> calls;
   for (int i = 0; i < kCalls; ++i) {
     calls.push_back(client.CallAsync("server", "echo",
@@ -780,7 +786,6 @@ TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
   std::vector<RpcClient::AsyncCall*> handles;
   for (RpcClient::AsyncCall& call : calls) handles.push_back(&call);
   client.WaitAll(handles);
-  const std::int64_t elapsed = watch.ElapsedMicros();
 
   for (int i = 0; i < kCalls; ++i) {
     util::Result<Bytes> result = util::Internal("unset");
@@ -788,12 +793,12 @@ TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
     ASSERT_TRUE(result.ok()) << i;
     EXPECT_EQ(AsString(*result), "c" + std::to_string(i));
   }
-  // 1 RTT = 6 ms; the serialized cost would be ~48 ms.
-  EXPECT_LT(elapsed, kCalls * 6'000 / 2);
+  // 1 RTT = 6 ms; the serialized cost would be 48 ms.
+  EXPECT_EQ(network.clock()->NowMicros() - t0, 6'000);
 }
 
 TEST(ScheduledRpcTest, WaitAnyUntilReturnsOnFirstCompletion) {
-  Network network(DeliveryMode::kScheduled);
+  Network network(DeliveryMode::kVirtual);
   LinkModel fast;
   fast.latency_micros = 1'000;
   LinkModel slow;
@@ -814,17 +819,25 @@ TEST(ScheduledRpcTest, WaitAnyUntilReturnsOnFirstCompletion) {
 
   RpcClient::AsyncCall a = client.CallAsync("fast", "echo", AsBytes("a"));
   RpcClient::AsyncCall b = client.CallAsync("slow", "echo", AsBytes("b"));
-  client.WaitAnyUntil({&a, &b},
-                      network.clock()->NowMicros() + 1'000'000);
+  // A wake time before any arrival ends the wait there, nothing resolved.
+  client.WaitAnyUntil({&a, &b}, 500);
+  EXPECT_EQ(network.clock()->NowMicros(), 500);
   util::Result<Bytes> first = util::Internal("unset");
+  EXPECT_FALSE(a.TryResolve(&first));
+  // The wait then returns at the fast call's arrival: 1 fast RTT.
+  client.WaitAnyUntil({&a, &b}, 1'000'000);
+  EXPECT_EQ(network.clock()->NowMicros(), 2'000);
   EXPECT_TRUE(a.TryResolve(&first));  // fast call resolved the wait
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(AsString(*first), "a");
   util::Result<Bytes> second = util::Internal("unset");
   EXPECT_FALSE(b.TryResolve(&second));  // slow call still in flight
   EXPECT_TRUE(b.Wait().ok());
+  EXPECT_EQ(network.clock()->NowMicros(), 80'000);
 }
 
 TEST(ScheduledRpcTest, AsyncCallWaitHonorsDeadline) {
-  Network network(DeliveryMode::kScheduled);
+  Network network(DeliveryMode::kVirtual);
   RpcServer server(&network, "server");
   ASSERT_TRUE(server.Start().ok());
   server.RegisterMethod(
@@ -836,12 +849,15 @@ TEST(ScheduledRpcTest, AsyncCallWaitHonorsDeadline) {
   RpcClient::AsyncCall call =
       client.CallAsync("server", "echo", AsBytes("x"), 15'000);
   EXPECT_EQ(call.Wait().status().code(), ErrorCode::kTimeout);
+  EXPECT_EQ(network.clock()->NowMicros(), 15'000);
 }
 
-// --- scheduled (threaded) delivery mode ---------------------------------------
+// --- latency-bearing links, in virtual time -----------------------------------
 
 TEST(ScheduledNetworkTest, RpcOverRealLatency) {
-  Network network(DeliveryMode::kScheduled);
+  // "Real" latency: unlike kImmediate, which only records the link delay,
+  // the modeled delay elapses on the virtual timeline.
+  Network network(DeliveryMode::kVirtual);
   LinkModel model;
   model.latency_micros = 2000;  // 2 ms each way
   network.SetDefaultLink(model);
@@ -854,15 +870,14 @@ TEST(ScheduledNetworkTest, RpcOverRealLatency) {
       });
   RpcClient client(&network, "client");
 
-  util::Stopwatch watch;
   auto result = client.Call("server", "echo", AsBytes("hi"), 1'000'000);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(AsString(*result), "hi");
-  EXPECT_GE(watch.ElapsedMicros(), 3500);  // ~2 RTT legs minus scheduling slack
+  EXPECT_EQ(network.clock()->NowMicros(), 4'000);  // exactly one RTT
 }
 
 TEST(ScheduledNetworkTest, CallTimesOutInRealTime) {
-  Network network(DeliveryMode::kScheduled);
+  Network network(DeliveryMode::kVirtual);
   RpcServer server(&network, "server");
   ASSERT_TRUE(server.Start().ok());
   server.RegisterMethod(
@@ -873,11 +888,12 @@ TEST(ScheduledNetworkTest, CallTimesOutInRealTime) {
   network.SetLinkUp("client", "server", false);
   auto result = client.Call("server", "echo", AsBytes("x"), 20'000);
   EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+  EXPECT_EQ(network.clock()->NowMicros(), 20'000);  // at the deadline
 }
 
 TEST(ScheduledNetworkTest, QuiesceWaitsForInFlight) {
-  Network network(DeliveryMode::kScheduled);
-  std::atomic<int> received{0};
+  Network network(DeliveryMode::kVirtual);
+  int received = 0;
   ASSERT_TRUE(
       network.RegisterEndpoint("sink", [&](const Message&) { ++received; })
           .ok());
@@ -887,19 +903,21 @@ TEST(ScheduledNetworkTest, QuiesceWaitsForInFlight) {
   for (int i = 0; i < 10; ++i) {
     (void)network.Send(MakeMessage("src", "sink"));
   }
-  network.Quiesce();
+  EXPECT_EQ(received, 0);  // all ten still in flight
+  EXPECT_EQ(network.RunUntilQuiescent(), 10u);
   EXPECT_EQ(received, 10);
+  EXPECT_EQ(network.clock()->NowMicros(), 5'000);
 }
 
 TEST(ScheduledNetworkTest, MessagesArriveInLatencyOrder) {
-  Network network(DeliveryMode::kScheduled);
-  std::mutex mu;
-  std::vector<std::string> order;
+  Network network(DeliveryMode::kVirtual);
+  std::vector<std::pair<std::string, std::int64_t>> arrivals;
   ASSERT_TRUE(network
                   .RegisterEndpoint("sink",
                                     [&](const Message& message) {
-                                      std::lock_guard<std::mutex> lock(mu);
-                                      order.push_back(message.method.str());
+                                      arrivals.emplace_back(
+                                          message.method.str(),
+                                          network.clock()->NowMicros());
                                     })
                   .ok());
   LinkModel slow;
@@ -913,10 +931,12 @@ TEST(ScheduledNetworkTest, MessagesArriveInLatencyOrder) {
       MakeMessage("slow_src", "sink", "slow"));
   (void)network.Send(
       MakeMessage("fast_src", "sink", "fast"));
-  network.Quiesce();
-  ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], "fast");
-  EXPECT_EQ(order[1], "slow");
+  network.RunUntilQuiescent();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_EQ(arrivals[0], std::make_pair(std::string("fast"),
+                                        std::int64_t{1'000}));
+  EXPECT_EQ(arrivals[1], std::make_pair(std::string("slow"),
+                                        std::int64_t{20'000}));
 }
 
 // --- virtual-time delivery (DeliveryMode::kVirtual) --------------------------

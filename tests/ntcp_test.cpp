@@ -11,7 +11,6 @@
 #include "plugins/simulation_plugin.h"
 #include "structural/substructure.h"
 #include "util/clock.h"
-#include "util/periodic.h"
 
 namespace nees::ntcp {
 namespace {
@@ -368,20 +367,16 @@ TEST_F(NtcpServerTest, SdePublishedPerTransactionAndLastChanged) {
   EXPECT_EQ(stats->Get("open_transactions"), "1");
 }
 
-TEST_F(NtcpServerTest, HousekeepingSweepViaPeriodicTask) {
-  // The deployment pattern: one housekeeping task expires stale proposals
+TEST_F(NtcpServerTest, HousekeepingSweepExpiresAndCollects) {
+  // The deployment pattern: one housekeeping sweep expires stale proposals
   // and garbage-collects old terminal transactions.
   ASSERT_TRUE(server_->Propose(MakeProposal("stale", 0.01, 1000)).accepted);
   ASSERT_TRUE(server_->Propose(MakeProposal("done", 0.01)).accepted);
   ASSERT_TRUE(server_->Execute("done").ok());
   clock_.Advance(10'000'000);
 
-  util::PeriodicTask housekeeping(std::chrono::hours(1), [this] {
-    server_->ExpireStale();
-    server_->GarbageCollect(5'000'000);
-  });
-  housekeeping.TriggerNow();
-  housekeeping.Stop();
+  server_->ExpireStale();
+  server_->GarbageCollect(5'000'000);
 
   EXPECT_EQ(server_->GetTransaction("stale")->state,
             TransactionState::kExpired);
@@ -570,28 +565,129 @@ TEST_F(NtcpClientTest, BogusCorrelationResponseIsIgnored) {
   EXPECT_EQ(client_->stats().retries, 0u);
 }
 
+// Scripted "ntcp.propose" endpoint for the credential-refresh rule: each
+// call takes the next step of the script. kTimeout is played by dropping
+// the reply, so the client sees a genuine transport timeout.
+class ScriptedProposeServer {
+ public:
+  ScriptedProposeServer(net::Network* network, std::vector<ErrorCode> script)
+      : network_(network), server_(network, "ntcp.scripted"),
+        script_(std::move(script)) {
+    EXPECT_TRUE(server_.Start().ok());
+    server_.RegisterMethod(
+        "ntcp.propose",
+        [this](const net::CallContext& context,
+               const net::Bytes&) -> util::Result<net::Bytes> {
+          const ErrorCode step =
+              calls_ < script_.size() ? script_[calls_] : ErrorCode::kOk;
+          ++calls_;
+          if (step == ErrorCode::kTimeout) {
+            network_->DropNext("ntcp.scripted", context.caller_endpoint, 1);
+          } else if (step != ErrorCode::kOk) {
+            return util::Status(step, "token expired");
+          }
+          util::ByteWriter writer;
+          writer.WriteBool(true);
+          writer.WriteString("");
+          return writer.Take();
+        });
+  }
+  std::size_t calls() const { return calls_; }
+
+ private:
+  net::Network* network_;
+  net::RpcServer server_;
+  std::vector<ErrorCode> script_;
+  std::size_t calls_ = 0;
+};
+
+TEST_F(NtcpClientTest, AuthRejectionRightAfterRefreshIsFinal) {
+  // A rejection of the freshly refreshed credential is an authorization
+  // answer, not staleness: the operation fails without a second refresh.
+  ScriptedProposeServer server(
+      &network_, {ErrorCode::kUnauthenticated, ErrorCode::kUnauthenticated});
+  NtcpClient client(rpc_.get(), "ntcp.scripted", RetryPolicy(), &clock_);
+  int refreshes = 0;
+  client.set_auth_refresher([&] {
+    ++refreshes;
+    return util::OkStatus();
+  });
+  EXPECT_EQ(client.Propose(MakeProposal("au1", 0.01)).code(),
+            ErrorCode::kUnauthenticated);
+  EXPECT_EQ(refreshes, 1);
+  EXPECT_EQ(server.calls(), 2u);
+}
+
+TEST_F(NtcpClientTest, AuthRefreshRearmsAfterInterveningTimeout) {
+  // Rejected, refreshed, the retry times out behind a slow site, and by the
+  // next retry the refreshed token has expired too. That rejection did not
+  // follow a refresh, so it earns another one and the operation completes.
+  ScriptedProposeServer server(
+      &network_, {ErrorCode::kUnauthenticated, ErrorCode::kTimeout,
+                  ErrorCode::kUnauthenticated});
+  NtcpClient client(rpc_.get(), "ntcp.scripted", RetryPolicy(), &clock_);
+  int refreshes = 0;
+  client.set_auth_refresher([&] {
+    ++refreshes;
+    return util::OkStatus();
+  });
+  EXPECT_TRUE(client.Propose(MakeProposal("au2", 0.01)).ok());
+  EXPECT_EQ(refreshes, 2);
+  EXPECT_EQ(server.calls(), 4u);
+  EXPECT_EQ(client.stats().auth_refreshes, 2u);
+}
+
+TEST_F(NtcpClientTest, AuthRefreshesAreBoundedByMaxAttempts) {
+  // Refresh, timeout, refresh, timeout, ...: every refresh spends an
+  // attempt, so the alternation ends when the attempts run out — even
+  // when a refresh carries the operation past max_attempts (the second
+  // refresh here turns attempt 3 into attempt 4).
+  std::vector<ErrorCode> script;
+  for (int i = 0; i < 10; ++i) {
+    script.push_back(ErrorCode::kUnauthenticated);
+    script.push_back(ErrorCode::kTimeout);
+  }
+  ScriptedProposeServer server(&network_, script);
+  RetryPolicy policy;
+  policy.max_attempts = 3;
+  NtcpClient client(rpc_.get(), "ntcp.scripted", policy, &clock_);
+  int refreshes = 0;
+  client.set_auth_refresher([&] {
+    ++refreshes;
+    return util::OkStatus();
+  });
+  EXPECT_EQ(client.Propose(MakeProposal("au3", 0.01)).code(),
+            ErrorCode::kTimeout);
+  EXPECT_EQ(server.calls(), 4u);
+  EXPECT_EQ(refreshes, 2);
+  EXPECT_EQ(client.stats().gave_up, 1u);
+}
+
 TEST(NtcpAsyncScheduledTest, OverlappedOpsAndRetriesOverRealLatency) {
-  // Scheduled delivery: ops to two sites overlap their round trips, and a
-  // dropped request recovers by retry driven from AwaitAll's multiplexed
-  // wait (no dedicated thread per operation).
-  net::Network network(net::DeliveryMode::kScheduled);
+  // Latency-scheduled delivery in virtual time: ops to two sites overlap
+  // their round trips, and a dropped request recovers by retry driven from
+  // AwaitAll's multiplexed wait. Every phase cost is exact, in modeled
+  // microseconds.
+  net::Network network(net::DeliveryMode::kVirtual);
   net::LinkModel wan;
   wan.latency_micros = 2'000;
   network.SetDefaultLink(wan);
-  NtcpServer site_a(&network, "site.a", MakeElasticPlugin());
-  NtcpServer site_b(&network, "site.b", MakeElasticPlugin());
+  NtcpServer site_a(&network, "site.a", MakeElasticPlugin(), network.clock());
+  NtcpServer site_b(&network, "site.b", MakeElasticPlugin(), network.clock());
   ASSERT_TRUE(site_a.Start().ok());
   ASSERT_TRUE(site_b.Start().ok());
   net::RpcClient rpc(&network, "coordinator");
   RetryPolicy policy;
   policy.initial_backoff_micros = 1'000;
   policy.rpc_timeout_micros = 30'000;  // keep the dropped attempt cheap
-  NtcpClient client_a(&rpc, "site.a", policy);
-  NtcpClient client_b(&rpc, "site.b", policy);
+  NtcpClient client_a(&rpc, "site.a", policy, network.clock());
+  NtcpClient client_b(&rpc, "site.b", policy, network.clock());
+  constexpr std::int64_t kRtt = 4'000;
 
   network.DropNext("coordinator", "site.b", 1);  // forces one async retry
   for (int step = 0; step < 3; ++step) {
     const std::string id = "sched-" + std::to_string(step);
+    std::int64_t t0 = network.clock()->NowMicros();
     std::vector<NtcpClient::AsyncOp> proposes;
     proposes.push_back(client_a.ProposeAsync(MakeProposal(id + "-a", 0.01)));
     proposes.push_back(client_b.ProposeAsync(MakeProposal(id + "-b", 0.01)));
@@ -599,6 +695,13 @@ TEST(NtcpAsyncScheduledTest, OverlappedOpsAndRetriesOverRealLatency) {
     for (NtcpClient::AsyncOp& op : proposes) {
       ASSERT_TRUE(NtcpClient::FinishPropose(op).ok()) << "step " << step;
     }
+    // Step 0: site.b's first request is lost, so the phase is its timeout,
+    // one backoff, and the retry's round trip. Otherwise one overlapped RTT.
+    const std::int64_t propose_cost =
+        step == 0 ? policy.rpc_timeout_micros + 1'000 + kRtt : kRtt;
+    EXPECT_EQ(network.clock()->NowMicros() - t0, propose_cost)
+        << "step " << step;
+    t0 = network.clock()->NowMicros();
     std::vector<NtcpClient::AsyncOp> executes;
     executes.push_back(client_a.ExecuteAsync(id + "-a"));
     executes.push_back(client_b.ExecuteAsync(id + "-b"));
@@ -606,6 +709,7 @@ TEST(NtcpAsyncScheduledTest, OverlappedOpsAndRetriesOverRealLatency) {
     for (NtcpClient::AsyncOp& op : executes) {
       ASSERT_TRUE(NtcpClient::FinishExecute(op).ok()) << "step " << step;
     }
+    EXPECT_EQ(network.clock()->NowMicros() - t0, kRtt) << "step " << step;
   }
   EXPECT_EQ(client_b.stats().retries, 1u);
   EXPECT_EQ(site_a.stats().executions, 3u);

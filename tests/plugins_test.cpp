@@ -279,42 +279,6 @@ TEST(MPluginTest, ValidateEnforcesLimit) {
             ErrorCode::kPolicyViolation);
 }
 
-TEST(MPluginTest, RemoteBackendOverRpc) {
-  // The NCSA pattern: the plugin exposes poll/notify over the network; the
-  // "Matlab" process polls remotely. Uses a second thread for the NTCP
-  // execute because the remote poll round-trip happens on this thread.
-  net::Network network;
-  auto plugin = std::make_unique<MPlugin>();
-  auto* plugin_raw = plugin.get();
-  net::RpcServer plugin_server(&network, "mplugin.ncsa");
-  ASSERT_TRUE(plugin_server.Start().ok());
-  plugin_raw->BindBackendRpc(plugin_server);
-
-  auto models = std::make_shared<std::map<
-      std::string, std::unique_ptr<structural::SubstructureModel>>>();
-  (*models)["cp"] = ElasticModel(500.0);
-  net::RpcClient backend_rpc(&network, "matlab.ncsa");
-  RemotePollingBackend backend(&backend_rpc, "mplugin.ncsa",
-                               MakeSimulationCompute(models));
-
-  util::Result<ntcp::TransactionResult> result =
-      util::Internal("not yet run");
-  std::thread executor([&] {
-    result = plugin_raw->Execute(MakeProposal("m5", "cp", 0.02));
-  });
-  // Poll until the backend picks up and completes the work.
-  bool worked = false;
-  for (int i = 0; i < 200 && !worked; ++i) {
-    auto outcome = backend.PollOnce(10'000);
-    ASSERT_TRUE(outcome.ok());
-    worked = *outcome;
-  }
-  executor.join();
-  EXPECT_TRUE(worked);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->results[0].measured_force[0], 10.0, 1e-9);
-}
-
 TEST(MPluginTest, LongPollStopIsPromptViaInterruptPolls) {
   // The backend parks in a multi-second long poll; Stop() must interrupt
   // it rather than wait out the poll budget.
@@ -344,47 +308,6 @@ TEST(MPluginTest, WorkNotifierFiresOnEnqueue) {
   EXPECT_EQ(plugin.Execute(MakeProposal("wn1", "cp", 0.01)).status().code(),
             ErrorCode::kTimeout);
   EXPECT_EQ(notified, 1);
-}
-
-TEST(MPluginTest, RemoteBackendIsWakeDriven) {
-  // The event-driven NCSA pattern: the plugin's work notifier sends a
-  // one-way "mplugin.wake" to the backend's control endpoint, and the
-  // backend polls only when woken — its heartbeat is set far beyond the
-  // test horizon, so completing the execute proves the wake path works.
-  net::Network network;
-  auto plugin = std::make_unique<MPlugin>();
-  auto* plugin_raw = plugin.get();
-  net::RpcServer plugin_server(&network, "mplugin.ncsa");
-  ASSERT_TRUE(plugin_server.Start().ok());
-  plugin_raw->BindBackendRpc(plugin_server);
-
-  auto models = std::make_shared<std::map<
-      std::string, std::unique_ptr<structural::SubstructureModel>>>();
-  (*models)["cp"] = ElasticModel(500.0);
-  net::RpcClient backend_rpc(&network, "matlab.ncsa");
-  RemotePollingBackend backend(&backend_rpc, "mplugin.ncsa",
-                               MakeSimulationCompute(models),
-                               /*heartbeat_micros=*/60'000'000);
-  net::RpcServer backend_ctl(&network, "matlab.ncsa.ctl");
-  ASSERT_TRUE(backend_ctl.Start().ok());
-  backend.BindWakeRpc(backend_ctl);
-
-  net::RpcClient wake_rpc(&network, "mplugin.ncsa.notifier");
-  plugin_raw->SetWorkNotifier(
-      [&] { (void)wake_rpc.OneWay("matlab.ncsa.ctl", "mplugin.wake", {}); });
-  backend.Start();
-
-  util::Result<ntcp::TransactionResult> result =
-      util::Internal("not yet run");
-  std::thread executor([&] {
-    result = plugin_raw->Execute(MakeProposal("wk1", "cp", 0.02));
-  });
-  executor.join();
-  backend.Stop();
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->results[0].measured_force[0], 10.0, 1e-9);
-  EXPECT_GE(backend.wakes(), 1u);
-  EXPECT_EQ(backend.processed(), 1u);
 }
 
 // --- VirtualPollingBackend (DeliveryMode::kVirtual) -------------------------------

@@ -601,31 +601,6 @@ TEST_F(CoordinatorTest, OperatorSplittingCheckpointRestart) {
   }
 }
 
-TEST_F(CoordinatorTest, ParallelSitesProducesIdenticalResponse) {
-  auto sequential_config = MakeConfig(120);
-  sequential_config.step_engine = StepEngine::kSequential;
-  SimulationCoordinator sequential(sequential_config, rpc_.get(), &clock_);
-  const RunReport reference = sequential.Run();
-  ASSERT_TRUE(reference.completed);
-  EXPECT_EQ(reference.threads_spawned, 0u);
-
-  auto config = MakeConfig(120);
-  config.run_id = "parallel";
-  config.step_engine = StepEngine::kThreadPerSite;
-  net::RpcClient parallel_rpc(&network_, "parallel.coordinator");
-  SimulationCoordinator parallel(config, &parallel_rpc, &clock_);
-  const RunReport report = parallel.Run();
-  ASSERT_TRUE(report.completed) << report.failure.ToString();
-  EXPECT_GT(report.threads_spawned, 0u);
-
-  ASSERT_EQ(report.history.displacement.size(),
-            reference.history.displacement.size());
-  for (std::size_t i = 0; i < reference.history.displacement.size(); ++i) {
-    EXPECT_DOUBLE_EQ(report.history.displacement[i][0],
-                     reference.history.displacement[i][0]);
-  }
-}
-
 TEST_F(CoordinatorTest, AsyncEngineProducesIdenticalResponse) {
   // In kImmediate delivery the completion-driven engine resolves each call
   // inline in issue order, so histories are bit-identical to sequential.
@@ -643,8 +618,6 @@ TEST_F(CoordinatorTest, AsyncEngineProducesIdenticalResponse) {
   const RunReport report = async_coord.Run();
   ASSERT_TRUE(report.completed) << report.failure.ToString();
 
-  // Zero per-step thread creation is the engine's core claim.
-  EXPECT_EQ(report.threads_spawned, 0u);
   ASSERT_EQ(report.history.displacement.size(),
             reference.history.displacement.size());
   for (std::size_t i = 0; i < reference.history.displacement.size(); ++i) {
@@ -656,9 +629,10 @@ TEST_F(CoordinatorTest, AsyncEngineProducesIdenticalResponse) {
 }
 
 TEST_F(CoordinatorTest, ParallelSitesOverlapWanRoundTrips) {
-  // Over the real-latency network, three sites in parallel should cost
-  // roughly one site's round trips per step, not three.
-  net::Network network(net::DeliveryMode::kScheduled);
+  // Over a 2 ms one-way WAN in virtual time, the async engine overlaps the
+  // three sites: every propose/execute phase costs exactly one round trip,
+  // where the sequential engine pays one per site.
+  net::Network network(net::DeliveryMode::kVirtual);
   net::LinkModel wan;
   wan.latency_micros = 2000;  // 2 ms one way
   network.SetDefaultLink(wan);
@@ -669,8 +643,8 @@ TEST_F(CoordinatorTest, ParallelSitesOverlapWanRoundTrips) {
     k(0, 0) = kLeft;
     plugin->AddControlPoint(
         "cp", std::make_unique<structural::ElasticSubstructure>(k));
-    auto server = std::make_unique<ntcp::NtcpServer>(&network, endpoint,
-                                                     std::move(plugin));
+    auto server = std::make_unique<ntcp::NtcpServer>(
+        &network, endpoint, std::move(plugin), network.clock());
     ASSERT_TRUE(server->Start().ok());
     servers.push_back(std::move(server));
   }
@@ -683,24 +657,24 @@ TEST_F(CoordinatorTest, ParallelSitesOverlapWanRoundTrips) {
                     {"P2", "ntcp.p2", "cp", {0}},
                     {"P3", "ntcp.p3", "cp", {0}}};
     net::RpcClient rpc(&network, name + ".coordinator");
-    SimulationCoordinator coordinator(config, &rpc);
+    SimulationCoordinator coordinator(config, &rpc, network.clock());
     const RunReport report = coordinator.Run();
     EXPECT_TRUE(report.completed) << report.failure.ToString();
-    if (engine != StepEngine::kThreadPerSite) {
-      EXPECT_EQ(report.threads_spawned, 0u);
-    }
-    return report.wall_seconds;
+    EXPECT_EQ(report.propose_phase_micros.count(), 14u) << name;
+    return report;
   };
-  const double sequential_s = run(StepEngine::kSequential, "seq");
-  const double parallel_s = run(StepEngine::kThreadPerSite, "par");
-  const double async_s = run(StepEngine::kAsync, "asy");
-  // Ideal ratio is 3x; accept anything clearly better than 1.5x.
-  EXPECT_LT(parallel_s, sequential_s / 1.5)
-      << "sequential " << sequential_s << "s vs parallel " << parallel_s;
-  // The completion-driven engine overlaps the same round trips without
-  // spawning threads.
-  EXPECT_LT(async_s, sequential_s / 1.5)
-      << "sequential " << sequential_s << "s vs async " << async_s;
+  constexpr double kRtt = 4'000;
+  const RunReport sequential = run(StepEngine::kSequential, "seq");
+  EXPECT_EQ(sequential.propose_phase_micros.min(), 3 * kRtt);
+  EXPECT_EQ(sequential.propose_phase_micros.max(), 3 * kRtt);
+  EXPECT_EQ(sequential.execute_phase_micros.min(), 3 * kRtt);
+  EXPECT_EQ(sequential.execute_phase_micros.max(), 3 * kRtt);
+  const RunReport async = run(StepEngine::kAsync, "asy");
+  EXPECT_EQ(async.propose_phase_micros.min(), kRtt);
+  EXPECT_EQ(async.propose_phase_micros.max(), kRtt);
+  EXPECT_EQ(async.execute_phase_micros.min(), kRtt);
+  EXPECT_EQ(async.execute_phase_micros.max(), kRtt);
+  EXPECT_EQ(async.history.displacement, sequential.history.displacement);
 }
 
 TEST_F(CoordinatorTest, MultiDofSystemDistributesByDofIndex) {

@@ -1,7 +1,6 @@
 // Unit and property tests for the nees::util foundation layer.
 #include <algorithm>
 #include <set>
-#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -10,8 +9,6 @@
 #include "util/frame_pool.h"
 #include "util/logging.h"
 #include "util/open_hash.h"
-#include "util/periodic.h"
-#include "util/queue.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/sha256.h"
@@ -305,64 +302,6 @@ TEST_P(BytesFuzzTest, RandomBytesNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BytesFuzzTest, ::testing::Range(0, 20));
 
-// --- Queue -------------------------------------------------------------------
-
-TEST(QueueTest, FifoOrder) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Push(2);
-  queue.Push(3);
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_EQ(queue.Pop().value(), 2);
-  EXPECT_EQ(queue.Pop().value(), 3);
-}
-
-TEST(QueueTest, TryPopEmptyReturnsNullopt) {
-  BlockingQueue<int> queue;
-  EXPECT_FALSE(queue.TryPop().has_value());
-}
-
-TEST(QueueTest, BoundedTryPushRespectsCapacity) {
-  BlockingQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));
-  queue.TryPop();
-  EXPECT_TRUE(queue.TryPush(3));
-}
-
-TEST(QueueTest, CloseDrainsThenReturnsNullopt) {
-  BlockingQueue<int> queue;
-  queue.Push(1);
-  queue.Close();
-  EXPECT_FALSE(queue.Push(2));
-  EXPECT_EQ(queue.Pop().value(), 1);
-  EXPECT_FALSE(queue.Pop().has_value());
-}
-
-TEST(QueueTest, PopForTimesOut) {
-  BlockingQueue<int> queue;
-  EXPECT_FALSE(queue.PopFor(std::chrono::milliseconds(5)).has_value());
-}
-
-TEST(QueueTest, ProducerConsumerAcrossThreads) {
-  BlockingQueue<int> queue(16);
-  const int kCount = 1000;
-  std::thread producer([&queue] {
-    for (int i = 0; i < kCount; ++i) queue.Push(i);
-    queue.Close();
-  });
-  long long sum = 0;
-  int received = 0;
-  while (auto item = queue.Pop()) {
-    sum += *item;
-    ++received;
-  }
-  producer.join();
-  EXPECT_EQ(received, kCount);
-  EXPECT_EQ(sum, static_cast<long long>(kCount) * (kCount - 1) / 2);
-}
-
 // --- Clock -------------------------------------------------------------------
 
 TEST(ClockTest, SystemClockMonotonic) {
@@ -485,38 +424,6 @@ TEST(StatsTest, TextTableAligns) {
   const std::string out = table.ToString();
   EXPECT_NE(out.find("| site |"), std::string::npos);
   EXPECT_NE(out.find("| CU   |"), std::string::npos);
-}
-
-// --- PeriodicTask -------------------------------------------------------------
-
-TEST(PeriodicTaskTest, RunsRepeatedlyUntilStopped) {
-  std::atomic<int> count{0};
-  {
-    PeriodicTask task(std::chrono::milliseconds(2), [&count] { ++count; });
-    while (task.runs() < 3) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    task.Stop();
-    const int at_stop = count;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(count, at_stop);  // no runs after Stop
-  }
-  EXPECT_GE(count, 3);
-}
-
-TEST(PeriodicTaskTest, TriggerNowRunsInline) {
-  std::atomic<int> count{0};
-  PeriodicTask task(std::chrono::hours(1), [&count] { ++count; });
-  task.TriggerNow();
-  task.TriggerNow();
-  EXPECT_EQ(count, 2);
-  task.Stop();
-}
-
-TEST(PeriodicTaskTest, StopIsIdempotentAndDestructionIsSafe) {
-  PeriodicTask task(std::chrono::milliseconds(1), [] {});
-  task.Stop();
-  task.Stop();
 }
 
 // --- OpenHashMap -------------------------------------------------------------
