@@ -5,6 +5,9 @@
 //   * tenancy sweep — 1 / 10 / 50 / 100 concurrent kinetic-sim Mini-MOST
 //     tenants, experiments/sec per level (admit -> place -> run -> reap,
 //     the reap verified back to the host baseline each wave);
+//   * worker sweep — the 100-tenant wave on 1 / 2 / 4 / 8 workers, median
+//     experiments/sec over several waves on one warm host per count: does
+//     the farm scale with its workers, or does shared state serialize it;
 //   * mixed wave — the nees_farm "mixed" template mix (mini-dominated with
 //     full MOST and centrifuge tenants riding along);
 //   * participant fan-out — a 10,000-scripted-participant CHEF swarm over
@@ -69,6 +72,46 @@ LevelResult RunMiniWave(std::size_t tenants) {
   level.services_after_reap = run->services_after_reap;
   level.endpoints_interned = run->endpoints_interned;
   return level;
+}
+
+struct SweepPoint {
+  std::size_t workers = 0;
+  double experiments_per_sec = 0.0;  // median over kSweepWaves waves
+  std::size_t failed = 0;
+};
+
+constexpr std::size_t kSweepTenants = 100;
+constexpr std::size_t kSweepWaves = 5;
+constexpr std::size_t kSweepWorkers[] = {1, 2, 4, 8};
+
+/// One host with `workers` workers: a warm-up wave, then kSweepWaves timed
+/// 100-tenant waves.
+SweepPoint RunWorkerPoint(std::size_t workers) {
+  net::Network network(net::DeliveryMode::kImmediate);
+  farm::FarmOptions options;
+  options.workers = workers;
+  options.mini_steps = kSessionSteps;
+  farm::ExperimentFarm farm(&network, network.clock(), options);
+  SweepPoint point;
+  point.workers = workers;
+  std::vector<double> rates;
+  for (std::size_t wave = 0; wave <= kSweepWaves; ++wave) {
+    for (std::size_t i = 0; i < kSweepTenants; ++i) {
+      (void)farm.Admit({farm::SessionKind::kMiniMost, 0, 0});
+    }
+    const util::Result<farm::FarmReport> run = farm.RunAll();
+    if (!run.ok()) {
+      point.failed += kSweepTenants;
+      continue;
+    }
+    point.failed += run->failed;
+    if (wave > 0) rates.push_back(run->experiments_per_sec);
+  }
+  if (!rates.empty()) {
+    std::sort(rates.begin(), rates.end());
+    point.experiments_per_sec = rates[rates.size() / 2];
+  }
+  return point;
 }
 
 int RunQuickGate(const char* baseline_path) {
@@ -144,6 +187,22 @@ int main(int argc, char** argv) {
         level.experiments_per_sec, level.peak_services,
         level.peak_registrations, level.services_after_reap);
     results.push_back(level);
+  }
+
+  // --- worker sweep ----------------------------------------------------------
+  std::vector<SweepPoint> sweep;
+  std::printf("     worker sweep, %zu tenants, median of %zu waves:\n",
+              kSweepTenants, kSweepWaves);
+  for (const std::size_t workers : kSweepWorkers) {
+    const SweepPoint point = RunWorkerPoint(workers);
+    ok = ok && point.failed == 0;
+    std::printf("     %4zu workers: %7.1f experiments/sec (x%.2f of 1 worker)"
+                "\n",
+                point.workers, point.experiments_per_sec,
+                sweep.empty() || sweep[0].experiments_per_sec <= 0.0
+                    ? 1.0
+                    : point.experiments_per_sec / sweep[0].experiments_per_sec);
+    sweep.push_back(point);
   }
 
   // --- mixed wave ------------------------------------------------------------
@@ -235,6 +294,14 @@ int main(int argc, char** argv) {
         level.peak_registrations, level.services_after_reap,
         level.endpoints_interned, i + 1 == results.size() ? "" : ",");
   }
+  json += "  ],\n  \"worker_sweep\": [\n";
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    json += util::Format(
+        "    {\"workers\": %zu, \"tenants\": %zu, \"waves\": %zu, "
+        "\"experiments_per_sec\": %.1f}%s\n",
+        sweep[i].workers, kSweepTenants, kSweepWaves,
+        sweep[i].experiments_per_sec, i + 1 == sweep.size() ? "" : ",");
+  }
   json += "  ],\n";
   json += util::Format(
       "  \"experiments_per_sec_100\": %.1f,\n"
@@ -256,13 +323,14 @@ int main(int argc, char** argv) {
   }
   std::fputs(json.c_str(), f);
   std::fclose(f);
-  std::printf("wrote BENCH_farm.json (%zu tenancy levels + mixed + swarm)\n",
-              results.size());
+  std::printf("wrote BENCH_farm.json (%zu tenancy levels + %zu-point worker "
+              "sweep + mixed + swarm)\n",
+              results.size(), sweep.size());
 
   std::printf(
       "shape: one container table, one registry, one stream server carry "
       "every tenant;\nnamespaced endpoints keep the per-experiment name "
-      "universes disjoint, so tenancy\nscales until the worker pool — not "
-      "the fabric — saturates.\n");
+      "universes disjoint; the worker\nsweep shows how much of the host's "
+      "cores the shared fabric lets a wave use.\n");
   return ok ? 0 : 1;
 }

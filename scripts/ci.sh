@@ -2,7 +2,7 @@
 # CI matrix: builds the tree three times — Release (invariants compiled
 # out), RelWithDebInfo under ASan+UBSan (invariants live), and TSan over
 # the concurrency-heavy suites (MPlugin backend thread and long poll/wake,
-# farm worker pool) — with warnings as errors throughout, runs the full test
+# farm worker pool, the striped frame pool they all share) — with warnings as errors throughout, runs the full test
 # suite in the first two, then gates on protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +
@@ -47,14 +47,17 @@ echo "######## configure $prefix-tsan (concurrency suites) ########"
 cmake -B "$prefix-tsan" -S "$repo" -DNEES_WERROR=ON \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo -DNEES_SANITIZE=thread
 cmake --build "$prefix-tsan" -j "$jobs" \
-      --target net_test ntcp_test psd_test plugins_test most_test \
-               farm_test nees_farm_cli
+      --target util_test net_test ntcp_test psd_test plugins_test \
+               most_test farm_test nees_farm_cli
 # The suites that exercise real threads: the in-process MPlugin
 # PollingBackend thread and its long-poll/wake handshake (plugins_test,
 # most_test), and the multi-tenant farm's worker pool + swarm shards over
-# one shared kImmediate fabric (farm_test). The net/ntcp/psd suites cover
-# the RPC, NTCP and coordinator code those threads run through.
-for suite in net_test ntcp_test psd_test plugins_test most_test farm_test; do
+# one shared kImmediate fabric (farm_test). util_test hammers the striped
+# util::FramePool from eight threads: every farm worker acquires and
+# releases its wire frames there. The net/ntcp/psd suites cover the RPC,
+# NTCP and coordinator code those threads run through.
+for suite in util_test net_test ntcp_test psd_test plugins_test most_test \
+             farm_test; do
   echo "-- tsan: $suite"
   "$prefix-tsan/tests/$suite" --gtest_brief=1
 done
@@ -165,7 +168,8 @@ require_keys BENCH_fuzz.json seeds failures wall_seconds seeds_per_hour \
              campaign_centrifuge campaign_frames_corrupted \
              campaign_auth_refreshes
 require_keys BENCH_farm.json tenants experiments_per_sec \
-             experiments_per_sec_100 peak_services services_after_reap \
+             experiments_per_sec_100 worker_sweep workers \
+             peak_services services_after_reap \
              mixed_tenants mixed_experiments_per_sec swarm_participants \
              swarm_participants_per_sec swarm_failures
 

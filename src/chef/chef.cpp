@@ -80,6 +80,13 @@ std::vector<std::string> DataViewerStore::Channels() const {
   return names;
 }
 
+void DataViewerStore::DropChannels(std::string_view prefix) {
+  util::MutexLock lock(mu_);
+  std::erase_if(series_, [&](const auto& entry) {
+    return util::StartsWith(entry.first, prefix);
+  });
+}
+
 // ---------------------------------------------------------------------------
 // ChefServer
 

@@ -25,6 +25,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
@@ -94,6 +95,9 @@ class DataViewerStore {
       const std::string& force_channel, std::size_t max_points) const;
   std::size_t SampleCount(const std::string& channel) const;
   std::vector<std::string> Channels() const;
+  /// Forgets every channel whose name starts with `prefix` (a reaped farm
+  /// tenant's "<tenant>/" series).
+  void DropChannels(std::string_view prefix);
 
  private:
   mutable util::Mutex mu_{"chef.DataViewerStore"};

@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "centrifuge/session.h"
+#include "grid/tenant.h"
 #include "most/mini_most.h"
 #include "most/most.h"
 #include "net/endpoint.h"
@@ -111,7 +112,7 @@ void ExperimentFarm::Stop() {
 }
 
 std::string ExperimentFarm::Admit(SessionSpec spec) {
-  const std::string tenant = util::Format("t%04zu", next_tenant_);
+  const std::string tenant = util::Format("t%04zu", specs_.size());
   ++next_tenant_;
   specs_.push_back(spec);
   return tenant;
@@ -225,11 +226,12 @@ util::Result<FarmReport> ExperimentFarm::RunAll() {
   for (std::size_t i = 0; i < specs_.size(); ++i) {
     auto tenant = std::make_unique<Tenant>();
     tenant->spec = specs_[i];
-    tenant->name = util::Format("t%04zu", first + i);
+    tenant->name = util::Format("t%04zu", i);
     tenant->run_id = tenant->name + "-run";
     if (tenant->spec.seed == 0) {
       // Distinct default seeds keep tenant histories distinguishable while
-      // staying reproducible run-to-run.
+      // staying reproducible run-to-run. They follow the lifetime admission
+      // count, not the recycled slot, so no two waves repeat a seed.
       tenant->spec.seed = 0x6e65'6573ULL + first + i;
     }
     tenant->result.tenant = tenant->name;
@@ -273,7 +275,10 @@ util::Result<FarmReport> ExperimentFarm::RunAll() {
     for (std::thread& worker : workers) worker.join();
   }
 
-  // --- reap: destroy each tenant's soft state; fabric returns to baseline -
+  // --- reap: destroy each tenant's soft state; fabric returns to baseline.
+  // The next wave reuses the slot names, so nothing keyed by a qualified
+  // name may survive: services, registrations and endpoints go with the
+  // session, and the tenant's streamed channels leave the shared viewers.
   for (auto& tenant : tenants) {
     if (tenant->mini) tenant->mini->Stop();
     if (tenant->most) tenant->most->Stop();
@@ -281,6 +286,9 @@ util::Result<FarmReport> ExperimentFarm::RunAll() {
     tenant->mini.reset();
     tenant->most.reset();
     tenant->rig.reset();
+    const std::string channels = grid::QualifiedName(tenant->name, "");
+    chef_->viewer().DropChannels(channels);
+    viewer_sub_->DropChannels(channels);
   }
 
   const std::int64_t t1 = util::SystemClock::Instance().NowMicros();

@@ -5,17 +5,21 @@
 // collaboration server) and schedules many namespaced experiment sessions
 // over it:
 //
-//   Admit(spec)  assign a tenant namespace ("t0042")
+//   Admit(spec)  assign a tenant namespace slot ("t0042")
 //   RunAll()     place every session's services on the shared fabric,
 //                drive the sessions to completion on a worker pool,
 //                then reap each tenant's soft state (container services,
-//                registry leases) back to the host baseline
+//                registry leases, endpoints and their links, streamed
+//                channels) back to the host baseline
 //
-// Tenants never share names: every endpoint, registry entry, and data
-// channel is "<tenant>/<base>" (grid/tenant.h), so one EndpointTable id
-// space and one container table carry the whole farm. RunScaledSwarm fans
-// thousands of scripted CHEF participants over the shared NSDS stream —
-// the "over 130 remote participants" story at two orders of magnitude.
+// Concurrent tenants never share names: every endpoint, registry entry,
+// and data channel is "<tenant>/<base>" (grid/tenant.h), so one
+// EndpointTable id space and one container table carry the whole farm.
+// Because the reap leaves nothing behind, the next wave reuses the slot
+// names, and a host running waves indefinitely interns no more names than
+// its largest wave needs. RunScaledSwarm fans thousands of scripted CHEF
+// participants over the shared NSDS stream — the "over 130 remote
+// participants" story at two orders of magnitude.
 #pragma once
 
 #include <memory>
@@ -44,7 +48,7 @@ struct SessionSpec {
   SessionKind kind = SessionKind::kMiniMost;
   /// PSD steps (MOST/Mini-MOST) or piles (centrifuge); 0 = farm default.
   std::size_t steps = 0;
-  std::uint64_t seed = 0;  // 0 = derived from the tenant index
+  std::uint64_t seed = 0;  // 0 = derived from the lifetime admission count
 };
 
 struct SessionResult {
@@ -117,7 +121,12 @@ class ExperimentFarm {
   util::Status Start();
   void Stop();
 
-  /// Admits a session and returns its tenant namespace ("t0042").
+  /// Admits a session and returns its tenant namespace. Names are slots
+  /// in the pending wave: "t0000" for the first admission after RunAll,
+  /// then "t0001", ..., so successive waves reuse the same names. Default
+  /// seeds still come from the lifetime admission count, so the n-th
+  /// session this farm ever admitted gets the same seed whatever the wave
+  /// boundaries.
   std::string Admit(SessionSpec spec);
   std::size_t admitted() const { return specs_.size(); }
 
@@ -152,7 +161,7 @@ class ExperimentFarm {
   std::unique_ptr<nsds::NsdsSubscriber> viewer_sub_;
 
   std::vector<SessionSpec> specs_;
-  std::size_t next_tenant_ = 0;
+  std::size_t next_tenant_ = 0;  // lifetime admissions (default seeds)
   bool started_ = false;
 };
 

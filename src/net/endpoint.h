@@ -35,8 +35,9 @@ class EndpointTable {
   bool Known(std::uint32_t id) const;
 
   /// Distinct names interned so far. The table only ever grows — under a
-  /// multi-tenant farm every tenant mints its own namespaced endpoints, so
-  /// this is the observable proxy for endpoint-identity footprint.
+  /// multi-tenant farm every concurrent tenant slot mints its own
+  /// namespaced endpoints (slots are reused wave to wave), so this is the
+  /// observable proxy for endpoint-identity footprint.
   std::size_t size() const;
   /// Total bytes of interned name storage (the strings themselves).
   std::size_t interned_bytes() const;

@@ -48,6 +48,26 @@ util::Status Network::RegisterEndpoint(EndpointId name, Handler handler) {
 void Network::UnregisterEndpoint(EndpointId name) {
   util::MutexLock lock(mu_);
   endpoints_.Erase(name.raw());
+  // Reclaim the endpoint's default-materialized links, so a host that
+  // keeps registering and unregistering endpoints (farm waves, fuzz
+  // seeds, swarm clients) holds links only for live endpoints and
+  // configured faults.
+  const std::uint32_t id = name.raw();
+  KeySet* own = materialized_.Find(id);
+  if (own == nullptr) return;
+  const KeySet keys = std::move(*own);
+  materialized_.Erase(id);
+  keys.ForEach([&](std::uint64_t key, const bool&) {
+    const auto from = static_cast<std::uint32_t>(key >> 32);
+    const auto to = static_cast<std::uint32_t>(key);
+    const std::uint32_t peer = from == id ? to : from;
+    if (KeySet* other = materialized_.Find(peer)) {
+      other->Erase(key);
+      if (other->empty()) materialized_.Erase(peer);
+    }
+    const LinkState* link = links_.Find(key);
+    if (link != nullptr && !link->configured) links_.Erase(key);
+  });
 }
 
 void Network::SetEndpointCrashed(EndpointId name, bool crashed) {
@@ -70,8 +90,18 @@ Network::LinkState& Network::LinkFor(EndpointId from, EndpointId to) {
   if (LinkState* link = links_.Find(LinkKey(from, wildcard_id_))) return *link;
   if (LinkState* link = links_.Find(LinkKey(wildcard_id_, to))) return *link;
   // Materialize a link with the default model so metrics accumulate.
-  LinkState& link = links_[LinkKey(from, to)];
+  const std::uint64_t key = LinkKey(from, to);
+  materialized_[from.raw()][key] = true;
+  materialized_[to.raw()][key] = true;
+  LinkState& link = links_[key];
   link.model = default_link_;
+  return link;
+}
+
+Network::LinkState& Network::ConfiguredLinkFor(EndpointId from,
+                                               EndpointId to) {
+  LinkState& link = LinkFor(from, to);
+  link.configured = true;
   return link;
 }
 
@@ -422,7 +452,9 @@ Network::VirtualLoopStats Network::virtual_stats() const {
 
 void Network::SetLink(EndpointId from, EndpointId to, LinkModel model) {
   util::MutexLock lock(mu_);
-  links_[LinkKey(from, to)].model = model;
+  LinkState& link = links_[LinkKey(from, to)];
+  link.model = model;
+  link.configured = true;
 }
 
 void Network::SetDefaultLink(LinkModel model) {
@@ -432,23 +464,23 @@ void Network::SetDefaultLink(LinkModel model) {
 
 void Network::SetLinkUp(EndpointId from, EndpointId to, bool up) {
   util::MutexLock lock(mu_);
-  LinkFor(from, to).up = up;
+  ConfiguredLinkFor(from, to).up = up;
 }
 
 void Network::DropNext(EndpointId from, EndpointId to, int count) {
   util::MutexLock lock(mu_);
-  LinkFor(from, to).drop_next += count;
+  ConfiguredLinkFor(from, to).drop_next += count;
 }
 
 void Network::CorruptNext(EndpointId from, EndpointId to, int count) {
   util::MutexLock lock(mu_);
-  LinkFor(from, to).corrupt_next += count;
+  ConfiguredLinkFor(from, to).corrupt_next += count;
 }
 
 void Network::AddOutage(EndpointId from, EndpointId to,
                         OutageWindow window) {
   util::MutexLock lock(mu_);
-  LinkFor(from, to).outages.push_back(window);
+  ConfiguredLinkFor(from, to).outages.push_back(window);
 }
 
 void Network::AddBidirectionalOutage(EndpointId a, EndpointId b,

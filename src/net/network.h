@@ -69,6 +69,11 @@ class Network {
   /// (EndpointId converts implicitly from strings); routing afterwards is
   /// by 4-byte id through open-addressed tables.
   util::Status RegisterEndpoint(EndpointId name, Handler handler);
+  /// Removes the endpoint and the links that only ever carried its traffic
+  /// (default-model entries materialized by Send). Links set up through the
+  /// configuration or fault-injection calls below survive, so a restarted
+  /// process re-registering under the same name meets the same faults.
+  /// TotalMetrics() keeps counting the erased links' traffic.
   void UnregisterEndpoint(EndpointId name);
   bool HasEndpoint(EndpointId name) const;
 
@@ -194,6 +199,10 @@ class Network {
  private:
   struct LinkState {
     LinkModel model;
+    /// False for entries LinkFor materialized with the default model; set
+    /// by every call that configures the link or injects a fault on it.
+    /// UnregisterEndpoint erases only unconfigured links.
+    bool configured = false;
     bool up = true;
     int drop_next = 0;
     int corrupt_next = 0;
@@ -240,11 +249,15 @@ class Network {
 
   /// Directed links are keyed (from << 32 | to) over interned ids; LinkFor
   /// probes exact, (from, *), (*, to), then materializes a default entry.
-  /// The reference is valid only until the next links_ insert.
+  /// The reference is valid only until the next links_ insert or erase.
   static std::uint64_t LinkKey(EndpointId from, EndpointId to) {
     return (static_cast<std::uint64_t>(from.raw()) << 32) | to.raw();
   }
   LinkState& LinkFor(EndpointId from, EndpointId to) NEES_REQUIRES(mu_);
+  /// LinkFor for the configuration and fault-injection calls: the entry it
+  /// returns is marked configured.
+  LinkState& ConfiguredLinkFor(EndpointId from, EndpointId to)
+      NEES_REQUIRES(mu_);
   bool ShouldDrop(LinkState& link, const Message& message,
                   std::int64_t now_micros) NEES_REQUIRES(mu_);
   /// Consumes one corrupt_next credit and mutates `message` through an
@@ -279,6 +292,12 @@ class Network {
   util::OpenHashMap<std::uint32_t, std::shared_ptr<Handler>> endpoints_
       NEES_GUARDED_BY(mu_);
   util::OpenHashMap<std::uint64_t, LinkState> links_ NEES_GUARDED_BY(mu_);
+  /// Per endpoint id, the keys of the links LinkFor materialized touching
+  /// it, so UnregisterEndpoint reclaims in time proportional to the
+  /// endpoint's own links. Unregistering either end drops the key from
+  /// both sets, and the link with it unless it has since been configured.
+  using KeySet = util::OpenHashMap<std::uint64_t, bool>;
+  util::OpenHashMap<std::uint32_t, KeySet> materialized_ NEES_GUARDED_BY(mu_);
   const EndpointId wildcard_id_{"*"};
   LinkModel default_link_ NEES_GUARDED_BY(mu_);
   LinkMetrics total_ NEES_GUARDED_BY(mu_);

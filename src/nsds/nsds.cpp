@@ -207,6 +207,13 @@ std::map<std::string, DataSample> NsdsSubscriber::Latest() const {
   return latest_;
 }
 
+void NsdsSubscriber::DropChannels(std::string_view prefix) {
+  util::MutexLock lock(mu_);
+  std::erase_if(latest_, [&](const auto& entry) {
+    return util::StartsWith(entry.first, prefix);
+  });
+}
+
 SubscriberStats NsdsSubscriber::stats() const {
   util::MutexLock lock(mu_);
   return stats_;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
@@ -113,6 +114,9 @@ class NsdsSubscriber {
 
   /// Latest value per channel seen so far.
   std::map<std::string, DataSample> Latest() const;
+  /// Forgets the latest value of every channel whose name starts with
+  /// `prefix`.
+  void DropChannels(std::string_view prefix);
   SubscriberStats stats() const;
   const std::string& endpoint() const { return rpc_server_.endpoint(); }
 

@@ -6,10 +6,17 @@
 // reusable fixed buffers), so a steady-state propose/execute step mints
 // zero new frames — the property E13's frames_per_step counter gates on.
 //
-// The pool is a leaf in the lock-order graph: nothing is acquired while
-// holding util.FramePool, so it is safe to call from any layer.
+// The pool is striped: kShards cache-line-aligned shards, each with its own
+// lock and freelists. A thread takes a shard once, round-robin, and both
+// acquires from and releases to it, so farm workers (whose kImmediate
+// handlers run inline, acquire and release on one thread) no longer
+// serialize on one process-wide mutex. Every shard lock is lock class
+// util.FramePool, a leaf in the lock-order graph: nothing is acquired while
+// holding one, and no two are ever held together, so it is safe to call
+// from any layer.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -32,16 +39,20 @@ class FramePool {
   /// `reserve` bytes of capacity.
   std::vector<std::uint8_t> Acquire(std::size_t reserve = 0);
 
-  /// Hands a buffer back for reuse. Contents are discarded; capacity is
-  /// kept. Buffers beyond the freelist cap are simply freed.
+  /// Hands a buffer back to the calling thread's shard. Contents are
+  /// discarded; capacity is kept. Buffers beyond the shard's freelist cap
+  /// are simply freed.
   void Release(std::vector<std::uint8_t>&& frame);
 
+  /// Sum over every shard; exact once no other thread is using the pool.
   Stats stats() const;
 
  private:
   FramePool() = default;
 
-  static constexpr std::size_t kMaxPooled = 4096;
+  static constexpr std::size_t kShards = 16;
+  static constexpr std::size_t kMaxPooled = 4096;  // summed over shards
+  static constexpr std::size_t kMaxPooledPerShard = kMaxPooled / kShards;
   /// Buffers at or below this capacity go on the small freelist. Keeping
   /// two size classes stops a large request (batch envelope, multi-KB
   /// payload) from repeatedly regrowing a recycled small buffer: a large
@@ -49,10 +60,17 @@ class FramePool {
   /// warm-up each class recycles within itself.
   static constexpr std::size_t kSmallBytes = 512;
 
-  mutable Mutex mu_{"util.FramePool"};
-  std::vector<std::vector<std::uint8_t>> small_ NEES_GUARDED_BY(mu_);
-  std::vector<std::vector<std::uint8_t>> large_ NEES_GUARDED_BY(mu_);
-  Stats stats_ NEES_GUARDED_BY(mu_);
+  struct alignas(64) Shard {
+    mutable Mutex mu{"util.FramePool"};
+    std::vector<std::vector<std::uint8_t>> small NEES_GUARDED_BY(mu);
+    std::vector<std::vector<std::uint8_t>> large NEES_GUARDED_BY(mu);
+    Stats stats NEES_GUARDED_BY(mu);
+  };
+
+  /// The calling thread's shard, assigned round-robin on first use.
+  Shard& LocalShard();
+
+  std::array<Shard, kShards> shards_;
 };
 
 /// Shorthands for the process-wide pool.

@@ -2,7 +2,9 @@
 // grid host, reap-to-baseline soft-state hygiene, farm-vs-standalone
 // bit-identity for a full MOST tenant, per-tenant lint cleanliness of the
 // shared trace, and the scaled CHEF swarm over the shared NSDS stream.
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include "most/most.h"
 #include "net/endpoint.h"
 #include "net/network.h"
+#include "nsds/nsds.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -183,6 +186,127 @@ TEST(FarmTest, ReportsEndpointFootprintMatchingTheInternTable) {
   EXPECT_EQ(metrics.GaugeValue("net.endpoints.interned"),
             static_cast<double>(table.size()));
   EXPECT_GT(metrics.GaugeValue("net.endpoints.interned_bytes"), 0.0);
+}
+
+TEST(FarmTest, SuccessiveWavesRecycleSlotsAndStayFlat) {
+  // A host running waves indefinitely: the reap must return everything
+  // every wave, the recycled slot names must keep the intern table flat,
+  // and the same seeds must give the same histories in every wave.
+  net::Network network(net::DeliveryMode::kImmediate);
+  FarmOptions options;
+  options.workers = 2;
+  options.mini_steps = 10;
+  ExperimentFarm farm(&network, network.clock(), options);
+  constexpr std::size_t kWaves = 100;
+  constexpr std::size_t kTenants = 4;
+  net::EndpointTable& table = net::EndpointTable::Instance();
+
+  std::vector<std::uint64_t> first_digests;
+  std::size_t endpoints_after_first = 0;
+  for (std::size_t wave = 0; wave < kWaves; ++wave) {
+    for (std::size_t i = 0; i < kTenants; ++i) {
+      EXPECT_EQ(farm.Admit({SessionKind::kMiniMost, 0, 1000 + i}),
+                "t000" + std::to_string(i));
+    }
+    const util::Result<FarmReport> run = farm.RunAll();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->completed, kTenants) << "wave " << wave;
+    ASSERT_EQ(run->services_after_reap, farm.baseline_services())
+        << "wave " << wave;
+    ASSERT_EQ(run->registrations_after_reap, farm.baseline_registrations())
+        << "wave " << wave;
+    std::vector<std::uint64_t> digests;
+    for (const SessionResult& session : run->sessions) {
+      digests.push_back(session.history_digest);
+    }
+    if (wave == 0) {
+      first_digests = digests;
+      endpoints_after_first = table.size();
+      continue;
+    }
+    ASSERT_EQ(digests, first_digests) << "wave " << wave;
+    ASSERT_EQ(table.size(), endpoints_after_first) << "wave " << wave;
+    ASSERT_EQ(run->endpoints_interned, endpoints_after_first);
+  }
+}
+
+TEST(FarmTest, DefaultSeedsFollowLifetimeAdmissionCount) {
+  // Seed 0 derives from how many sessions the farm admitted before, not
+  // from the recycled slot: the second wave's tenants get the seeds a
+  // never-recycling farm gave them (0x6e656573 + lifetime index).
+  constexpr std::uint64_t kSeedBase = 0x6e65'6573ULL;
+  FarmOptions options;
+  options.workers = 2;
+  options.mini_steps = 15;
+  std::vector<std::uint64_t> derived;
+  {
+    net::Network network(net::DeliveryMode::kImmediate);
+    ExperimentFarm farm(&network, network.clock(), options);
+    for (int i = 0; i < 3; ++i) (void)farm.Admit({SessionKind::kMiniMost, 0, 0});
+    ASSERT_TRUE(farm.RunAll().ok());
+    for (int i = 0; i < 2; ++i) (void)farm.Admit({SessionKind::kMiniMost, 0, 0});
+    const util::Result<FarmReport> second = farm.RunAll();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    for (const SessionResult& session : second->sessions) {
+      ASSERT_TRUE(session.ok) << session.error;
+      derived.push_back(session.history_digest);
+    }
+  }
+  std::vector<std::uint64_t> pinned;
+  {
+    net::Network network(net::DeliveryMode::kImmediate);
+    ExperimentFarm farm(&network, network.clock(), options);
+    (void)farm.Admit({SessionKind::kMiniMost, 0, kSeedBase + 3});
+    (void)farm.Admit({SessionKind::kMiniMost, 0, kSeedBase + 4});
+    const util::Result<FarmReport> run = farm.RunAll();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    for (const SessionResult& session : run->sessions) {
+      pinned.push_back(session.history_digest);
+    }
+  }
+  EXPECT_EQ(derived, pinned);
+  ASSERT_EQ(derived.size(), 2u);
+  EXPECT_NE(derived[0], derived[1]);  // the seed reaches the history
+}
+
+TEST(FarmTest, RecycledTenantViewerSeriesHoldsOnlyItsOwnRun) {
+  // Two waves put a MOST session in slot t0000. The second one must start
+  // from an empty CHEF viewer series, not append to the first one's.
+  net::Network network(net::DeliveryMode::kImmediate);
+  FarmOptions options;
+  options.workers = 1;
+  ExperimentFarm farm(&network, network.clock(), options);
+  ASSERT_TRUE(farm.Start().ok());
+  const std::string channel = "t0000/most.displacement";
+  chef::DataViewerStore& viewer = farm.chef()->viewer();
+
+  // A probe subscribed after the farm's own viewer feed: in kImmediate
+  // mode each frame reaches the CHEF store first, so the probe sees the
+  // series exactly as a viewer would after that frame.
+  nsds::NsdsSubscriber probe(&network, "probe.viewer");
+  ASSERT_TRUE(probe.SubscribeTo(ExperimentFarm::kNsds, "t0000/").ok());
+  std::size_t frames = 0;
+  std::size_t longest = 0;
+  probe.SetFrameCallback([&](const nsds::DataFrame&) {
+    ++frames;
+    longest = std::max(longest, viewer.SampleCount(channel));
+  });
+
+  for (const std::size_t steps : {std::size_t{30}, std::size_t{20}}) {
+    frames = 0;
+    longest = 0;
+    (void)farm.Admit({SessionKind::kMost, steps, 777});
+    const util::Result<FarmReport> run = farm.RunAll();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_EQ(run->completed, 1u);
+    EXPECT_GT(frames, 0u);
+    EXPECT_EQ(longest, frames) << steps << "-step run";
+    // The reap leaves nothing under the slot for its next holder.
+    EXPECT_EQ(viewer.SampleCount(channel), 0u);
+    for (const std::string& name : viewer.Channels()) {
+      EXPECT_NE(name.rfind("t0000/", 0), 0u) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -439,6 +439,69 @@ TEST(NetworkFaultTest, WildcardLinkAppliesToAllDestinations) {
   EXPECT_EQ(received, 0);
 }
 
+// --- link reclamation --------------------------------------------------------
+
+TEST(NetworkLinkReclaimTest, UnregisterDropsDefaultMaterializedLinks) {
+  Network network;
+  for (const char* name : {"reclaim.a", "reclaim.b", "reclaim.c"}) {
+    ASSERT_TRUE(network.RegisterEndpoint(name, [](const Message&) {}).ok());
+  }
+  ASSERT_TRUE(network.Send(MakeMessage("reclaim.a", "reclaim.b")).ok());
+  ASSERT_TRUE(network.Send(MakeMessage("reclaim.b", "reclaim.a")).ok());
+  ASSERT_TRUE(network.Send(MakeMessage("reclaim.a", "reclaim.c")).ok());
+  ASSERT_EQ(network.LinkMetricsFor("reclaim.a", "reclaim.b").delivered, 1u);
+  const LinkMetrics before = network.TotalMetrics();
+
+  network.UnregisterEndpoint("reclaim.b");
+  // Both directions touching the departed endpoint are gone...
+  EXPECT_EQ(network.LinkMetricsFor("reclaim.a", "reclaim.b").sent, 0u);
+  EXPECT_EQ(network.LinkMetricsFor("reclaim.b", "reclaim.a").sent, 0u);
+  // ...a link between two live endpoints is not...
+  EXPECT_EQ(network.LinkMetricsFor("reclaim.a", "reclaim.c").delivered, 1u);
+  // ...and the network-wide totals still count the reclaimed traffic.
+  const LinkMetrics after = network.TotalMetrics();
+  EXPECT_EQ(after.sent, before.sent);
+  EXPECT_EQ(after.delivered, before.delivered);
+  EXPECT_EQ(after.bytes_delivered, before.bytes_delivered);
+  EXPECT_EQ(after.dropped_total(), before.dropped_total());
+}
+
+TEST(NetworkLinkReclaimTest, ConfiguredLinksSurviveUnregisterAndReregister) {
+  Network network;
+  util::SimClock clock(0);
+  network.SetClock(&clock);
+  int received = 0;
+  const auto sink = [&](const Message&) { ++received; };
+  ASSERT_TRUE(network.RegisterEndpoint("cfg.sink", sink).ok());
+  // One link carries traffic before its fault is injected: configuring a
+  // materialized link must pin it too.
+  ASSERT_TRUE(network.Send(MakeMessage("cfg.drop", "cfg.sink")).ok());
+  ASSERT_EQ(received, 1);
+  LinkModel lossy;
+  lossy.drop_probability = 1.0;
+  network.SetLink("cfg.lossy", "cfg.sink", lossy);
+  network.AddOutage("cfg.outage", "cfg.sink", {100, 200});
+  network.DropNext("cfg.drop", "cfg.sink", 1);
+  network.SetLinkUp("cfg.down", "cfg.sink", false);
+
+  // A crash-restart: the process goes away and comes back under its name.
+  network.UnregisterEndpoint("cfg.sink");
+  ASSERT_TRUE(network.RegisterEndpoint("cfg.sink", sink).ok());
+
+  clock.SetMicros(150);
+  for (const char* from : {"cfg.lossy", "cfg.outage", "cfg.drop", "cfg.down"}) {
+    ASSERT_TRUE(network.Send(MakeMessage(from, "cfg.sink")).ok());
+  }
+  EXPECT_EQ(received, 1);  // every fault still applied to the next send
+  EXPECT_EQ(network.LinkMetricsFor("cfg.lossy", "cfg.sink").dropped_random,
+            1u);
+  EXPECT_EQ(network.LinkMetricsFor("cfg.outage", "cfg.sink").dropped_outage,
+            1u);
+  EXPECT_EQ(network.LinkMetricsFor("cfg.drop", "cfg.sink").dropped_forced, 1u);
+  EXPECT_EQ(network.LinkMetricsFor("cfg.drop", "cfg.sink").sent, 2u);
+  EXPECT_EQ(network.LinkMetricsFor("cfg.down", "cfg.sink").dropped_forced, 1u);
+}
+
 // --- transmission delay model --------------------------------------------------
 
 TEST(LinkModelTest, DelayIncludesBandwidthTerm) {

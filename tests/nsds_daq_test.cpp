@@ -63,6 +63,20 @@ TEST_F(NsdsTest, SubscriberReceivesMatchingChannels) {
   EXPECT_EQ(subscriber.stats().frames_received, 1u);
 }
 
+TEST_F(NsdsTest, SubscriberDropsChannelsByPrefix) {
+  // A farm reaps a tenant's "<tenant>/" channels so the next holder of
+  // the recycled name starts empty; other tenants' channels stay.
+  nsds::NsdsSubscriber subscriber(&network_, "viewer");
+  ASSERT_TRUE(subscriber.SubscribeTo("nsds.uiuc", "").ok());
+  server_->Publish({{"t0000/most.displacement", 1, 0.1},
+                    {"t0001/most.displacement", 1, 0.2}});
+  ASSERT_EQ(subscriber.Latest().size(), 2u);
+  subscriber.DropChannels("t0000/");
+  const auto latest = subscriber.Latest();
+  ASSERT_EQ(latest.size(), 1u);
+  EXPECT_TRUE(latest.contains("t0001/most.displacement"));
+}
+
 TEST_F(NsdsTest, MultipleSubscribersWithDifferentFilters) {
   nsds::NsdsSubscriber all(&network_, "viewer.all");
   nsds::NsdsSubscriber cu_only(&network_, "viewer.cu");

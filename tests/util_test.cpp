@@ -1,6 +1,7 @@
 // Unit and property tests for the nees::util foundation layer.
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -540,6 +541,59 @@ TEST(FramePoolTest, LargeRequestDoesNotRegrowSmallFrames) {
   EXPECT_GE(frame.capacity(), kLarge);
   pool.Release(std::move(frame));
   for (auto& d : drained) pool.Release(std::move(d));
+}
+
+TEST(FramePoolTest, ConcurrentAcquireReleaseKeepsStatsExact) {
+  // Eight threads on the striped pool: shards are picked per thread, and
+  // the summed stats must still account for every single call.
+  FramePool& pool = FramePool::Instance();
+  constexpr int kThreads = 8;
+  constexpr std::uint64_t kPairs = 20'000;
+  const FramePool::Stats before = pool.stats();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, t] {
+      for (std::uint64_t i = 0; i < kPairs; ++i) {
+        // Both size classes, from every thread.
+        std::vector<std::uint8_t> frame =
+            pool.Acquire((i + static_cast<std::uint64_t>(t)) % 4 == 0 ? 2048
+                                                                      : 64);
+        frame.push_back(static_cast<std::uint8_t>(i));
+        pool.Release(std::move(frame));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const FramePool::Stats after = pool.stats();
+  const std::uint64_t calls = kThreads * kPairs;
+  EXPECT_EQ((after.minted - before.minted) + (after.reused - before.reused),
+            calls);
+  EXPECT_LE(after.returned - before.returned, calls);
+  // Steady state recycles: each thread mints a handful of frames at most.
+  EXPECT_LT(after.minted - before.minted, calls / 100);
+}
+
+TEST(FramePoolTest, FrameReleasedOnOneThreadKeepsCapacity) {
+  // A frame acquired on one thread and released on another lands in the
+  // releasing thread's shard with its capacity intact, and that thread's
+  // next acquire of the same size reuses it instead of minting.
+  FramePool& pool = FramePool::Instance();
+  static constexpr std::size_t kBytes = 987'654;  // unused by other tests
+  std::vector<std::uint8_t> frame = pool.Acquire(kBytes);
+  frame.assign(32, 0xCD);
+  const std::uint8_t* storage = frame.data();
+  std::thread([&pool, &frame, storage] {
+    pool.Release(std::move(frame));
+    const FramePool::Stats before = pool.stats();
+    std::vector<std::uint8_t> again = pool.Acquire(kBytes);
+    const FramePool::Stats after = pool.stats();
+    EXPECT_EQ(after.minted, before.minted);
+    EXPECT_EQ(after.reused, before.reused + 1);
+    EXPECT_TRUE(again.empty());
+    EXPECT_GE(again.capacity(), kBytes);
+    EXPECT_EQ(again.data(), storage);  // the very buffer, not a copy
+    pool.Release(std::move(again));
+  }).join();
 }
 
 // --- ByteWriter frame reuse --------------------------------------------------
