@@ -14,8 +14,9 @@
 //     one shared NSDS-fed viewer store, participants/sec.
 //
 // Emits BENCH_farm.json. `--quick [baseline.json]` re-measures the
-// 100-tenant level (best of two) and fails if it lands > 20% below the
-// committed experiments_per_sec_100 (the E13/E14 quick-gate pattern).
+// 4-worker sweep point exactly as the sweep does (median of the warm
+// waves on one host) and fails if it lands > 20% below the committed
+// worker_sweep row for 4 workers (the E13/E14 quick-gate pattern).
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -115,18 +116,15 @@ SweepPoint RunWorkerPoint(std::size_t workers) {
 }
 
 int RunQuickGate(const char* baseline_path) {
-  constexpr std::size_t kGateTenants = 100;
-  // Best of two: one short wave can read low on a loaded box, which would
-  // spuriously trip the 20% floor.
-  double best = 0.0;
-  for (int rep = 0; rep < 2; ++rep) {
-    const LevelResult sample = RunMiniWave(kGateTenants);
-    if (sample.failed != 0) {
-      std::fprintf(stderr, "quick gate: %zu failed sessions in the sample\n",
-                   sample.failed);
-      return 1;
-    }
-    best = std::max(best, sample.experiments_per_sec);
+  // Like with like: the committed row is a median of warm waves, so the
+  // gate measures the same point the same way. A single cold wave reads
+  // too noisy to gate on.
+  constexpr std::size_t kGateWorkers = 4;
+  const SweepPoint sample = RunWorkerPoint(kGateWorkers);
+  if (sample.failed != 0) {
+    std::fprintf(stderr, "quick gate: %zu failed sessions in the sample\n",
+                 sample.failed);
+    return 1;
   }
   std::FILE* f = std::fopen(baseline_path, "r");
   if (f == nullptr) {
@@ -134,27 +132,32 @@ int RunQuickGate(const char* baseline_path) {
                  baseline_path);
     return 1;
   }
+  // worker_sweep rows are one per line:
+  //   {"workers": 4, ..., "experiments_per_sec": X}
+  const std::string row = util::Format("\"workers\": %zu,", kGateWorkers);
   double baseline = 0.0;
   char line[512];
   while (std::fgets(line, sizeof line, f) != nullptr) {
-    const char* key = std::strstr(line, "\"experiments_per_sec_100\": ");
+    if (std::strstr(line, row.c_str()) == nullptr) continue;
+    const char* key = std::strstr(line, "\"experiments_per_sec\": ");
     if (key != nullptr &&
-        std::sscanf(key, "\"experiments_per_sec_100\": %lf", &baseline) == 1) {
+        std::sscanf(key, "\"experiments_per_sec\": %lf", &baseline) == 1) {
       break;
     }
   }
   std::fclose(f);
   if (baseline <= 0.0) {
-    std::fprintf(stderr, "quick gate: no experiments_per_sec_100 baseline "
-                 "in %s\n", baseline_path);
+    std::fprintf(stderr, "quick gate: no worker_sweep row for %zu workers "
+                 "in %s\n", kGateWorkers, baseline_path);
     return 1;
   }
   const double floor = 0.8 * baseline;
   std::printf(
-      "quick gate: 100-tenant wave %.0f experiments/sec "
-      "(baseline %.0f, floor %.0f)\n",
-      best, baseline, floor);
-  if (best < floor) {
+      "quick gate: %zu-tenant wave on %zu workers, median of %zu warm waves "
+      "%.0f experiments/sec (baseline %.0f, floor %.0f)\n",
+      kSweepTenants, kGateWorkers, kSweepWaves, sample.experiments_per_sec,
+      baseline, floor);
+  if (sample.experiments_per_sec < floor) {
     std::fprintf(stderr, "FAIL: farm experiments/sec regressed > 20%% below "
                  "the committed baseline\n");
     return 1;

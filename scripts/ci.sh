@@ -224,8 +224,9 @@ echo "######## fuzz campaign throughput regression gate ########"
 
 echo
 echo "######## farm tenancy throughput regression gate ########"
-# And for the farm: a 100-tenant Mini-MOST wave (best of two) must not
-# land more than 20% below the committed experiments_per_sec_100 in
+# And for the farm: the 4-worker, 100-tenant sweep point, measured as the
+# sweep measures it (median of warm waves on one host), must not land more
+# than 20% below the committed worker_sweep row for 4 workers in
 # BENCH_farm.json.
 "$prefix-release/bench/bench_farm" --quick "$repo/BENCH_farm.json"
 

@@ -215,6 +215,21 @@ void ExperimentFarm::RunSession(Tenant& tenant) {
   }
 }
 
+void ExperimentFarm::ReapSession(Tenant& tenant) {
+  // The next wave reuses the slot name, so nothing keyed by a qualified
+  // name may survive: services, registrations and endpoints go with the
+  // session, and the tenant's streamed channels leave the shared viewers.
+  if (tenant.mini) tenant.mini->Stop();
+  if (tenant.most) tenant.most->Stop();
+  if (tenant.rig) tenant.rig->Stop();
+  tenant.mini.reset();
+  tenant.most.reset();
+  tenant.rig.reset();
+  const std::string channels = grid::QualifiedName(tenant.name, "");
+  chef_->viewer().DropChannels(channels);
+  viewer_sub_->DropChannels(channels);
+}
+
 util::Result<FarmReport> ExperimentFarm::RunAll() {
   NEES_RETURN_IF_ERROR(Start());
   FarmReport report;
@@ -252,7 +267,10 @@ util::Result<FarmReport> ExperimentFarm::RunAll() {
   report.peak_services = container_->service_count();
   report.peak_registrations = registry_->entry_count();
 
-  // --- run: a worker pool drives the sessions to completion ---------------
+  // --- run and reap: a worker pool drives each session to completion, then
+  // destroys its soft state on the same thread: what the run allocated is
+  // freed on the thread (and allocator arena) that allocated it, the reap
+  // runs as wide as the pool, and the fabric is at baseline by the join.
   std::atomic<std::size_t> next{0};
   const std::size_t worker_count =
       std::max<std::size_t>(1, std::min(options_.workers, tenants.size()));
@@ -262,6 +280,7 @@ util::Result<FarmReport> ExperimentFarm::RunAll() {
       if (index >= tenants.size()) return;
       Tenant& tenant = *tenants[index];
       if (tenant.result.error.empty()) RunSession(tenant);
+      ReapSession(tenant);
     }
   };
   if (worker_count <= 1) {
@@ -273,22 +292,6 @@ util::Result<FarmReport> ExperimentFarm::RunAll() {
       workers.emplace_back(drain);
     }
     for (std::thread& worker : workers) worker.join();
-  }
-
-  // --- reap: destroy each tenant's soft state; fabric returns to baseline.
-  // The next wave reuses the slot names, so nothing keyed by a qualified
-  // name may survive: services, registrations and endpoints go with the
-  // session, and the tenant's streamed channels leave the shared viewers.
-  for (auto& tenant : tenants) {
-    if (tenant->mini) tenant->mini->Stop();
-    if (tenant->most) tenant->most->Stop();
-    if (tenant->rig) tenant->rig->Stop();
-    tenant->mini.reset();
-    tenant->most.reset();
-    tenant->rig.reset();
-    const std::string channels = grid::QualifiedName(tenant->name, "");
-    chef_->viewer().DropChannels(channels);
-    viewer_sub_->DropChannels(channels);
   }
 
   const std::int64_t t1 = util::SystemClock::Instance().NowMicros();

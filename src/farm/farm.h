@@ -7,10 +7,11 @@
 //
 //   Admit(spec)  assign a tenant namespace slot ("t0042")
 //   RunAll()     place every session's services on the shared fabric,
-//                drive the sessions to completion on a worker pool,
-//                then reap each tenant's soft state (container services,
-//                registry leases, endpoints and their links, streamed
-//                channels) back to the host baseline
+//                then drive the sessions on a worker pool; the worker
+//                that ran a session reaps its soft state (container
+//                services, registry leases, endpoints and their links,
+//                streamed channels), so the join leaves the host at its
+//                baseline
 //
 // Concurrent tenants never share names: every endpoint, registry entry,
 // and data channel is "<tenant>/<base>" (grid/tenant.h), so one
@@ -149,6 +150,9 @@ class ExperimentFarm {
 
   util::Status PlaceSession(Tenant& tenant);
   void RunSession(Tenant& tenant);
+  /// Stops and destroys the session and drops its "<tenant>/" channels
+  /// from the shared viewers. Runs on the worker that ran the session.
+  void ReapSession(Tenant& tenant);
 
   net::Network* network_;
   util::Clock* clock_;

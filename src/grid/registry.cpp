@@ -61,8 +61,9 @@ void RegistryService::RefreshSdes() {
     if (!sdes_stale_) return;
     sdes_stale_ = false;
     live.reserve(entries_.size());
-    entries_.ForEach([&](std::uint32_t, const Registration& entry) {
+    entries_.ForEach([&](std::uint32_t id, const Registration& entry) {
       live.push_back(entry);
+      mirrored_[id] = true;
     });
     removed = std::move(removed_names_);
     removed_names_.clear();
@@ -84,14 +85,16 @@ void RegistryService::Register(const Registration& registration,
   entry.expires_micros =
       lease_micros == 0 ? 0 : clock_->NowMicros() + lease_micros;
   const std::uint32_t id = InternedId(entry.service_name);
+  // With live SDE subscribers the mirror publishes eagerly so change
+  // notifications still fire once per (re-)registration.
+  const bool eager = HasSdeSubscribers();
   {
     util::MutexLock lock(table_mu_);
     entries_[id] = entry;
     sdes_stale_ = true;
+    if (eager) mirrored_[id] = true;
   }
-  // With live SDE subscribers the mirror publishes eagerly so change
-  // notifications still fire once per (re-)registration.
-  if (HasSdeSubscribers()) {
+  if (eager) {
     SetServiceData(std::string(kSdePrefix) + entry.service_name,
                    ToSde(entry));
   }
@@ -99,15 +102,18 @@ void RegistryService::Register(const Registration& registration,
 
 util::Status RegistryService::Unregister(const std::string& service_name) {
   const std::uint32_t id = InternedId(service_name);
+  const bool eager = HasSdeSubscribers();
   {
     util::MutexLock lock(table_mu_);
     if (!entries_.Erase(id)) {
       return util::NotFound("not registered: " + service_name);
     }
     sdes_stale_ = true;
-    removed_names_.push_back(service_name);
+    // A never-published name has no SDE to remove; the eager path below
+    // removes a published one now.
+    if (mirrored_.Erase(id) && !eager) removed_names_.push_back(service_name);
   }
-  if (HasSdeSubscribers()) {
+  if (eager) {
     RemoveServiceData(std::string(kSdePrefix) + service_name);
   }
   return util::OkStatus();
@@ -176,6 +182,11 @@ int RegistryService::UnregisterTenant(std::string_view tenant) {
 std::size_t RegistryService::entry_count() const {
   util::MutexLock lock(table_mu_);
   return entries_.size();
+}
+
+std::size_t RegistryService::pending_sde_removals() const {
+  util::MutexLock lock(table_mu_);
+  return removed_names_.size();
 }
 
 void RegistryService::BindRpc(ServiceContainer& container) {

@@ -52,6 +52,10 @@ class RegistryService final : public GridService {
   int UnregisterTenant(std::string_view tenant);
 
   std::size_t entry_count() const;
+  /// Mirror SDEs queued for removal at the next publish-on-read flush.
+  /// Only names whose SDE was published are queued, so a host that never
+  /// reads registry service data queues nothing.
+  std::size_t pending_sde_removals() const;
 
   /// Binds registry.* RPC methods on the container hosting this service.
   void BindRpc(ServiceContainer& container);
@@ -68,7 +72,10 @@ class RegistryService final : public GridService {
   util::OpenHashMap<std::uint32_t, Registration> entries_
       NEES_GUARDED_BY(table_mu_);
   bool sdes_stale_ NEES_GUARDED_BY(table_mu_) = false;
-  /// Names unregistered since the last flush (their mirror SDEs must go).
+  /// Ids whose "reg.<name>" SDE is published, by a flush or the eager
+  /// subscriber path; only these need a removal when unregistered.
+  util::OpenHashMap<std::uint32_t, bool> mirrored_ NEES_GUARDED_BY(table_mu_);
+  /// Mirrored names unregistered since the last flush (their SDEs must go).
   std::vector<std::string> removed_names_ NEES_GUARDED_BY(table_mu_);
 };
 

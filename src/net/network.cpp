@@ -9,17 +9,27 @@
 
 namespace nees::net {
 
-std::int64_t TransmissionDelayMicros(const LinkModel& model,
-                                     std::size_t wire_bytes,
-                                     nees::util::Rng& rng) {
+namespace {
+
+// Propagation plus bandwidth term: the rng-free part of a link's delay.
+std::int64_t BaseDelayMicros(const LinkModel& model, std::size_t wire_bytes) {
   std::int64_t delay = model.latency_micros;
-  if (model.jitter_micros > 0) {
-    delay += rng.UniformInt(-static_cast<int>(model.jitter_micros),
-                            static_cast<int>(model.jitter_micros));
-  }
   if (model.bytes_per_second > 0.0) {
     delay += static_cast<std::int64_t>(
         static_cast<double>(wire_bytes) / model.bytes_per_second * 1e6);
+  }
+  return delay;
+}
+
+}  // namespace
+
+std::int64_t TransmissionDelayMicros(const LinkModel& model,
+                                     std::size_t wire_bytes,
+                                     nees::util::Rng& rng) {
+  std::int64_t delay = BaseDelayMicros(model, wire_bytes);
+  if (model.jitter_micros > 0) {
+    delay += rng.UniformInt(-static_cast<int>(model.jitter_micros),
+                            static_cast<int>(model.jitter_micros));
   }
   return std::max<std::int64_t>(delay, 0);
 }
@@ -37,37 +47,41 @@ Network::Network(DeliveryMode mode, std::uint64_t fault_seed)
 }
 
 util::Status Network::RegisterEndpoint(EndpointId name, Handler handler) {
-  util::MutexLock lock(mu_);
-  if (endpoints_.Find(name.raw()) != nullptr) {
+  Shard& shard = ShardFor(name);
+  util::MutexLock lock(shard.mu);
+  if (shard.endpoints.Find(name.raw()) != nullptr) {
     return util::AlreadyExists("endpoint already registered: " + name.str());
   }
-  endpoints_[name.raw()] = std::make_shared<Handler>(std::move(handler));
+  shard.endpoints[name.raw()] = std::make_shared<Handler>(std::move(handler));
   return util::OkStatus();
 }
 
 void Network::UnregisterEndpoint(EndpointId name) {
-  util::MutexLock lock(mu_);
-  endpoints_.Erase(name.raw());
   // Reclaim the endpoint's default-materialized links, so a host that
   // keeps registering and unregistering endpoints (farm waves, fuzz
   // seeds, swarm clients) holds links only for live endpoints and
-  // configured faults.
+  // configured faults. Links into the endpoint live in its own shard,
+  // links out of it in their destinations' shards: visit each in turn.
   const std::uint32_t id = name.raw();
-  KeySet* own = materialized_.Find(id);
-  if (own == nullptr) return;
-  const KeySet keys = std::move(*own);
-  materialized_.Erase(id);
-  keys.ForEach([&](std::uint64_t key, const bool&) {
-    const auto from = static_cast<std::uint32_t>(key >> 32);
-    const auto to = static_cast<std::uint32_t>(key);
-    const std::uint32_t peer = from == id ? to : from;
-    if (KeySet* other = materialized_.Find(peer)) {
-      other->Erase(key);
-      if (other->empty()) materialized_.Erase(peer);
-    }
-    const LinkState* link = links_.Find(key);
-    if (link != nullptr && !link->configured) links_.Erase(key);
-  });
+  for (Shard& shard : shards_) {
+    util::MutexLock lock(shard.mu);
+    if (&shard == &ShardFor(name)) shard.endpoints.Erase(id);
+    KeySet* own = shard.materialized.Find(id);
+    if (own == nullptr) continue;
+    const KeySet keys = std::move(*own);
+    shard.materialized.Erase(id);
+    keys.ForEach([&](std::uint64_t key, const bool&) {
+      const auto from = static_cast<std::uint32_t>(key >> 32);
+      const auto to = static_cast<std::uint32_t>(key);
+      const std::uint32_t peer = from == id ? to : from;
+      if (KeySet* other = shard.materialized.Find(peer)) {
+        other->Erase(key);
+        if (other->empty()) shard.materialized.Erase(peer);
+      }
+      const LinkState* link = shard.links.Find(key);
+      if (link != nullptr && !link->configured) shard.links.Erase(key);
+    });
+  }
 }
 
 void Network::SetEndpointCrashed(EndpointId name, bool crashed) {
@@ -77,36 +91,49 @@ void Network::SetEndpointCrashed(EndpointId name, bool crashed) {
   } else {
     crashed_endpoints_.Erase(name.raw());
   }
+  any_crashed_.store(!crashed_endpoints_.empty(), std::memory_order_release);
+}
+
+bool Network::IsCrashed(EndpointId name) const {
+  util::MutexLock lock(mu_);
+  return crashed_endpoints_.Find(name.raw()) != nullptr;
 }
 
 bool Network::HasEndpoint(EndpointId name) const {
-  util::MutexLock lock(mu_);
-  return endpoints_.Find(name.raw()) != nullptr;
+  const Shard& shard = ShardFor(name);
+  util::MutexLock lock(shard.mu);
+  return shard.endpoints.Find(name.raw()) != nullptr;
 }
 
-Network::LinkState& Network::LinkFor(EndpointId from, EndpointId to) {
-  // mu_ must be held.
-  if (LinkState* link = links_.Find(LinkKey(from, to))) return *link;
-  if (LinkState* link = links_.Find(LinkKey(from, wildcard_id_))) return *link;
-  if (LinkState* link = links_.Find(LinkKey(wildcard_id_, to))) return *link;
-  // Materialize a link with the default model so metrics accumulate.
+Network::LinkState& Network::LinkFor(Shard& shard, EndpointId from,
+                                     EndpointId to) {
   const std::uint64_t key = LinkKey(from, to);
-  materialized_[from.raw()][key] = true;
-  materialized_[to.raw()][key] = true;
-  LinkState& link = links_[key];
-  link.model = default_link_;
+  if (LinkState* link = shard.links.Find(key)) return *link;
+  // Materialize a link with the default model so metrics accumulate.
+  shard.materialized[from.raw()][key] = true;
+  shard.materialized[to.raw()][key] = true;
+  LinkState& link = shard.links[key];
+  link.model = shard.default_link;
   return link;
 }
 
-Network::LinkState& Network::ConfiguredLinkFor(EndpointId from,
-                                               EndpointId to) {
-  LinkState& link = LinkFor(from, to);
+template <typename Fn>
+void Network::ConfigureLink(EndpointId from, EndpointId to, Fn&& fn) {
+  Shard& shard = ShardFor(to);
+  util::MutexLock lock(shard.mu);
+  LinkState& link = LinkFor(shard, from, to);
   link.configured = true;
-  return link;
+  fn(link);
+}
+
+void Network::Count(Shard& shard, LinkState& link,
+                    std::uint64_t LinkMetrics::*counter) {
+  ++(link.metrics.*counter);
+  ++(shard.total.*counter);
 }
 
 bool Network::InPartition(EndpointId from, EndpointId to) const {
-  if (!partitioned_) return false;
+  if (!partitioned_.load(std::memory_order_relaxed)) return false;
   const bool from_a =
       std::find(partition_a_.begin(), partition_a_.end(), from) !=
       partition_a_.end();
@@ -120,31 +147,30 @@ bool Network::InPartition(EndpointId from, EndpointId to) const {
   return (from_a && to_b) || (from_b && to_a);
 }
 
-bool Network::ShouldDrop(LinkState& link, const Message& message,
+bool Network::ShouldDrop(Shard& shard, LinkState& link,
                          std::int64_t now_micros) {
-  (void)message;
   if (!link.up) {
-    ++link.metrics.dropped_forced;
-    ++total_.dropped_forced;
+    Count(shard, link, &LinkMetrics::dropped_forced);
     return true;
   }
   if (link.drop_next > 0) {
     --link.drop_next;
-    ++link.metrics.dropped_forced;
-    ++total_.dropped_forced;
+    Count(shard, link, &LinkMetrics::dropped_forced);
     return true;
   }
   for (const OutageWindow& window : link.outages) {
     if (now_micros >= window.start_micros && now_micros < window.end_micros) {
-      ++link.metrics.dropped_outage;
-      ++total_.dropped_outage;
+      Count(shard, link, &LinkMetrics::dropped_outage);
       return true;
     }
   }
+  return false;
+}
+
+bool Network::RandomDrop(Shard& shard, LinkState& link) {
   if (link.model.drop_probability > 0.0 &&
       rng_.Bernoulli(link.model.drop_probability)) {
-    ++link.metrics.dropped_random;
-    ++total_.dropped_random;
+    Count(shard, link, &LinkMetrics::dropped_random);
     return true;
   }
   return false;
@@ -159,54 +185,66 @@ util::Status Network::Send(Message message) {
   // interned names they point at live for the process lifetime).
   const EndpointId from = message.from;
   const EndpointId to = message.to;
+  Shard& shard = ShardFor(to);
   {
-    util::MutexLock lock(mu_);
-    if (crashed_endpoints_.Find(from.raw()) != nullptr) {
+    util::MutexLock lock(shard.mu);
+    if (any_crashed_.load(std::memory_order_acquire) && IsCrashed(from)) {
       // The sender's process is dead; its zombie stack frames write to the
       // void. Report acceptance — a crashed process cannot observe errors.
-      LinkState& dead_link = LinkFor(from, to);
-      ++dead_link.metrics.sent;
-      ++total_.sent;
-      ++dead_link.metrics.dropped_forced;
-      ++total_.dropped_forced;
+      LinkState& dead_link = LinkFor(shard, from, to);
+      Count(shard, dead_link, &LinkMetrics::sent);
+      Count(shard, dead_link, &LinkMetrics::dropped_forced);
       return util::OkStatus();
     }
-    std::shared_ptr<Handler>* slot = endpoints_.Find(to.raw());
+    std::shared_ptr<Handler>* slot = shard.endpoints.Find(to.raw());
     if (slot == nullptr) {
       return util::NotFound("no such endpoint: " + to.str());
     }
     handler = *slot;
 
     // LinkFor may materialize an entry; take the reference after that
-    // insert and do no further links_ inserts while it is live.
-    LinkState& link = LinkFor(from, to);
-    ++link.metrics.sent;
-    ++total_.sent;
+    // insert and do no further link inserts while it is live.
+    LinkState& link = LinkFor(shard, from, to);
+    Count(shard, link, &LinkMetrics::sent);
 
-    const std::int64_t now = clock_->NowMicros();
-    if (InPartition(from, to)) {
-      ++link.metrics.dropped_forced;
-      ++total_.dropped_forced;
-      dropped = true;  // silently lost, like a real partition
-    } else if (ShouldDrop(link, message, now)) {
+    // Only outage windows and the kVirtual enqueue read the clock; a
+    // kImmediate send on an outage-free link skips the clock_gettime.
+    const bool is_virtual = mode_ == DeliveryMode::kVirtual;
+    const std::int64_t now =
+        is_virtual || !link.outages.empty() ? clock_->NowMicros() : 0;
+    if (is_virtual || partitioned_.load(std::memory_order_acquire) ||
+        link.model.drop_probability > 0.0 || link.model.jitter_micros > 0) {
+      // Fault-rng draws, partitions and the virtual queue: the leaf lock.
+      // The draw order (random drop, jitter, schedule tie) is the one
+      // every fuzz seed's fault schedule was recorded under.
+      util::MutexLock leaf(mu_);
+      if (InPartition(from, to)) {
+        Count(shard, link, &LinkMetrics::dropped_forced);
+        dropped = true;  // silently lost, like a real partition
+      } else if (ShouldDrop(shard, link, now) || RandomDrop(shard, link)) {
+        dropped = true;  // silently lost
+      } else {
+        delay = TransmissionDelayMicros(link.model, message.WireSize(), rng_);
+        if (is_virtual) {
+          // Enqueue only; DeliverVirtual() re-checks faults and counts the
+          // delivery at the arrival timestamp. The seeded tie decides the
+          // order of events due at the same microsecond.
+          pending_.push(ScheduledMessage{now + delay, schedule_rng_.NextU64(),
+                                         next_sequence_++, delay,
+                                         std::move(message)});
+          deferred = true;
+        }
+      }
+    } else if (ShouldDrop(shard, link, now)) {
       dropped = true;  // silently lost
     } else {
-      delay = TransmissionDelayMicros(link.model, message.WireSize(), rng_);
-
-      if (mode_ == DeliveryMode::kVirtual) {
-        // Enqueue only; DeliverVirtual() re-checks faults and counts the
-        // delivery at the arrival timestamp. The seeded tie decides the
-        // order of events due at the same microsecond.
-        pending_.push(ScheduledMessage{now + delay, schedule_rng_.NextU64(),
-                                       next_sequence_++, delay,
-                                       std::move(message)});
-        deferred = true;
-      } else {
-        ++link.metrics.delivered;
-        link.metrics.bytes_delivered += message.WireSize();
-        ++total_.delivered;
-        total_.bytes_delivered += message.WireSize();
-      }
+      delay = std::max<std::int64_t>(
+          BaseDelayMicros(link.model, message.WireSize()), 0);
+    }
+    if (!dropped && !deferred) {
+      Count(shard, link, &LinkMetrics::delivered);
+      link.metrics.bytes_delivered += message.WireSize();
+      shard.total.bytes_delivered += message.WireSize();
     }
   }
   if (dropped) {
@@ -214,9 +252,9 @@ util::Status Network::Send(Message message) {
     return util::OkStatus();
   }
   if (deferred) return util::OkStatus();
-  // Tracing happens outside mu_ (the tracer lock is a leaf). The transfer
-  // event charges the modeled link delay, which advances a modeled SimClock
-  // before an inline handler observes the arrival time.
+  // Tracing happens outside the locks (the tracer lock is a leaf). The
+  // transfer event charges the modeled link delay, which advances a modeled
+  // SimClock before an inline handler observes the arrival time.
   if (tracer_ != nullptr) {
     tracer_->RecordEvent("net.deliver", "network", delay,
                          {{"from", from.str()}, {"to", to.str()}});
@@ -325,10 +363,10 @@ bool Network::PumpOne(std::int64_t limit_micros, bool advance_on_idle) {
   return false;
 }
 
-bool Network::CorruptInFlight(LinkState& link, Message& message) {
+bool Network::CorruptInFlight(Shard& shard, LinkState& link,
+                              Message& message) {
   --link.corrupt_next;
-  ++link.metrics.corrupted;
-  ++total_.corrupted;
+  Count(shard, link, &LinkMetrics::corrupted);
   // Round-trip the message through the canonical wire format and damage the
   // byte stream, exactly as a flaky WAN hop would: flip 1–3 bytes, or chop
   // the tail off. Decisions come from the fault rng so the mutation is a
@@ -348,8 +386,7 @@ bool Network::CorruptInFlight(LinkState& link, Message& message) {
   util::ByteReader reader(frame);
   util::Result<Message> mutant = Message::Decode(reader);
   if (!mutant.ok()) {
-    ++link.metrics.dropped_corrupt;
-    ++total_.dropped_corrupt;
+    Count(shard, link, &LinkMetrics::dropped_corrupt);
     return true;  // damage detected -> lost in flight
   }
   message = std::move(mutant).value();
@@ -361,44 +398,43 @@ void Network::DeliverVirtual(Message message, std::int64_t delay_micros) {
   bool dropped = false;
   const EndpointId from = message.from;
   const EndpointId to = message.to;
+  Shard& shard = ShardFor(to);
   {
-    util::MutexLock lock(mu_);
+    util::MutexLock lock(shard.mu);
+    util::MutexLock leaf(mu_);
     const std::int64_t now = virtual_clock_->NowMicros();
-    LinkState& link = LinkFor(from, to);
+    LinkState& link = LinkFor(shard, from, to);
     // Arrival-time fault checks: the world may have changed while the
     // message was in flight. Outage ends are exclusive, so an arrival
     // exactly at end_micros gets through.
     if (InPartition(from, to) || !link.up) {
-      ++link.metrics.dropped_forced;
-      ++total_.dropped_forced;
+      Count(shard, link, &LinkMetrics::dropped_forced);
       dropped = true;
     } else {
       for (const OutageWindow& window : link.outages) {
         if (now >= window.start_micros && now < window.end_micros) {
-          ++link.metrics.dropped_outage;
-          ++total_.dropped_outage;
+          Count(shard, link, &LinkMetrics::dropped_outage);
           dropped = true;
           break;
         }
       }
     }
     if (!dropped) {
-      std::shared_ptr<Handler>* slot = endpoints_.Find(to.raw());
+      std::shared_ptr<Handler>* slot = shard.endpoints.Find(to.raw());
       if (slot == nullptr) {
         // Endpoint unregistered in flight: lost, like a connection reset.
-        ++link.metrics.dropped_forced;
-        ++total_.dropped_forced;
+        Count(shard, link, &LinkMetrics::dropped_forced);
         dropped = true;
-      } else if (link.corrupt_next > 0 && CorruptInFlight(link, message)) {
+      } else if (link.corrupt_next > 0 &&
+                 CorruptInFlight(shard, link, message)) {
         // Mutation detected at the Decode gate: the frame is wire damage,
         // lost exactly like a drop (the retry ladder recovers it).
         dropped = true;
       } else {
         handler = *slot;
-        ++link.metrics.delivered;
+        Count(shard, link, &LinkMetrics::delivered);
         link.metrics.bytes_delivered += message.WireSize();
-        ++total_.delivered;
-        total_.bytes_delivered += message.WireSize();
+        shard.total.bytes_delivered += message.WireSize();
         ++virtual_stats_.messages_delivered;
       }
     }
@@ -451,36 +487,33 @@ Network::VirtualLoopStats Network::virtual_stats() const {
 // ---------------------------------------------------------------------------
 
 void Network::SetLink(EndpointId from, EndpointId to, LinkModel model) {
-  util::MutexLock lock(mu_);
-  LinkState& link = links_[LinkKey(from, to)];
-  link.model = model;
-  link.configured = true;
+  ConfigureLink(from, to, [&](LinkState& link) { link.model = model; });
 }
 
 void Network::SetDefaultLink(LinkModel model) {
-  util::MutexLock lock(mu_);
-  default_link_ = model;
+  for (Shard& shard : shards_) {
+    util::MutexLock lock(shard.mu);
+    shard.default_link = model;
+  }
 }
 
 void Network::SetLinkUp(EndpointId from, EndpointId to, bool up) {
-  util::MutexLock lock(mu_);
-  ConfiguredLinkFor(from, to).up = up;
+  ConfigureLink(from, to, [&](LinkState& link) { link.up = up; });
 }
 
 void Network::DropNext(EndpointId from, EndpointId to, int count) {
-  util::MutexLock lock(mu_);
-  ConfiguredLinkFor(from, to).drop_next += count;
+  ConfigureLink(from, to, [&](LinkState& link) { link.drop_next += count; });
 }
 
 void Network::CorruptNext(EndpointId from, EndpointId to, int count) {
-  util::MutexLock lock(mu_);
-  ConfiguredLinkFor(from, to).corrupt_next += count;
+  ConfigureLink(from, to,
+                [&](LinkState& link) { link.corrupt_next += count; });
 }
 
 void Network::AddOutage(EndpointId from, EndpointId to,
                         OutageWindow window) {
-  util::MutexLock lock(mu_);
-  ConfiguredLinkFor(from, to).outages.push_back(window);
+  ConfigureLink(from, to,
+                [&](LinkState& link) { link.outages.push_back(window); });
 }
 
 void Network::AddBidirectionalOutage(EndpointId a, EndpointId b,
@@ -494,22 +527,35 @@ void Network::Partition(const std::vector<std::string>& group_a,
   util::MutexLock lock(mu_);
   partition_a_.assign(group_a.begin(), group_a.end());
   partition_b_.assign(group_b.begin(), group_b.end());
-  partitioned_ = true;
+  partitioned_.store(true, std::memory_order_release);
 }
 
 void Network::HealPartition() {
   util::MutexLock lock(mu_);
-  partitioned_ = false;
+  partitioned_.store(false, std::memory_order_release);
 }
 
 LinkMetrics Network::TotalMetrics() const {
-  util::MutexLock lock(mu_);
-  return total_;
+  LinkMetrics sum;
+  for (const Shard& shard : shards_) {
+    util::MutexLock lock(shard.mu);
+    const LinkMetrics& part = shard.total;
+    sum.sent += part.sent;
+    sum.delivered += part.delivered;
+    sum.dropped_random += part.dropped_random;
+    sum.dropped_outage += part.dropped_outage;
+    sum.dropped_forced += part.dropped_forced;
+    sum.corrupted += part.corrupted;
+    sum.dropped_corrupt += part.dropped_corrupt;
+    sum.bytes_delivered += part.bytes_delivered;
+  }
+  return sum;
 }
 
 LinkMetrics Network::LinkMetricsFor(EndpointId from, EndpointId to) const {
-  util::MutexLock lock(mu_);
-  const LinkState* link = links_.Find(LinkKey(from, to));
+  const Shard& shard = ShardFor(to);
+  util::MutexLock lock(shard.mu);
+  const LinkState* link = shard.links.Find(LinkKey(from, to));
   if (link == nullptr) return {};
   return link->metrics;
 }

@@ -26,8 +26,26 @@
 // kVirtual mode, outages, link up/down, and partitions are re-checked at
 // the *arrival* time too: a message sent before an outage opens but due
 // inside it is lost in flight, as on a real network.
+//
+// Locking: routing and link state are sharded by destination endpoint.
+// kShards cache-line-aligned shards, picked by `to.raw() % kShards`, each
+// hold their own lock ("net.Network.shard"), the handlers registered
+// under the ids they own, every link x -> to whose destination they own,
+// the materialized-key sets for those links, a copy of the default link
+// model, and their share of the TotalMetrics() counters. Send and
+// DeliverVirtual lock only the destination's shard, so farm tenants
+// sending on disjoint endpoints share no lock per message. One leaf lock
+// ("net.Network") guards the rest: the fault rng (random drop, jitter,
+// in-flight corruption), crash marks and partitions, and the kVirtual
+// queues, sequence counter and loop stats. It is taken under a shard,
+// never the other way round, and shards never nest. A kImmediate send
+// takes the leaf only when it needs it: an endpoint is marked crashed, a
+// partition is up, or the link has a drop probability or jitter.
 #pragma once
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -84,8 +102,7 @@ class Network {
   util::Status Send(Message message);
 
   // --- link configuration -------------------------------------------------
-  /// Sets the model for the directed link from -> to. "*" matches any
-  /// endpoint; specific links take precedence over wildcard ones.
+  /// Sets the model for the directed link from -> to.
   void SetLink(EndpointId from, EndpointId to, LinkModel model);
   /// Sets the default model for links with no specific entry.
   void SetDefaultLink(LinkModel model);
@@ -247,26 +264,69 @@ class Network {
     Network* network_;
   };
 
-  /// Directed links are keyed (from << 32 | to) over interned ids; LinkFor
-  /// probes exact, (from, *), (*, to), then materializes a default entry.
-  /// The reference is valid only until the next links_ insert or erase.
+  /// Per-shard routing and link state; see the header comment. alignas
+  /// keeps two shards' locks off one cache line.
+  static constexpr std::size_t kShards = 16;
+  /// Per endpoint id, the keys of the shard's default-materialized links
+  /// touching it, so UnregisterEndpoint reclaims in time proportional to
+  /// the endpoint's own links. A link's two ends are both recorded in the
+  /// link's (destination's) shard. Unregistering either end drops the key
+  /// from both sets, and the link with it unless it has since been
+  /// configured.
+  using KeySet = util::OpenHashMap<std::uint64_t, bool>;
+  struct alignas(64) Shard {
+    mutable util::Mutex mu{"net.Network.shard"};
+    // Open-addressed, keyed by interned id (endpoints) and the packed
+    // directed-pair key (links). Per-network tables, so the many
+    // short-lived networks a fuzz sweep creates stay small regardless of
+    // how many names the process-wide intern table accumulates.
+    util::OpenHashMap<std::uint32_t, std::shared_ptr<Handler>> endpoints
+        NEES_GUARDED_BY(mu);
+    util::OpenHashMap<std::uint64_t, LinkState> links NEES_GUARDED_BY(mu);
+    util::OpenHashMap<std::uint32_t, KeySet> materialized NEES_GUARDED_BY(mu);
+    LinkModel default_link NEES_GUARDED_BY(mu);
+    LinkMetrics total NEES_GUARDED_BY(mu);
+  };
+
+  Shard& ShardFor(EndpointId to) { return shards_[to.raw() % kShards]; }
+  const Shard& ShardFor(EndpointId to) const {
+    return shards_[to.raw() % kShards];
+  }
+
+  /// Directed links are keyed (from << 32 | to) over interned ids. LinkFor
+  /// probes the exact key, then materializes a default entry. The
+  /// reference is valid only until the next insert into or erase from the
+  /// shard's link table.
   static std::uint64_t LinkKey(EndpointId from, EndpointId to) {
     return (static_cast<std::uint64_t>(from.raw()) << 32) | to.raw();
   }
-  LinkState& LinkFor(EndpointId from, EndpointId to) NEES_REQUIRES(mu_);
-  /// LinkFor for the configuration and fault-injection calls: the entry it
-  /// returns is marked configured.
-  LinkState& ConfiguredLinkFor(EndpointId from, EndpointId to)
-      NEES_REQUIRES(mu_);
-  bool ShouldDrop(LinkState& link, const Message& message,
-                  std::int64_t now_micros) NEES_REQUIRES(mu_);
+  static LinkState& LinkFor(Shard& shard, EndpointId from, EndpointId to)
+      NEES_REQUIRES(shard.mu);
+  /// The configuration and fault-injection calls: locks the link's shard,
+  /// marks the link configured and applies `fn` to it.
+  template <typename Fn>
+  void ConfigureLink(EndpointId from, EndpointId to, Fn&& fn);
+  /// Bumps one counter on the link and on the shard's total.
+  static void Count(Shard& shard, LinkState& link,
+                    std::uint64_t LinkMetrics::*counter)
+      NEES_REQUIRES(shard.mu);
+  /// The rng-free send-time faults: link down, DropNext credits, outage
+  /// windows. Counts the drop and returns true when the message is lost.
+  static bool ShouldDrop(Shard& shard, LinkState& link,
+                         std::int64_t now_micros) NEES_REQUIRES(shard.mu);
+  /// The random-drop trial, one fault-rng draw when the link has a drop
+  /// probability.
+  bool RandomDrop(Shard& shard, LinkState& link)
+      NEES_REQUIRES(shard.mu, mu_);
   /// Consumes one corrupt_next credit and mutates `message` through an
   /// encode → damage → decode round trip. Returns true when the Decode gate
   /// rejected the damage (the message is lost); false when the mutant
   /// parsed and `message` now holds it.
-  bool CorruptInFlight(LinkState& link, Message& message) NEES_REQUIRES(mu_);
-  bool InPartition(EndpointId from, EndpointId to) const
-      NEES_REQUIRES(mu_);
+  bool CorruptInFlight(Shard& shard, LinkState& link, Message& message)
+      NEES_REQUIRES(shard.mu, mu_);
+  bool InPartition(EndpointId from, EndpointId to) const NEES_REQUIRES(mu_);
+  /// Crash mark lookup; takes the leaf lock (callers gate on any_crashed_).
+  bool IsCrashed(EndpointId name) const NEES_EXCLUDES(mu_);
   /// Core virtual-time step; `advance_on_idle` distinguishes PumpOneUntil
   /// (clock jumps to the limit when nothing is due) from AdvanceTo /
   /// RunUntilQuiescent internals (which advance separately or not at all).
@@ -281,33 +341,23 @@ class Network {
 
   const DeliveryMode mode_;
   // Installed before traffic starts (SetClock/SetTracer are setup-time);
-  // the hot paths read both with mu_ released, so neither is guarded.
+  // the hot paths read both with no lock held, so neither is guarded.
   util::Clock* clock_;
   obs::Tracer* tracer_ = nullptr;
-  mutable util::Mutex mu_{"net.Network"};
-  // Hot-path lookups: open-addressed, keyed by interned id (endpoints) and
-  // the packed directed-pair key (links). Per-network tables, so the many
-  // short-lived networks a fuzz sweep creates stay small regardless of how
-  // many names the process-wide intern table accumulates.
-  util::OpenHashMap<std::uint32_t, std::shared_ptr<Handler>> endpoints_
-      NEES_GUARDED_BY(mu_);
-  util::OpenHashMap<std::uint64_t, LinkState> links_ NEES_GUARDED_BY(mu_);
-  /// Per endpoint id, the keys of the links LinkFor materialized touching
-  /// it, so UnregisterEndpoint reclaims in time proportional to the
-  /// endpoint's own links. Unregistering either end drops the key from
-  /// both sets, and the link with it unless it has since been configured.
-  using KeySet = util::OpenHashMap<std::uint64_t, bool>;
-  util::OpenHashMap<std::uint32_t, KeySet> materialized_ NEES_GUARDED_BY(mu_);
-  const EndpointId wildcard_id_{"*"};
-  LinkModel default_link_ NEES_GUARDED_BY(mu_);
-  LinkMetrics total_ NEES_GUARDED_BY(mu_);
-  util::Rng rng_ NEES_GUARDED_BY(mu_);
+  std::array<Shard, kShards> shards_;
 
+  // The leaf lock and what it guards (see the header comment).
+  mutable util::Mutex mu_{"net.Network"};
+  util::Rng rng_ NEES_GUARDED_BY(mu_);
   std::vector<EndpointId> partition_a_ NEES_GUARDED_BY(mu_),
       partition_b_ NEES_GUARDED_BY(mu_);
-  bool partitioned_ NEES_GUARDED_BY(mu_) = false;
   util::OpenHashMap<std::uint32_t, bool> crashed_endpoints_
       NEES_GUARDED_BY(mu_);
+  // Written under mu_; read without it on the send path, so a kImmediate
+  // send skips the leaf lock while no endpoint is crashed and no partition
+  // is up.
+  std::atomic<bool> partitioned_{false};
+  std::atomic<bool> any_crashed_{false};
 
   // kVirtual machinery: in-flight messages and timers. The schedule rng is
   // a dedicated stream (NOT rng_, whose draw sequence the fault model owns)

