@@ -45,7 +45,7 @@ bool RunHybridMost(std::size_t steps, std::vector<obs::SpanRecord>* spans,
   auto report = experiment.Run(psd::FaultPolicy::kFaultTolerant, "e-lint");
   *wall_seconds = watch.ElapsedSeconds();
   if (!report.ok() || !report->completed) return false;
-  *spans = tracer.Snapshot();
+  *spans = tracer.TakeSpans();
   return true;
 }
 

@@ -127,7 +127,7 @@ RunResult RunOnce(std::size_t site_count, psd::StepEngine engine,
     if (with_wal && !attach_wal(*server)) return out;
     servers.push_back(std::move(server));
     config.sites.push_back(
-        {"S" + std::to_string(i), endpoint, "cp", {0}});
+        {util::Format("S%zu", i), endpoint, "cp", {0}});
   }
 
   net::RpcClient rpc(&network, config.run_id + ".coordinator");

@@ -1,10 +1,12 @@
 #include "check/checker.h"
 
+#include <algorithm>
+#include <deque>
 #include <fstream>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
+#include <unordered_map>
 
 #include "ntcp/types.h"
 #include "util/strings.h"
@@ -14,35 +16,40 @@ namespace {
 
 using ntcp::TransactionState;
 
-constexpr std::string_view kTxnEvent = "ntcp.txn";
-constexpr std::string_view kDupEvent = "ntcp.dup";
-constexpr std::string_view kCrashEvent = "site.crash";
-constexpr std::string_view kRestartEvent = "site.restart";
-constexpr std::string_view kRecoverEvent = "ntcp.recover";
+const obs::Atom kTxnEvent("ntcp.txn");
+const obs::Atom kDupEvent("ntcp.dup");
+const obs::Atom kCrashEvent("site.crash");
+const obs::Atom kRestartEvent("site.restart");
+const obs::Atom kRecoverEvent("ntcp.recover");
+const obs::Atom kStepCategory("step");
+const obs::Atom kTxn("txn");
+const obs::Atom kEndpoint("endpoint");
+const obs::Atom kFrom("from");
+const obs::Atom kTo("to");
+const obs::Atom kStep("step");
+const obs::Atom kAt("at");
+const obs::Atom kTimeout("timeout");
+const obs::Atom kCause("cause");
+const obs::Atom kKind("kind");
+const obs::Atom kCrashRecovery("crash-recovery");
+const obs::Atom kProposeMismatch("propose-mismatch");
+const obs::Atom kExecute("execute");
 
-const std::string* FindTag(const obs::SpanRecord& span, std::string_view key) {
-  for (const auto& [tag_key, value] : span.tags) {
-    if (tag_key == key) return &value;
-  }
-  return nullptr;
+/// The tag `key` when it holds an integer, else nullptr. Only a typed kInt
+/// value counts: ParseJsonLines types integers in text traces, so any other
+/// value is malformed.
+const obs::Tag* IntTag(const obs::SpanRecord& span, obs::Atom key) {
+  const obs::Tag* tag = span.FindTag(key);
+  return tag != nullptr && tag->kind == obs::Tag::Kind::kInt ? tag : nullptr;
 }
 
-bool FindTagInt(const obs::SpanRecord& span, std::string_view key,
-                std::int64_t* out) {
-  const std::string* value = FindTag(span, key);
-  if (value == nullptr) return false;
-  long long parsed = 0;
-  if (!util::ParseInt(*value, &parsed)) return false;
-  *out = parsed;
-  return true;
-}
-
-std::optional<TransactionState> StateFromName(std::string_view name) {
-  for (int i = 0; i <= static_cast<int>(TransactionState::kExpired); ++i) {
-    const auto state = static_cast<TransactionState>(i);
-    if (ntcp::TransactionStateName(state) == name) return state;
-  }
-  return std::nullopt;
+/// A name-valued tag (endpoint, state, kind, cause) as an atom. Recorded
+/// traces carry kName values; a trace parsed from text carries the names as
+/// text, which are interned here — they are endpoint and state names, a
+/// bounded set.
+obs::Atom NameOf(const obs::Tag& tag) {
+  if (tag.kind == obs::Tag::Kind::kName) return tag.name();
+  return obs::Atom(tag.ValueText());
 }
 
 /// Replay state for one transaction.
@@ -53,6 +60,21 @@ struct TxnTracker {
   std::int64_t step = -1;
   int executing_entries = 0;
   std::uint64_t last_span = 0;  // creation/last transition span
+};
+
+struct Proposed {
+  std::int64_t step;
+  std::uint64_t span_id;
+  std::string_view txn;
+};
+
+/// Replay state for one endpoint.
+struct EndpointState {
+  obs::Atom name;
+  bool protocol = false;  // emitted ntcp.txn / ntcp.dup events
+  bool dead = false;      // crashed, not yet restarted
+  bool ever_crashed = false;
+  std::vector<Proposed> proposals;  // creation events in trace order
 };
 
 class Linter {
@@ -80,111 +102,158 @@ class Linter {
     CheckTerminal();
     CheckStepMonotonicity();
     report_.stats.transactions = txns_.size();
-    report_.stats.endpoints = endpoints_.size();
+    for (const EndpointState& endpoint : endpoints_) {
+      if (endpoint.protocol) ++report_.stats.endpoints;
+    }
     return std::move(report_);
   }
 
  private:
-  void Add(Rule rule, const obs::SpanRecord* span, std::string txn,
+  void Add(Rule rule, std::uint64_t span_id, std::string_view txn,
            std::int64_t step, std::string message) {
     Violation violation;
     violation.rule = rule;
-    violation.transaction_id = std::move(txn);
+    violation.transaction_id = std::string(txn);
     violation.step = step;
-    violation.span_id = span == nullptr ? 0 : span->id;
+    violation.span_id = span_id;
     violation.message = std::move(message);
     report_.violations.push_back(std::move(violation));
   }
 
+  /// The span with `id`, through the dense index when ids are 1..n (every
+  /// recorded trace) and a map otherwise (edited or hand-built traces).
+  const obs::SpanRecord* SpanById(std::uint64_t id) const {
+    if (dense_) {
+      return id >= 1 && id <= spans_.size() ? &spans_[id - 1] : nullptr;
+    }
+    const auto it = sparse_index_.find(id);
+    return it == sparse_index_.end() ? nullptr : &spans_[it->second];
+  }
+
   void CheckShapeAndNesting() {
-    std::map<std::uint64_t, const obs::SpanRecord*> by_id;
     std::uint64_t previous_id = 0;
-    for (const obs::SpanRecord& span : spans_) {
+    dense_ = true;
+    for (std::size_t i = 0; i < spans_.size(); ++i) {
+      const obs::SpanRecord& span = spans_[i];
       if (span.id <= previous_id) {
-        Add(Rule::kTraceShape, &span, "", -1,
+        Add(Rule::kTraceShape, span.id, "", -1,
             util::Format("span ids not strictly ascending (%llu after %llu)",
                          static_cast<unsigned long long>(span.id),
                          static_cast<unsigned long long>(previous_id)));
       }
       previous_id = span.id;
       if (span.end_micros >= 0 && span.end_micros < span.start_micros) {
-        Add(Rule::kTraceShape, &span, "", -1, "span ends before it starts");
+        Add(Rule::kTraceShape, span.id, "", -1, "span ends before it starts");
       }
-      by_id.emplace(span.id, &span);
+      if (span.id != i + 1) dense_ = false;
+    }
+    if (!dense_) {
+      sparse_index_.reserve(spans_.size());
+      for (std::size_t i = 0; i < spans_.size(); ++i) {
+        sparse_index_.emplace(spans_[i].id, i);  // first occurrence wins
+      }
     }
     for (const obs::SpanRecord& span : spans_) {
       if (span.parent_id == 0) continue;
-      const auto parent_it = by_id.find(span.parent_id);
-      if (parent_it == by_id.end() || span.parent_id >= span.id) {
-        Add(Rule::kSpanNesting, &span, "", -1,
+      const obs::SpanRecord* parent = SpanById(span.parent_id);
+      if (parent == nullptr || span.parent_id >= span.id) {
+        Add(Rule::kSpanNesting, span.id, "", -1,
             util::Format("parent span %llu missing or not earlier in trace",
                          static_cast<unsigned long long>(span.parent_id)));
         continue;
       }
-      const obs::SpanRecord& parent = *parent_it->second;
-      if (span.start_micros < parent.start_micros) {
-        Add(Rule::kSpanNesting, &span, "", -1,
+      if (span.start_micros < parent->start_micros) {
+        Add(Rule::kSpanNesting, span.id, "", -1,
             "span starts before its parent");
       }
       // PSD-step containment: anything recorded directly under a step span
       // must close before the step does, or the step's latency attribution
       // (and the paper's "where does a step go" question) is wrong.
-      if (parent.category == "step" && parent.end_micros >= 0 &&
-          span.end_micros > parent.end_micros) {
-        Add(Rule::kSpanNesting, &span, "", -1,
+      if (parent->category == kStepCategory && parent->end_micros >= 0 &&
+          span.end_micros > parent->end_micros) {
+        Add(Rule::kSpanNesting, span.id, "", -1,
             util::Format("span ends after its PSD-step parent %llu",
-                         static_cast<unsigned long long>(parent.id)));
+                         static_cast<unsigned long long>(parent->id)));
       }
     }
   }
 
+  EndpointState& Endpoint(obs::Atom name) {
+    for (EndpointState& endpoint : endpoints_) {
+      if (endpoint.name == name) return endpoint;
+    }
+    EndpointState& endpoint = endpoints_.emplace_back();
+    endpoint.name = name;
+    return endpoint;
+  }
+
+  /// The transaction id's text; views into the spans, which outlive the
+  /// linter (a non-text id is rendered once into owned storage).
+  std::string_view TxnId(const obs::Tag& tag) {
+    if (tag.kind == obs::Tag::Kind::kText) return tag.text;
+    return owned_ids_.emplace_back(tag.ValueText());
+  }
+
   void ReplayTransition(const obs::SpanRecord& span) {
-    const std::string* txn = FindTag(span, "txn");
-    const std::string* endpoint = FindTag(span, "endpoint");
-    const std::string* from_name = FindTag(span, "from");
-    const std::string* to_name = FindTag(span, "to");
-    std::int64_t step = -1, at = -1, timeout = -1;
-    if (txn == nullptr || endpoint == nullptr || from_name == nullptr ||
-        to_name == nullptr || !FindTagInt(span, "step", &step) ||
-        !FindTagInt(span, "at", &at) ||
-        !FindTagInt(span, "timeout", &timeout)) {
-      Add(Rule::kTraceShape, &span, txn == nullptr ? "" : *txn, -1,
+    const obs::Tag* txn_tag = span.FindTag(kTxn);
+    const obs::Tag* endpoint_tag = span.FindTag(kEndpoint);
+    const obs::Tag* from_tag = span.FindTag(kFrom);
+    const obs::Tag* to_tag = span.FindTag(kTo);
+    const obs::Tag* step_tag = IntTag(span, kStep);
+    const obs::Tag* at_tag = IntTag(span, kAt);
+    const obs::Tag* timeout_tag = IntTag(span, kTimeout);
+    const std::string_view txn = txn_tag == nullptr ? "" : TxnId(*txn_tag);
+    if (txn_tag == nullptr || endpoint_tag == nullptr || from_tag == nullptr ||
+        to_tag == nullptr || step_tag == nullptr || at_tag == nullptr ||
+        timeout_tag == nullptr) {
+      Add(Rule::kTraceShape, span.id, txn, -1,
           "ntcp.txn event is missing required tags");
       return;
     }
-    endpoints_.insert(*endpoint);
-    CheckEndpointAlive(span, *endpoint, *txn, step);
-    const std::string* cause = FindTag(span, "cause");
-    if (cause != nullptr && *cause == "crash-recovery") {
+    const std::int64_t step = step_tag->number;
+    const std::int64_t at = at_tag->number;
+    const std::int64_t timeout = timeout_tag->number;
+    const obs::Atom from_name = NameOf(*from_tag);
+    const obs::Atom to_name = NameOf(*to_tag);
+    EndpointState& endpoint = Endpoint(NameOf(*endpoint_tag));
+    endpoint.protocol = true;
+    CheckEndpointAlive(span, endpoint, txn, step);
+    const obs::Tag* cause_tag = span.FindTag(kCause);
+    if (cause_tag != nullptr && NameOf(*cause_tag) == kCrashRecovery) {
       // Crash-marks are the only transitions recovery may emit, and they
       // are exactly the executing -> failed edge of docs/RECOVERY.md R2.
-      if (!ever_crashed_.contains(*endpoint)) {
-        Add(Rule::kCrashConsistency, &span, *txn, step,
+      if (!endpoint.ever_crashed) {
+        Add(Rule::kCrashConsistency, span.id, txn, step,
             "crash-recovery transition from an endpoint that never crashed");
       }
-      if (*from_name != "executing" || *to_name != "failed") {
-        Add(Rule::kCrashConsistency, &span, *txn, step,
-            "crash-recovery transition must be executing -> failed, got " +
-                *from_name + " -> " + *to_name);
+      if (from_name !=
+              ntcp::TransactionStateAtom(TransactionState::kExecuting) ||
+          to_name != ntcp::TransactionStateAtom(TransactionState::kFailed)) {
+        Add(Rule::kCrashConsistency, span.id, txn, step,
+            util::Format("crash-recovery transition must be executing -> "
+                         "failed, got %s -> %s",
+                         std::string(from_name.str()).c_str(),
+                         std::string(to_name.str()).c_str()));
       }
     }
-    const std::optional<TransactionState> to = StateFromName(*to_name);
+    const std::optional<TransactionState> to =
+        ntcp::TransactionStateFromAtom(to_name);
     if (!to.has_value()) {
-      Add(Rule::kTraceShape, &span, *txn, step,
-          "unknown target state \"" + *to_name + "\"");
+      Add(Rule::kTraceShape, span.id, txn, step,
+          "unknown target state \"" + std::string(to_name.str()) + "\"");
       return;
     }
-    TxnTracker& tracker = txns_[*txn];
+    TxnTracker& tracker = txns_[txn];
 
-    if (*from_name == "none") {
+    if (from_name == ntcp::NoTransactionStateAtom()) {
       if (*to != TransactionState::kProposed) {
-        Add(Rule::kIllegalTransition, &span, *txn, step,
-            "creation event must target \"proposed\", got \"" + *to_name +
-                "\"");
+        Add(Rule::kIllegalTransition, span.id, txn, step,
+            "creation event must target \"proposed\", got \"" +
+                std::string(to_name.str()) + "\"");
         return;
       }
       if (tracker.created) {
-        Add(Rule::kIllegalTransition, &span, *txn, step,
+        Add(Rule::kIllegalTransition, span.id, txn, step,
             "transaction created twice");
         return;
       }
@@ -193,35 +262,36 @@ class Linter {
       tracker.proposed_at = at;
       tracker.step = step;
       tracker.last_span = span.id;
-      if (step >= 0) {
-        proposals_by_endpoint_[*endpoint].push_back({step, span.id, *txn});
-      }
+      if (step >= 0) endpoint.proposals.push_back({step, span.id, txn});
       return;
     }
 
-    const std::optional<TransactionState> from = StateFromName(*from_name);
+    const std::optional<TransactionState> from =
+        ntcp::TransactionStateFromAtom(from_name);
     if (!from.has_value()) {
-      Add(Rule::kTraceShape, &span, *txn, step,
-          "unknown source state \"" + *from_name + "\"");
+      Add(Rule::kTraceShape, span.id, txn, step,
+          "unknown source state \"" + std::string(from_name.str()) + "\"");
       return;
     }
     if (!tracker.created) {
-      Add(Rule::kIllegalTransition, &span, *txn, step,
+      Add(Rule::kIllegalTransition, span.id, txn, step,
           "transition without a prior creation event");
       // Track the claimed state so one missing creation does not cascade.
       tracker.created = true;
       tracker.state = *to;
       tracker.step = step;
     } else if (*from != tracker.state) {
-      Add(Rule::kIllegalTransition, &span, *txn, step,
+      Add(Rule::kIllegalTransition, span.id, txn, step,
           util::Format(
               "event claims from=%s but the transaction was in %s",
-              from_name->c_str(),
+              std::string(from_name.str()).c_str(),
               std::string(ntcp::TransactionStateName(tracker.state)).c_str()));
       // The event contradicts the replayed state: keep the replayed state.
     } else if (!ntcp::IsLegalTransition(*from, *to)) {
-      Add(Rule::kIllegalTransition, &span, *txn, step,
-          "illegal Fig. 1 transition " + *from_name + " -> " + *to_name);
+      Add(Rule::kIllegalTransition, span.id, txn, step,
+          util::Format("illegal Fig. 1 transition %s -> %s",
+                       std::string(from_name.str()).c_str(),
+                       std::string(to_name.str()).c_str()));
     } else {
       tracker.state = *to;
       tracker.last_span = span.id;
@@ -229,27 +299,27 @@ class Linter {
 
     if (*to == TransactionState::kExecuting) {
       if (++tracker.executing_entries == 2) {
-        Add(Rule::kDuplicateExecute, &span, *txn, step,
+        Add(Rule::kDuplicateExecute, span.id, txn, step,
             "transaction entered kExecuting a second time (at-most-once)");
       }
     }
     if (*to == TransactionState::kExpired) {
-      CheckExpiry(span, *txn, step, at, timeout, tracker);
+      CheckExpiry(span, txn, step, at, timeout, tracker);
     }
   }
 
-  void CheckExpiry(const obs::SpanRecord& span, const std::string& txn,
+  void CheckExpiry(const obs::SpanRecord& span, std::string_view txn,
                    std::int64_t step, std::int64_t expired_at,
                    std::int64_t timeout, const TxnTracker& tracker) {
     if (timeout <= 0) {
-      Add(Rule::kBogusExpiry, &span, txn, step,
+      Add(Rule::kBogusExpiry, span.id, txn, step,
           "transaction expired but its proposal had no timeout window");
       return;
     }
     if (tracker.proposed_at < 0) return;  // creation missing: reported above
     const std::int64_t deadline = tracker.proposed_at + timeout;
     if (expired_at <= deadline) {
-      Add(Rule::kBogusExpiry, &span, txn, step,
+      Add(Rule::kBogusExpiry, span.id, txn, step,
           util::Format("expired at %lld but the proposal window ran to %lld",
                        static_cast<long long>(expired_at),
                        static_cast<long long>(deadline)));
@@ -257,150 +327,158 @@ class Linter {
   }
 
   void ReplayDuplicate(const obs::SpanRecord& span) {
-    const std::string* txn = FindTag(span, "txn");
-    const std::string* endpoint = FindTag(span, "endpoint");
-    const std::string* kind = FindTag(span, "kind");
-    if (txn == nullptr || endpoint == nullptr || kind == nullptr) {
-      Add(Rule::kTraceShape, &span, txn == nullptr ? "" : *txn, -1,
+    const obs::Tag* txn_tag = span.FindTag(kTxn);
+    const obs::Tag* endpoint_tag = span.FindTag(kEndpoint);
+    const obs::Tag* kind_tag = span.FindTag(kKind);
+    const std::string_view txn = txn_tag == nullptr ? "" : TxnId(*txn_tag);
+    if (txn_tag == nullptr || endpoint_tag == nullptr || kind_tag == nullptr) {
+      Add(Rule::kTraceShape, span.id, txn, -1,
           "ntcp.dup event is missing required tags");
       return;
     }
-    endpoints_.insert(*endpoint);
-    CheckEndpointAlive(span, *endpoint, *txn, -1);
-    const auto it = txns_.find(*txn);
-    if (*kind == "propose-mismatch") {
-      Add(Rule::kAtMostOnce, &span, *txn, it == txns_.end() ? -1 : it->second.step,
+    EndpointState& endpoint = Endpoint(NameOf(*endpoint_tag));
+    endpoint.protocol = true;
+    CheckEndpointAlive(span, endpoint, txn, -1);
+    const obs::Atom kind = NameOf(*kind_tag);
+    const auto it = txns_.find(txn);
+    if (kind == kProposeMismatch) {
+      Add(Rule::kAtMostOnce, span.id, txn,
+          it == txns_.end() ? -1 : it->second.step,
           "transaction id reused with a different proposal");
       return;
     }
     if (it == txns_.end() || !it->second.created) {
-      Add(Rule::kAtMostOnce, &span, *txn, -1,
-          "duplicate " + *kind + " for a transaction never created");
+      Add(Rule::kAtMostOnce, span.id, txn, -1,
+          "duplicate " + std::string(kind.str()) +
+              " for a transaction never created");
       return;
     }
-    if (*kind == "execute" &&
+    if (kind == kExecute &&
         it->second.state != TransactionState::kCompleted &&
         it->second.state != TransactionState::kFailed) {
-      Add(Rule::kAtMostOnce, &span, *txn, it->second.step,
+      Add(Rule::kAtMostOnce, span.id, txn, it->second.step,
           "duplicate execute served from cache while the transaction was in " +
               std::string(ntcp::TransactionStateName(it->second.state)));
     }
   }
 
   void CheckEndpointAlive(const obs::SpanRecord& span,
-                          const std::string& endpoint, const std::string& txn,
+                          const EndpointState& endpoint, std::string_view txn,
                           std::int64_t step) {
-    if (dead_endpoints_.contains(endpoint)) {
-      Add(Rule::kCrashConsistency, &span, txn, step,
-          "protocol event from crashed endpoint " + endpoint);
+    if (endpoint.dead) {
+      Add(Rule::kCrashConsistency, span.id, txn, step,
+          "protocol event from crashed endpoint " +
+              std::string(endpoint.name.str()));
     }
+  }
+
+  /// The endpoint a fault marker names, or nullptr (reported) when the
+  /// marker has no endpoint tag.
+  EndpointState* MarkerEndpoint(const obs::SpanRecord& span) {
+    const obs::Tag* tag = span.FindTag(kEndpoint);
+    if (tag == nullptr) {
+      Add(Rule::kTraceShape, span.id, "", -1,
+          std::string(span.name.str()) + " event is missing its endpoint tag");
+      return nullptr;
+    }
+    return &Endpoint(NameOf(*tag));
   }
 
   void ReplayCrash(const obs::SpanRecord& span) {
-    const std::string* endpoint = FindTag(span, "endpoint");
-    if (endpoint == nullptr) {
-      Add(Rule::kTraceShape, &span, "", -1,
-          "site.crash event is missing its endpoint tag");
-      return;
+    EndpointState* endpoint = MarkerEndpoint(span);
+    if (endpoint == nullptr) return;
+    if (endpoint->dead) {
+      Add(Rule::kCrashConsistency, span.id, "", -1,
+          "site.crash for already-dead endpoint " +
+              std::string(endpoint->name.str()));
     }
-    if (!dead_endpoints_.insert(*endpoint).second) {
-      Add(Rule::kCrashConsistency, &span, "", -1,
-          "site.crash for already-dead endpoint " + *endpoint);
-    }
-    ever_crashed_.insert(*endpoint);
+    endpoint->dead = true;
+    endpoint->ever_crashed = true;
   }
 
   void ReplayRestart(const obs::SpanRecord& span) {
-    const std::string* endpoint = FindTag(span, "endpoint");
-    if (endpoint == nullptr) {
-      Add(Rule::kTraceShape, &span, "", -1,
-          "site.restart event is missing its endpoint tag");
-      return;
+    EndpointState* endpoint = MarkerEndpoint(span);
+    if (endpoint == nullptr) return;
+    if (!endpoint->dead) {
+      Add(Rule::kCrashConsistency, span.id, "", -1,
+          "site.restart for endpoint " + std::string(endpoint->name.str()) +
+              " which never crashed");
     }
-    if (dead_endpoints_.erase(*endpoint) == 0) {
-      Add(Rule::kCrashConsistency, &span, "", -1,
-          "site.restart for endpoint " + *endpoint + " which never crashed");
-    }
+    endpoint->dead = false;
   }
 
   void ReplayRecover(const obs::SpanRecord& span) {
-    const std::string* endpoint = FindTag(span, "endpoint");
-    if (endpoint == nullptr) {
-      Add(Rule::kTraceShape, &span, "", -1,
-          "ntcp.recover event is missing its endpoint tag");
-      return;
-    }
+    EndpointState* endpoint = MarkerEndpoint(span);
+    if (endpoint == nullptr) return;
     // Recovery runs in the *new* incarnation, after site.restart.
-    if (dead_endpoints_.contains(*endpoint)) {
-      Add(Rule::kCrashConsistency, &span, "", -1,
-          "ntcp.recover from still-dead endpoint " + *endpoint);
+    if (endpoint->dead) {
+      Add(Rule::kCrashConsistency, span.id, "", -1,
+          "ntcp.recover from still-dead endpoint " +
+              std::string(endpoint->name.str()));
     }
-    if (!ever_crashed_.contains(*endpoint)) {
-      Add(Rule::kCrashConsistency, &span, "", -1,
-          "ntcp.recover from endpoint " + *endpoint + " which never crashed");
+    if (!endpoint->ever_crashed) {
+      Add(Rule::kCrashConsistency, span.id, "", -1,
+          "ntcp.recover from endpoint " + std::string(endpoint->name.str()) +
+              " which never crashed");
     }
   }
 
   void CheckTerminal() {
+    // Reported in transaction-id order, so the report is independent of
+    // hash order.
+    std::vector<std::pair<std::string_view, const TxnTracker*>> open;
     for (const auto& [txn, tracker] : txns_) {
-      if (!tracker.created) continue;
-      if (!ntcp::IsTerminal(tracker.state)) {
-        Violation violation;
-        violation.rule = Rule::kNonTerminal;
-        violation.transaction_id = txn;
-        violation.step = tracker.step;
-        violation.span_id = tracker.last_span;
-        violation.message =
-            "transaction ends the trace in non-terminal state " +
-            std::string(ntcp::TransactionStateName(tracker.state));
-        report_.violations.push_back(std::move(violation));
+      if (tracker.created && !ntcp::IsTerminal(tracker.state)) {
+        open.emplace_back(txn, &tracker);
       }
+    }
+    std::sort(open.begin(), open.end());
+    for (const auto& [txn, tracker] : open) {
+      Add(Rule::kNonTerminal, tracker->last_span, txn, tracker->step,
+          "transaction ends the trace in non-terminal state " +
+              std::string(ntcp::TransactionStateName(tracker->state)));
     }
   }
 
   void CheckStepMonotonicity() {
-    for (const auto& [endpoint, proposals] : proposals_by_endpoint_) {
+    // Endpoints in name order, as the report has always listed them.
+    std::vector<const EndpointState*> ordered;
+    for (const EndpointState& endpoint : endpoints_) {
+      if (endpoint.proposals.size() > 1) ordered.push_back(&endpoint);
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const EndpointState* a, const EndpointState* b) {
+                return a->name.str() < b->name.str();
+              });
+    for (const EndpointState* endpoint : ordered) {
+      const std::vector<Proposed>& proposals = endpoint->proposals;
       for (std::size_t i = 1; i < proposals.size(); ++i) {
         const Proposed& previous = proposals[i - 1];
         const Proposed& current = proposals[i];
-        const obs::SpanRecord* span = SpanById(current.span_id);
-        if (current.step < previous.step) {
-          Add(Rule::kStepMonotonicity, span, current.txn, current.step,
-              util::Format("%s: step %lld proposed after step %lld (reorder)",
-                           endpoint.c_str(),
-                           static_cast<long long>(current.step),
-                           static_cast<long long>(previous.step)));
-        } else if (current.step > previous.step + 1) {
-          Add(Rule::kStepMonotonicity, span, current.txn, current.step,
-              util::Format("%s: step %lld follows step %lld (skip)",
-                           endpoint.c_str(),
-                           static_cast<long long>(current.step),
-                           static_cast<long long>(previous.step)));
+        if (current.step >= previous.step &&
+            current.step <= previous.step + 1) {
+          continue;
         }
+        const bool reorder = current.step < previous.step;
+        Add(Rule::kStepMonotonicity, current.span_id, current.txn,
+            current.step,
+            util::Format(reorder ? "%s: step %lld proposed after step %lld "
+                                   "(reorder)"
+                                 : "%s: step %lld follows step %lld (skip)",
+                         std::string(endpoint->name.str()).c_str(),
+                         static_cast<long long>(current.step),
+                         static_cast<long long>(previous.step)));
       }
     }
   }
 
-  const obs::SpanRecord* SpanById(std::uint64_t id) const {
-    for (const obs::SpanRecord& span : spans_) {
-      if (span.id == id) return &span;
-    }
-    return nullptr;
-  }
-
-  struct Proposed {
-    std::int64_t step;
-    std::uint64_t span_id;
-    std::string txn;
-  };
-
   const std::vector<obs::SpanRecord>& spans_;
   LintReport report_;
-  std::map<std::string, TxnTracker> txns_;
-  std::map<std::string, std::vector<Proposed>> proposals_by_endpoint_;
-  std::set<std::string> endpoints_;
-  std::set<std::string> dead_endpoints_;  // crashed, not yet restarted
-  std::set<std::string> ever_crashed_;
+  bool dense_ = true;  // spans_[i].id == i + 1 for every i
+  std::unordered_map<std::uint64_t, std::size_t> sparse_index_;
+  std::unordered_map<std::string_view, TxnTracker> txns_;
+  std::vector<EndpointState> endpoints_;  // first-seen order
+  std::deque<std::string> owned_ids_;     // non-text transaction ids
 };
 
 }  // namespace
@@ -488,25 +566,36 @@ std::vector<std::string> CheckExactlyOncePerStep(
     const std::vector<obs::SpanRecord>& spans,
     const std::vector<std::string>& endpoints, std::size_t steps,
     std::uint64_t max_reattempts) {
-  const std::string_view executing =
-      ntcp::TransactionStateName(TransactionState::kExecuting);
-  std::map<std::pair<std::string, std::int64_t>, std::uint64_t> counts;
+  const obs::Atom executing =
+      ntcp::TransactionStateAtom(TransactionState::kExecuting);
+  // counts[e * steps + step]: entries into kExecuting per (endpoint, step).
+  std::vector<obs::Atom> names;
+  names.reserve(endpoints.size());
+  for (const std::string& endpoint : endpoints) {
+    names.push_back(obs::Atom(endpoint));
+  }
+  std::vector<std::uint64_t> counts(endpoints.size() * steps, 0);
   for (const obs::SpanRecord& span : spans) {
     if (span.name != kTxnEvent) continue;
-    const std::string* to = FindTag(span, "to");
-    const std::string* endpoint = FindTag(span, "endpoint");
-    std::int64_t step = -1;
-    if (to == nullptr || endpoint == nullptr ||
-        !FindTagInt(span, "step", &step) || *to != executing) {
+    const obs::Tag* to = span.FindTag(kTo);
+    const obs::Tag* endpoint = span.FindTag(kEndpoint);
+    const obs::Tag* step = IntTag(span, kStep);
+    if (to == nullptr || endpoint == nullptr || step == nullptr ||
+        step->number < 0 || static_cast<std::uint64_t>(step->number) >= steps ||
+        NameOf(*to) != executing) {
       continue;
     }
-    ++counts[{*endpoint, step}];
+    const obs::Atom name = NameOf(*endpoint);
+    const auto at = static_cast<std::size_t>(step->number);
+    for (std::size_t e = 0; e < names.size(); ++e) {
+      if (names[e] == name) ++counts[e * steps + at];
+    }
   }
   std::vector<std::string> violations;
-  for (const std::string& endpoint : endpoints) {
+  for (std::size_t e = 0; e < endpoints.size(); ++e) {
+    const std::string& endpoint = endpoints[e];
     for (std::size_t step = 0; step < steps; ++step) {
-      const auto it = counts.find({endpoint, static_cast<std::int64_t>(step)});
-      const std::uint64_t count = it == counts.end() ? 0 : it->second;
+      const std::uint64_t count = counts[e * steps + step];
       if (count == 0) {
         violations.push_back(util::Format(
             "step %zu never entered kExecuting at %s despite run completion",

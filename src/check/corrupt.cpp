@@ -9,27 +9,30 @@
 namespace nees::check {
 namespace {
 
-const std::string* FindTag(const obs::SpanRecord& span, std::string_view key) {
-  for (const auto& [tag_key, value] : span.tags) {
-    if (tag_key == key) return &value;
-  }
-  return nullptr;
-}
+const obs::Atom kTxnEvent("ntcp.txn");
+const obs::Atom kDupEvent("ntcp.dup");
+const obs::Atom kFrom("from");
+const obs::Atom kTo("to");
+const obs::Atom kAt("at");
+const obs::Atom kTxn("txn");
+const obs::Atom kEndpoint("endpoint");
+const obs::Atom kStep("step");
 
-void SetTag(obs::SpanRecord* span, std::string_view key, std::string value) {
-  for (auto& [tag_key, tag_value] : span->tags) {
-    if (tag_key == key) {
-      tag_value = std::move(value);
+void SetTag(obs::SpanRecord* span, obs::Tag tag) {
+  for (obs::Tag& existing : span->tags) {
+    if (existing.key == tag.key) {
+      existing = std::move(tag);
       return;
     }
   }
-  span->tags.emplace_back(std::string(key), std::move(value));
+  span->tags.push_back(std::move(tag));
 }
 
-bool TagEquals(const obs::SpanRecord& span, std::string_view key,
+/// True when the tag `key` exports as `value`.
+bool TagEquals(const obs::SpanRecord& span, obs::Atom key,
                std::string_view value) {
-  const std::string* tag = FindTag(span, key);
-  return tag != nullptr && *tag == value;
+  const obs::Tag* tag = span.FindTag(key);
+  return tag != nullptr && tag->ValueText() == value;
 }
 
 std::uint64_t NextId(const std::vector<obs::SpanRecord>& spans) {
@@ -40,19 +43,22 @@ std::uint64_t NextId(const std::vector<obs::SpanRecord>& spans) {
 
 obs::SpanRecord MakeTxnEvent(std::uint64_t id, const std::string& txn,
                              const std::string& endpoint,
-                             const std::string& from, const std::string& to,
+                             std::string_view from, std::string_view to,
                              std::int64_t at, std::int64_t timeout) {
   obs::SpanRecord event;
   event.id = id;
   event.parent_id = 0;
-  event.name = "ntcp.txn";
+  event.name = kTxnEvent;
   event.category = "txn";
   event.start_micros = at;
   event.end_micros = at;
-  event.tags = {{"txn", txn},   {"endpoint", endpoint},
-                {"from", from}, {"to", to},
-                {"step", "-1"}, {"at", std::to_string(at)},
-                {"timeout", std::to_string(timeout)}};
+  event.tags = {{kTxn, txn},
+                {kEndpoint, obs::Atom(endpoint)},
+                {kFrom, obs::Atom(from)},
+                {kTo, obs::Atom(to)},
+                {kStep, -1},
+                {kAt, at},
+                {"timeout", timeout}};
   return event;
 }
 
@@ -62,8 +68,8 @@ util::Result<std::vector<obs::SpanRecord>> AppendMutatedCopy(
     std::vector<obs::SpanRecord> spans, std::string_view from,
     std::string_view to, void (*mutate)(obs::SpanRecord*)) {
   for (const obs::SpanRecord& span : spans) {
-    if (span.name != "ntcp.txn" || !TagEquals(span, "from", from) ||
-        !TagEquals(span, "to", to)) {
+    if (span.name != kTxnEvent || !TagEquals(span, kFrom, from) ||
+        !TagEquals(span, kTo, to)) {
       continue;
     }
     obs::SpanRecord copy = span;
@@ -74,7 +80,7 @@ util::Result<std::vector<obs::SpanRecord>> AppendMutatedCopy(
     const obs::SpanRecord& last = spans.back();
     copy.start_micros = std::max(last.start_micros, last.end_micros);
     copy.end_micros = copy.start_micros;
-    SetTag(&copy, "at", std::to_string(copy.start_micros));
+    SetTag(&copy, {kAt, copy.start_micros});
     mutate(&copy);
     spans.push_back(std::move(copy));
     return spans;
@@ -90,8 +96,8 @@ util::Result<std::vector<obs::SpanRecord>> SeedIllegalTransition(
     std::vector<obs::SpanRecord> spans) {
   return AppendMutatedCopy(std::move(spans), "executing", "completed",
                            [](obs::SpanRecord* span) {
-                             SetTag(span, "from", "completed");
-                             SetTag(span, "to", "accepted");
+                             SetTag(span, {kFrom, "completed"});
+                             SetTag(span, {kTo, "accepted"});
                            });
 }
 
@@ -105,33 +111,33 @@ util::Result<std::vector<obs::SpanRecord>> SeedSkippedStep(
     std::vector<obs::SpanRecord> spans) {
   // Pick the first endpoint's creation events and find a middle step whose
   // transaction was proposed exactly once (no re-proposal noise).
-  std::string endpoint;
+  obs::Atom endpoint;
   struct Creation { std::int64_t step; std::string txn; };
   std::vector<Creation> creations;
   std::map<std::int64_t, int> step_count;
   for (const obs::SpanRecord& span : spans) {
-    if (span.name != "ntcp.txn" || !TagEquals(span, "from", "none")) continue;
-    const std::string* span_endpoint = FindTag(span, "endpoint");
-    const std::string* txn = FindTag(span, "txn");
-    const std::string* step_tag = FindTag(span, "step");
-    long long step = -1;
-    if (span_endpoint == nullptr || txn == nullptr || step_tag == nullptr ||
-        !util::ParseInt(*step_tag, &step) || step < 0) {
+    if (span.name != kTxnEvent || !TagEquals(span, kFrom, "none")) continue;
+    const obs::Tag* span_endpoint = span.FindTag(kEndpoint);
+    const obs::Tag* txn = span.FindTag(kTxn);
+    const obs::Tag* step = span.FindTag(kStep);
+    if (span_endpoint == nullptr || txn == nullptr || step == nullptr ||
+        step->kind != obs::Tag::Kind::kInt || step->number < 0) {
       continue;
     }
-    if (endpoint.empty()) endpoint = *span_endpoint;
-    if (*span_endpoint != endpoint) continue;
-    creations.push_back({step, *txn});
-    ++step_count[step];
+    const obs::Atom name(span_endpoint->ValueText());
+    if (!endpoint.valid()) endpoint = name;
+    if (name != endpoint) continue;
+    creations.push_back({step->number, txn->ValueText()});
+    ++step_count[step->number];
   }
   for (std::size_t i = 1; i + 1 < creations.size(); ++i) {
     if (step_count[creations[i].step] != 1) continue;
     const std::string& victim = creations[i].txn;
     spans.erase(std::remove_if(spans.begin(), spans.end(),
                                [&victim](const obs::SpanRecord& span) {
-                                 return (span.name == "ntcp.txn" ||
-                                         span.name == "ntcp.dup") &&
-                                        TagEquals(span, "txn", victim);
+                                 return (span.name == kTxnEvent ||
+                                         span.name == kDupEvent) &&
+                                        TagEquals(span, kTxn, victim);
                                }),
                 spans.end());
     return spans;

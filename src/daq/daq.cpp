@@ -100,7 +100,7 @@ util::Result<std::filesystem::path> DaqSystem::Flush(
     // name would break byte-identical traces across runs.
     tracer_->RecordEvent("daq.flush", "ingest", 0,
                          {{"file", file.filename().string()},
-                          {"samples", std::to_string(total)}});
+                          {"samples", total}});
     tracer_->metrics().Increment("daq.flushes");
   }
   return file;
@@ -174,7 +174,7 @@ util::Result<int> Harvester::ScanOnce() {
     if (tracer_ != nullptr) {
       tracer_->RecordEvent("daq.harvest", "ingest", 0,
                            {{"file", file.filename().string()},
-                            {"samples", std::to_string(samples->size())}});
+                            {"samples", samples->size()}});
       tracer_->metrics().Increment("daq.files_harvested");
     }
   }

@@ -1,7 +1,6 @@
 #include "most/fuzz.h"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <optional>
@@ -22,6 +21,7 @@
 #include "util/mutex.h"
 #include "util/rng.h"
 #include "util/strings.h"
+#include "util/word_hash.h"
 #include "wal/wal.h"
 
 namespace nees::most {
@@ -37,6 +37,14 @@ std::string WakeEndpoint(std::size_t i) { return util::Format("wake.s%zu", i); }
 std::string NotifierEndpoint(std::size_t i) {
   return util::Format("notify.s%zu", i);
 }
+
+// Trace vocabulary of the fault events.
+const obs::Atom kCrashEvent("site.crash");
+const obs::Atom kRestartEvent("site.restart");
+const obs::Atom kFaultCategory("fault");
+const obs::Atom kEndpoint("endpoint");
+const obs::Atom kSite("site");
+const obs::Atom kAt("at");
 
 constexpr char kCoordinatorEndpoint[] = "fuzz.coordinator";
 constexpr char kControlPoint[] = "cp";
@@ -55,77 +63,31 @@ bool HistoriesIdentical(const structural::TimeHistory& a,
 }
 
 // --- structural fingerprints -------------------------------------------------
-// FNV-1a over the run's observable artifacts. The determinism oracle compares
-// these instead of the JSONL export: building the export string is the single
-// most expensive part of a clean run, and the replica run exists only to
-// prove the artifacts would have matched.
-
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void FnvBytes(std::uint64_t& h, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= bytes[i];
-    h *= kFnvPrime;
-  }
-}
-
-void FnvU64(std::uint64_t& h, std::uint64_t value) {
-  FnvBytes(h, &value, sizeof(value));
-}
-
-void FnvString(std::uint64_t& h, std::string_view s) {
-  FnvU64(h, s.size());
-  FnvBytes(h, s.data(), s.size());
-}
-
-void FnvDouble(std::uint64_t& h, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  FnvU64(h, bits);
-}
-
-std::uint64_t FingerprintSpans(const std::vector<obs::SpanRecord>& spans) {
-  std::uint64_t h = kFnvOffset;
-  FnvU64(h, spans.size());
-  for (const auto& span : spans) {
-    FnvU64(h, span.id);
-    FnvU64(h, span.parent_id);
-    FnvString(h, span.name);
-    FnvString(h, span.category);
-    FnvU64(h, static_cast<std::uint64_t>(span.start_micros));
-    FnvU64(h, static_cast<std::uint64_t>(span.end_micros));
-    FnvU64(h, static_cast<std::uint64_t>(span.modeled_micros));
-    FnvU64(h, span.tags.size());
-    for (const auto& [key, value] : span.tags) {
-      FnvString(h, key);
-      FnvString(h, value);
-    }
-  }
-  return h;
-}
+// The determinism oracle compares these (and obs::FingerprintSpans) instead
+// of the JSONL export: building the export string is the single most
+// expensive part of a clean run, and the replica run exists only to prove
+// the artifacts would have matched.
 
 std::uint64_t FingerprintString(std::string_view s) {
-  std::uint64_t h = kFnvOffset;
-  FnvString(h, s);
-  return h;
+  util::WordHash hash;
+  hash.String(s);
+  return hash.value();
 }
 
 std::uint64_t FingerprintHistory(const structural::TimeHistory& history) {
-  std::uint64_t h = kFnvOffset;
-  FnvDouble(h, history.dt_seconds);
-  const auto series = [&h](const std::vector<structural::Vector>& s) {
-    FnvU64(h, s.size());
+  util::WordHash hash;
+  hash.Double(history.dt_seconds);
+  const auto series = [&hash](const std::vector<structural::Vector>& s) {
+    hash.Word(s.size());
     for (const auto& v : s) {
-      FnvU64(h, v.size());
-      for (const double x : v) FnvDouble(h, x);
+      hash.Word(v.size());
+      for (const double x : v) hash.Double(x);
     }
   };
   series(history.displacement);
   series(history.velocity);
   series(history.acceleration);
-  return h;
+  return hash.value();
 }
 
 /// One site's full server-side stack — one process *incarnation*. A crash
@@ -254,9 +216,11 @@ FuzzTemplate TemplateForSeed(std::uint64_t seed) {
   // the throughput target, the long shapes ride along at a rate that keeps
   // the mean case cheap while every multi-thousand-seed sweep still runs
   // dozens of centrifuge campaigns and a handful of full-length MOSTs.
-  // Measured per-seed cost (release, 1 core): mini ~2ms, centrifuge ~2ms,
-  // standard ~27ms, full-most ~1.6s — a full-most seed costs ~800 minis,
-  // which is why its weight is a tenth of a percent.
+  // Measured per-seed cost with oracles (gridbench fuzz_campaign trace
+  // run, release, 1 core of a 4-vCPU VM): mini ~1.1 ms, centrifuge
+  // ~0.9 ms, standard ~11 ms, full-most (1,500 steps) ~0.29 s — a
+  // full-most seed costs ~250 minis, which is why its weight is a tenth of
+  // a percent.
   util::Rng lane = util::Rng(seed).Fork(10);
   const int roll = lane.UniformInt(0, 999);
   if (roll < 935) return FuzzTemplate::kMini;
@@ -855,11 +819,10 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     SiteSlot& slot = *sites[i];
     if (slot.live == nullptr) return false;
     const std::string ntcp_ep = SiteNtcpEndpoint(i);
-    tracer.RecordEvent(
-        "site.crash", "fault", 0,
-        {{"endpoint", ntcp_ep},
-         {"site", util::Format("S%zu", i)},
-         {"at", std::to_string(network.clock()->NowMicros())}});
+    tracer.RecordEvent(kCrashEvent, kFaultCategory, 0,
+                       {{kEndpoint, obs::Atom(ntcp_ep)},
+                        {kSite, obs::Atom(util::Format("S%zu", i))},
+                        {kAt, network.clock()->NowMicros()}});
     // The kernel view of the crash: the unsynced WAL tail is gone and every
     // write from the dead process is swallowed from here on.
     slot.storage.Crash();
@@ -895,11 +858,10 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     slot.storage.Revive();
     // Restart precedes the recover event in the trace: the lint rule
     // requires an endpoint to be alive again before it may recover.
-    tracer.RecordEvent(
-        "site.restart", "fault", 0,
-        {{"endpoint", ntcp_ep},
-         {"site", util::Format("S%zu", i)},
-         {"at", std::to_string(network.clock()->NowMicros())}});
+    tracer.RecordEvent(kRestartEvent, kFaultCategory, 0,
+                       {{kEndpoint, obs::Atom(ntcp_ep)},
+                        {kSite, obs::Atom(util::Format("S%zu", i))},
+                        {kAt, network.clock()->NowMicros()}});
     build_site_stack(i, slot);
     ++slot.recoveries;
   };
@@ -1110,10 +1072,10 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     out.transactions_recovered += slot->transactions_recovered;
     out.inflight_failed += slot->inflight_failed;
   }
-  const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
   out.metrics_table = tracer.metrics().ReportTable();
   out.history = report.history;
-  out.trace_fingerprint = FingerprintSpans(spans);
+  out.trace_fingerprint = obs::FingerprintSpans(spans);
   out.metrics_fingerprint = FingerprintString(out.metrics_table);
   out.history_fingerprint = FingerprintHistory(out.history);
   out.net_totals = network.TotalMetrics();
@@ -1121,7 +1083,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   out.frames_corrupted = out.net_totals.corrupted;
   out.auth_refreshes = *auth_refresh_count;
   if (options.export_artifacts) {
-    out.trace_jsonl = tracer.ExportJsonLines();
+    out.trace_jsonl = obs::ExportJsonLines(spans);
   }
 
   // --- oracles ---------------------------------------------------------------
@@ -1240,10 +1202,10 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   client.set_tracer(&tracer);
 
   int transaction = 0;
-  // The campaign's "history": an FNV digest over every measured control
+  // The campaign's "history": a digest over every measured control
   // point (Vs, tip resistance, arm state). Plays the TimeHistory's role in
   // the determinism oracle — there is no integrator in this shape.
-  std::uint64_t measured_digest = kFnvOffset;
+  util::WordHash measured_digest;
   auto run_txn = [&](std::vector<ntcp::ControlPointRequest> actions) -> bool {
     // Monotone step indices keep the lint step-ordering rule meaningful for
     // teleoperation traces too.
@@ -1283,12 +1245,12 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
         continue;
       }
       for (const auto& point : result->results) {
-        FnvString(measured_digest, point.control_point);
+        measured_digest.String(point.control_point);
         for (const double v : point.measured_displacement) {
-          FnvDouble(measured_digest, v);
+          measured_digest.Double(v);
         }
         for (const double v : point.measured_force) {
-          FnvDouble(measured_digest, v);
+          measured_digest.Double(v);
         }
       }
       return true;
@@ -1331,16 +1293,16 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   network.RunUntilQuiescent();
 
   // --- collect + oracles -----------------------------------------------------
-  const std::vector<obs::SpanRecord> spans = tracer.Snapshot();
+  const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
   out.metrics_table = tracer.metrics().ReportTable();
-  out.trace_fingerprint = FingerprintSpans(spans);
+  out.trace_fingerprint = obs::FingerprintSpans(spans);
   out.metrics_fingerprint = FingerprintString(out.metrics_table);
-  out.history_fingerprint = measured_digest;
+  out.history_fingerprint = measured_digest.value();
   out.net_totals = network.TotalMetrics();
   out.frames_corrupted = out.net_totals.corrupted;
   out.events_processed = network.virtual_stats().events();
   if (options.export_artifacts) {
-    out.trace_jsonl = tracer.ExportJsonLines();
+    out.trace_jsonl = obs::ExportJsonLines(spans);
   }
 
   if (options.run_oracles) {

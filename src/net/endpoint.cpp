@@ -1,81 +1,8 @@
 #include "net/endpoint.h"
 
-#include <deque>
 #include <ostream>
-#include <unordered_map>
-
-#include "obs/metrics.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace nees::net {
-
-// Names live in a deque so growth never moves an existing string; the views
-// handed out by Lookup stay valid forever. The table is a leaf lock class:
-// nothing else is acquired while net.EndpointTable is held.
-struct EndpointTable::Impl {
-  mutable util::Mutex mu{"net.EndpointTable"};
-  std::deque<std::string> names NEES_GUARDED_BY(mu);
-  std::unordered_map<std::string_view, std::uint32_t> index
-      NEES_GUARDED_BY(mu);
-  std::size_t bytes NEES_GUARDED_BY(mu) = 0;
-};
-
-EndpointTable::EndpointTable() : impl_(new Impl()) {}
-
-EndpointTable& EndpointTable::Instance() {
-  static EndpointTable* table = new EndpointTable();  // leaked: views are eternal
-  return *table;
-}
-
-std::uint32_t EndpointTable::Intern(std::string_view name) {
-  if (name.empty()) return 0;
-  util::MutexLock lock(impl_->mu);
-  auto it = impl_->index.find(name);
-  if (it != impl_->index.end()) return it->second;
-  impl_->names.emplace_back(name);
-  impl_->bytes += name.size();
-  std::uint32_t id = static_cast<std::uint32_t>(impl_->names.size());
-  impl_->index.emplace(std::string_view(impl_->names.back()), id);
-  return id;
-}
-
-std::string_view EndpointTable::Lookup(std::uint32_t id) const {
-  if (id == 0) return {};
-  util::MutexLock lock(impl_->mu);
-  if (id > impl_->names.size()) return {};
-  return std::string_view(impl_->names[id - 1]);
-}
-
-bool EndpointTable::Known(std::uint32_t id) const {
-  if (id == 0) return true;
-  util::MutexLock lock(impl_->mu);
-  return id <= impl_->names.size();
-}
-
-std::size_t EndpointTable::size() const {
-  util::MutexLock lock(impl_->mu);
-  return impl_->names.size();
-}
-
-std::size_t EndpointTable::interned_bytes() const {
-  util::MutexLock lock(impl_->mu);
-  return impl_->bytes;
-}
-
-void EndpointTable::PublishGauges(obs::MetricsRegistry& metrics) const {
-  std::size_t count = 0;
-  std::size_t bytes = 0;
-  {
-    util::MutexLock lock(impl_->mu);
-    count = impl_->names.size();
-    bytes = impl_->bytes;
-  }
-  // Gauges are set outside the table lock: net.EndpointTable is a leaf
-  // class, and the metrics registry takes its own mutex.
-  metrics.SetGauge("net.endpoints.interned", static_cast<double>(count));
-  metrics.SetGauge("net.endpoints.interned_bytes", static_cast<double>(bytes));
-}
 
 std::ostream& operator<<(std::ostream& os, EndpointId id) {
   return os << id.name();

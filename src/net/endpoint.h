@@ -1,9 +1,8 @@
-// Process-wide interning of wire names. Endpoint and RPC-method names used
-// to travel as std::string on every Message, costing a heap copy per field
-// per hop; the EndpointTable interns each distinct name once and the hot
-// path carries 4-byte ids instead. The id->name view stays valid for the
-// life of the process (intern storage is never freed), so traces, lint
-// tags, and error text can lazily resolve names without copying.
+// Interned wire names. Endpoint and RPC-method names used to travel as
+// std::string on every Message, costing a heap copy per field per hop; the
+// process-wide intern table (obs/intern.h) holds each distinct name once and
+// the hot path carries 4-byte ids instead. An endpoint id is the same id the
+// tracer records for that endpoint, so traces tag endpoints without copying.
 //
 // Id 0 is reserved as "invalid / empty name"; real ids start at 1, which
 // lets open-addressed tables use 0 as their empty-slot sentinel.
@@ -14,44 +13,12 @@
 #include <string>
 #include <string_view>
 
-namespace nees::obs {
-class MetricsRegistry;
-}  // namespace nees::obs
+#include "obs/intern.h"
 
 namespace nees::net {
 
-class EndpointTable {
- public:
-  static EndpointTable& Instance();
-
-  /// Returns the id for `name`, interning it on first sight. "" -> 0.
-  std::uint32_t Intern(std::string_view name);
-
-  /// The interned name, or "" for id 0 or an id never handed out. The view
-  /// is stable for the process lifetime.
-  std::string_view Lookup(std::uint32_t id) const;
-
-  /// True for id 0 ("" is always decodable) and every id handed out.
-  bool Known(std::uint32_t id) const;
-
-  /// Distinct names interned so far. The table only ever grows — under a
-  /// multi-tenant farm every concurrent tenant slot mints its own
-  /// namespaced endpoints (slots are reused wave to wave), so this is the
-  /// observable proxy for endpoint-identity footprint.
-  std::size_t size() const;
-  /// Total bytes of interned name storage (the strings themselves).
-  std::size_t interned_bytes() const;
-
-  /// Publishes the growth counters as gauges:
-  ///   net.endpoints.interned        (count)
-  ///   net.endpoints.interned_bytes  (name storage)
-  void PublishGauges(obs::MetricsRegistry& metrics) const;
-
- private:
-  EndpointTable();
-  struct Impl;
-  Impl* impl_;  // leaked with the singleton: views must outlive everything
-};
+/// The wire-name table is the process-wide intern table.
+using EndpointTable = obs::InternTable;
 
 /// Interned endpoint name. Implicitly constructible from strings so
 /// existing `message.from = "coordinator"` call sites keep working; the
@@ -80,6 +47,8 @@ class EndpointId {
   }
   /// Convenience copy for call sites that build owned strings.
   std::string str() const { return std::string(name()); }
+  /// The same id as a trace atom (one table serves both).
+  constexpr obs::Atom atom() const { return obs::Atom::FromRaw(value_); }
 
   friend constexpr bool operator==(EndpointId a, EndpointId b) {
     return a.value_ == b.value_;
@@ -117,6 +86,7 @@ class MethodId {
     return EndpointTable::Instance().Lookup(value_);
   }
   std::string str() const { return std::string(name()); }
+  constexpr obs::Atom atom() const { return obs::Atom::FromRaw(value_); }
 
   friend constexpr bool operator==(MethodId a, MethodId b) {
     return a.value_ == b.value_;

@@ -11,6 +11,13 @@ namespace nees::net {
 
 namespace {
 
+// Trace vocabulary. Endpoint ids are trace atoms, so the from/to tags copy
+// no names.
+const obs::Atom kDeliverEvent("net.deliver");
+const obs::Atom kNetworkCategory("network");
+const obs::Atom kFrom("from");
+const obs::Atom kTo("to");
+
 // Propagation plus bandwidth term: the rng-free part of a link's delay.
 std::int64_t BaseDelayMicros(const LinkModel& model, std::size_t wire_bytes) {
   std::int64_t delay = model.latency_micros;
@@ -256,8 +263,8 @@ util::Status Network::Send(Message message) {
   // transfer event charges the modeled link delay, which advances a modeled
   // SimClock before an inline handler observes the arrival time.
   if (tracer_ != nullptr) {
-    tracer_->RecordEvent("net.deliver", "network", delay,
-                         {{"from", from.str()}, {"to", to.str()}});
+    tracer_->RecordEvent(kDeliverEvent, kNetworkCategory, delay,
+                         {{kFrom, from.atom()}, {kTo, to.atom()}});
     tracer_->metrics().Observe("net.delay_micros",
                                static_cast<double>(delay));
   }
@@ -445,8 +452,8 @@ void Network::DeliverVirtual(Message message, std::int64_t delay_micros) {
     return;
   }
   if (tracer_ != nullptr) {
-    tracer_->RecordEvent("net.deliver", "network", delay_micros,
-                         {{"from", from.str()}, {"to", to.str()}});
+    tracer_->RecordEvent(kDeliverEvent, kNetworkCategory, delay_micros,
+                         {{kFrom, from.atom()}, {kTo, to.atom()}});
     tracer_->metrics().Observe("net.delay_micros",
                                static_cast<double>(delay_micros));
   }

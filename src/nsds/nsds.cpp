@@ -122,8 +122,7 @@ void NsdsServer::Publish(const std::vector<DataSample>& samples) {
   if (tracer_ != nullptr) {
     tracer_->RecordEvent(
         "nsds.publish", "stream", 0,
-        {{"samples", std::to_string(samples.size())},
-         {"deliveries", std::to_string(deliveries.size())}});
+        {{"samples", samples.size()}, {"deliveries", deliveries.size()}});
     tracer_->metrics().Increment("nsds.frames_published");
     tracer_->metrics().Increment(
         "nsds.frames_sent", static_cast<std::int64_t>(deliveries.size()));

@@ -33,6 +33,15 @@ net::MethodId ListTransactionsMethod() {
   return id;
 }
 
+// Trace vocabulary.
+const obs::Atom kProtocol("protocol");
+const obs::Atom kServer("server");
+const obs::Atom kTxn("txn");
+const obs::Atom kStep("step");
+const obs::Atom kError("error");
+const obs::Atom kAttempts("attempts");
+const obs::Atom kExhausted("exhausted");
+
 }  // namespace
 
 NtcpClient::NtcpClient(net::RpcClient* rpc, std::string server_endpoint,
@@ -97,18 +106,17 @@ bool NtcpClient::AsyncOp::Pump() {
   if (s.phase == State::Phase::kDone) return true;
   NtcpClient* client = s.client;
 
-  auto finish = [&](util::Result<net::Bytes> outcome,
-                    const std::string& error_tag) {
+  // `error` names the failure; an invalid atom means success.
+  auto finish = [&](util::Result<net::Bytes> outcome, obs::Atom error) {
     s.outcome = std::move(outcome);
     s.phase = State::Phase::kDone;
     s.finish_micros = client->clock_->NowMicros();
     util::ReleaseFrame(std::move(s.body));  // no more reissues from here
     if (client->tracer_ != nullptr) {
-      if (!error_tag.empty()) {
-        client->tracer_->AddTagById(s.span_id, "error", error_tag);
+      if (error.valid()) {
+        client->tracer_->AddTagById(s.span_id, kError, error);
       } else {
-        client->tracer_->AddTagById(s.span_id, "attempts",
-                                    std::to_string(s.attempt));
+        client->tracer_->AddTagById(s.span_id, kAttempts, s.attempt);
       }
       client->tracer_->metrics().Observe(
           "ntcp.client.call_micros",
@@ -123,7 +131,7 @@ bool NtcpClient::AsyncOp::Pump() {
       if (!s.call.TryResolve(&result)) return false;
       if (result.ok()) {
         if (s.attempt > 1) ++client->stats_.recovered;
-        finish(std::move(result), "");
+        finish(std::move(result), obs::Atom());
         return true;
       }
       const util::Status error = result.status();
@@ -168,12 +176,12 @@ bool NtcpClient::AsyncOp::Pump() {
             << " failed: " << refreshed.ToString();
       }
       if (!error.transient()) {  // definitive answer
-        finish(error, std::string(util::ErrorCodeName(error.code())));
+        finish(error, obs::Atom(util::ErrorCodeName(error.code())));
         return true;
       }
       if (s.attempt >= client->policy_.max_attempts) {
         ++client->stats_.gave_up;
-        finish(error, "exhausted");
+        finish(error, kExhausted);
         return true;
       }
       ++client->stats_.retries;
@@ -227,7 +235,7 @@ util::Result<net::Bytes> NtcpClient::AsyncOp::Await() {
 }
 
 NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
-                                        const SpanTags& tags,
+                                        obs::Tracer::Tags tags,
                                         std::uint64_t parent_span_id) {
   ++stats_.calls;
   AsyncOp op;
@@ -244,11 +252,10 @@ NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
   s.backoff_micros = policy_.initial_backoff_micros;
   if (tracer_ != nullptr) {
     if (parent_span_id == 0) parent_span_id = tracer_->CurrentSpanId();
-    s.span_id = tracer_->BeginSpanId(method.str(), "protocol", parent_span_id);
-    tracer_->AddTagById(s.span_id, "server", server_);
-    for (const auto& [key, value] : tags) {
-      tracer_->AddTagById(s.span_id, key, value);
-    }
+    // The server tag leads, then the operation's own tags.
+    tags.insert(tags.begin(), obs::Tag(kServer, server_id_.atom()));
+    s.span_id = tracer_->BeginSpanId(method.atom(), kProtocol, parent_span_id,
+                                     std::move(tags));
     s.trace_t0 = tracer_->NowMicros();
   }
   s.start_micros = clock_->NowMicros();
@@ -298,8 +305,8 @@ void NtcpClient::AwaitAll(std::vector<AsyncOp>& ops) {
 
 util::Result<net::Bytes> NtcpClient::CallWithRetry(net::MethodId method,
                                                    const net::Bytes& body,
-                                                   const SpanTags& tags) {
-  AsyncOp op = StartOp(method, body, tags, /*parent_span_id=*/0);
+                                                   obs::Tracer::Tags tags) {
+  AsyncOp op = StartOp(method, body, std::move(tags), /*parent_span_id=*/0);
   return op.Await();
 }
 
@@ -308,30 +315,40 @@ NtcpClient::AsyncOp NtcpClient::ProposeAsync(const Proposal& proposal,
   util::ByteWriter writer(util::AcquireFrame());
   EncodeProposal(proposal, writer);
   // Tags annotate the operation's span; skip building them untraced.
-  SpanTags tags;
+  obs::Tracer::Tags tags;
   if (tracer_ != nullptr) {
-    tags = {{"txn", proposal.transaction_id},
-            {"step", std::to_string(proposal.step_index)}};
+    tags.reserve(4);
+    tags.emplace_back(kTxn, proposal.transaction_id);
+    tags.emplace_back(kStep, proposal.step_index);
   }
-  return StartOp(ProposeMethod(), writer.Take(), tags, parent_span_id);
+  return StartOp(ProposeMethod(), writer.Take(), std::move(tags),
+                 parent_span_id);
 }
 
 NtcpClient::AsyncOp NtcpClient::ExecuteAsync(
     const std::string& transaction_id, std::uint64_t parent_span_id) {
   util::ByteWriter writer(util::AcquireFrame(transaction_id.size() + 4));
   writer.WriteString(transaction_id);
-  SpanTags tags;
-  if (tracer_ != nullptr) tags = {{"txn", transaction_id}};
-  return StartOp(ExecuteMethod(), writer.Take(), tags, parent_span_id);
+  obs::Tracer::Tags tags;
+  if (tracer_ != nullptr) {
+    tags.reserve(3);
+    tags.emplace_back(kTxn, transaction_id);
+  }
+  return StartOp(ExecuteMethod(), writer.Take(), std::move(tags),
+                 parent_span_id);
 }
 
 NtcpClient::AsyncOp NtcpClient::CancelAsync(const std::string& transaction_id,
                                             std::uint64_t parent_span_id) {
   util::ByteWriter writer(util::AcquireFrame(transaction_id.size() + 4));
   writer.WriteString(transaction_id);
-  SpanTags tags;
-  if (tracer_ != nullptr) tags = {{"txn", transaction_id}};
-  return StartOp(CancelMethod(), writer.Take(), tags, parent_span_id);
+  obs::Tracer::Tags tags;
+  if (tracer_ != nullptr) {
+    tags.reserve(3);
+    tags.emplace_back(kTxn, transaction_id);
+  }
+  return StartOp(CancelMethod(), writer.Take(), std::move(tags),
+                 parent_span_id);
 }
 
 util::Status NtcpClient::FinishPropose(AsyncOp& op) {

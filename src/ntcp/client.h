@@ -15,11 +15,8 @@
 
 #include "net/rpc.h"
 #include "ntcp/types.h"
+#include "obs/trace.h"
 #include "util/clock.h"
-
-namespace nees::obs {
-class Tracer;
-}  // namespace nees::obs
 
 namespace nees::ntcp {
 
@@ -145,20 +142,18 @@ class NtcpClient {
   }
 
  private:
-  using SpanTags = std::vector<std::pair<std::string, std::string>>;
-
   /// Starts the retry state machine for one operation (first RPC attempt
   /// issued before returning; pumped once so immediate-mode responses
   /// resolve inline).
-  AsyncOp StartOp(net::MethodId method, net::Bytes body, const SpanTags& tags,
-                  std::uint64_t parent_span_id);
+  AsyncOp StartOp(net::MethodId method, net::Bytes body,
+                  obs::Tracer::Tags tags, std::uint64_t parent_span_id);
 
   /// Runs `call` with transient-error retry + exponential backoff. `tags`
   /// (e.g. the transaction id and step) annotate the operation's span.
   /// Synchronous facade over StartOp + Await.
   util::Result<net::Bytes> CallWithRetry(net::MethodId method,
                                          const net::Bytes& body,
-                                         const SpanTags& tags = {});
+                                         obs::Tracer::Tags tags = {});
 
   net::RpcClient* rpc_;
   std::string server_;

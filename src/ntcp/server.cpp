@@ -13,6 +13,26 @@ namespace {
 constexpr std::uint8_t kWalTxnCreate = 1;      // proposal + proposed_at
 constexpr std::uint8_t kWalTxnTransition = 2;  // id, to, at, detail[, result]
 
+// Trace vocabulary.
+const obs::Atom kTxnEvent("ntcp.txn");
+const obs::Atom kDupEvent("ntcp.dup");
+const obs::Atom kRecoverEvent("ntcp.recover");
+const obs::Atom kTxnCategory("txn");
+const obs::Atom kProtocol("protocol");
+const obs::Atom kProposeSpan("server.propose");
+const obs::Atom kExecuteSpan("server.execute");
+const obs::Atom kGetTransactionSpan("server.getTransaction");
+const obs::Atom kTxn("txn");
+const obs::Atom kEndpoint("endpoint");
+const obs::Atom kFrom("from");
+const obs::Atom kTo("to");
+const obs::Atom kStep("step");
+const obs::Atom kAt("at");
+const obs::Atom kTimeout("timeout");
+const obs::Atom kCause("cause");
+const obs::Atom kKind("kind");
+const obs::Atom kState("state");
+
 }  // namespace
 
 NtcpServer::NtcpServer(net::Network* network, std::string endpoint,
@@ -148,21 +168,21 @@ void NtcpServer::FlushSdeLocked() {
 }
 
 void NtcpServer::RecordTxnEventLocked(const TransactionRecord& record,
-                                      std::string_view from,
-                                      std::string_view to,
+                                      obs::Atom from, obs::Atom to,
                                       std::int64_t at_micros,
-                                      const std::string& cause) {
+                                      std::string_view cause) {
   if (tracer_ == nullptr) return;
-  obs::Tracer::Tags tags = {
-      {"txn", record.proposal.transaction_id},
-      {"endpoint", endpoint()},
-      {"from", std::string(from)},
-      {"to", std::string(to)},
-      {"step", std::to_string(record.proposal.step_index)},
-      {"at", std::to_string(at_micros)},
-      {"timeout", std::to_string(record.proposal.timeout_micros)}};
-  if (!cause.empty()) tags.emplace_back("cause", cause);
-  tracer_->RecordEvent("ntcp.txn", "txn", 0, std::move(tags));
+  obs::Tracer::Tags tags;
+  tags.reserve(cause.empty() ? 7 : 8);
+  tags.emplace_back(kTxn, record.proposal.transaction_id);
+  tags.emplace_back(kEndpoint, endpoint_atom());
+  tags.emplace_back(kFrom, from);
+  tags.emplace_back(kTo, to);
+  tags.emplace_back(kStep, record.proposal.step_index);
+  tags.emplace_back(kAt, at_micros);
+  tags.emplace_back(kTimeout, record.proposal.timeout_micros);
+  if (!cause.empty()) tags.emplace_back(kCause, obs::Atom(cause));
+  tracer_->RecordEvent(kTxnEvent, kTxnCategory, 0, std::move(tags));
 }
 
 void NtcpServer::WalLogCreateLocked(const TransactionRecord& record) {
@@ -203,14 +223,13 @@ void NtcpServer::WalSyncLocked() {
 }
 
 void NtcpServer::RecordDupEventLocked(const TransactionRecord& record,
-                                      std::string_view kind) {
+                                      obs::Atom kind) {
   if (tracer_ == nullptr) return;
-  tracer_->RecordEvent(
-      "ntcp.dup", "txn", 0,
-      {{"txn", record.proposal.transaction_id},
-       {"endpoint", endpoint()},
-       {"kind", std::string(kind)},
-       {"state", std::string(TransactionStateName(record.state))}});
+  tracer_->RecordEvent(kDupEvent, kTxnCategory, 0,
+                       {{kTxn, record.proposal.transaction_id},
+                        {kEndpoint, endpoint_atom()},
+                        {kKind, kind},
+                        {kState, TransactionStateAtom(record.state)}});
 }
 
 void NtcpServer::TransitionLocked(const std::string& id,
@@ -226,13 +245,13 @@ void NtcpServer::TransitionLocked(const std::string& id,
   }
   NEES_CHECK_INVARIANT(!IsTerminal(record.state),
                        "no transition may leave a terminal state");
-  const std::string_view from = TransactionStateName(record.state);
+  const obs::Atom from = TransactionStateAtom(record.state);
   record.state = to;
   if (!detail.empty()) record.detail = detail;
   const std::int64_t at = clock_->NowMicros();
   record.state_timestamps[TransactionStateName(to)] = at;
   WalLogTransitionLocked(id, record, at);
-  RecordTxnEventLocked(record, from, TransactionStateName(to), at, cause);
+  RecordTxnEventLocked(record, from, TransactionStateAtom(to), at, cause);
   if (service_->HasSdeSubscribers()) {
     // A subscriber needs the change callback now; publish eagerly.
     PublishSdeLocked(id, record);
@@ -247,10 +266,10 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
   // Declared before the lock so the span closes after mu_ is released.
   obs::Span span;
   if (tracer_ != nullptr) {
-    span = tracer_->StartSpan("server.propose", "protocol");
-    span.AddTag("endpoint", endpoint());
-    span.AddTag("txn", proposal.transaction_id);
-    span.AddTag("step", std::to_string(proposal.step_index));
+    span = tracer_->StartSpan(kProposeSpan, kProtocol);
+    span.AddTag(kEndpoint, endpoint_atom());
+    span.AddTag(kTxn, proposal.transaction_id);
+    span.AddTag(kStep, proposal.step_index);
     tracer_->metrics().Increment("ntcp.server.proposals");
   }
   util::MutexLock lock(mu_);
@@ -294,7 +313,9 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
   NEES_CHECK_INVARIANT(inserted->second.state == TransactionState::kProposed,
                        "a freshly created transaction must be kProposed");
   WalLogCreateLocked(inserted->second);
-  RecordTxnEventLocked(inserted->second, "none", "proposed", proposed_at);
+  RecordTxnEventLocked(inserted->second, NoTransactionStateAtom(),
+                       TransactionStateAtom(TransactionState::kProposed),
+                       proposed_at);
   if (validation.ok()) {
     ++stats_.accepted;
     TransitionLocked(id, inserted->second, TransactionState::kAccepted, "");
@@ -312,9 +333,9 @@ util::Result<TransactionResult> NtcpServer::Execute(
     const std::string& transaction_id) {
   obs::Span span;
   if (tracer_ != nullptr) {
-    span = tracer_->StartSpan("server.execute", "protocol");
-    span.AddTag("endpoint", endpoint());
-    span.AddTag("txn", transaction_id);
+    span = tracer_->StartSpan(kExecuteSpan, kProtocol);
+    span.AddTag(kEndpoint, endpoint_atom());
+    span.AddTag(kTxn, transaction_id);
     tracer_->metrics().Increment("ntcp.server.executes");
   }
   const Proposal* proposal = nullptr;
@@ -427,8 +448,8 @@ util::Result<TransactionRecord> NtcpServer::GetTransaction(
     const std::string& transaction_id) const {
   obs::Span span;
   if (tracer_ != nullptr) {
-    span = tracer_->StartSpan("server.getTransaction", "protocol");
-    span.AddTag("endpoint", endpoint());
+    span = tracer_->StartSpan(kGetTransactionSpan, kProtocol);
+    span.AddTag(kEndpoint, endpoint_atom());
   }
   util::MutexLock lock(mu_);
   auto it = transactions_.find(transaction_id);
@@ -557,13 +578,12 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
 
   if (!records.empty() && tracer_ != nullptr) {
     tracer_->RecordEvent(
-        "ntcp.recover", "txn", 0,
-        {{"endpoint", endpoint()},
-         {"records", std::to_string(recovery.records_replayed)},
-         {"transactions", std::to_string(recovery.transactions_recovered)},
-         {"inflight", std::to_string(inflight.size())},
-         {"truncated_bytes",
-          std::to_string(recovery.torn_bytes_truncated)}});
+        kRecoverEvent, kTxnCategory, 0,
+        {{kEndpoint, endpoint_atom()},
+         {"records", recovery.records_replayed},
+         {"transactions", recovery.transactions_recovered},
+         {"inflight", inflight.size()},
+         {"truncated_bytes", recovery.torn_bytes_truncated}});
   }
 
   // Crash-mark: a transaction caught mid-execute left the specimen in an

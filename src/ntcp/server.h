@@ -71,6 +71,8 @@ class NtcpServer {
   /// Exposes the RPC server (to attach an AuthService, §4).
   net::RpcServer& rpc() { return rpc_server_; }
   const std::string& endpoint() const { return rpc_server_.endpoint(); }
+  /// The endpoint name as a trace atom (same id as the wire endpoint).
+  obs::Atom endpoint_atom() const { return rpc_server_.endpoint_id().atom(); }
 
   // Local (in-process) protocol operations; RPC methods call these.
   struct ProposeOutcome {
@@ -129,11 +131,9 @@ class NtcpServer {
   /// creation) into the trace stream; nees-lint replays these. A non-empty
   /// `cause` is added as a tag (crash-mark transitions carry
   /// cause=crash-recovery).
-  void RecordTxnEventLocked(const TransactionRecord& record,
-                            std::string_view from, std::string_view to,
-                            std::int64_t at_micros,
-                            const std::string& cause = "")
-      NEES_REQUIRES(mu_);
+  void RecordTxnEventLocked(const TransactionRecord& record, obs::Atom from,
+                            obs::Atom to, std::int64_t at_micros,
+                            std::string_view cause = {}) NEES_REQUIRES(mu_);
   /// WAL append helpers; no-ops when no log is attached. Sync failures are
   /// counted and logged but do not fail the operation for MemoryStorage-
   /// style stores (which cannot fail); FileStorage callers watch stats.
@@ -145,8 +145,8 @@ class NtcpServer {
   void WalSyncLocked() NEES_REQUIRES(mu_);
   /// Emits an "ntcp.dup" event when a retry is served from the
   /// at-most-once cache (kind: propose / propose-mismatch / execute).
-  void RecordDupEventLocked(const TransactionRecord& record,
-                            std::string_view kind) NEES_REQUIRES(mu_);
+  void RecordDupEventLocked(const TransactionRecord& record, obs::Atom kind)
+      NEES_REQUIRES(mu_);
   /// Eagerly materialises the three SDE documents (txn.<id>, lastChanged,
   /// serverStats) for one transaction. Only runs on the hot path when the
   /// grid service has subscribers; otherwise transitions just mark the

@@ -1,6 +1,7 @@
 #include "ntcp/types.h"
 
 #include <algorithm>
+#include <array>
 
 namespace nees::ntcp {
 
@@ -50,6 +51,41 @@ std::string_view TransactionStateName(TransactionState state) {
     case TransactionState::kExpired: return "expired";
   }
   return "unknown";
+}
+
+namespace {
+
+constexpr int kStateCount = static_cast<int>(TransactionState::kExpired) + 1;
+
+const std::array<obs::Atom, kStateCount>& StateAtoms() {
+  static const std::array<obs::Atom, kStateCount> atoms = [] {
+    std::array<obs::Atom, kStateCount> out;
+    for (int i = 0; i < kStateCount; ++i) {
+      out[i] = obs::Atom(
+          TransactionStateName(static_cast<TransactionState>(i)));
+    }
+    return out;
+  }();
+  return atoms;
+}
+
+}  // namespace
+
+obs::Atom TransactionStateAtom(TransactionState state) {
+  return StateAtoms()[static_cast<int>(state)];
+}
+
+std::optional<TransactionState> TransactionStateFromAtom(obs::Atom atom) {
+  const std::array<obs::Atom, kStateCount>& atoms = StateAtoms();
+  for (int i = 0; i < kStateCount; ++i) {
+    if (atoms[i] == atom) return static_cast<TransactionState>(i);
+  }
+  return std::nullopt;
+}
+
+obs::Atom NoTransactionStateAtom() {
+  static const obs::Atom none("none");
+  return none;
 }
 
 bool IsTerminal(TransactionState state) {

@@ -14,11 +14,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/intern.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -71,6 +73,14 @@ enum class TransactionState : std::uint8_t {
 };
 
 std::string_view TransactionStateName(TransactionState state);
+
+/// The state's name as a trace atom: the value of the from/to tags of an
+/// "ntcp.txn" event.
+obs::Atom TransactionStateAtom(TransactionState state);
+/// The state whose atom is `atom`, if any. Compares ids, never text.
+std::optional<TransactionState> TransactionStateFromAtom(obs::Atom atom);
+/// The from-tag atom of a creation event ("none").
+obs::Atom NoTransactionStateAtom();
 
 /// True if `from` -> `to` is a legal Fig. 1 transition.
 bool IsLegalTransition(TransactionState from, TransactionState to);

@@ -3,36 +3,47 @@
 #include "util/strings.h"
 
 namespace nees::obs {
+namespace {
 
-void MetricsRegistry::Increment(const std::string& name, std::int64_t delta) {
-  util::MutexLock lock(mu_);
-  counters_[name] += delta;
+/// The entry for `name`, created on first use.
+template <typename V>
+V& Slot(MetricMap<V>& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.emplace(std::string(name), V{}).first;
+  return it->second;
 }
 
-std::int64_t MetricsRegistry::CounterValue(const std::string& name) const {
+}  // namespace
+
+void MetricsRegistry::Increment(std::string_view name, std::int64_t delta) {
+  util::MutexLock lock(mu_);
+  Slot(counters_, name) += delta;
+}
+
+std::int64_t MetricsRegistry::CounterValue(std::string_view name) const {
   util::MutexLock lock(mu_);
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second;
 }
 
-void MetricsRegistry::SetGauge(const std::string& name, double value) {
+void MetricsRegistry::SetGauge(std::string_view name, double value) {
   util::MutexLock lock(mu_);
-  gauges_[name] = value;
+  Slot(gauges_, name) = value;
 }
 
-double MetricsRegistry::GaugeValue(const std::string& name) const {
+double MetricsRegistry::GaugeValue(std::string_view name) const {
   util::MutexLock lock(mu_);
   auto it = gauges_.find(name);
   return it == gauges_.end() ? 0.0 : it->second;
 }
 
-void MetricsRegistry::Observe(const std::string& name, double value) {
+void MetricsRegistry::Observe(std::string_view name, double value) {
   util::MutexLock lock(mu_);
-  histograms_[name].Add(value);
+  Slot(histograms_, name).Add(value);
 }
 
 util::SampleStats MetricsRegistry::HistogramValue(
-    const std::string& name) const {
+    std::string_view name) const {
   util::MutexLock lock(mu_);
   auto it = histograms_.find(name);
   return it == histograms_.end() ? util::SampleStats{} : it->second;
@@ -44,21 +55,22 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 }
 
 std::string MetricsRegistry::ReportTable() const {
-  const MetricsSnapshot snapshot = Snapshot();
+  // Rendered under the lock: copying the histograms would copy every sample.
+  util::MutexLock lock(mu_);
   std::string out;
-  if (!snapshot.counters.empty() || !snapshot.gauges.empty()) {
+  if (!counters_.empty() || !gauges_.empty()) {
     util::TextTable table({"metric", "value"});
-    for (const auto& [name, value] : snapshot.counters) {
+    for (const auto& [name, value] : counters_) {
       table.AddRow({name, std::to_string(value)});
     }
-    for (const auto& [name, value] : snapshot.gauges) {
+    for (const auto& [name, value] : gauges_) {
       table.AddRow({name, util::Format("%.6g", value)});
     }
     out += table.ToString();
   }
-  if (!snapshot.histograms.empty()) {
+  if (!histograms_.empty()) {
     util::TextTable table({"histogram", "n", "mean", "p50", "p95", "max"});
-    for (const auto& [name, stats] : snapshot.histograms) {
+    for (const auto& [name, stats] : histograms_) {
       table.AddRow({name, std::to_string(stats.count()),
                     util::Format("%.4g", stats.mean()),
                     util::Format("%.4g", stats.Percentile(50)),

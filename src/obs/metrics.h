@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "util/mutex.h"
 
@@ -15,23 +16,28 @@
 
 namespace nees::obs {
 
+// Maps compare transparently, so recording under a literal name builds no
+// std::string once the name exists.
+template <typename V>
+using MetricMap = std::map<std::string, V, std::less<>>;
+
 struct MetricsSnapshot {
-  std::map<std::string, std::int64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, util::SampleStats> histograms;
+  MetricMap<std::int64_t> counters;
+  MetricMap<double> gauges;
+  MetricMap<util::SampleStats> histograms;
 };
 
 class MetricsRegistry {
  public:
-  void Increment(const std::string& name, std::int64_t delta = 1);
-  std::int64_t CounterValue(const std::string& name) const;
+  void Increment(std::string_view name, std::int64_t delta = 1);
+  std::int64_t CounterValue(std::string_view name) const;
 
-  void SetGauge(const std::string& name, double value);
-  double GaugeValue(const std::string& name) const;
+  void SetGauge(std::string_view name, double value);
+  double GaugeValue(std::string_view name) const;
 
   /// Adds one observation to the named histogram (created on first use).
-  void Observe(const std::string& name, double value);
-  util::SampleStats HistogramValue(const std::string& name) const;
+  void Observe(std::string_view name, double value);
+  util::SampleStats HistogramValue(std::string_view name) const;
 
   MetricsSnapshot Snapshot() const;
 
@@ -43,9 +49,9 @@ class MetricsRegistry {
 
  private:
   mutable util::Mutex mu_{"obs.MetricsRegistry"};
-  std::map<std::string, std::int64_t> counters_ NEES_GUARDED_BY(mu_);
-  std::map<std::string, double> gauges_ NEES_GUARDED_BY(mu_);
-  std::map<std::string, util::SampleStats> histograms_ NEES_GUARDED_BY(mu_);
+  MetricMap<std::int64_t> counters_ NEES_GUARDED_BY(mu_);
+  MetricMap<double> gauges_ NEES_GUARDED_BY(mu_);
+  MetricMap<util::SampleStats> histograms_ NEES_GUARDED_BY(mu_);
 };
 
 }  // namespace nees::obs

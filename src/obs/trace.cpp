@@ -1,11 +1,35 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <map>
 
 #include "util/strings.h"
+#include "util/word_hash.h"
 
 namespace nees::obs {
+
+// ---------------------------------------------------------------------------
+// Tag
+
+std::string Tag::ValueText() const {
+  switch (kind) {
+    case Kind::kInt: return std::to_string(number);
+    case Kind::kName: return std::string(name().str());
+    case Kind::kText: return text;
+  }
+  return {};
+}
+
+bool operator==(const Tag& a, const Tag& b) {
+  if (a.key != b.key) return false;
+  if (a.kind == b.kind) {
+    return a.kind == Tag::Kind::kText ? a.text == b.text
+                                      : a.number == b.number;
+  }
+  return a.ValueText() == b.ValueText();
+}
 
 // ---------------------------------------------------------------------------
 // Span
@@ -35,8 +59,8 @@ void Span::End() {
   tracer_ = nullptr;
 }
 
-void Span::AddTag(const std::string& key, const std::string& value) {
-  if (tracer_ != nullptr) tracer_->AddTagById(id_, key, value);
+void Span::AddTag(Tag tag) {
+  if (tracer_ != nullptr) tracer_->AddTagById(id_, std::move(tag));
 }
 
 void Span::AddModeledMicros(std::int64_t micros) {
@@ -49,71 +73,71 @@ void Span::AddModeledMicros(std::int64_t micros) {
 Tracer::Tracer(util::Clock* clock, util::SimClock* modeled)
     : clock_(clock), modeled_(modeled) {}
 
-std::uint64_t Tracer::StartLocked(const std::string& name,
-                                  const std::string& category,
-                                  std::uint64_t parent_id,
-                                  bool implicit_parent, bool push_stack) {
-  // mu_ must be held.
-  std::vector<std::uint64_t>& stack = stacks_[std::this_thread::get_id()];
-  if (implicit_parent) parent_id = stack.empty() ? 0 : stack.back();
-  SpanRecord record;
-  record.id = spans_.size() + 1;
+std::vector<std::uint64_t>& Tracer::StackLocked() {
+  const std::thread::id self = std::this_thread::get_id();
+  for (ThreadStack& stack : stacks_) {
+    if (stack.thread == self) return stack.open;
+  }
+  stacks_.push_back({self, {}});
+  return stacks_.back().open;
+}
+
+SpanRecord& Tracer::StartLocked(Atom name, Atom category,
+                                std::uint64_t parent_id, bool implicit_parent,
+                                bool push_stack) {
+  if (implicit_parent || push_stack) {
+    std::vector<std::uint64_t>& stack = StackLocked();
+    if (implicit_parent) parent_id = stack.empty() ? 0 : stack.back();
+    if (push_stack) stack.push_back(spans_.size() + 1);
+  }
+  SpanRecord& record = spans_.emplace_back();
+  record.id = spans_.size();
   record.parent_id = parent_id;
   record.name = name;
   record.category = category;
-  record.start_micros = clock_->NowMicros();
-  spans_.push_back(std::move(record));
-  if (push_stack) stack.push_back(spans_.back().id);
-  return spans_.back().id;
+  return record;
 }
 
 void Tracer::EndLocked(std::uint64_t id) {
-  // mu_ must be held.
   if (id == 0 || id > spans_.size()) return;
   SpanRecord& record = spans_[id - 1];
   if (record.end_micros < 0) record.end_micros = clock_->NowMicros();
   // Unwind the starting thread's stack; tolerate cross-thread End.
-  auto self = stacks_.find(std::this_thread::get_id());
-  bool found = false;
-  if (self != stacks_.end()) {
-    auto it = std::find(self->second.rbegin(), self->second.rend(), id);
-    if (it != self->second.rend()) {
-      self->second.erase(std::next(it).base());
-      found = true;
-    }
-  }
-  if (!found) {
-    for (auto& [thread, stack] : stacks_) {
-      auto it = std::find(stack.rbegin(), stack.rend(), id);
-      if (it != stack.rend()) {
-        stack.erase(std::next(it).base());
-        break;
-      }
-    }
+  const auto erase_from = [id](std::vector<std::uint64_t>& stack) {
+    auto it = std::find(stack.rbegin(), stack.rend(), id);
+    if (it == stack.rend()) return false;
+    stack.erase(std::next(it).base());
+    return true;
+  };
+  if (erase_from(StackLocked())) return;
+  for (ThreadStack& stack : stacks_) {
+    if (erase_from(stack.open)) return;
   }
 }
 
-Span Tracer::StartSpan(const std::string& name, const std::string& category) {
+Span Tracer::StartSpan(Atom name, Atom category) {
   util::MutexLock lock(mu_);
-  return Span(this, StartLocked(name, category, 0, /*implicit_parent=*/true,
-                                /*push_stack=*/true));
+  SpanRecord& record = StartLocked(name, category, 0,
+                                   /*implicit_parent=*/true,
+                                   /*push_stack=*/true);
+  record.start_micros = clock_->NowMicros();
+  return Span(this, record.id);
 }
 
-Span Tracer::StartSpanWithParent(const std::string& name,
-                                 const std::string& category,
+Span Tracer::StartSpanWithParent(Atom name, Atom category,
                                  std::uint64_t parent_id) {
-  util::MutexLock lock(mu_);
-  return Span(this, StartLocked(name, category, parent_id,
-                                /*implicit_parent=*/false,
-                                /*push_stack=*/true));
+  return Span(this, BeginSpanId(name, category, parent_id));
 }
 
-std::uint64_t Tracer::BeginSpanId(const std::string& name,
-                                  const std::string& category,
-                                  std::uint64_t parent_id) {
+std::uint64_t Tracer::BeginSpanId(Atom name, Atom category,
+                                  std::uint64_t parent_id, Tags tags) {
   util::MutexLock lock(mu_);
-  return StartLocked(name, category, parent_id, /*implicit_parent=*/false,
-                     /*push_stack=*/true);
+  SpanRecord& record = StartLocked(name, category, parent_id,
+                                   /*implicit_parent=*/false,
+                                   /*push_stack=*/true);
+  record.start_micros = clock_->NowMicros();
+  record.tags = std::move(tags);
+  return record.id;
 }
 
 void Tracer::EndSpanId(std::uint64_t id) {
@@ -121,11 +145,12 @@ void Tracer::EndSpanId(std::uint64_t id) {
   EndLocked(id);
 }
 
-void Tracer::AddTagById(std::uint64_t id, const std::string& key,
-                        const std::string& value) {
+void Tracer::AddTagById(std::uint64_t id, Tag tag) {
   util::MutexLock lock(mu_);
   if (id == 0 || id > spans_.size()) return;
-  spans_[id - 1].tags.emplace_back(key, value);
+  std::vector<Tag>& tags = spans_[id - 1].tags;
+  if (tags.empty()) tags.reserve(4);
+  tags.push_back(std::move(tag));
 }
 
 void Tracer::AddModeledMicrosById(std::uint64_t id, std::int64_t micros) {
@@ -135,55 +160,76 @@ void Tracer::AddModeledMicrosById(std::uint64_t id, std::int64_t micros) {
   spans_[id - 1].modeled_micros += micros;
 }
 
-void Tracer::RecordEvent(const std::string& name, const std::string& category,
-                         std::int64_t modeled_micros, Tags tags) {
-  RecordEventUnder(CurrentSpanId(), name, category, modeled_micros,
-                   std::move(tags));
+void Tracer::RecordClosedLocked(std::uint64_t parent_id, bool implicit_parent,
+                                Atom name, Atom category,
+                                std::int64_t start_micros,
+                                std::int64_t end_micros,
+                                std::int64_t modeled_micros, Tags tags) {
+  SpanRecord& record = StartLocked(name, category, parent_id, implicit_parent,
+                                   /*push_stack=*/false);
+  record.start_micros = start_micros;
+  record.end_micros = end_micros;
+  record.modeled_micros = modeled_micros;
+  record.tags = std::move(tags);
 }
 
-void Tracer::RecordEventUnder(std::uint64_t parent_id, const std::string& name,
-                              const std::string& category,
-                              std::int64_t modeled_micros, Tags tags) {
+void Tracer::RecordModeledEvent(std::uint64_t parent_id, bool implicit_parent,
+                                Atom name, Atom category,
+                                std::int64_t modeled_micros, Tags tags) {
   const std::int64_t start = clock_->NowMicros();
   if (modeled_micros > 0 && modeled_ != nullptr) {
     modeled_->Advance(modeled_micros);
   }
   const std::int64_t end = clock_->NowMicros();
   util::MutexLock lock(mu_);
-  const std::uint64_t id = StartLocked(name, category, parent_id,
-                                       /*implicit_parent=*/false,
-                                       /*push_stack=*/false);
-  SpanRecord& record = spans_[id - 1];
-  record.start_micros = start;
-  record.end_micros = end;
-  record.modeled_micros = modeled_micros;
-  record.tags = std::move(tags);
+  RecordClosedLocked(parent_id, implicit_parent, name, category, start, end,
+                     modeled_micros, std::move(tags));
 }
 
-void Tracer::RecordInterval(std::uint64_t parent_id, const std::string& name,
-                            const std::string& category,
-                            std::int64_t start_micros,
+void Tracer::RecordEvent(Atom name, Atom category,
+                         std::int64_t modeled_micros, Tags tags) {
+  RecordModeledEvent(0, /*implicit_parent=*/true, name, category,
+                     modeled_micros, std::move(tags));
+}
+
+void Tracer::RecordEventUnder(std::uint64_t parent_id, Atom name,
+                              Atom category, std::int64_t modeled_micros,
+                              Tags tags) {
+  RecordModeledEvent(parent_id, /*implicit_parent=*/false, name, category,
+                     modeled_micros, std::move(tags));
+}
+
+void Tracer::RecordInterval(std::uint64_t parent_id, Atom name,
+                            Atom category, std::int64_t start_micros,
                             std::int64_t end_micros, Tags tags) {
   util::MutexLock lock(mu_);
-  const std::uint64_t id = StartLocked(name, category, parent_id,
-                                       /*implicit_parent=*/false,
-                                       /*push_stack=*/false);
-  SpanRecord& record = spans_[id - 1];
-  record.start_micros = start_micros;
-  record.end_micros = std::max(start_micros, end_micros);
-  record.tags = std::move(tags);
+  RecordClosedLocked(parent_id, /*implicit_parent=*/false, name, category,
+                     start_micros, std::max(start_micros, end_micros), 0,
+                     std::move(tags));
 }
 
 std::uint64_t Tracer::CurrentSpanId() const {
   util::MutexLock lock(mu_);
-  auto it = stacks_.find(std::this_thread::get_id());
-  if (it == stacks_.end() || it->second.empty()) return 0;
-  return it->second.back();
+  const std::thread::id self = std::this_thread::get_id();
+  for (const ThreadStack& stack : stacks_) {
+    if (stack.thread == self) {
+      return stack.open.empty() ? 0 : stack.open.back();
+    }
+  }
+  return 0;
 }
 
 std::vector<SpanRecord> Tracer::Snapshot() const {
   util::MutexLock lock(mu_);
   return spans_;
+}
+
+std::vector<SpanRecord> Tracer::TakeSpans() {
+  util::MutexLock lock(mu_);
+  std::vector<SpanRecord> spans = std::move(spans_);
+  spans_.clear();
+  stacks_.clear();
+  return spans;
 }
 
 std::size_t Tracer::span_count() const {
@@ -205,7 +251,7 @@ void Tracer::Clear() {
 
 namespace {
 
-void AppendJsonString(const std::string& text, std::string& out) {
+void AppendJsonString(std::string_view text, std::string& out) {
   out += '"';
   for (const char c : text) {
     switch (c) {
@@ -301,45 +347,79 @@ class LineParser {
   std::size_t pos_ = 0;
 };
 
+template <typename Int>
+void AppendInt(Int value, std::string& out) {
+  char buffer[24];
+  const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);
+  out.append(buffer, result.ptr);
+}
+
+void AppendSpanJson(const SpanRecord& span, std::string& out) {
+  out += "{\"id\":";
+  AppendInt(span.id, out);
+  out += ",\"parent\":";
+  AppendInt(span.parent_id, out);
+  out += ",\"name\":";
+  AppendJsonString(span.name.str(), out);
+  out += ",\"cat\":";
+  AppendJsonString(span.category.str(), out);
+  out += ",\"start\":";
+  AppendInt(span.start_micros, out);
+  // Open spans export as zero-length at their start time.
+  out += ",\"end\":";
+  AppendInt(std::max(span.start_micros, span.end_micros), out);
+  out += ",\"modeled\":";
+  AppendInt(span.modeled_micros, out);
+  out += ",\"tags\":{";
+  bool first = true;
+  for (const Tag& tag : span.tags) {
+    if (!first) out += ',';
+    first = false;
+    AppendJsonString(tag.key.str(), out);
+    out += ':';
+    switch (tag.kind) {
+      case Tag::Kind::kInt:
+        out += '"';
+        AppendInt(tag.number, out);
+        out += '"';
+        break;
+      case Tag::Kind::kName: AppendJsonString(tag.name().str(), out); break;
+      case Tag::Kind::kText: AppendJsonString(tag.text, out); break;
+    }
+  }
+  out += "}}\n";
+}
+
+/// A tag value as parsed from text: a canonical decimal integer (what
+/// export renders for kInt) becomes kInt, anything else stays text.
+Tag ParsedTag(Atom key, std::string value) {
+  std::int64_t number = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, error] = std::from_chars(value.data(), end, number);
+  if (error == std::errc() && ptr == end && std::to_string(number) == value) {
+    return Tag(key, number);
+  }
+  return Tag(key, std::move(value));
+}
+
 }  // namespace
 
 std::string ExportJsonLines(const std::vector<SpanRecord>& spans) {
   std::string out;
   out.reserve(spans.size() * 128);
-  for (const SpanRecord& span : spans) {
-    out += util::Format("{\"id\":%llu,\"parent\":%llu,\"name\":",
-                        static_cast<unsigned long long>(span.id),
-                        static_cast<unsigned long long>(span.parent_id));
-    AppendJsonString(span.name, out);
-    out += ",\"cat\":";
-    AppendJsonString(span.category, out);
-    // Open spans export as zero-length at their start time.
-    const std::int64_t end = std::max(span.start_micros, span.end_micros);
-    out += util::Format(",\"start\":%lld,\"end\":%lld,\"modeled\":%lld",
-                        static_cast<long long>(span.start_micros),
-                        static_cast<long long>(end),
-                        static_cast<long long>(span.modeled_micros));
-    out += ",\"tags\":{";
-    bool first = true;
-    for (const auto& [key, value] : span.tags) {
-      if (!first) out += ',';
-      first = false;
-      AppendJsonString(key, out);
-      out += ':';
-      AppendJsonString(value, out);
-    }
-    out += "}}\n";
-  }
+  for (const SpanRecord& span : spans) AppendSpanJson(span, out);
   return out;
 }
 
 std::string Tracer::ExportJsonLines() const {
-  return obs::ExportJsonLines(Snapshot());
+  util::MutexLock lock(mu_);
+  return obs::ExportJsonLines(spans_);
 }
 
 util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
   std::vector<SpanRecord> spans;
   int line_number = 0;
+  std::string name, category;
   for (const std::string& line : util::Split(text, '\n')) {
     ++line_number;
     if (util::Trim(line).empty()) continue;
@@ -349,8 +429,8 @@ util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
     const bool ok =
         parser.Literal("{\"id\":") && parser.Integer(&id) &&
         parser.Literal(",\"parent\":") && parser.Integer(&parent) &&
-        parser.Literal(",\"name\":") && parser.String(&record.name) &&
-        parser.Literal(",\"cat\":") && parser.String(&record.category) &&
+        parser.Literal(",\"name\":") && parser.String(&name) &&
+        parser.Literal(",\"cat\":") && parser.String(&category) &&
         parser.Literal(",\"start\":") && parser.Integer(&record.start_micros) &&
         parser.Literal(",\"end\":") && parser.Integer(&record.end_micros) &&
         parser.Literal(",\"modeled\":") &&
@@ -360,6 +440,8 @@ util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
       return util::DataLoss(
           util::Format("malformed trace line %d", line_number));
     }
+    record.name = Atom(name);
+    record.category = Atom(category);
     while (!parser.Peek('}')) {
       std::string key, value;
       if (!record.tags.empty() && !parser.Literal(",")) {
@@ -371,7 +453,7 @@ util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
         return util::DataLoss(
             util::Format("malformed trace tags at line %d", line_number));
       }
-      record.tags.emplace_back(std::move(key), std::move(value));
+      record.tags.push_back(ParsedTag(Atom(key), std::move(value)));
     }
     if (!parser.Literal("}}") || !parser.AtEnd()) {
       return util::DataLoss(
@@ -382,6 +464,30 @@ util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
     spans.push_back(std::move(record));
   }
   return spans;
+}
+
+std::uint64_t FingerprintSpans(const std::vector<SpanRecord>& spans) {
+  util::WordHash hash;
+  hash.Word(spans.size());
+  for (const SpanRecord& span : spans) {
+    hash.Word(span.id);
+    hash.Word(span.parent_id);
+    hash.Word((std::uint64_t{span.name.raw()} << 32) | span.category.raw());
+    hash.Word(static_cast<std::uint64_t>(span.start_micros));
+    hash.Word(static_cast<std::uint64_t>(span.end_micros));
+    hash.Word(static_cast<std::uint64_t>(span.modeled_micros));
+    hash.Word(span.tags.size());
+    for (const Tag& tag : span.tags) {
+      hash.Word((std::uint64_t{tag.key.raw()} << 8) |
+                static_cast<std::uint64_t>(tag.kind));
+      if (tag.kind == Tag::Kind::kText) {
+        hash.String(tag.text);
+      } else {
+        hash.Word(static_cast<std::uint64_t>(tag.number));
+      }
+    }
+  }
+  return hash.value();
 }
 
 // ---------------------------------------------------------------------------
@@ -405,7 +511,7 @@ std::string Tracer::BreakdownTable() const {
     std::int64_t inclusive_micros = 0;
     util::SampleStats exclusive;
   };
-  std::map<std::string, CategoryTotals> categories;
+  std::map<std::string_view, CategoryTotals> categories;
   std::int64_t total_exclusive = 0;
   for (const SpanRecord& span : spans) {
     const std::int64_t inclusive = span.DurationMicros();
@@ -413,14 +519,14 @@ std::string Tracer::BreakdownTable() const {
     const std::int64_t children = it == child_micros.end() ? 0 : it->second;
     const std::int64_t exclusive = std::max<std::int64_t>(
         0, inclusive - children);
-    CategoryTotals& totals = categories[span.category];
+    CategoryTotals& totals = categories[span.category.str()];
     ++totals.spans;
     totals.inclusive_micros += inclusive;
     totals.exclusive.Add(static_cast<double>(exclusive));
     total_exclusive += exclusive;
   }
 
-  std::vector<std::pair<std::string, const CategoryTotals*>> ordered;
+  std::vector<std::pair<std::string_view, const CategoryTotals*>> ordered;
   ordered.reserve(categories.size());
   for (const auto& [name, totals] : categories) {
     ordered.emplace_back(name, &totals);
@@ -437,7 +543,7 @@ std::string Tracer::BreakdownTable() const {
   for (const auto& [name, totals] : ordered) {
     const double sum = totals->exclusive.sum();
     table.AddRow(
-        {name, std::to_string(totals->spans),
+        {std::string(name), std::to_string(totals->spans),
          util::Format("%.3f", sum / 1000.0),
          util::Format("%.1f", totals->exclusive.mean()),
          util::Format("%.1f", totals->exclusive.Percentile(95)),

@@ -8,6 +8,16 @@
 #include "util/logging.h"
 
 namespace nees::plugins {
+namespace {
+
+// Trace vocabulary.
+const obs::Atom kQueueSpan("mplugin.queue");
+const obs::Atom kQueueCategory("queue");
+const obs::Atom kComputeSpan("backend.compute");
+const obs::Atom kSimulationCategory("simulation");
+const obs::Atom kTxn("txn");
+
+}  // namespace
 
 MPlugin::MPlugin(Config config) : config_(config) {}
 
@@ -136,14 +146,14 @@ std::optional<ntcp::Proposal> MPlugin::PollRequest(
     auto it = pending_.find(proposal.transaction_id);
     if (it != pending_.end()) {
       const std::int64_t now = tracer_->NowMicros();
-      tracer_->RecordInterval(it->second->parent_span_id, "mplugin.queue",
-                              "queue", it->second->enqueued_micros, now,
-                              {{"txn", proposal.transaction_id}});
+      tracer_->RecordInterval(it->second->parent_span_id, kQueueSpan,
+                              kQueueCategory, it->second->enqueued_micros, now,
+                              {{kTxn, proposal.transaction_id}});
       tracer_->metrics().Observe(
           "mplugin.queue_micros",
           static_cast<double>(now - it->second->enqueued_micros));
       it->second->compute_span_id = tracer_->BeginSpanId(
-          "backend.compute", "simulation", it->second->parent_span_id);
+          kComputeSpan, kSimulationCategory, it->second->parent_span_id);
     }
   }
   return proposal;

@@ -3,6 +3,14 @@
 #include "obs/trace.h"
 
 namespace nees::plugins {
+namespace {
+
+// Trace vocabulary.
+const obs::Atom kComputeEvent("sim.compute");
+const obs::Atom kSimulationCategory("simulation");
+const obs::Atom kActions("actions");
+
+}  // namespace
 
 void SimulationPlugin::AddControlPoint(
     const std::string& name,
@@ -45,8 +53,8 @@ util::Result<ntcp::TransactionResult> SimulationPlugin::Execute(
     result.results.push_back(std::move(cp));
   }
   if (tracer_ != nullptr) {
-    tracer_->RecordEvent("sim.compute", "simulation", 0,
-                         {{"actions", std::to_string(result.results.size())}});
+    tracer_->RecordEvent(kComputeEvent, kSimulationCategory, 0,
+                         {{kActions, result.results.size()}});
   }
   return result;
 }

@@ -17,6 +17,17 @@ constexpr std::uint8_t kWalRunBegin = 1;      // run_id, total_steps, n
 constexpr std::uint8_t kWalStepComplete = 2;  // step boundary + state vectors
 constexpr std::uint8_t kWalSiteOutcome = 3;   // step, site, txn, executed
 
+// Trace vocabulary.
+const obs::Atom kStepSpan("psd.step");
+const obs::Atom kStepCategory("step");
+const obs::Atom kProposeSpan("site.propose");
+const obs::Atom kExecuteSpan("site.execute");
+const obs::Atom kCoordination("coordination");
+const obs::Atom kIntegrateSpan("psd.integrate");
+const obs::Atom kIntegrateCategory("integrate");
+const obs::Atom kSite("site");
+const obs::Atom kStep("step");
+
 }  // namespace
 
 // The Vector arithmetic operators live in nees::structural and are not
@@ -34,6 +45,7 @@ SimulationCoordinator::SimulationCoordinator(CoordinatorConfig config,
     policy.max_attempts = 1;  // the un-hardened coordinator of §3.4
   }
   for (const SubstructureSite& site : config_.sites) {
+    site_atoms_.push_back(obs::Atom(site.name));
     clients_.push_back(std::make_unique<ntcp::NtcpClient>(
         rpc_, site.ntcp_endpoint, policy, clock_));
     clients_.back()->set_tracer(config_.tracer);
@@ -137,10 +149,9 @@ util::Status SimulationCoordinator::ProposeAllAsync(
     // Explicit span parenting: every site's spans are created from this one
     // thread, so the implicit per-thread span stack cannot tell them apart.
     if (config_.tracer != nullptr) {
-      site_spans[i] = config_.tracer->BeginSpanId("site.propose",
-                                                  "coordination",
-                                                  step_span_id_);
-      config_.tracer->AddTagById(site_spans[i], "site", site.name);
+      site_spans[i] = config_.tracer->BeginSpanId(
+          kProposeSpan, kCoordination, step_span_id_,
+          {{kSite, site_atoms_[i]}});
     }
     // The scratch proposal's strings and vectors keep their capacity from
     // the previous step, so refilling them allocates nothing.
@@ -192,11 +203,9 @@ util::Status SimulationCoordinator::ExecuteAllAsync(
   rpc_->BeginBatch();
   for (std::size_t i = 0; i < site_count; ++i) {
     if (config_.tracer != nullptr) {
-      site_spans[i] = config_.tracer->BeginSpanId("site.execute",
-                                                  "coordination",
-                                                  step_span_id_);
-      config_.tracer->AddTagById(site_spans[i], "site",
-                                 config_.sites[i].name);
+      site_spans[i] = config_.tracer->BeginSpanId(
+          kExecuteSpan, kCoordination, step_span_id_,
+          {{kSite, site_atoms_[i]}});
     }
     ops[i] = clients_[i]->ExecuteAsync(transaction_ids[i], site_spans[i]);
   }
@@ -269,8 +278,8 @@ util::Status SimulationCoordinator::CycleOnce(
       obs::Span site_span;
       if (config_.tracer != nullptr) {
         site_span = config_.tracer->StartSpanWithParent(
-            "site.propose", "coordination", step_span_id_);
-        site_span.AddTag("site", site.name);
+            kProposeSpan, kCoordination, step_span_id_);
+        site_span.AddTag(kSite, site_atoms_[i]);
       }
       ntcp::Proposal proposal;
       proposal.transaction_id = transaction_ids[i];
@@ -322,8 +331,8 @@ util::Status SimulationCoordinator::CycleOnce(
       obs::Span site_span;
       if (config_.tracer != nullptr) {
         site_span = config_.tracer->StartSpanWithParent(
-            "site.execute", "coordination", step_span_id_);
-        site_span.AddTag("site", site.name);
+            kExecuteSpan, kCoordination, step_span_id_);
+        site_span.AddTag(kSite, site_atoms_[i]);
       }
       const util::Stopwatch watch;
       auto result = clients_[i]->Execute(transaction_ids[i]);
@@ -429,8 +438,8 @@ util::Result<bool> SimulationCoordinator::StepCentralDifference(
       f - forces + two_m_ * d_ - kback_ * d_prev_;
   structural::Vector d_next = keff_lu_.Solve(rhs);
   if (config_.tracer != nullptr) {
-    config_.tracer->RecordInterval(step_span_id_, "psd.integrate",
-                                   "integrate", integrate_t0,
+    config_.tracer->RecordInterval(step_span_id_, kIntegrateSpan,
+                                   kIntegrateCategory, integrate_t0,
                                    clock_->NowMicros());
   }
 
@@ -471,8 +480,8 @@ util::Result<bool> SimulationCoordinator::StepOperatorSplitting(
   const structural::Vector rhs = f - config_.damping * v_tilde - forces;
   const structural::Vector a_next = meff_lu_.Solve(rhs);
   if (config_.tracer != nullptr) {
-    config_.tracer->RecordInterval(step_span_id_, "psd.integrate",
-                                   "integrate", integrate_t0,
+    config_.tracer->RecordInterval(step_span_id_, kIntegrateSpan,
+                                   kIntegrateCategory, integrate_t0,
                                    clock_->NowMicros());
   }
 
@@ -499,8 +508,8 @@ util::Result<bool> SimulationCoordinator::ExecuteStep() {
   obs::Span step_span;
   step_span_id_ = 0;
   if (config_.tracer != nullptr) {
-    step_span = config_.tracer->StartSpan("psd.step", "step");
-    step_span.AddTag("step", std::to_string(step_));
+    step_span = config_.tracer->StartSpan(kStepSpan, kStepCategory);
+    step_span.AddTag(kStep, step_);
     step_span_id_ = step_span.id();
   }
   std::vector<ntcp::TransactionResult> results;
@@ -676,10 +685,10 @@ util::Result<CoordinatorWalRecovery> SimulationCoordinator::AttachWal(
   }
   if (config_.tracer != nullptr && !records.empty()) {
     config_.tracer->RecordEvent(
-        "psd.recover", "step", 0,
+        "psd.recover", kStepCategory, 0,
         {{"run", config_.run_id},
-         {"steps_recovered", std::to_string(recovery.steps_recovered)},
-         {"mid_step", recovery.mid_step ? "1" : "0"}});
+         {"steps_recovered", recovery.steps_recovered},
+         {"mid_step", recovery.mid_step ? 1 : 0}});
   }
   return recovery;
 }

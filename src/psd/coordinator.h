@@ -240,6 +240,7 @@ class SimulationCoordinator {
 
   bool initialized_ = false;
   std::uint64_t step_span_id_ = 0;  // open "psd.step" span (0 = none)
+  std::vector<obs::Atom> site_atoms_;  // site names as trace tag values
   structural::LuFactorization keff_lu_;  // CD effective stiffness
   structural::Matrix kback_;
   structural::Matrix two_m_;

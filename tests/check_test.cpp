@@ -95,11 +95,13 @@ obs::SpanRecord Event(std::uint64_t id, const std::string& txn,
   event.category = "txn";
   event.start_micros = at;
   event.end_micros = at;
-  event.tags = {{"txn", txn},   {"endpoint", "ntcp.hand"},
-                {"from", from}, {"to", to},
-                {"step", std::to_string(step)},
-                {"at", std::to_string(at)},
-                {"timeout", std::to_string(timeout)}};
+  event.tags = {{"txn", txn},
+                {"endpoint", "ntcp.hand"},
+                {"from", obs::Atom(from)},
+                {"to", obs::Atom(to)},
+                {"step", step},
+                {"at", at},
+                {"timeout", timeout}};
   return event;
 }
 
@@ -289,11 +291,11 @@ obs::SpanRecord Marker(std::uint64_t id, const std::string& name,
                        const std::string& endpoint = "ntcp.hand") {
   obs::SpanRecord event;
   event.id = id;
-  event.name = name;
+  event.name = obs::Atom(name);
   event.category = "fault";
   event.start_micros = at;
   event.end_micros = at;
-  event.tags = {{"endpoint", endpoint}};
+  event.tags = {{"endpoint", obs::Atom(endpoint)}};
   return event;
 }
 
@@ -387,6 +389,55 @@ TEST(CheckTest, LintTraceTextReportsLineNumbers) {
   // The offending trace line is embedded in the printable form.
   EXPECT_NE(report->violations[0].ToString().find("line=3"),
             std::string::npos);
+}
+
+TEST(CheckTest, SparseIdTraceRoundTripKeepsViolationsAndBytes) {
+  // Ids 10, 20, ... as in an edited trace: the linter falls back from the
+  // dense parent index and must still point every violation at its span.
+  std::vector<obs::SpanRecord> spans = {
+      Event(10, "a", "none", "proposed", 100, /*step=*/0),
+      Event(20, "a", "proposed", "cancelled", 110, /*step=*/0),
+      Event(30, "b", "none", "proposed", 120, /*step=*/2),  // skips step 1
+      Event(40, "b", "proposed", "cancelled", 130, /*step=*/2),
+      Event(50, "c", "none", "proposed", 140),
+  };
+  spans[4].tags[4] = {"step", std::string("two")};  // garbage step tag
+  obs::SpanRecord orphan;
+  orphan.id = 60;
+  orphan.parent_id = 55;  // no such span
+  orphan.name = "site.propose";
+  orphan.category = "coordination";
+  orphan.start_micros = 150;
+  orphan.end_micros = 160;
+  spans.push_back(orphan);
+  obs::SpanRecord child = orphan;
+  child.id = 70;
+  child.parent_id = 30;  // a real, earlier parent
+  spans.push_back(child);
+
+  const std::string text = obs::ExportJsonLines(spans);
+  const auto parsed = obs::ParseJsonLines(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  EXPECT_EQ(obs::ExportJsonLines(*parsed), text);
+
+  const LintReport report = LintSpans(*parsed);
+  std::set<std::pair<Rule, std::uint64_t>> found;
+  for (const Violation& violation : report.violations) {
+    found.insert({violation.rule, violation.span_id});
+  }
+  EXPECT_EQ(found, (std::set<std::pair<Rule, std::uint64_t>>{
+                       {Rule::kSpanNesting, 60},
+                       {Rule::kTraceShape, 50},
+                       {Rule::kStepMonotonicity, 30}}))
+      << report.ToString();
+  // The same verdict from the text path, with the trace line of each span.
+  auto from_text = LintTraceText(text);
+  ASSERT_TRUE(from_text.ok());
+  ASSERT_EQ(from_text->violations.size(), report.violations.size());
+  for (const Violation& violation : from_text->violations) {
+    EXPECT_EQ(violation.line, static_cast<int>(violation.span_id / 10))
+        << violation.ToString();
+  }
 }
 
 TEST(CheckTest, MalformedTraceTextRejected) {

@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "most/fuzz.h"
+#include "most/most.h"
+#include "obs/trace.h"
+#include "util/clock.h"
+#include "util/sha256.h"
 
 namespace nees::most {
 namespace {
@@ -459,6 +463,52 @@ TEST(FuzzRegressionTest, CentrifugeSeed120OutagePlusCorruptBursts) {
                                     ? ""
                                     : outcome.failures.front());
   EXPECT_GT(outcome.frames_corrupted, 0u);
+}
+
+
+// --- JSONL export pins ------------------------------------------------------
+// SHA-256 digests of JSONL exports recorded before spans were stored as typed,
+// interned values. Export must stay byte-identical to the string-tagged
+// tracer it replaced, so these never change unless the trace itself does.
+
+std::string ExportDigest(std::uint64_t seed, FuzzTemplate shape) {
+  FuzzRunOptions options;
+  options.export_artifacts = true;
+  const FuzzOutcome outcome =
+      RunFuzzCase(GenerateScenario(seed, shape), kAllFaults, options);
+  EXPECT_TRUE(outcome.ok()) << seed;
+  return util::Sha256::HexHash(outcome.trace_jsonl);
+}
+
+TEST(FuzzExportPinTest, MiniSeedExportIsByteStable) {
+  EXPECT_EQ(ExportDigest(10, FuzzTemplate::kMini),
+            "fbf376722e6949f000a989faf7c237df5baf9fddf8d106596978998863667bbe");
+}
+
+TEST(FuzzExportPinTest, CentrifugeSeedExportIsByteStable) {
+  EXPECT_EQ(ExportDigest(3, FuzzTemplate::kCentrifuge),
+            "712800203261541ea887fb5ab566b3783c590fe795a6c4c1264e7a3e24607bda");
+}
+
+TEST(FuzzExportPinTest, HybridMostTraceIsByteStable) {
+  util::SimClock sim;
+  obs::Tracer tracer(&sim, &sim);
+  net::Network network;
+  network.SetClock(&sim);
+  net::LinkModel wan;
+  wan.latency_micros = 20'000;
+  network.SetDefaultLink(wan);
+  MostOptions options;
+  options.steps = 30;
+  options.hybrid = true;
+  options.tracer = &tracer;
+  MostExperiment experiment(&network, &sim, options);
+  const auto report =
+      experiment.Run(psd::FaultPolicy::kFaultTolerant, "export-pin");
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->completed);
+  EXPECT_EQ(util::Sha256::HexHash(tracer.ExportJsonLines()),
+            "1a0d65906077f5e80ea268112c8fc7295f929b9d6549034fdac525010475223b");
 }
 
 }  // namespace

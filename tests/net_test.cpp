@@ -905,7 +905,7 @@ TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
   std::vector<RpcClient::AsyncCall> calls;
   for (int i = 0; i < kCalls; ++i) {
     calls.push_back(client.CallAsync("server", "echo",
-                                     AsBytes("c" + std::to_string(i)),
+                                     AsBytes(util::Format("c%d", i)),
                                      1'000'000));
   }
   std::vector<RpcClient::AsyncCall*> handles;
@@ -916,7 +916,7 @@ TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
     util::Result<Bytes> result = util::Internal("unset");
     ASSERT_TRUE(calls[i].TryResolve(&result)) << i;
     ASSERT_TRUE(result.ok()) << i;
-    EXPECT_EQ(AsString(*result), "c" + std::to_string(i));
+    EXPECT_EQ(AsString(*result), util::Format("c%d", i));
   }
   // 1 RTT = 6 ms; the serialized cost would be 48 ms.
   EXPECT_EQ(network.clock()->NowMicros() - t0, 6'000);
@@ -1106,11 +1106,11 @@ TEST(VirtualNetworkTest, SimultaneousArrivalTieBreakIsSeedDeterministic) {
     LinkModel link;
     link.latency_micros = 5'000;
     for (int i = 0; i < 5; ++i) {
-      network.SetLink("src" + std::to_string(i), "sink", link);
+      network.SetLink(util::Format("src%d", i), "sink", link);
     }
     for (int i = 0; i < 5; ++i) {
-      (void)network.Send(MakeMessage("src" + std::to_string(i), "sink",
-                                     "m" + std::to_string(i)));
+      (void)network.Send(MakeMessage(util::Format("src%d", i), "sink",
+                                     util::Format("m%d", i)));
     }
     network.RunUntilQuiescent();
     return order;

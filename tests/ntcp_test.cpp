@@ -11,6 +11,7 @@
 #include "plugins/simulation_plugin.h"
 #include "structural/substructure.h"
 #include "util/clock.h"
+#include "util/strings.h"
 
 namespace nees::ntcp {
 namespace {
@@ -504,7 +505,7 @@ TEST_F(NtcpClientTest, ConcurrentInFlightOpsToSameSite) {
   std::vector<NtcpClient::AsyncOp> ops;
   for (int i = 0; i < 4; ++i) {
     ops.push_back(
-        client_->ProposeAsync(MakeProposal("c" + std::to_string(i), 0.01)));
+        client_->ProposeAsync(MakeProposal(util::Format("c%d", i), 0.01)));
   }
   NtcpClient::AwaitAll(ops);
   for (NtcpClient::AsyncOp& op : ops) {
@@ -512,7 +513,7 @@ TEST_F(NtcpClientTest, ConcurrentInFlightOpsToSameSite) {
   }
   std::vector<NtcpClient::AsyncOp> executes;
   for (int i = 0; i < 4; ++i) {
-    executes.push_back(client_->ExecuteAsync("c" + std::to_string(i)));
+    executes.push_back(client_->ExecuteAsync(util::Format("c%d", i)));
   }
   NtcpClient::AwaitAll(executes);
   for (NtcpClient::AsyncOp& op : executes) {

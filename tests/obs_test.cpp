@@ -93,7 +93,7 @@ TEST(TracerTest, ExplicitParentCrossesThreads) {
   EXPECT_EQ(spans[1].id, child_id);
   EXPECT_EQ(spans[1].parent_id, root.id());
   ASSERT_EQ(spans[1].tags.size(), 1u);
-  EXPECT_EQ(spans[1].tags[0].first, "txn");
+  EXPECT_EQ(spans[1].tags[0].key, "txn");
 }
 
 TEST(TracerTest, EventsAndIntervalsAttachToParents) {
@@ -161,6 +161,91 @@ TEST(TracerTest, JsonLinesRoundTrip) {
   // The open span is exported with end == start, not the sentinel -1.
   EXPECT_EQ((*parsed)[2].end_micros, (*parsed)[2].start_micros);
   open.End();
+}
+
+TEST(TracerTest, TypedTagsExportLikeTheirText) {
+  // A typed tag exports the text a string tag with the same rendering
+  // would, so typing a value never changes a trace file.
+  obs::SpanRecord typed;
+  typed.id = 1;
+  typed.name = "ntcp.txn";
+  typed.category = "txn";
+  typed.tags = {{"step", -12}, {"to", obs::Atom("executing")}};
+  obs::SpanRecord text = typed;
+  text.tags = {{"step", std::string("-12")}, {"to", std::string("executing")}};
+  EXPECT_EQ(obs::ExportJsonLines({typed}), obs::ExportJsonLines({text}));
+  EXPECT_EQ(typed, text);
+
+  // Parsing types canonical integers back and keeps everything else text.
+  const auto parsed = obs::ParseJsonLines(obs::ExportJsonLines({typed}));
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ((*parsed)[0].tags.size(), 2u);
+  EXPECT_EQ((*parsed)[0].tags[0].kind, obs::Tag::Kind::kInt);
+  EXPECT_EQ((*parsed)[0].tags[0].number, -12);
+  EXPECT_EQ((*parsed)[0].tags[1].kind, obs::Tag::Kind::kText);
+  text.tags = {{"step", std::string("007")}};
+  const auto padded = obs::ParseJsonLines(obs::ExportJsonLines({text}));
+  ASSERT_TRUE(padded.ok());
+  EXPECT_EQ((*padded)[0].tags[0].kind, obs::Tag::Kind::kText);
+  EXPECT_EQ(obs::ExportJsonLines(*padded), obs::ExportJsonLines({text}));
+}
+
+TEST(TracerTest, TakeSpansHandsOverTheTrace) {
+  util::SimClock sim;
+  obs::Tracer tracer(&sim, &sim);
+  tracer.RecordEvent("ev", "network", 10, {{"n", 1}});
+  const std::string exported = tracer.ExportJsonLines();
+  const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(obs::ExportJsonLines(spans), exported);
+  EXPECT_EQ(tracer.span_count(), 0u);
+}
+
+TEST(TracerTest, FingerprintCoversEveryExportedField) {
+  obs::SpanRecord root;
+  root.id = 1;
+  root.name = "psd.step";
+  root.category = "step";
+  root.start_micros = 100;
+  root.end_micros = 900;
+  obs::SpanRecord event;
+  event.id = 2;
+  event.parent_id = 1;
+  event.name = "ntcp.txn";
+  event.category = "txn";
+  event.start_micros = 200;
+  event.end_micros = 250;
+  event.modeled_micros = 50;
+  event.tags = {{"txn", std::string("run-s3-a1-S0")},
+                {"endpoint", obs::Atom("ntcp.s0")},
+                {"step", 3}};
+  const std::vector<obs::SpanRecord> base = {root, event};
+  const std::uint64_t fingerprint = obs::FingerprintSpans(base);
+  EXPECT_EQ(obs::FingerprintSpans(base), fingerprint);
+
+  using Mutation = void (*)(obs::SpanRecord&);
+  const std::pair<const char*, Mutation> mutations[] = {
+      {"id", [](obs::SpanRecord& s) { ++s.id; }},
+      {"name", [](obs::SpanRecord& s) { s.name = "ntcp.dup"; }},
+      {"category", [](obs::SpanRecord& s) { s.category = "fault"; }},
+      {"parent", [](obs::SpanRecord& s) { s.parent_id = 0; }},
+      {"start", [](obs::SpanRecord& s) { ++s.start_micros; }},
+      {"end", [](obs::SpanRecord& s) { ++s.end_micros; }},
+      {"modeled", [](obs::SpanRecord& s) { ++s.modeled_micros; }},
+      {"tag key", [](obs::SpanRecord& s) { s.tags[2].key = "at"; }},
+      {"typed value", [](obs::SpanRecord& s) { s.tags[2].number = 4; }},
+      {"name value",
+       [](obs::SpanRecord& s) { s.tags[1] = {"endpoint", "ntcp.s1"}; }},
+      {"string value", [](obs::SpanRecord& s) { s.tags[0].text.back() = '1'; }},
+      {"tag count", [](obs::SpanRecord& s) { s.tags.pop_back(); }},
+  };
+  for (const auto& [field, mutate] : mutations) {
+    std::vector<obs::SpanRecord> changed = base;
+    mutate(changed[1]);
+    EXPECT_NE(obs::ExportJsonLines(changed), obs::ExportJsonLines(base))
+        << field;
+    EXPECT_NE(obs::FingerprintSpans(changed), fingerprint) << field;
+  }
 }
 
 TEST(TracerTest, ParseRejectsMalformedLines) {

@@ -155,7 +155,9 @@ TEST(GridFtpVirtualTest, StripedStreamsOverlapRoundTripsInModeledTime) {
     auto downloaded = client.Download("gftp.wan", "f.bin");
     const std::int64_t elapsed = network.clock()->NowMicros() - t0;
     EXPECT_TRUE(downloaded.ok()) << streams;
-    if (downloaded.ok()) EXPECT_EQ(*downloaded, content) << streams;
+    if (downloaded.ok()) {
+      EXPECT_EQ(*downloaded, content) << streams;
+    }
     EXPECT_EQ(client.last_report().chunks, 16) << streams;
     return elapsed;
   };
