@@ -3,7 +3,10 @@
 # out), RelWithDebInfo under ASan+UBSan (invariants live), and TSan over
 # the concurrency-heavy suites (MPlugin backend thread and long poll/wake,
 # farm worker pool, the striped frame pool they all share) — with warnings as errors throughout, runs the full test
-# suite in the first two, then gates on protocol conformance: a fresh
+# suite in the first two (the Release leg asserts the exact per-step
+# allocation budgets of alloc_budget_test; the sanitizer legs skip them)
+# and the gridbench self-test after the Release leg, then gates on
+# protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +
 # live invariants) must come back clean — on failure nees_fuzz prints the
@@ -39,6 +42,15 @@ run_config() {
 # the lock-order checker runs composed with ASan/UBSan across the whole
 # suite and the fuzz legs below.
 run_config "$prefix-release" -DCMAKE_BUILD_TYPE=Release
+
+echo
+echo "######## gridbench self-test ########"
+# The benchmark program compiles against the system's headers (obs/trace.h,
+# util/bytes.h, util/frame_pool.h, ...), so an API change that breaks it
+# must fail here, not first in the benchmark pipeline. Runs every workload
+# at its smallest size in both modes plus the deliberately-wrong-output
+# checks (about 6 s once built).
+python3 "$repo/gridbench/run.py" --selftest
 run_config "$prefix-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
            "-DNEES_SANITIZE=address;undefined" -DNEES_LOCKDEP=ON
 

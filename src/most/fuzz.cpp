@@ -216,11 +216,11 @@ FuzzTemplate TemplateForSeed(std::uint64_t seed) {
   // the throughput target, the long shapes ride along at a rate that keeps
   // the mean case cheap while every multi-thousand-seed sweep still runs
   // dozens of centrifuge campaigns and a handful of full-length MOSTs.
-  // Measured per-seed cost with oracles (gridbench fuzz_campaign trace
-  // run, release, 1 core of a 4-vCPU VM): mini ~1.1 ms, centrifuge
-  // ~0.9 ms, standard ~11 ms, full-most (1,500 steps) ~0.29 s — a
-  // full-most seed costs ~250 minis, which is why its weight is a tenth of
-  // a percent.
+  // Measured per-seed cost (gridbench fuzz_campaign trace run, release,
+  // 1 core of a loaded 4-vCPU VM, allocation-free message path): mini
+  // ~1.1 ms, centrifuge ~0.9 ms, standard ~11.5 ms, full-most (1,500 steps)
+  // ~0.28 s with oracles — a full-most seed costs ~250 minis, which is why
+  // its weight is a tenth of a percent.
   util::Rng lane = util::Rng(seed).Fork(10);
   const int roll = lane.UniformInt(0, 999);
   if (roll < 935) return FuzzTemplate::kMini;
@@ -765,9 +765,11 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     harness->notify_tx =
         std::make_unique<net::RpcClient>(&network, NotifierEndpoint(i));
     net::RpcClient* tx = harness->notify_tx.get();
-    const std::string wake_ep = WakeEndpoint(i);
     harness->plugin->SetWorkNotifier(
-        [tx, wake_ep] { (void)tx->OneWay(wake_ep, "mplugin.wake", {}); });
+        [tx, wake = net::EndpointId(WakeEndpoint(i)),
+         method = net::MethodId("mplugin.wake")] {
+          (void)tx->OneWay(wake, method, {});
+        });
 
     slot.live = std::move(harness);
   };
@@ -891,16 +893,16 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
         break;
       }
       case FuzzFault::Kind::kDropNext: {
-        const std::string from = f.to_site ? kCoordinatorEndpoint : ntcp_ep;
-        const std::string to = f.to_site ? ntcp_ep : kCoordinatorEndpoint;
+        const net::EndpointId from(f.to_site ? kCoordinatorEndpoint : ntcp_ep);
+        const net::EndpointId to(f.to_site ? ntcp_ep : kCoordinatorEndpoint);
         network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
           network.DropNext(from, to, count);
         });
         break;
       }
       case FuzzFault::Kind::kWakeDrop: {
-        const std::string from = NotifierEndpoint(f.site);
-        const std::string to = WakeEndpoint(f.site);
+        const net::EndpointId from(NotifierEndpoint(f.site));
+        const net::EndpointId to(WakeEndpoint(f.site));
         network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
           network.DropNext(from, to, count);
         });
@@ -920,8 +922,8 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
         break;
       }
       case FuzzFault::Kind::kFrameCorrupt: {
-        const std::string from = f.to_site ? kCoordinatorEndpoint : ntcp_ep;
-        const std::string to = f.to_site ? ntcp_ep : kCoordinatorEndpoint;
+        const net::EndpointId from(f.to_site ? kCoordinatorEndpoint : ntcp_ep);
+        const net::EndpointId to(f.to_site ? ntcp_ep : kCoordinatorEndpoint);
         network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
           network.CorruptNext(from, to, count);
         });
@@ -1166,9 +1168,10 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
     fault_horizon = std::max(
         fault_horizon,
         f.at_micros + std::max<std::int64_t>(f.duration_micros, 0));
-    const std::string from =
-        f.to_site ? kOperatorEndpoint : kCentrifugeEndpoint;
-    const std::string to = f.to_site ? kCentrifugeEndpoint : kOperatorEndpoint;
+    const net::EndpointId from(f.to_site ? kOperatorEndpoint
+                                         : kCentrifugeEndpoint);
+    const net::EndpointId to(f.to_site ? kCentrifugeEndpoint
+                                       : kOperatorEndpoint);
     switch (f.kind) {
       case FuzzFault::Kind::kOutage: {
         net::OutageWindow window{f.at_micros, f.at_micros + f.duration_micros};

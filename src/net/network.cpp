@@ -294,7 +294,7 @@ void Network::AdvanceVirtualClockTo(std::int64_t micros) {
   if (micros > virtual_clock_->NowMicros()) virtual_clock_->SetMicros(micros);
 }
 
-void Network::ScheduleAt(std::int64_t due_micros, std::function<void()> fn) {
+void Network::ScheduleAt(std::int64_t due_micros, TimerFn fn) {
   NEES_CHECK_INVARIANT(mode_ == DeliveryMode::kVirtual,
                        "timers require DeliveryMode::kVirtual");
   util::MutexLock lock(mu_);
@@ -304,8 +304,7 @@ void Network::ScheduleAt(std::int64_t due_micros, std::function<void()> fn) {
                               std::move(fn)});
 }
 
-void Network::ScheduleAfter(std::int64_t delay_micros,
-                            std::function<void()> fn) {
+void Network::ScheduleAfter(std::int64_t delay_micros, TimerFn fn) {
   NEES_CHECK_INVARIANT(mode_ == DeliveryMode::kVirtual,
                        "timers require DeliveryMode::kVirtual");
   util::MutexLock lock(mu_);
@@ -318,7 +317,7 @@ void Network::ScheduleAfter(std::int64_t delay_micros,
 bool Network::PumpOne(std::int64_t limit_micros, bool advance_on_idle) {
   if (mode_ != DeliveryMode::kVirtual) return false;
   Message message;
-  std::function<void()> fn;
+  TimerFn fn;
   std::int64_t delay = 0;
   enum class Pick { kNone, kMessage, kTimer };
   Pick pick = Pick::kNone;

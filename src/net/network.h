@@ -57,6 +57,7 @@
 #include "net/link.h"
 #include "net/message.h"
 #include "util/clock.h"
+#include "util/inline_function.h"
 #include "util/mutex.h"
 #include "util/open_hash.h"
 #include "util/result.h"
@@ -76,6 +77,10 @@ class Network {
   /// message's life on the wire, so the payload can be moved (not copied)
   /// into the protocol layer. Lambdas taking `const Message&` still bind.
   using Handler = std::function<void(Message)>;
+  /// A virtual-time timer callback. Stored inline, so scheduling and
+  /// re-arming a timer never allocates; a capture larger than the inline
+  /// capacity does not compile.
+  using TimerFn = util::InlineFunction<void(), 48>;
 
   explicit Network(DeliveryMode mode = DeliveryMode::kImmediate,
                    std::uint64_t fault_seed = 42);
@@ -182,9 +187,9 @@ class Network {
   /// due at the same microsecond fire in a seed-dependent but reproducible
   /// order. Timers run outside the network lock and may send, schedule,
   /// and pump recursively.
-  void ScheduleAt(std::int64_t due_micros, std::function<void()> fn);
+  void ScheduleAt(std::int64_t due_micros, TimerFn fn);
   /// Schedules `fn` after `delay_micros` of virtual time from now.
-  void ScheduleAfter(std::int64_t delay_micros, std::function<void()> fn);
+  void ScheduleAfter(std::int64_t delay_micros, TimerFn fn);
 
   /// Delivers the single earliest pending event (message or timer) if it is
   /// due at or before `limit_micros`, advancing the virtual clock to its
@@ -244,7 +249,7 @@ class Network {
     std::int64_t due_micros;
     std::uint64_t tie;
     std::uint64_t sequence;  // shared counter with messages: globally unique
-    std::function<void()> fn;
+    TimerFn fn;
     bool operator>(const ScheduledTimer& other) const {
       if (due_micros != other.due_micros) return due_micros > other.due_micros;
       if (tie != other.tie) return tie > other.tie;

@@ -127,12 +127,14 @@ RpcServer::MethodEntry& RpcServer::EntryLocked(MethodId id) {
 
 void RpcServer::RegisterMethod(MethodId name, Method method) {
   util::MutexLock lock(mu_);
-  EntryLocked(name).request = std::move(method);
+  EntryLocked(name).request =
+      std::make_shared<const Method>(std::move(method));
 }
 
 void RpcServer::RegisterOneWay(MethodId name, OneWayMethod method) {
   util::MutexLock lock(mu_);
-  EntryLocked(name).oneway = std::move(method);
+  EntryLocked(name).oneway =
+      std::make_shared<const OneWayMethod>(std::move(method));
 }
 
 void RpcServer::SetAuthenticator(Authenticator authenticator) {
@@ -143,7 +145,7 @@ void RpcServer::SetAuthenticator(Authenticator authenticator) {
 util::Result<Bytes> RpcServer::DispatchCall(CallContext& context,
                                             MethodId method,
                                             const Bytes& body) {
-  Method handler;
+  std::shared_ptr<const Method> handler;
   Authenticator authenticator;
   {
     util::MutexLock lock(mu_);
@@ -152,7 +154,7 @@ util::Result<Bytes> RpcServer::DispatchCall(CallContext& context,
     }
     authenticator = authenticator_;
   }
-  if (!handler) {
+  if (handler == nullptr || !*handler) {
     return util::Unimplemented("no such method: " + method.str());
   }
   if (authenticator) {
@@ -160,7 +162,7 @@ util::Result<Bytes> RpcServer::DispatchCall(CallContext& context,
     if (!subject.ok()) return subject.status();
     context.subject = *std::move(subject);
   }
-  return handler(context, body);
+  return (*handler)(context, body);
 }
 
 void RpcServer::HandleMessage(Message message) {
@@ -182,20 +184,20 @@ void RpcServer::HandleMessage(Message message) {
 
   if (message.kind == MessageKind::kOneWay) {
     if (!decode_status.ok()) return;  // corrupt one-way frame: drop
-    OneWayMethod handler;
+    std::shared_ptr<const OneWayMethod> handler;
     {
       util::MutexLock lock(mu_);
       const std::uint32_t* index = method_index_.Find(message.method.raw());
       if (index == nullptr) return;
       handler = method_entries_[*index - 1].oneway;
-      if (!handler) return;
+      if (handler == nullptr || !*handler) return;
       if (authenticator_) {
         auto subject = authenticator_(context.auth_token, message.method.str());
         if (!subject.ok()) return;  // silently discard unauthenticated stream
         context.subject = *std::move(subject);
       }
     }
-    handler(context, body);
+    (*handler)(context, body);
     util::ReleaseFrame(std::move(body));
     return;
   }

@@ -81,9 +81,12 @@ class RpcServer {
   EndpointId endpoint_id() const { return endpoint_id_; }
 
  private:
+  // Dispatch copies the handler out from under mu_ and runs it unlocked;
+  // sharing it makes that copy a reference-count bump, never a copy of a
+  // capture too large for std::function's inline buffer.
   struct MethodEntry {
-    Method request;
-    OneWayMethod oneway;
+    std::shared_ptr<const Method> request;
+    std::shared_ptr<const OneWayMethod> oneway;
   };
 
   void HandleMessage(Message message);

@@ -1,6 +1,7 @@
 #include "ntcp/client.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "obs/trace.h"
@@ -235,7 +236,7 @@ util::Result<net::Bytes> NtcpClient::AsyncOp::Await() {
 }
 
 NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
-                                        obs::Tracer::Tags tags,
+                                        std::span<obs::Tag> op_tags,
                                         std::uint64_t parent_span_id) {
   ++stats_.calls;
   AsyncOp op;
@@ -253,9 +254,13 @@ NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
   if (tracer_ != nullptr) {
     if (parent_span_id == 0) parent_span_id = tracer_->CurrentSpanId();
     // The server tag leads, then the operation's own tags.
-    tags.insert(tags.begin(), obs::Tag(kServer, server_id_.atom()));
+    std::array<obs::Tag, 3> tags;
+    tags[0] = obs::Tag(kServer, server_id_.atom());
+    const std::size_t count = 1 + std::min(op_tags.size(), tags.size() - 1);
+    std::move(op_tags.begin(), op_tags.begin() + (count - 1),
+              tags.begin() + 1);
     s.span_id = tracer_->BeginSpanId(method.atom(), kProtocol, parent_span_id,
-                                     std::move(tags));
+                                     std::span<obs::Tag>(tags.data(), count));
     s.trace_t0 = tracer_->NowMicros();
   }
   s.start_micros = clock_->NowMicros();
@@ -304,9 +309,8 @@ void NtcpClient::AwaitAll(std::vector<AsyncOp>& ops) {
 }
 
 util::Result<net::Bytes> NtcpClient::CallWithRetry(net::MethodId method,
-                                                   const net::Bytes& body,
-                                                   obs::Tracer::Tags tags) {
-  AsyncOp op = StartOp(method, body, std::move(tags), /*parent_span_id=*/0);
+                                                   const net::Bytes& body) {
+  AsyncOp op = StartOp(method, body, {}, /*parent_span_id=*/0);
   return op.Await();
 }
 
@@ -315,40 +319,30 @@ NtcpClient::AsyncOp NtcpClient::ProposeAsync(const Proposal& proposal,
   util::ByteWriter writer(util::AcquireFrame());
   EncodeProposal(proposal, writer);
   // Tags annotate the operation's span; skip building them untraced.
-  obs::Tracer::Tags tags;
+  std::array<obs::Tag, 2> tags;
   if (tracer_ != nullptr) {
-    tags.reserve(4);
-    tags.emplace_back(kTxn, proposal.transaction_id);
-    tags.emplace_back(kStep, proposal.step_index);
+    tags = {obs::Tag(kTxn, proposal.transaction_id),
+            obs::Tag(kStep, proposal.step_index)};
   }
-  return StartOp(ProposeMethod(), writer.Take(), std::move(tags),
-                 parent_span_id);
+  return StartOp(ProposeMethod(), writer.Take(), tags, parent_span_id);
 }
 
 NtcpClient::AsyncOp NtcpClient::ExecuteAsync(
     const std::string& transaction_id, std::uint64_t parent_span_id) {
   util::ByteWriter writer(util::AcquireFrame(transaction_id.size() + 4));
   writer.WriteString(transaction_id);
-  obs::Tracer::Tags tags;
-  if (tracer_ != nullptr) {
-    tags.reserve(3);
-    tags.emplace_back(kTxn, transaction_id);
-  }
-  return StartOp(ExecuteMethod(), writer.Take(), std::move(tags),
-                 parent_span_id);
+  std::array<obs::Tag, 1> tags;
+  if (tracer_ != nullptr) tags[0] = obs::Tag(kTxn, transaction_id);
+  return StartOp(ExecuteMethod(), writer.Take(), tags, parent_span_id);
 }
 
 NtcpClient::AsyncOp NtcpClient::CancelAsync(const std::string& transaction_id,
                                             std::uint64_t parent_span_id) {
   util::ByteWriter writer(util::AcquireFrame(transaction_id.size() + 4));
   writer.WriteString(transaction_id);
-  obs::Tracer::Tags tags;
-  if (tracer_ != nullptr) {
-    tags.reserve(3);
-    tags.emplace_back(kTxn, transaction_id);
-  }
-  return StartOp(CancelMethod(), writer.Take(), std::move(tags),
-                 parent_span_id);
+  std::array<obs::Tag, 1> tags;
+  if (tracer_ != nullptr) tags[0] = obs::Tag(kTxn, transaction_id);
+  return StartOp(CancelMethod(), writer.Take(), tags, parent_span_id);
 }
 
 util::Status NtcpClient::FinishPropose(AsyncOp& op) {
@@ -366,12 +360,13 @@ util::Status NtcpClient::FinishPropose(AsyncOp& op) {
   return util::OkStatus();
 }
 
-util::Result<TransactionResult> NtcpClient::FinishExecute(AsyncOp& op) {
+util::Status NtcpClient::FinishExecute(AsyncOp& op,
+                                       TransactionResult& result) {
   NEES_ASSIGN_OR_RETURN(net::Bytes response, op.Await());
   util::ByteReader reader(response);
-  util::Result<TransactionResult> result = DecodeTransactionResult(reader);
+  const util::Status status = DecodeTransactionResultInto(reader, result);
   util::ReleaseFrame(std::move(response));
-  return result;
+  return status;
 }
 
 util::Status NtcpClient::FinishCancel(AsyncOp& op) {
@@ -388,7 +383,9 @@ util::Status NtcpClient::Propose(const Proposal& proposal) {
 util::Result<TransactionResult> NtcpClient::Execute(
     const std::string& transaction_id) {
   AsyncOp op = ExecuteAsync(transaction_id);
-  return FinishExecute(op);
+  TransactionResult result;
+  NEES_RETURN_IF_ERROR(FinishExecute(op, result));
+  return result;
 }
 
 util::Status NtcpClient::Cancel(const std::string& transaction_id) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,7 +112,8 @@ class NtcpClient {
 
   /// Awaits + decodes an op started by the matching *Async call.
   static util::Status FinishPropose(AsyncOp& op);
-  static util::Result<TransactionResult> FinishExecute(AsyncOp& op);
+  /// Decodes the execute result into `result`, reusing its storage.
+  static util::Status FinishExecute(AsyncOp& op, TransactionResult& result);
   static util::Status FinishCancel(AsyncOp& op);
 
   /// Drives every op to completion on the calling thread, overlapping all
@@ -145,15 +147,15 @@ class NtcpClient {
   /// Starts the retry state machine for one operation (first RPC attempt
   /// issued before returning; pumped once so immediate-mode responses
   /// resolve inline).
+  /// `op_tags` (e.g. the transaction id and step) annotate the
+  /// operation's span after the server tag; they are moved from.
   AsyncOp StartOp(net::MethodId method, net::Bytes body,
-                  obs::Tracer::Tags tags, std::uint64_t parent_span_id);
+                  std::span<obs::Tag> op_tags, std::uint64_t parent_span_id);
 
-  /// Runs `call` with transient-error retry + exponential backoff. `tags`
-  /// (e.g. the transaction id and step) annotate the operation's span.
+  /// Runs `call` with transient-error retry + exponential backoff.
   /// Synchronous facade over StartOp + Await.
   util::Result<net::Bytes> CallWithRetry(net::MethodId method,
-                                         const net::Bytes& body,
-                                         obs::Tracer::Tags tags = {});
+                                         const net::Bytes& body);
 
   net::RpcClient* rpc_;
   std::string server_;

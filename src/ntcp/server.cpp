@@ -1,5 +1,7 @@
 #include "ntcp/server.h"
 
+#include <array>
+
 #include "check/invariant.h"
 #include "obs/trace.h"
 #include "util/frame_pool.h"
@@ -172,34 +174,36 @@ void NtcpServer::RecordTxnEventLocked(const TransactionRecord& record,
                                       std::int64_t at_micros,
                                       std::string_view cause) {
   if (tracer_ == nullptr) return;
-  obs::Tracer::Tags tags;
-  tags.reserve(cause.empty() ? 7 : 8);
-  tags.emplace_back(kTxn, record.proposal.transaction_id);
-  tags.emplace_back(kEndpoint, endpoint_atom());
-  tags.emplace_back(kFrom, from);
-  tags.emplace_back(kTo, to);
-  tags.emplace_back(kStep, record.proposal.step_index);
-  tags.emplace_back(kAt, at_micros);
-  tags.emplace_back(kTimeout, record.proposal.timeout_micros);
-  if (!cause.empty()) tags.emplace_back(kCause, obs::Atom(cause));
-  tracer_->RecordEvent(kTxnEvent, kTxnCategory, 0, std::move(tags));
+  std::array<obs::Tag, 8> tags = {
+      obs::Tag(kTxn, record.proposal.transaction_id),
+      obs::Tag(kEndpoint, endpoint_atom()),
+      obs::Tag(kFrom, from),
+      obs::Tag(kTo, to),
+      obs::Tag(kStep, record.proposal.step_index),
+      obs::Tag(kAt, at_micros),
+      obs::Tag(kTimeout, record.proposal.timeout_micros)};
+  std::size_t count = 7;
+  if (!cause.empty()) tags[count++] = obs::Tag(kCause, obs::Atom(cause));
+  tracer_->RecordEvent(kTxnEvent, kTxnCategory, 0,
+                       std::span<obs::Tag>(tags.data(), count));
 }
 
 void NtcpServer::WalLogCreateLocked(const TransactionRecord& record) {
   if (wal_ == nullptr) return;
-  util::ByteWriter writer;
+  util::ByteWriter writer(std::move(wal_buffer_));
   EncodeProposal(record.proposal, writer);
   const auto it = record.state_timestamps.find(
       TransactionStateName(TransactionState::kProposed));
   writer.WriteI64(it == record.state_timestamps.end() ? -1 : it->second);
-  if (wal_->Append(kWalTxnCreate, writer.Take()).ok()) ++stats_.wal_records;
+  if (wal_->Append(kWalTxnCreate, writer.data()).ok()) ++stats_.wal_records;
+  wal_buffer_ = writer.Take();
 }
 
 void NtcpServer::WalLogTransitionLocked(const std::string& id,
                                         const TransactionRecord& record,
                                         std::int64_t at_micros) {
   if (wal_ == nullptr) return;
-  util::ByteWriter writer;
+  util::ByteWriter writer(std::move(wal_buffer_));
   writer.WriteString(id);
   writer.WriteU8(static_cast<std::uint8_t>(record.state));
   writer.WriteI64(at_micros);
@@ -207,9 +211,10 @@ void NtcpServer::WalLogTransitionLocked(const std::string& id,
   const bool has_result = record.state == TransactionState::kCompleted;
   writer.WriteBool(has_result);
   if (has_result) EncodeTransactionResult(record.result, writer);
-  if (wal_->Append(kWalTxnTransition, writer.Take()).ok()) {
+  if (wal_->Append(kWalTxnTransition, writer.data()).ok()) {
     ++stats_.wal_records;
   }
+  wal_buffer_ = writer.Take();
 }
 
 void NtcpServer::WalSyncLocked() {
@@ -331,6 +336,16 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
 
 util::Result<TransactionResult> NtcpServer::Execute(
     const std::string& transaction_id) {
+  TransactionResult result;
+  NEES_RETURN_IF_ERROR(ExecuteWith(
+      transaction_id,
+      [&result](const TransactionResult& cached) { result = cached; }));
+  return result;
+}
+
+template <typename Consume>
+util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
+                                     Consume&& consume) {
   obs::Span span;
   if (tracer_ != nullptr) {
     span = tracer_->StartSpan(kExecuteSpan, kProtocol);
@@ -352,7 +367,8 @@ util::Result<TransactionResult> NtcpServer::Execute(
         // At-most-once: a retried execute returns the cached result.
         ++stats_.duplicate_executes;
         RecordDupEventLocked(record, "execute");
-        return record.result;
+        consume(record.result);
+        return util::OkStatus();
       case TransactionState::kFailed:
         ++stats_.duplicate_executes;
         RecordDupEventLocked(record, "execute");
@@ -413,7 +429,8 @@ util::Result<TransactionResult> NtcpServer::Execute(
     TransitionLocked(transaction_id, it->second, TransactionState::kCompleted,
                      "");
     WalSyncLocked();  // result durable before the reply that caches it
-    return it->second.result;
+    consume(it->second.result);
+    return util::OkStatus();
   }
   ++stats_.failures;
   TransitionLocked(transaction_id, it->second, TransactionState::kFailed,
@@ -633,9 +650,11 @@ void NtcpServer::BindRpcMethods() {
              const net::Bytes& body) -> util::Result<net::Bytes> {
         util::ByteReader reader(body);
         NEES_ASSIGN_OR_RETURN(std::string id, reader.ReadString());
-        NEES_ASSIGN_OR_RETURN(TransactionResult result, Execute(id));
         util::ByteWriter writer(util::AcquireFrame());
-        EncodeTransactionResult(result, writer);
+        NEES_RETURN_IF_ERROR(
+            ExecuteWith(id, [&writer](const TransactionResult& result) {
+              EncodeTransactionResult(result, writer);
+            }));
         return writer.Take();
       });
   rpc_server_.RegisterMethod(

@@ -124,6 +124,12 @@ class NtcpServer {
   grid::GridService& service_data() { return *service_; }
 
  private:
+  /// Execute() with the outcome handed to `consume(const TransactionResult&)`
+  /// under the table lock instead of copied out: the RPC handler encodes the
+  /// cached result straight into its reply frame.
+  template <typename Consume>
+  util::Status ExecuteWith(const std::string& transaction_id,
+                           Consume&& consume);
   void TransitionLocked(const std::string& id, TransactionRecord& record,
                         TransactionState to, const std::string& detail,
                         const std::string& cause = "") NEES_REQUIRES(mu_);
@@ -179,6 +185,9 @@ class NtcpServer {
       NEES_GUARDED_BY(mu_);
   NtcpServerStats stats_ NEES_GUARDED_BY(mu_);
   wal::Log* wal_ NEES_GUARDED_BY(mu_) = nullptr;
+  // Every WAL record is encoded here, so logging a transition reuses one
+  // buffer instead of allocating a payload per record.
+  std::vector<std::uint8_t> wal_buffer_ NEES_GUARDED_BY(mu_);
 
   // Lazy-SDE state: set by MarkSdeDirtyLocked, consumed by FlushSdeLocked.
   // last_changed_id_ reuses its capacity across steps, so marking a

@@ -139,14 +139,12 @@ void EncodeControlPointRequest(const ControlPointRequest& request,
   writer.WriteDoubleVector(request.target_force);
 }
 
-util::Result<ControlPointRequest> DecodeControlPointRequest(
-    util::ByteReader& reader) {
-  ControlPointRequest request;
-  NEES_ASSIGN_OR_RETURN(request.control_point, reader.ReadString());
-  NEES_ASSIGN_OR_RETURN(request.target_displacement,
-                        reader.ReadDoubleVector());
-  NEES_ASSIGN_OR_RETURN(request.target_force, reader.ReadDoubleVector());
-  return request;
+util::Status DecodeControlPointRequestInto(util::ByteReader& reader,
+                                          ControlPointRequest& request) {
+  NEES_RETURN_IF_ERROR(reader.ReadStringInto(request.control_point));
+  NEES_RETURN_IF_ERROR(
+      reader.ReadDoubleVectorInto(request.target_displacement));
+  return reader.ReadDoubleVectorInto(request.target_force);
 }
 
 void EncodeControlPointResult(const ControlPointResult& result,
@@ -154,16 +152,6 @@ void EncodeControlPointResult(const ControlPointResult& result,
   writer.WriteString(result.control_point);
   writer.WriteDoubleVector(result.measured_displacement);
   writer.WriteDoubleVector(result.measured_force);
-}
-
-util::Result<ControlPointResult> DecodeControlPointResult(
-    util::ByteReader& reader) {
-  ControlPointResult result;
-  NEES_ASSIGN_OR_RETURN(result.control_point, reader.ReadString());
-  NEES_ASSIGN_OR_RETURN(result.measured_displacement,
-                        reader.ReadDoubleVector());
-  NEES_ASSIGN_OR_RETURN(result.measured_force, reader.ReadDoubleVector());
-  return result;
 }
 
 }  // namespace
@@ -180,16 +168,24 @@ void EncodeProposal(const Proposal& proposal, util::ByteWriter& writer) {
 
 util::Result<Proposal> DecodeProposal(util::ByteReader& reader) {
   Proposal proposal;
-  NEES_ASSIGN_OR_RETURN(proposal.transaction_id, reader.ReadString());
+  NEES_RETURN_IF_ERROR(DecodeProposalInto(reader, proposal));
+  return proposal;
+}
+
+util::Status DecodeProposalInto(util::ByteReader& reader, Proposal& proposal) {
+  NEES_RETURN_IF_ERROR(reader.ReadStringInto(proposal.transaction_id));
   NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
+  // Grows one entry at a time, so a corrupt count fails on the frame's end
+  // instead of sizing the vector first.
   for (std::uint32_t i = 0; i < count; ++i) {
-    NEES_ASSIGN_OR_RETURN(ControlPointRequest action,
-                          DecodeControlPointRequest(reader));
-    proposal.actions.push_back(std::move(action));
+    if (i == proposal.actions.size()) proposal.actions.emplace_back();
+    NEES_RETURN_IF_ERROR(
+        DecodeControlPointRequestInto(reader, proposal.actions[i]));
   }
+  proposal.actions.resize(count);
   NEES_ASSIGN_OR_RETURN(proposal.timeout_micros, reader.ReadI64());
   NEES_ASSIGN_OR_RETURN(proposal.step_index, reader.ReadI64());
-  return proposal;
+  return util::OkStatus();
 }
 
 void EncodeTransactionResult(const TransactionResult& result,
@@ -203,13 +199,25 @@ void EncodeTransactionResult(const TransactionResult& result,
 util::Result<TransactionResult> DecodeTransactionResult(
     util::ByteReader& reader) {
   TransactionResult result;
-  NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
-  for (std::uint32_t i = 0; i < count; ++i) {
-    NEES_ASSIGN_OR_RETURN(ControlPointResult entry,
-                          DecodeControlPointResult(reader));
-    result.results.push_back(std::move(entry));
-  }
+  NEES_RETURN_IF_ERROR(DecodeTransactionResultInto(reader, result));
   return result;
+}
+
+util::Status DecodeTransactionResultInto(util::ByteReader& reader,
+                                         TransactionResult& result) {
+  NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
+  // Grows one entry at a time, so a corrupt count fails on the frame's end
+  // instead of sizing the vector first.
+  for (std::uint32_t i = 0; i < count; ++i) {
+    if (i == result.results.size()) result.results.emplace_back();
+    ControlPointResult& entry = result.results[i];
+    NEES_RETURN_IF_ERROR(reader.ReadStringInto(entry.control_point));
+    NEES_RETURN_IF_ERROR(
+        reader.ReadDoubleVectorInto(entry.measured_displacement));
+    NEES_RETURN_IF_ERROR(reader.ReadDoubleVectorInto(entry.measured_force));
+  }
+  result.results.resize(count);
+  return util::OkStatus();
 }
 
 void EncodeTransactionRecord(const TransactionRecord& record,

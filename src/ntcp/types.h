@@ -138,11 +138,18 @@ bool ProposalWindowLapsed(const TransactionRecord& record,
 
 void EncodeProposal(const Proposal& proposal, util::ByteWriter& writer);
 util::Result<Proposal> DecodeProposal(util::ByteReader& reader);
+/// DecodeProposal into `proposal`, reusing its strings' and vectors'
+/// storage (a backend decodes one proposal per poll cycle).
+util::Status DecodeProposalInto(util::ByteReader& reader, Proposal& proposal);
 
 void EncodeTransactionResult(const TransactionResult& result,
                              util::ByteWriter& writer);
 util::Result<TransactionResult> DecodeTransactionResult(
     util::ByteReader& reader);
+/// DecodeTransactionResult into `result`, reusing the storage of its
+/// entries (a coordinator decodes the same shape every step).
+util::Status DecodeTransactionResultInto(util::ByteReader& reader,
+                                         TransactionResult& result);
 
 void EncodeTransactionRecord(const TransactionRecord& record,
                              util::ByteWriter& writer);

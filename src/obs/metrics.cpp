@@ -70,12 +70,16 @@ std::string MetricsRegistry::ReportTable() const {
   }
   if (!histograms_.empty()) {
     util::TextTable table({"histogram", "n", "mean", "p50", "p95", "max"});
+    std::vector<double> sorted;  // one sort per histogram, one buffer
+    const auto percentile = [&sorted](double p) {
+      return util::Format("%.4g",
+                          util::SampleStats::PercentileOfSorted(sorted, p));
+    };
     for (const auto& [name, stats] : histograms_) {
+      stats.SortedInto(sorted);
       table.AddRow({name, std::to_string(stats.count()),
-                    util::Format("%.4g", stats.mean()),
-                    util::Format("%.4g", stats.Percentile(50)),
-                    util::Format("%.4g", stats.Percentile(95)),
-                    util::Format("%.4g", stats.max())});
+                    util::Format("%.4g", stats.mean()), percentile(50),
+                    percentile(95), util::Format("%.4g", stats.max())});
     }
     if (!out.empty()) out += "\n";
     out += table.ToString();

@@ -32,6 +32,29 @@ bool operator==(const Tag& a, const Tag& b) {
 }
 
 // ---------------------------------------------------------------------------
+// TagArena
+
+void* TagArena::Allocate(std::size_t bytes) {
+  constexpr std::size_t kAlign = alignof(std::max_align_t);
+  bytes = (bytes + kAlign - 1) & ~(kAlign - 1);
+  if (bytes > kChunkBytes / 4) {
+    // A large request gets a block of its own, so the current chunk's tail
+    // is not abandoned for it.
+    chunks_.emplace_back(new std::byte[bytes]);
+    return chunks_.back().get();
+  }
+  if (bytes > left_) {
+    chunks_.emplace_back(new std::byte[kChunkBytes]);
+    cursor_ = chunks_.back().get();
+    left_ = kChunkBytes;
+  }
+  void* out = cursor_;
+  cursor_ += bytes;
+  left_ -= bytes;
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 // Span
 
 Span::Span(Span&& other) noexcept
@@ -71,7 +94,10 @@ void Span::AddModeledMicros(std::int64_t micros) {
 // Tracer
 
 Tracer::Tracer(util::Clock* clock, util::SimClock* modeled)
-    : clock_(clock), modeled_(modeled) {}
+    : clock_(clock), modeled_(modeled), arena_(TagArena::Create()) {}
+
+// Recorded spans hold their own arena references.
+Tracer::~Tracer() { arena_->Unref(); }
 
 std::vector<std::uint64_t>& Tracer::StackLocked() {
   const std::thread::id self = std::this_thread::get_id();
@@ -91,6 +117,7 @@ SpanRecord& Tracer::StartLocked(Atom name, Atom category,
     if (push_stack) stack.push_back(spans_.size() + 1);
   }
   SpanRecord& record = spans_.emplace_back();
+  record.tags = TagList(arena_);
   record.id = spans_.size();
   record.parent_id = parent_id;
   record.name = name;
@@ -131,12 +158,23 @@ Span Tracer::StartSpanWithParent(Atom name, Atom category,
 
 std::uint64_t Tracer::BeginSpanId(Atom name, Atom category,
                                   std::uint64_t parent_id, Tags tags) {
+  return BeginSpanWith(name, category, parent_id, Copied(tags));
+}
+
+std::uint64_t Tracer::BeginSpanId(Atom name, Atom category,
+                                  std::uint64_t parent_id,
+                                  std::span<Tag> tags) {
+  return BeginSpanWith(name, category, parent_id, TagSource(tags));
+}
+
+std::uint64_t Tracer::BeginSpanWith(Atom name, Atom category,
+                                    std::uint64_t parent_id, TagSource tags) {
   util::MutexLock lock(mu_);
   SpanRecord& record = StartLocked(name, category, parent_id,
                                    /*implicit_parent=*/false,
                                    /*push_stack=*/true);
   record.start_micros = clock_->NowMicros();
-  record.tags = std::move(tags);
+  tags.AssignTo(record.tags);
   return record.id;
 }
 
@@ -148,7 +186,7 @@ void Tracer::EndSpanId(std::uint64_t id) {
 void Tracer::AddTagById(std::uint64_t id, Tag tag) {
   util::MutexLock lock(mu_);
   if (id == 0 || id > spans_.size()) return;
-  std::vector<Tag>& tags = spans_[id - 1].tags;
+  TagList& tags = spans_[id - 1].tags;
   if (tags.empty()) tags.reserve(4);
   tags.push_back(std::move(tag));
 }
@@ -164,18 +202,19 @@ void Tracer::RecordClosedLocked(std::uint64_t parent_id, bool implicit_parent,
                                 Atom name, Atom category,
                                 std::int64_t start_micros,
                                 std::int64_t end_micros,
-                                std::int64_t modeled_micros, Tags tags) {
+                                std::int64_t modeled_micros,
+                                TagSource tags) {
   SpanRecord& record = StartLocked(name, category, parent_id, implicit_parent,
                                    /*push_stack=*/false);
   record.start_micros = start_micros;
   record.end_micros = end_micros;
   record.modeled_micros = modeled_micros;
-  record.tags = std::move(tags);
+  tags.AssignTo(record.tags);
 }
 
 void Tracer::RecordModeledEvent(std::uint64_t parent_id, bool implicit_parent,
                                 Atom name, Atom category,
-                                std::int64_t modeled_micros, Tags tags) {
+                                std::int64_t modeled_micros, TagSource tags) {
   const std::int64_t start = clock_->NowMicros();
   if (modeled_micros > 0 && modeled_ != nullptr) {
     modeled_->Advance(modeled_micros);
@@ -183,20 +222,26 @@ void Tracer::RecordModeledEvent(std::uint64_t parent_id, bool implicit_parent,
   const std::int64_t end = clock_->NowMicros();
   util::MutexLock lock(mu_);
   RecordClosedLocked(parent_id, implicit_parent, name, category, start, end,
-                     modeled_micros, std::move(tags));
+                     modeled_micros, tags);
 }
 
 void Tracer::RecordEvent(Atom name, Atom category,
                          std::int64_t modeled_micros, Tags tags) {
   RecordModeledEvent(0, /*implicit_parent=*/true, name, category,
-                     modeled_micros, std::move(tags));
+                     modeled_micros, Copied(tags));
+}
+
+void Tracer::RecordEvent(Atom name, Atom category,
+                         std::int64_t modeled_micros, std::span<Tag> tags) {
+  RecordModeledEvent(0, /*implicit_parent=*/true, name, category,
+                     modeled_micros, TagSource(tags));
 }
 
 void Tracer::RecordEventUnder(std::uint64_t parent_id, Atom name,
                               Atom category, std::int64_t modeled_micros,
                               Tags tags) {
   RecordModeledEvent(parent_id, /*implicit_parent=*/false, name, category,
-                     modeled_micros, std::move(tags));
+                     modeled_micros, Copied(tags));
 }
 
 void Tracer::RecordInterval(std::uint64_t parent_id, Atom name,
@@ -205,7 +250,7 @@ void Tracer::RecordInterval(std::uint64_t parent_id, Atom name,
   util::MutexLock lock(mu_);
   RecordClosedLocked(parent_id, /*implicit_parent=*/false, name, category,
                      start_micros, std::max(start_micros, end_micros), 0,
-                     std::move(tags));
+                     Copied(tags));
 }
 
 std::uint64_t Tracer::CurrentSpanId() const {
@@ -229,6 +274,10 @@ std::vector<SpanRecord> Tracer::TakeSpans() {
   std::vector<SpanRecord> spans = std::move(spans_);
   spans_.clear();
   stacks_.clear();
+  // The taken spans keep the old arena; later spans must not share it with
+  // a consumer that may edit them.
+  arena_->Unref();
+  arena_ = TagArena::Create();
   return spans;
 }
 
@@ -242,6 +291,8 @@ void Tracer::Clear() {
     util::MutexLock lock(mu_);
     spans_.clear();
     stacks_.clear();
+    arena_->Unref();
+    arena_ = TagArena::Create();
   }
   metrics_.Clear();
 }

@@ -15,7 +15,9 @@
 // Storage: a span's name, category and tag keys are interned Atoms
 // (obs/intern.h) and its tag values are typed — integers and names as
 // words, free-form text as strings — so recording a span formats nothing.
-// Text is rendered only by ExportJsonLines and BreakdownTable.
+// Text is rendered only by ExportJsonLines and BreakdownTable. The tags of
+// recorded spans live in the tracer's TagArena, so recording a span whose
+// tag values are integers, names or short text allocates nothing.
 //
 // Parenting: spans nest implicitly per thread (a span started while another
 // is open on the same thread becomes its child). Cross-thread hops — the
@@ -23,8 +25,15 @@
 // explicit parent id instead.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <memory>
+#include <new>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -74,6 +83,153 @@ struct Tag {
   friend bool operator==(const Tag& a, const Tag& b);
 };
 
+/// Bump storage for the tags of the spans one tracer records. Tags are
+/// retained until the run's spans are consumed, so per-span heap blocks
+/// would cost one allocation per tagged span; the arena hands out slices of
+/// 8 KiB chunks instead and frees them all when the last TagList using it
+/// is gone (it is reference-counted by the tracer and every such list).
+/// Allocation is not thread-safe: the tracer allocates under its lock, and
+/// spans it hands over get the old arena to themselves.
+class TagArena {
+ public:
+  static TagArena* Create() { return new TagArena(); }
+  void Ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
+  void Unref() {
+    if (refs_.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
+  void* Allocate(std::size_t bytes);
+
+ private:
+  TagArena() = default;
+  static constexpr std::size_t kChunkBytes = 8 * 1024;
+  std::atomic<std::uint32_t> refs_{1};
+  std::vector<std::unique_ptr<std::byte[]>> chunks_;
+  std::byte* cursor_ = nullptr;
+  std::size_t left_ = 0;
+};
+
+/// A span's tags, in insertion order: a vector of Tag that is the size of
+/// a std::vector. A list the tracer records into takes its storage from
+/// the tracer's TagArena (regrowth abandons the old slice to the arena); a
+/// default-constructed, copied or parsed list uses the heap, so a copy
+/// never shares the tracer's arena.
+class TagList {
+ public:
+  TagList() = default;
+  explicit TagList(TagArena* arena) : arena_(arena) {
+    if (arena_ != nullptr) arena_->Ref();
+  }
+  TagList(std::initializer_list<Tag> tags) {
+    Append(tags.begin(), tags.size());
+  }
+  TagList(const TagList& other) { Append(other.data_, other.size_); }
+  TagList(TagList&& other) noexcept
+      : data_(other.data_), size_(other.size_), capacity_(other.capacity_),
+        arena_(other.arena_) {
+    other.data_ = nullptr;
+    other.size_ = other.capacity_ = 0;
+    other.arena_ = nullptr;
+  }
+  TagList& operator=(const TagList& other) {
+    if (this != &other) {
+      clear();
+      Append(other.data_, other.size_);
+    }
+    return *this;
+  }
+  TagList& operator=(TagList&& other) noexcept {
+    if (this != &other) {
+      Release();
+      std::swap(data_, other.data_);
+      std::swap(size_, other.size_);
+      std::swap(capacity_, other.capacity_);
+      std::swap(arena_, other.arena_);
+    }
+    return *this;
+  }
+  TagList& operator=(std::initializer_list<Tag> tags) {
+    clear();
+    Append(tags.begin(), tags.size());
+    return *this;
+  }
+  ~TagList() { Release(); }
+
+  template <typename... Args>
+  Tag& emplace_back(Args&&... args) {
+    if (size_ == capacity_) Grow(capacity_ == 0 ? 1 : 2 * capacity_);
+    Tag* tag = ::new (data_ + size_) Tag(std::forward<Args>(args)...);
+    ++size_;
+    return *tag;
+  }
+  void push_back(Tag tag) { emplace_back(std::move(tag)); }
+  void pop_back() { data_[--size_].~Tag(); }
+  void clear() {
+    for (std::uint32_t i = 0; i < size_; ++i) data_[i].~Tag();
+    size_ = 0;
+  }
+  void reserve(std::size_t n) {
+    if (n > capacity_) Grow(n);
+  }
+  /// Replaces the tags with `n` moved from `tags`.
+  void AssignMoved(Tag* tags, std::size_t n) {
+    clear();
+    reserve(n);
+    for (std::size_t i = 0; i < n; ++i) emplace_back(std::move(tags[i]));
+  }
+  /// Replaces the tags with copies of `n` from `tags`.
+  void AssignCopied(const Tag* tags, std::size_t n) {
+    clear();
+    Append(tags, n);
+  }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  Tag* begin() { return data_; }
+  Tag* end() { return data_ + size_; }
+  const Tag* begin() const { return data_; }
+  const Tag* end() const { return data_ + size_; }
+  Tag& operator[](std::size_t i) { return data_[i]; }
+  const Tag& operator[](std::size_t i) const { return data_[i]; }
+  Tag& back() { return data_[size_ - 1]; }
+  const Tag& back() const { return data_[size_ - 1]; }
+
+  friend bool operator==(const TagList& a, const TagList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  void Append(const Tag* tags, std::size_t n) {
+    reserve(size_ + n);
+    for (std::size_t i = 0; i < n; ++i) emplace_back(tags[i]);
+  }
+  /// Moves the tags to storage for `n`.
+  void Grow(std::size_t n) {
+    Tag* block = static_cast<Tag*>(
+        arena_ != nullptr ? arena_->Allocate(n * sizeof(Tag))
+                          : ::operator new(n * sizeof(Tag)));
+    for (std::uint32_t i = 0; i < size_; ++i) {
+      ::new (block + i) Tag(std::move(data_[i]));
+      data_[i].~Tag();
+    }
+    if (arena_ == nullptr) ::operator delete(data_);
+    data_ = block;
+    capacity_ = static_cast<std::uint32_t>(n);
+  }
+  void Release() {
+    clear();
+    if (arena_ == nullptr) ::operator delete(data_);
+    else arena_->Unref();
+    data_ = nullptr;
+    capacity_ = 0;
+    arena_ = nullptr;
+  }
+
+  Tag* data_ = nullptr;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = 0;
+  TagArena* arena_ = nullptr;  // null: heap storage
+};
+
 struct SpanRecord {
   std::uint64_t id = 0;         // 1-based; 0 is "no span"
   std::uint64_t parent_id = 0;  // 0 = root
@@ -82,7 +238,7 @@ struct SpanRecord {
   std::int64_t start_micros = 0;
   std::int64_t end_micros = -1;  // -1 while open
   std::int64_t modeled_micros = 0;  // modeled delay charged to this span
-  std::vector<Tag> tags;            // insertion order
+  TagList tags;                     // insertion order
 
   bool operator==(const SpanRecord&) const = default;
   /// Closed duration; open spans count as zero-length.
@@ -134,11 +290,13 @@ class Span {
 
 class Tracer {
  public:
-  using Tags = std::vector<Tag>;
+  /// Tags for a record call, copied into the span.
+  using Tags = std::initializer_list<Tag>;
 
   /// `clock` stamps span boundaries; both must outlive the tracer. If
   /// `modeled` is non-null, modeled delays advance it (see file comment).
   explicit Tracer(util::Clock* clock, util::SimClock* modeled = nullptr);
+  ~Tracer();
 
   // --- spans ----------------------------------------------------------------
   Span StartSpan(Atom name, Atom category);
@@ -150,6 +308,9 @@ class Tracer {
   /// the starting scope (e.g. MPlugin poll -> backend compute -> notify).
   std::uint64_t BeginSpanId(Atom name, Atom category, std::uint64_t parent_id,
                             Tags tags = {});
+  /// As above, moving the tags from the caller's array.
+  std::uint64_t BeginSpanId(Atom name, Atom category, std::uint64_t parent_id,
+                            std::span<Tag> tags);
   void EndSpanId(std::uint64_t id);
   void AddTagById(std::uint64_t id, Tag tag);
   template <typename V>
@@ -163,6 +324,10 @@ class Tracer {
   /// the modeled delay (zero-length when `modeled_micros` is 0).
   void RecordEvent(Atom name, Atom category, std::int64_t modeled_micros = 0,
                    Tags tags = {});
+  /// As above, moving the tags from the caller's array (events whose tag
+  /// count varies, like the NTCP server's `ntcp.txn`).
+  void RecordEvent(Atom name, Atom category, std::int64_t modeled_micros,
+                   std::span<Tag> tags);
   void RecordEventUnder(std::uint64_t parent_id, Atom name, Atom category,
                         std::int64_t modeled_micros = 0, Tags tags = {});
   /// Records an interval measured by the caller (e.g. queue dwell time).
@@ -197,11 +362,42 @@ class Tracer {
   void Clear();
 
  private:
+  /// The tags a Tracer record call stores: copied from a braced list, or
+  /// moved from a caller's array. Either way they land in the tracer's
+  /// TagArena, so recording allocates no per-span block.
+  class TagSource {
+   public:
+    TagSource() = default;
+    explicit TagSource(std::span<const Tag> copy_from)
+        : copy_from_(copy_from.data()), size_(copy_from.size()) {}
+    explicit TagSource(std::span<Tag> move_from)
+        : move_from_(move_from.data()), size_(move_from.size()) {}
+
+    /// Replaces `out`'s tags, in `out`'s storage.
+    void AssignTo(TagList& out) const {
+      if (move_from_ != nullptr) {
+        out.AssignMoved(move_from_, size_);
+      } else if (copy_from_ != nullptr) {
+        out.AssignCopied(copy_from_, size_);
+      }
+    }
+
+   private:
+    const Tag* copy_from_ = nullptr;
+    Tag* move_from_ = nullptr;
+    std::size_t size_ = 0;
+  };
+  static TagSource Copied(Tags tags) {
+    return TagSource(std::span<const Tag>(tags.begin(), tags.size()));
+  }
+
   struct ThreadStack {
     std::thread::id thread;
     std::vector<std::uint64_t> open;
   };
 
+  std::uint64_t BeginSpanWith(Atom name, Atom category,
+                              std::uint64_t parent_id, TagSource tags);
   std::vector<std::uint64_t>& StackLocked() NEES_REQUIRES(mu_);
   SpanRecord& StartLocked(Atom name, Atom category, std::uint64_t parent_id,
                           bool implicit_parent, bool push_stack)
@@ -211,11 +407,11 @@ class Tracer {
   /// `implicit_parent` takes the calling thread's current span as parent.
   void RecordModeledEvent(std::uint64_t parent_id, bool implicit_parent,
                           Atom name, Atom category,
-                          std::int64_t modeled_micros, Tags tags);
+                          std::int64_t modeled_micros, TagSource tags);
   void RecordClosedLocked(std::uint64_t parent_id, bool implicit_parent,
                           Atom name, Atom category, std::int64_t start_micros,
                           std::int64_t end_micros,
-                          std::int64_t modeled_micros, Tags tags)
+                          std::int64_t modeled_micros, TagSource tags)
       NEES_REQUIRES(mu_);
 
   util::Clock* clock_;
@@ -223,6 +419,9 @@ class Tracer {
   MetricsRegistry metrics_;
 
   mutable util::Mutex mu_{"obs.Tracer"};
+  // Tag storage of the spans in spans_ (one reference held); replaced when
+  // they are handed over.
+  TagArena* arena_ NEES_GUARDED_BY(mu_);
   // spans_[i].id == i + 1
   std::vector<SpanRecord> spans_ NEES_GUARDED_BY(mu_);
   // Open-span stacks, one per thread that has recorded; a handful at most.

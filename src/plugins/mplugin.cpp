@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "obs/trace.h"
+#include "util/frame_pool.h"
 #include "util/logging.h"
 
 namespace nees::plugins {
@@ -16,6 +17,15 @@ const obs::Atom kQueueCategory("queue");
 const obs::Atom kComputeSpan("backend.compute");
 const obs::Atom kSimulationCategory("simulation");
 const obs::Atom kTxn("txn");
+
+net::MethodId PollMethod() {
+  static const net::MethodId id("mplugin.poll");
+  return id;
+}
+net::MethodId NotifyMethod() {
+  static const net::MethodId id("mplugin.notify");
+  return id;
+}
 
 }  // namespace
 
@@ -208,7 +218,7 @@ void MPlugin::BindBackendRpc(net::RpcServer& server) {
         util::ByteReader reader(body);
         NEES_ASSIGN_OR_RETURN(std::int64_t max_wait, reader.ReadI64());
         auto proposal = PollRequest(max_wait);
-        util::ByteWriter writer;
+        util::ByteWriter writer(util::AcquireFrame());
         writer.WriteBool(proposal.has_value());
         if (proposal) ntcp::EncodeProposal(*proposal, writer);
         return writer.Take();
@@ -282,46 +292,6 @@ void PollingBackend::Loop() {
 }
 
 // ---------------------------------------------------------------------------
-// Remote poll cycle
-
-namespace {
-
-// One poll+compute+notify cycle against the plugin's RPC surface; returns
-// true if work was done. VirtualPollingBackend runs it on every wake and
-// heartbeat.
-util::Result<bool> RunPollCycle(net::RpcClient* rpc,
-                                const std::string& plugin_endpoint,
-                                const PollingBackend::Compute& compute,
-                                std::int64_t max_wait_micros) {
-  util::ByteWriter poll_writer;
-  poll_writer.WriteI64(max_wait_micros);
-  NEES_ASSIGN_OR_RETURN(
-      net::Bytes response,
-      rpc->Call(plugin_endpoint, "mplugin.poll", poll_writer.Take()));
-  util::ByteReader reader(response);
-  NEES_ASSIGN_OR_RETURN(bool has_work, reader.ReadBool());
-  if (!has_work) return false;
-  NEES_ASSIGN_OR_RETURN(ntcp::Proposal proposal,
-                        ntcp::DecodeProposal(reader));
-
-  auto outcome = compute(proposal);
-  util::ByteWriter notify_writer;
-  notify_writer.WriteString(proposal.transaction_id);
-  notify_writer.WriteBool(outcome.ok());
-  if (outcome.ok()) {
-    ntcp::EncodeTransactionResult(*outcome, notify_writer);
-  } else {
-    notify_writer.WriteString(outcome.status().ToString());
-  }
-  NEES_RETURN_IF_ERROR(
-      rpc->Call(plugin_endpoint, "mplugin.notify", notify_writer.Take())
-          .status());
-  return true;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
 // VirtualPollingBackend
 
 VirtualPollingBackend::VirtualPollingBackend(net::Network* network,
@@ -331,7 +301,7 @@ VirtualPollingBackend::VirtualPollingBackend(net::Network* network,
                                              std::int64_t heartbeat_micros)
     : network_(network),
       rpc_(rpc),
-      plugin_endpoint_(std::move(plugin_endpoint)),
+      plugin_id_(plugin_endpoint),
       compute_(std::move(compute)),
       heartbeat_micros_(heartbeat_micros) {}
 
@@ -391,7 +361,7 @@ void VirtualPollingBackend::Drain() {
   do {
     rewake_ = false;
     for (;;) {
-      auto worked = RunPollCycle(rpc_, plugin_endpoint_, compute_, 0);
+      auto worked = PollOnce();
       if (!worked.ok()) {
         NEES_LOG_WARN("plugins.backend")
             << "virtual poll cycle failed: " << worked.status().ToString();
@@ -402,6 +372,45 @@ void VirtualPollingBackend::Drain() {
     }
   } while (rewake_ && *running_);
   draining_ = false;
+}
+
+util::Result<bool> VirtualPollingBackend::PollOnce() {
+  // Both request bodies are encoded into body_, which the RPC layer copies
+  // into its envelope; the response frames go back to the pool once
+  // decoded. A steady-state cycle allocates no frame of its own.
+  util::ByteWriter poll_writer(std::move(body_));
+  poll_writer.WriteI64(0);  // no long-poll wait: the wake said work is queued
+  util::Result<net::Bytes> polled =
+      rpc_->Call(plugin_id_, PollMethod(), poll_writer.data());
+  body_ = poll_writer.Take();
+  NEES_RETURN_IF_ERROR(polled.status());
+  net::Bytes response = *std::move(polled);
+  util::ByteReader reader(response);
+  util::Result<bool> has_work = reader.ReadBool();
+  util::Status decoded;
+  if (has_work.ok() && *has_work) {
+    decoded = ntcp::DecodeProposalInto(reader, proposal_);
+  }
+  util::ReleaseFrame(std::move(response));
+  NEES_RETURN_IF_ERROR(has_work.status());
+  if (!*has_work) return false;
+  NEES_RETURN_IF_ERROR(decoded);
+
+  auto outcome = compute_(proposal_);
+  util::ByteWriter notify_writer(std::move(body_));
+  notify_writer.WriteString(proposal_.transaction_id);
+  notify_writer.WriteBool(outcome.ok());
+  if (outcome.ok()) {
+    ntcp::EncodeTransactionResult(*outcome, notify_writer);
+  } else {
+    notify_writer.WriteString(outcome.status().ToString());
+  }
+  util::Result<net::Bytes> notified =
+      rpc_->Call(plugin_id_, NotifyMethod(), notify_writer.data());
+  body_ = notify_writer.Take();
+  NEES_RETURN_IF_ERROR(notified.status());
+  util::ReleaseFrame(std::move(notified.value()));
+  return true;
 }
 
 PollingBackend::Compute MakeSimulationCompute(

@@ -188,11 +188,16 @@ class VirtualPollingBackend {
  private:
   void Drain();
   void ArmHeartbeat();
+  /// One poll+compute+notify cycle against the plugin's RPC surface;
+  /// returns true if work was done. Runs on every wake and heartbeat.
+  util::Result<bool> PollOnce();
 
   net::Network* network_;
   net::RpcClient* rpc_;
-  std::string plugin_endpoint_;
+  net::EndpointId plugin_id_;  // resolved once, not per poll
   Compute compute_;
+  std::vector<std::uint8_t> body_;  // reused poll/notify request body
+  ntcp::Proposal proposal_;         // reused decode target of each poll
   std::int64_t heartbeat_micros_;
   // Captured by armed timers and the wake binding; cleared on Stop() so a
   // late firing is a safe no-op even after this object is torn down.

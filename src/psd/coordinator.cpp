@@ -218,17 +218,19 @@ util::Status SimulationCoordinator::ExecuteAllAsync(
     site_stats_[i].step_micros.Add(
         static_cast<double>(ops[i].elapsed_micros()));
     ++site_stats_[i].executes;
-    auto result = ntcp::NtcpClient::FinishExecute(ops[i]);
+    // Decoded into the previous step's storage, which keeps its capacity.
+    const util::Status status =
+        ntcp::NtcpClient::FinishExecute(ops[i], results[i]);
     if (config_.tracer != nullptr) config_.tracer->EndSpanId(site_spans[i]);
-    if (!result.ok()) {
+    if (!status.ok()) {
       if (first_error.ok()) {
-        first_error = util::Status(result.status().code(),
-                                   "execute at " + site.name + " failed: " +
-                                       result.status().message());
+        first_error = util::Status(status.code(), "execute at " + site.name +
+                                                      " failed: " +
+                                                      status.message());
       }
       continue;
     }
-    const ntcp::ControlPointResult* cp = result->Find(site.control_point);
+    const ntcp::ControlPointResult* cp = results[i].Find(site.control_point);
     if (cp == nullptr || cp->measured_force.size() != site.dofs.size()) {
       if (first_error.ok()) {
         first_error =
@@ -237,7 +239,6 @@ util::Status SimulationCoordinator::ExecuteAllAsync(
       }
       continue;
     }
-    results[i] = std::move(*result);
     executed[i] = 1;
   }
   return first_error;
@@ -317,8 +318,9 @@ util::Status SimulationCoordinator::CycleOnce(
     return proposed;
   }
 
-  // Phase 2: execute everywhere and collect measured forces.
-  results.assign(site_count, ntcp::TransactionResult{});
+  // Phase 2: execute everywhere and collect measured forces. Each site's
+  // result decodes over the slot it filled last step.
+  results.resize(site_count);
   std::vector<char>& executed = executed_scratch_;
   executed.assign(site_count, 0);
   const std::int64_t execute_t0 = clock_->NowMicros();
@@ -335,21 +337,24 @@ util::Status SimulationCoordinator::CycleOnce(
         site_span.AddTag(kSite, site_atoms_[i]);
       }
       const util::Stopwatch watch;
-      auto result = clients_[i]->Execute(transaction_ids[i]);
+      ntcp::NtcpClient::AsyncOp op =
+          clients_[i]->ExecuteAsync(transaction_ids[i]);
+      const util::Status status =
+          ntcp::NtcpClient::FinishExecute(op, results[i]);
       site_stats_[i].step_micros.Add(
           static_cast<double>(watch.ElapsedMicros()));
       ++site_stats_[i].executes;
-      if (!result.ok()) {
-        return util::Status(result.status().code(),
-                            "execute at " + site.name + " failed: " +
-                                result.status().message());
+      if (!status.ok()) {
+        return util::Status(status.code(), "execute at " + site.name +
+                                               " failed: " +
+                                               status.message());
       }
-      const ntcp::ControlPointResult* cp = result->Find(site.control_point);
+      const ntcp::ControlPointResult* cp =
+          results[i].Find(site.control_point);
       if (cp == nullptr || cp->measured_force.size() != site.dofs.size()) {
         return util::Internal("invalid response from " + site.name +
                               ": missing/mis-sized control point result");
       }
-      results[i] = std::move(*result);
       executed[i] = 1;
       return util::OkStatus();
     });
@@ -425,33 +430,47 @@ util::Status SimulationCoordinator::RunNtcpCycle(
 
 util::Result<bool> SimulationCoordinator::StepCentralDifference(
     std::vector<ntcp::TransactionResult>& results) {
-  structural::Vector forces;
-  NEES_RETURN_IF_ERROR(RunNtcpCycle(d_, forces, results));
+  Integration& w = integration_;
+  NEES_RETURN_IF_ERROR(RunNtcpCycle(d_, w.forces, results));
 
-  // Central-difference update with the *measured* restoring forces.
+  // Central-difference update with the *measured* restoring forces:
+  //   rhs = f - forces + 2M/dt^2 d - kback d_prev,  f = -ag M iota,
+  // evaluated element by element in that order into reused vectors.
   const std::int64_t integrate_t0 =
       config_.tracer != nullptr ? clock_->NowMicros() : 0;
   const double dt = config_.motion.dt_seconds;
-  const structural::Vector f =
-      -config_.motion.accel[step_] * (config_.mass * config_.iota);
-  const structural::Vector rhs =
-      f - forces + two_m_ * d_ - kback_ * d_prev_;
-  structural::Vector d_next = keff_lu_.Solve(rhs);
+  const double ground = -config_.motion.accel[step_];
+  config_.mass.MultiplyInto(config_.iota, w.m_iota);
+  two_m_.MultiplyInto(d_, w.product_a);
+  kback_.MultiplyInto(d_prev_, w.product_b);
+  const std::size_t n = d_.size();
+  w.rhs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.rhs[i] = ground * w.m_iota[i] - w.forces[i] + w.product_a[i] -
+               w.product_b[i];
+  }
+  keff_lu_.SolveInto(w.rhs, w.next);
   if (config_.tracer != nullptr) {
     config_.tracer->RecordInterval(step_span_id_, kIntegrateSpan,
                                    kIntegrateCategory, integrate_t0,
                                    clock_->NowMicros());
   }
 
-  const structural::Vector v = (1.0 / (2.0 * dt)) * (d_next - d_prev_);
-  const structural::Vector a =
-      (1.0 / (dt * dt)) * (d_next - 2.0 * d_ + d_prev_);
+  const double half_over_dt = 1.0 / (2.0 * dt);
+  const double over_dt2 = 1.0 / (dt * dt);
+  w.velocity.resize(n);
+  w.acceleration.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.velocity[i] = half_over_dt * (w.next[i] - d_prev_[i]);
+    w.acceleration[i] =
+        over_dt2 * (w.next[i] - 2.0 * d_[i] + d_prev_[i]);
+  }
 
-  d_prev_ = d_;
-  d_ = std::move(d_next);
+  d_prev_.swap(d_);
+  d_.swap(w.next);
   history_.displacement.push_back(d_);
-  history_.velocity.push_back(v);
-  history_.acceleration.push_back(a);
+  history_.velocity.push_back(w.velocity);
+  history_.acceleration.push_back(w.acceleration);
   ++step_;
   WalLogStepComplete();
 
@@ -461,41 +480,55 @@ util::Result<bool> SimulationCoordinator::StepCentralDifference(
 
 util::Result<bool> SimulationCoordinator::StepOperatorSplitting(
     std::vector<ntcp::TransactionResult>& results) {
+  Integration& w = integration_;
   const double dt = config_.motion.dt_seconds;
   constexpr double beta = 0.25;
   constexpr double gamma = 0.5;
 
   // Explicit predictor: the displacement commanded to the substructures.
-  const structural::Vector d_tilde =
-      d_ + dt * v_ + (dt * dt * (0.5 - beta)) * a_;
-  const structural::Vector v_tilde = v_ + (dt * (1.0 - gamma)) * a_;
+  const std::size_t n = d_.size();
+  const double predict_a = dt * dt * (0.5 - beta);
+  const double predict_v = dt * (1.0 - gamma);
+  w.d_tilde.resize(n);
+  w.v_tilde.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.d_tilde[i] = d_[i] + dt * v_[i] + predict_a * a_[i];
+    w.v_tilde[i] = v_[i] + predict_v * a_[i];
+  }
 
-  structural::Vector forces;
-  NEES_RETURN_IF_ERROR(RunNtcpCycle(d_tilde, forces, results));
+  NEES_RETURN_IF_ERROR(RunNtcpCycle(w.d_tilde, w.forces, results));
 
   const std::int64_t integrate_t0 =
       config_.tracer != nullptr ? clock_->NowMicros() : 0;
-  const structural::Vector f =
-      -config_.motion.accel[step_ + 1] * (config_.mass * config_.iota);
-  const structural::Vector rhs = f - config_.damping * v_tilde - forces;
-  const structural::Vector a_next = meff_lu_.Solve(rhs);
+  const double ground = -config_.motion.accel[step_ + 1];
+  config_.mass.MultiplyInto(config_.iota, w.m_iota);
+  config_.damping.MultiplyInto(w.v_tilde, w.product_a);
+  w.rhs.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w.rhs[i] = ground * w.m_iota[i] - w.product_a[i] - w.forces[i];
+  }
+  meff_lu_.SolveInto(w.rhs, w.next);
   if (config_.tracer != nullptr) {
     config_.tracer->RecordInterval(step_span_id_, kIntegrateSpan,
                                    kIntegrateCategory, integrate_t0,
                                    clock_->NowMicros());
   }
 
+  const double correct_d = beta * dt * dt;
+  const double correct_v = gamma * dt;
   d_prev_ = d_;
-  d_ = d_tilde + (beta * dt * dt) * a_next;
-  v_ = v_tilde + (gamma * dt) * a_next;
-  a_ = a_next;
+  for (std::size_t i = 0; i < n; ++i) {
+    d_[i] = w.d_tilde[i] + correct_d * w.next[i];
+    v_[i] = w.v_tilde[i] + correct_v * w.next[i];
+  }
+  a_.swap(w.next);
   history_.displacement.push_back(d_);
   history_.velocity.push_back(v_);
   history_.acceleration.push_back(a_);
   ++step_;
   WalLogStepComplete();
 
-  if (observer_) observer_(step_ - 1, d_tilde, results);
+  if (observer_) observer_(step_ - 1, w.d_tilde, results);
   return true;
 }
 
@@ -512,7 +545,7 @@ util::Result<bool> SimulationCoordinator::ExecuteStep() {
     step_span.AddTag(kStep, step_);
     step_span_id_ = step_span.id();
   }
-  std::vector<ntcp::TransactionResult> results;
+  std::vector<ntcp::TransactionResult>& results = integration_.results;
   util::Result<bool> advanced =
       config_.integrator == PsdIntegrator::kCentralDifference
           ? StepCentralDifference(results)
@@ -567,7 +600,7 @@ RunReport SimulationCoordinator::Run() {
 
 void SimulationCoordinator::WalLogStepComplete() {
   if (wal_ == nullptr) return;
-  util::ByteWriter writer;
+  util::ByteWriter writer(std::move(wal_buffer_));
   writer.WriteU64(static_cast<std::uint64_t>(step_));
   writer.WriteDoubleVector(d_);
   writer.WriteDoubleVector(d_prev_);
@@ -575,7 +608,8 @@ void SimulationCoordinator::WalLogStepComplete() {
   writer.WriteDoubleVector(a_);
   writer.WriteDoubleVector(history_.velocity.back());
   writer.WriteDoubleVector(history_.acceleration.back());
-  if (wal_->Append(kWalStepComplete, writer.Take()).ok()) ++wal_records_;
+  if (wal_->Append(kWalStepComplete, writer.data()).ok()) ++wal_records_;
+  wal_buffer_ = writer.Take();
   WalSync();  // the coordinator's one fsync point per step
 }
 
@@ -583,12 +617,13 @@ void SimulationCoordinator::WalLogSiteOutcome(
     const std::string& transaction_id, const std::string& site,
     bool executed) {
   if (wal_ == nullptr) return;
-  util::ByteWriter writer;
+  util::ByteWriter writer(std::move(wal_buffer_));
   writer.WriteU64(static_cast<std::uint64_t>(step_));
   writer.WriteString(site);
   writer.WriteString(transaction_id);
   writer.WriteBool(executed);
-  if (wal_->Append(kWalSiteOutcome, writer.Take()).ok()) ++wal_records_;
+  if (wal_->Append(kWalSiteOutcome, writer.data()).ok()) ++wal_records_;
+  wal_buffer_ = writer.Take();
 }
 
 void SimulationCoordinator::WalSync() {

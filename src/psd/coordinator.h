@@ -253,6 +253,7 @@ class SimulationCoordinator {
   structural::TimeHistory history_;
   std::uint64_t transient_recovered_ = 0;
   wal::Log* wal_ = nullptr;
+  std::vector<std::uint8_t> wal_buffer_;  // reused by every WAL record
   std::uint64_t wal_records_ = 0;
   std::uint64_t wal_sync_failures_ = 0;
   util::SampleStats propose_phase_micros_;
@@ -267,6 +268,20 @@ class SimulationCoordinator {
   std::vector<ntcp::Proposal> proposal_scratch_;
   std::vector<ntcp::NtcpClient::AsyncOp> ops_scratch_;
   std::vector<std::uint64_t> site_spans_scratch_;
+
+  // The integrators' working vectors, reused across steps so a step's
+  // arithmetic allocates nothing (only the history records it appends).
+  struct Integration {
+    std::vector<ntcp::TransactionResult> results;  // per site, this step
+    structural::Vector forces;   // assembled measured restoring forces
+    structural::Vector m_iota;   // M * iota
+    structural::Vector product_a, product_b;  // matrix-vector products
+    structural::Vector rhs;
+    structural::Vector next;     // CD: d_{n+1}; OS: a_{n+1}
+    structural::Vector velocity, acceleration;  // CD history records
+    structural::Vector d_tilde, v_tilde;        // OS predictors
+  };
+  Integration integration_;
 };
 
 }  // namespace nees::psd

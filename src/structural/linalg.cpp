@@ -91,14 +91,19 @@ Matrix Matrix::operator*(double scalar) const {
 }
 
 Vector Matrix::operator*(const Vector& v) const {
-  assert(cols_ == v.size());
-  Vector out(rows_, 0.0);
+  Vector out;
+  MultiplyInto(v, out);
+  return out;
+}
+
+void Matrix::MultiplyInto(const Vector& v, Vector& out) const {
+  assert(cols_ == v.size() && &out != &v);
+  out.resize(rows_);
   for (std::size_t i = 0; i < rows_; ++i) {
     double sum = 0.0;
     for (std::size_t j = 0; j < cols_; ++j) sum += (*this)(i, j) * v[j];
     out[i] = sum;
   }
-  return out;
 }
 
 Matrix Matrix::Transpose() const {
@@ -171,9 +176,15 @@ util::Result<LuFactorization> LuFactorization::Compute(const Matrix& a) {
 }
 
 Vector LuFactorization::Solve(const Vector& b) const {
+  Vector x;
+  SolveInto(b, x);
+  return x;
+}
+
+void LuFactorization::SolveInto(const Vector& b, Vector& x) const {
   const std::size_t n = lu_.rows();
-  assert(b.size() == n);
-  Vector x(n);
+  assert(b.size() == n && &x != &b);
+  x.resize(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[pivots_[i]];
   // Forward substitution (L has unit diagonal).
   for (std::size_t i = 1; i < n; ++i) {
@@ -184,7 +195,6 @@ Vector LuFactorization::Solve(const Vector& b) const {
     for (std::size_t j = i + 1; j < n; ++j) x[i] -= lu_(i, j) * x[j];
     x[i] /= lu_(i, i);
   }
-  return x;
 }
 
 Matrix LuFactorization::Solve(const Matrix& b) const {

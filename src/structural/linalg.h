@@ -43,6 +43,8 @@ class Matrix {
   Matrix operator*(const Matrix& other) const;
   Matrix operator*(double scalar) const;
   Vector operator*(const Vector& v) const;
+  /// `out` = this * v, reusing `out`'s storage (must not alias `v`).
+  void MultiplyInto(const Vector& v, Vector& out) const;
   Matrix Transpose() const;
 
   /// Frobenius-norm distance, for test assertions.
@@ -64,6 +66,8 @@ class LuFactorization {
   static util::Result<LuFactorization> Compute(const Matrix& a);
 
   Vector Solve(const Vector& b) const;
+  /// Solve() into `x`, reusing its storage (must not alias `b`).
+  void SolveInto(const Vector& b, Vector& x) const;
   Matrix Solve(const Matrix& b) const;
   double Determinant() const;
 

@@ -1,24 +1,44 @@
 #include "util/bytes.h"
 
+#include <algorithm>
+#include <array>
+
 namespace nees::util {
 
-void ByteWriter::WriteU8(std::uint8_t value) { data_.push_back(value); }
+namespace {
+
+// Little-endian byte image of an unsigned value, independent of host order.
+template <typename T>
+std::array<std::uint8_t, sizeof(T)> LittleEndian(T value) {
+  std::array<std::uint8_t, sizeof(T)> out;
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
+  return out;
+}
+
+}  // namespace
+
+void ByteWriter::Grow(std::size_t extra) {
+  data_.reserve(std::max({data_.size() + extra, 2 * data_.capacity(),
+                          kMinCapacity}));
+}
+
+void ByteWriter::WriteU8(std::uint8_t value) { Put(&value, 1); }
 
 void ByteWriter::WriteU16(std::uint16_t value) {
-  data_.push_back(static_cast<std::uint8_t>(value));
-  data_.push_back(static_cast<std::uint8_t>(value >> 8));
+  const auto bytes = LittleEndian(value);
+  Put(bytes.data(), bytes.size());
 }
 
 void ByteWriter::WriteU32(std::uint32_t value) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    data_.push_back(static_cast<std::uint8_t>(value >> shift));
-  }
+  const auto bytes = LittleEndian(value);
+  Put(bytes.data(), bytes.size());
 }
 
 void ByteWriter::WriteU64(std::uint64_t value) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    data_.push_back(static_cast<std::uint8_t>(value >> shift));
-  }
+  const auto bytes = LittleEndian(value);
+  Put(bytes.data(), bytes.size());
 }
 
 void ByteWriter::WriteI64(std::int64_t value) {
@@ -34,8 +54,8 @@ void ByteWriter::WriteDouble(double value) {
 void ByteWriter::WriteBool(bool value) { WriteU8(value ? 1 : 0); }
 
 void ByteWriter::WriteString(std::string_view value) {
-  WriteU32(static_cast<std::uint32_t>(value.size()));
-  data_.insert(data_.end(), value.begin(), value.end());
+  WriteBytes(reinterpret_cast<const std::uint8_t*>(value.data()),
+             value.size());
 }
 
 void ByteWriter::WriteBytes(const std::vector<std::uint8_t>& value) {
@@ -43,8 +63,9 @@ void ByteWriter::WriteBytes(const std::vector<std::uint8_t>& value) {
 }
 
 void ByteWriter::WriteBytes(const std::uint8_t* data, std::size_t size) {
+  if (data_.capacity() - data_.size() < 4 + size) Grow(4 + size);
   WriteU32(static_cast<std::uint32_t>(size));
-  data_.insert(data_.end(), data, data + size);
+  if (size > 0) Put(data, size);
 }
 
 void ByteWriter::WriteBytes(std::span<const std::uint8_t> value) {
@@ -52,8 +73,19 @@ void ByteWriter::WriteBytes(std::span<const std::uint8_t> value) {
 }
 
 void ByteWriter::WriteDoubleVector(const std::vector<double>& values) {
+  const std::size_t bytes = 8 * values.size();
+  if (data_.capacity() - data_.size() < 4 + bytes) Grow(4 + bytes);
   WriteU32(static_cast<std::uint32_t>(values.size()));
-  for (double value : values) WriteDouble(value);
+  const std::size_t at = data_.size();
+  data_.resize(at + bytes);
+  std::uint8_t* out = data_.data() + at;
+  for (double value : values) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    const auto image = LittleEndian(bits);
+    std::memcpy(out, image.data(), image.size());
+    out += image.size();
+  }
 }
 
 Status ByteReader::Need(std::size_t bytes) const {
@@ -115,11 +147,17 @@ Result<bool> ByteReader::ReadBool() {
 }
 
 Result<std::string> ByteReader::ReadString() {
+  std::string value;
+  NEES_RETURN_IF_ERROR(ReadStringInto(value));
+  return value;
+}
+
+Status ByteReader::ReadStringInto(std::string& out) {
   NEES_ASSIGN_OR_RETURN(std::uint32_t length, ReadU32());
   NEES_RETURN_IF_ERROR(Need(length));
-  std::string value(reinterpret_cast<const char*>(data_ + offset_), length);
+  out.assign(reinterpret_cast<const char*>(data_ + offset_), length);
   offset_ += length;
-  return value;
+  return OkStatus();
 }
 
 Result<std::vector<std::uint8_t>> ByteReader::ReadBytes() {
@@ -139,15 +177,24 @@ Result<std::span<const std::uint8_t>> ByteReader::ReadBytesView() {
 }
 
 Result<std::vector<double>> ByteReader::ReadDoubleVector() {
+  std::vector<double> values;
+  NEES_RETURN_IF_ERROR(ReadDoubleVectorInto(values));
+  return values;
+}
+
+Status ByteReader::ReadDoubleVectorInto(std::vector<double>& out) {
   NEES_ASSIGN_OR_RETURN(std::uint32_t count, ReadU32());
   NEES_RETURN_IF_ERROR(Need(static_cast<std::size_t>(count) * 8));
-  std::vector<double> values;
-  values.reserve(count);
+  out.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    NEES_ASSIGN_OR_RETURN(double value, ReadDouble());
-    values.push_back(value);
+    std::uint64_t bits = 0;
+    for (int b = 0; b < 8; ++b) {
+      bits |= static_cast<std::uint64_t>(data_[offset_ + b]) << (8 * b);
+    }
+    std::memcpy(&out[i], &bits, sizeof(bits));
+    offset_ += 8;
   }
-  return values;
+  return OkStatus();
 }
 
 }  // namespace nees::util

@@ -15,13 +15,16 @@
 
 namespace nees::util {
 
-/// Append-only encoder.
+/// Append-only encoder. Every field is one capacity check plus one store
+/// (fixed-width values) or one memcpy (strings, byte runs, double vectors);
+/// when the buffer must grow it at least doubles, starting from
+/// kMinCapacity, so a small frame never regrows byte by byte.
 ///
-/// For hot paths the writer supports a reusable-buffer idiom: construct it
-/// over a recycled frame (util::AcquireFrame), Reserve() the expected size
-/// once, encode, Take() the buffer into the message, and hand it back to
-/// the pool after delivery — steady state then runs with zero heap
-/// allocation per frame.
+/// Hot paths start the writer from storage that already has capacity: a
+/// recycled frame (util::AcquireFrame) whose bytes Take() hands to a
+/// message that returns it to the pool after delivery, or a member buffer
+/// the owner moves in and takes back with Take() after each use. Steady
+/// state then runs with zero heap allocation per frame.
 class ByteWriter {
  public:
   ByteWriter() = default;
@@ -32,8 +35,10 @@ class ByteWriter {
     data_.clear();
   }
 
-  /// Ensures total capacity for `bytes` bytes (amortizes growth to one
-  /// allocation — or none, on a recycled buffer — per frame).
+  /// Smallest capacity a growing writer allocates.
+  static constexpr std::size_t kMinCapacity = 64;
+
+  /// Ensures total capacity for `bytes` bytes.
   void Reserve(std::size_t bytes) { data_.reserve(bytes); }
 
   void WriteU8(std::uint8_t value);
@@ -57,6 +62,14 @@ class ByteWriter {
   std::size_t size() const { return data_.size(); }
 
  private:
+  /// Appends `size` raw bytes after one capacity check.
+  void Put(const void* bytes, std::size_t size) {
+    if (data_.capacity() - data_.size() < size) Grow(size);
+    const auto* first = static_cast<const std::uint8_t*>(bytes);
+    data_.insert(data_.end(), first, first + size);
+  }
+  void Grow(std::size_t extra);
+
   std::vector<std::uint8_t> data_;
 };
 
@@ -81,6 +94,10 @@ class ByteReader {
   /// the underlying frame lives and is unmodified.
   Result<std::span<const std::uint8_t>> ReadBytesView();
   Result<std::vector<double>> ReadDoubleVector();
+  /// Decode into existing storage, keeping its capacity: a caller that
+  /// decodes the same shape every step allocates nothing once warm.
+  Status ReadStringInto(std::string& out);
+  Status ReadDoubleVectorInto(std::vector<double>& out);
 
   std::size_t remaining() const { return size_ - offset_; }
   bool AtEnd() const { return offset_ == size_; }

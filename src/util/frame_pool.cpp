@@ -1,9 +1,18 @@
 #include "util/frame_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
 namespace nees::util {
+namespace {
+
+bool BackFits(const std::vector<std::vector<std::uint8_t>>& list,
+              std::size_t reserve) {
+  return !list.empty() && list.back().capacity() >= reserve;
+}
+
+}  // namespace
 
 FramePool& FramePool::Instance() {
   static FramePool* pool = new FramePool();  // leaked: outlives all users
@@ -27,26 +36,35 @@ std::vector<std::uint8_t> FramePool::Acquire(std::size_t reserve) {
   {
     Shard& shard = LocalShard();
     MutexLock lock(shard.mu);
-    std::vector<std::vector<std::uint8_t>>& primary =
-        reserve > kSmallBytes ? shard.large : shard.small;
-    if (!primary.empty()) {
-      frame = std::move(primary.back());
-      primary.pop_back();
-      ++shard.stats.reused;
-    } else if (reserve <= kSmallBytes && !shard.large.empty()) {
-      // A small request is happy with a large frame; it comes back on the
-      // large list when released.
-      frame = std::move(shard.large.back());
-      shard.large.pop_back();
-      ++shard.stats.reused;
-    } else {
-      // A large request with only small frames available mints fresh: a
-      // realloc of a small frame would cost the same allocation and lose
-      // the small buffer.
-      ++shard.stats.minted;
+    // A recycled frame serves the request only if it already has the
+    // capacity: regrowing it would cost an allocation the stats would not
+    // see. Small requests try the small list, then the large one; large
+    // requests only the large one.
+    std::vector<std::vector<std::uint8_t>>* source = nullptr;
+    if (reserve <= kSmallBytes && BackFits(shard.small, reserve)) {
+      source = &shard.small;
+    } else if (BackFits(shard.large, reserve)) {
+      source = &shard.large;
     }
+    if (source != nullptr) {
+      frame = std::move(source->back());
+      source->pop_back();
+      ++shard.stats.reused;
+      return frame;
+    }
+    // The head frame of the request's class was too small: it is dropped
+    // (freed outside the lock) instead of kept beside the fresh frame, so
+    // the pool does not fill with frames no request fits.
+    std::vector<std::vector<std::uint8_t>>& own_class =
+        reserve <= kSmallBytes ? shard.small : shard.large;
+    if (!own_class.empty()) {
+      frame = std::move(own_class.back());
+      own_class.pop_back();
+    }
+    ++shard.stats.minted;
   }
-  if (frame.capacity() < reserve) frame.reserve(reserve);
+  frame = std::vector<std::uint8_t>();
+  frame.reserve(std::max(reserve, kMinMintBytes));
   return frame;
 }
 

@@ -28,15 +28,18 @@ namespace nees::util {
 class FramePool {
  public:
   struct Stats {
-    std::uint64_t minted = 0;    // freelist empty: new buffer allocated
+    std::uint64_t minted = 0;    // no recycled frame fit: new buffer allocated
     std::uint64_t reused = 0;    // freelist hit
     std::uint64_t returned = 0;  // buffers handed back
   };
 
   static FramePool& Instance();
 
-  /// Returns an empty buffer, recycled when possible, with at least
-  /// `reserve` bytes of capacity.
+  /// Returns an empty buffer with at least `reserve` bytes of capacity: a
+  /// recycled frame that already has the capacity, or else a freshly
+  /// minted one (never a recycled frame regrown, so `minted` counts every
+  /// frame allocation the pool makes). A too-small frame at the head of
+  /// the request's size class is freed when a fresh one is minted.
   std::vector<std::uint8_t> Acquire(std::size_t reserve = 0);
 
   /// Hands a buffer back to the calling thread's shard. Contents are
@@ -55,10 +58,13 @@ class FramePool {
   static constexpr std::size_t kMaxPooledPerShard = kMaxPooled / kShards;
   /// Buffers at or below this capacity go on the small freelist. Keeping
   /// two size classes stops a large request (batch envelope, multi-KB
-  /// payload) from repeatedly regrowing a recycled small buffer: a large
-  /// request that finds only small frames mints fresh instead, and after
-  /// warm-up each class recycles within itself.
+  /// payload) from repeatedly regrowing a recycled small buffer: a request
+  /// that finds no recycled frame with the capacity mints fresh instead,
+  /// and after warm-up each class recycles within itself.
   static constexpr std::size_t kSmallBytes = 512;
+  /// Capacity of a frame minted for a request without a size hint: enough
+  /// for a typical control message, so its writer does not regrow it.
+  static constexpr std::size_t kMinMintBytes = 64;
 
   struct alignas(64) Shard {
     mutable Mutex mu{"util.FramePool"};

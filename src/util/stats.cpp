@@ -15,9 +15,19 @@ double SampleStats::stddev() const {
 }
 
 double SampleStats::Percentile(double p) const {
-  if (samples_.empty()) return 0.0;
-  std::vector<double> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> sorted;
+  SortedInto(sorted);
+  return PercentileOfSorted(sorted, p);
+}
+
+void SampleStats::SortedInto(std::vector<double>& out) const {
+  out.assign(samples_.begin(), samples_.end());
+  std::sort(out.begin(), out.end());
+}
+
+double SampleStats::PercentileOfSorted(const std::vector<double>& sorted,
+                                       double p) {
+  if (sorted.empty()) return 0.0;
   if (p <= 0.0) return sorted.front();
   if (p >= 100.0) return sorted.back();
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
@@ -28,9 +38,12 @@ double SampleStats::Percentile(double p) const {
 }
 
 std::string SampleStats::Summary() const {
+  std::vector<double> sorted;
+  SortedInto(sorted);
   return Format("n=%zu mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g",
-                count(), mean(), Percentile(50), Percentile(95),
-                Percentile(99), max());
+                count(), mean(), PercentileOfSorted(sorted, 50),
+                PercentileOfSorted(sorted, 95), PercentileOfSorted(sorted, 99),
+                max());
 }
 
 TextTable::TextTable(std::vector<std::string> headers)

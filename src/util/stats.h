@@ -30,7 +30,14 @@ class SampleStats {
   double stddev() const;
 
   /// p in [0, 100]; exact order statistic with linear interpolation.
+  /// Sorts a copy of the samples on every call: to read several
+  /// percentiles, sort once with SortedInto and use PercentileOfSorted.
   double Percentile(double p) const;
+  /// Fills `out` with the samples in ascending order, reusing its storage.
+  void SortedInto(std::vector<double>& out) const;
+  /// Percentile() over samples already sorted ascending.
+  static double PercentileOfSorted(const std::vector<double>& sorted,
+                                   double p);
 
   /// "n=100 mean=1.23 p50=1.1 p95=2.0 max=3.4" — for bench reports.
   std::string Summary() const;

@@ -22,11 +22,10 @@ std::uint32_t ReadLittleU32(const std::uint8_t* data) {
          (static_cast<std::uint32_t>(data[3]) << 24);
 }
 
-void AppendLittleU32(std::vector<std::uint8_t>& out, std::uint32_t value) {
-  out.push_back(static_cast<std::uint8_t>(value & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((value >> 8) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((value >> 16) & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((value >> 24) & 0xFF));
+void StoreLittleU32(std::uint8_t* out, std::uint32_t value) {
+  for (int i = 0; i < 4; ++i) {
+    out[i] = static_cast<std::uint8_t>(value >> (8 * i));
+  }
 }
 
 }  // namespace
@@ -37,7 +36,7 @@ std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
 
 // --- MemoryStorage ----------------------------------------------------------
 
-util::Status MemoryStorage::Append(const std::vector<std::uint8_t>& bytes) {
+util::Status MemoryStorage::Append(std::span<const std::uint8_t> bytes) {
   if (crashed_) return util::OkStatus();  // dead processes write nothing
   bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
   return util::OkStatus();
@@ -95,7 +94,7 @@ util::Status FileStorage::EnsureOpen() {
   return util::OkStatus();
 }
 
-util::Status FileStorage::Append(const std::vector<std::uint8_t>& bytes) {
+util::Status FileStorage::Append(std::span<const std::uint8_t> bytes) {
   NEES_RETURN_IF_ERROR(EnsureOpen());
   if (bytes.empty()) return util::OkStatus();
   if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
@@ -207,17 +206,17 @@ util::Result<std::vector<Record>> Log::Open() {
 }
 
 util::Status Log::Append(std::uint8_t type,
-                         const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderBytes + 1 + payload.size());
-  std::vector<std::uint8_t> body;
-  body.reserve(1 + payload.size());
-  body.push_back(type);
-  body.insert(body.end(), payload.begin(), payload.end());
-  AppendLittleU32(frame, static_cast<std::uint32_t>(body.size()));
-  AppendLittleU32(frame, Crc32(body.data(), body.size()));
-  frame.insert(frame.end(), body.begin(), body.end());
-  NEES_RETURN_IF_ERROR(storage_->Append(frame));
+                         std::span<const std::uint8_t> payload) {
+  // [u32 length][u32 crc][u8 type]: the CRC runs over the type byte, then
+  // continues over the payload, so no contiguous body is ever built.
+  std::array<std::uint8_t, kHeaderBytes + 1> head;
+  head[kHeaderBytes] = type;
+  const std::uint32_t crc = util::Crc32(
+      payload.data(), payload.size(), util::Crc32(&head[kHeaderBytes], 1));
+  StoreLittleU32(&head[0], static_cast<std::uint32_t>(1 + payload.size()));
+  StoreLittleU32(&head[4], crc);
+  NEES_RETURN_IF_ERROR(storage_->Append(head));
+  if (!payload.empty()) NEES_RETURN_IF_ERROR(storage_->Append(payload));
   ++appended_;
   return util::OkStatus();
 }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,7 +47,7 @@ class Storage {
   virtual ~Storage() = default;
 
   /// Appends bytes to the (possibly volatile) write buffer.
-  virtual util::Status Append(const std::vector<std::uint8_t>& bytes) = 0;
+  virtual util::Status Append(std::span<const std::uint8_t> bytes) = 0;
   /// Makes every byte appended so far durable (the fsync point).
   virtual util::Status Sync() = 0;
   /// Reads the full current contents (durable + buffered tail).
@@ -59,7 +60,7 @@ class Storage {
 /// deterministic fuzzer's crash/restart fault class.
 class MemoryStorage final : public Storage {
  public:
-  util::Status Append(const std::vector<std::uint8_t>& bytes) override;
+  util::Status Append(std::span<const std::uint8_t> bytes) override;
   util::Status Sync() override;
   util::Result<std::vector<std::uint8_t>> Load() override;
   util::Status Truncate(std::size_t size) override;
@@ -94,7 +95,7 @@ class FileStorage final : public Storage {
   explicit FileStorage(std::string path);
   ~FileStorage() override;
 
-  util::Status Append(const std::vector<std::uint8_t>& bytes) override;
+  util::Status Append(std::span<const std::uint8_t> bytes) override;
   util::Status Sync() override;
   util::Result<std::vector<std::uint8_t>> Load() override;
   util::Status Truncate(std::size_t size) override;
@@ -133,9 +134,11 @@ class Log {
   /// would resurrect arbitrary state.
   util::Result<std::vector<Record>> Open();
 
-  /// Appends one framed record (not yet durable).
+  /// Appends one framed record (not yet durable): the header and type are
+  /// framed on the stack and written, with the payload, straight to the
+  /// storage tail.
   util::Status Append(std::uint8_t type,
-                      const std::vector<std::uint8_t>& payload);
+                      std::span<const std::uint8_t> payload);
   /// Durability point: everything appended so far survives a crash.
   util::Status Sync();
 

@@ -11,6 +11,7 @@
 #include "plugins/simulation_plugin.h"
 #include "structural/substructure.h"
 #include "util/clock.h"
+#include "util/sha256.h"
 #include "util/strings.h"
 
 namespace nees::ntcp {
@@ -494,9 +495,9 @@ TEST_F(NtcpClientTest, AsyncLifecycleMatchesSynchronous) {
   NtcpClient::AsyncOp propose = client_->ProposeAsync(MakeProposal("a1", 0.03));
   ASSERT_TRUE(NtcpClient::FinishPropose(propose).ok());
   NtcpClient::AsyncOp execute = client_->ExecuteAsync("a1");
-  auto result = NtcpClient::FinishExecute(execute);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->results[0].measured_force[0], 30.0, 1e-9);
+  TransactionResult result;
+  ASSERT_TRUE(NtcpClient::FinishExecute(execute, result).ok());
+  EXPECT_NEAR(result.results[0].measured_force[0], 30.0, 1e-9);
 }
 
 TEST_F(NtcpClientTest, ConcurrentInFlightOpsToSameSite) {
@@ -517,7 +518,8 @@ TEST_F(NtcpClientTest, ConcurrentInFlightOpsToSameSite) {
   }
   NtcpClient::AwaitAll(executes);
   for (NtcpClient::AsyncOp& op : executes) {
-    EXPECT_TRUE(NtcpClient::FinishExecute(op).ok());
+    TransactionResult result;
+    EXPECT_TRUE(NtcpClient::FinishExecute(op, result).ok());
   }
   EXPECT_EQ(server_->stats().executions, 4u);
 }
@@ -535,7 +537,8 @@ TEST_F(NtcpClientTest, AsyncExecuteDroppedReplyStaysAtMostOnce) {
   ASSERT_TRUE(NtcpClient::FinishPropose(propose).ok());
   network_.DropNext("ntcp.site", "coordinator", 1);
   NtcpClient::AsyncOp execute = client_->ExecuteAsync("a3");
-  ASSERT_TRUE(NtcpClient::FinishExecute(execute).ok());
+  TransactionResult result;
+  ASSERT_TRUE(NtcpClient::FinishExecute(execute, result).ok());
   // The retry hit the server's result cache, not the plugin.
   EXPECT_EQ(server_->stats().executions, 1u);
   EXPECT_EQ(server_->stats().duplicate_executes, 1u);
@@ -708,7 +711,9 @@ TEST(NtcpAsyncScheduledTest, OverlappedOpsAndRetriesOverRealLatency) {
     executes.push_back(client_b.ExecuteAsync(id + "-b"));
     NtcpClient::AwaitAll(executes);
     for (NtcpClient::AsyncOp& op : executes) {
-      ASSERT_TRUE(NtcpClient::FinishExecute(op).ok()) << "step " << step;
+      TransactionResult result;
+      ASSERT_TRUE(NtcpClient::FinishExecute(op, result).ok())
+          << "step " << step;
     }
     EXPECT_EQ(network.clock()->NowMicros() - t0, kRtt) << "step " << step;
   }
@@ -930,6 +935,27 @@ TEST_F(NtcpWalRecoveryTest, CorruptLogRefusesToRecover) {
   auto recovered = server->AttachWal(&log);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST_F(NtcpWalRecoveryTest, WalBytesMatchPinnedDigest) {
+  // Pins the exact log bytes a fixed propose/execute/cancel sequence writes
+  // (record framing, CRCs, payload encodings, timestamps). The digest was
+  // taken from the byte-wise encoder and framer; any change to what reaches
+  // storage fails here, however the bytes are produced.
+  auto server = Restart(nullptr);
+  ASSERT_TRUE(server->Propose(MakeProposal("w1", 0.02)).accepted);
+  clock_.Advance(1'500);
+  ASSERT_TRUE(server->Execute("w1").ok());
+  clock_.Advance(2'500);
+  ASSERT_TRUE(server->Propose(MakeProposal("w2", -0.01)).accepted);
+  clock_.Advance(700);
+  ASSERT_TRUE(server->Cancel("w2").ok());
+  clock_.Advance(300);
+  ASSERT_TRUE(server->Execute("w1").ok());  // cached: logs nothing
+  auto bytes = storage_.Load();
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_EQ(util::ToHex(util::Sha256::Hash(*bytes)),
+            "a7ca75a1681166288a5353b986b423a265d1f63d7cb6d18cd17fd6fa1010242f");
 }
 
 }  // namespace

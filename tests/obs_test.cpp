@@ -3,6 +3,7 @@
 // clock advancement, JSON-lines export round-trips, the breakdown report,
 // and the coordinator integration (every PSD step span carries per-site
 // child spans, deterministically across runs).
+#include <span>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -16,6 +17,31 @@ namespace nees {
 namespace {
 
 // --- MetricsRegistry -----------------------------------------------------------
+
+TEST(MetricsTest, ReportTableBytesArePinned) {
+  // The fuzz metrics fingerprint hashes this text, so its bytes must not
+  // move when the percentile computation does.
+  obs::MetricsRegistry metrics;
+  metrics.Increment("ntcp.server.proposals", 12);
+  metrics.Increment("net.dropped");
+  metrics.SetGauge("drift_mm", 1.25);
+  for (int i = 0; i < 37; ++i) {
+    metrics.Observe("net.delay_micros", (i * 7919) % 101 + 0.5);
+  }
+  metrics.Observe("mplugin.queue_micros", 42.0);
+  metrics.Observe("mplugin.queue_micros", 7.0);
+  EXPECT_EQ(metrics.ReportTable(),
+            "| metric                | value |\n"
+            "|-----------------------|-------|\n"
+            "| net.dropped           | 1     |\n"
+            "| ntcp.server.proposals | 12    |\n"
+            "| drift_mm              | 1.25  |\n"
+            "\n"
+            "| histogram            | n  | mean  | p50  | p95   | max   |\n"
+            "|----------------------|----|-------|------|-------|-------|\n"
+            "| mplugin.queue_micros | 2  | 24.5  | 24.5 | 40.25 | 42    |\n"
+            "| net.delay_micros     | 37 | 50.61 | 50.5 | 95.1  | 100.5 |\n");
+}
 
 TEST(MetricsTest, CountersGaugesAndHistograms) {
   obs::MetricsRegistry metrics;
@@ -199,6 +225,38 @@ TEST(TracerTest, TakeSpansHandsOverTheTrace) {
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(obs::ExportJsonLines(spans), exported);
   EXPECT_EQ(tracer.span_count(), 0u);
+}
+
+TEST(TracerTest, TakenSpansOwnTheirTagsApartFromTheTracer) {
+  // Recorded tags live in the tracer's arena; spans handed over keep that
+  // arena alive past the tracer, and neither later recording nor edits to
+  // a snapshot copy reach them.
+  util::SimClock sim;
+  std::vector<obs::SpanRecord> taken;
+  std::vector<obs::SpanRecord> copy;
+  std::string exported;
+  {
+    obs::Tracer tracer(&sim, &sim);
+    obs::Tag moved[] = {{"txn", std::string("a-transaction-id-longer-than-sso")},
+                        {"step", 7}};
+    tracer.RecordEvent("ntcp.txn", "txn", 0, std::span<obs::Tag>(moved));
+    {
+      obs::Span span = tracer.StartSpan("ntcp.propose", "protocol");
+      span.AddTag("endpoint", obs::Atom("ntcp.s0"));
+      span.AddTag("step", 7);
+    }
+    exported = tracer.ExportJsonLines();
+    copy = tracer.Snapshot();
+    taken = tracer.TakeSpans();
+    tracer.RecordEvent("after", "network", 0, {{"n", 1}, {"m", 2}});
+    copy[0].tags.push_back({"extra", 1});
+  }
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].tags[0].text, "a-transaction-id-longer-than-sso");
+  EXPECT_EQ(obs::ExportJsonLines(taken), exported);
+  taken[1].tags.push_back({"more", 3});  // grows inside the kept arena
+  EXPECT_EQ(taken[1].tags.size(), 3u);
+  EXPECT_EQ(copy[0].tags.size(), 3u);
 }
 
 TEST(TracerTest, FingerprintCoversEveryExportedField) {

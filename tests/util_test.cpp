@@ -1,5 +1,7 @@
 // Unit and property tests for the nees::util foundation layer.
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <set>
 #include <thread>
 
@@ -7,7 +9,9 @@
 
 #include "util/bytes.h"
 #include "util/clock.h"
+#include "util/crc32.h"
 #include "util/frame_pool.h"
+#include "util/inline_function.h"
 #include "util/logging.h"
 #include "util/open_hash.h"
 #include "util/result.h"
@@ -596,6 +600,32 @@ TEST(FramePoolTest, FrameReleasedOnOneThreadKeepsCapacity) {
   }).join();
 }
 
+TEST(FramePoolTest, TooSmallRecycledFrameIsMintedNotRegrown) {
+  // A small request larger than the recycled small frame must not take
+  // and regrow it (an allocation the stats used to call a reuse): with no
+  // recycled frame that fits, the pool mints one and counts it.
+  FramePool& pool = FramePool::Instance();
+  // Empty this thread's large list: every large frame fits 513 bytes, so
+  // acquiring that size takes them all before the first mint.
+  std::vector<std::vector<std::uint8_t>> drained;
+  for (int i = 0; i < 5000; ++i) {
+    const std::uint64_t minted_before = pool.stats().minted;
+    drained.push_back(pool.Acquire(513));
+    if (pool.stats().minted > minted_before) break;
+  }
+  std::vector<std::uint8_t> tiny(16);
+  ASSERT_EQ(tiny.capacity(), 16u);
+  pool.Release(std::move(tiny));
+  const FramePool::Stats before = pool.stats();
+  std::vector<std::uint8_t> frame = pool.Acquire(400);
+  const FramePool::Stats after = pool.stats();
+  EXPECT_GE(frame.capacity(), 400u);
+  EXPECT_EQ(after.minted, before.minted + 1);
+  EXPECT_EQ(after.reused, before.reused);
+  pool.Release(std::move(frame));
+  for (auto& d : drained) pool.Release(std::move(d));
+}
+
 // --- ByteWriter frame reuse --------------------------------------------------
 
 TEST(BytesTest, WriterAdoptsRecycledBufferWithoutAllocating) {
@@ -628,6 +658,171 @@ TEST(BytesTest, WriteBytesOverloadsAgree) {
   auto view = reader.ReadBytesView();
   ASSERT_TRUE(view.ok());
   EXPECT_TRUE(std::equal(view->begin(), view->end(), body.begin()));
+}
+
+// Golden bytes for every encoder: the wire format is little-endian with u32
+// length prefixes, whatever the writer's growth strategy.
+std::vector<std::uint8_t> Encoded(void (*write)(ByteWriter&)) {
+  ByteWriter writer;
+  write(writer);
+  return writer.Take();
+}
+
+TEST(BytesTest, EveryWriterEmitsGoldenBytes) {
+  using Bytes = std::vector<std::uint8_t>;
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteU8(0xAB); }), Bytes({0xAB}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteU16(0x1234); }),
+            Bytes({0x34, 0x12}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteU32(0xDEADBEEF); }),
+            Bytes({0xEF, 0xBE, 0xAD, 0xDE}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteU64(0x0102030405060708ULL); }),
+            Bytes({0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteI64(-2); }),
+            Bytes({0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteDouble(1.5); }),
+            Bytes({0, 0, 0, 0, 0, 0, 0xF8, 0x3F}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteBool(true); }), Bytes({1}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteBool(false); }), Bytes({0}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteString("hi"); }),
+            Bytes({2, 0, 0, 0, 'h', 'i'}));
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteString(""); }),
+            Bytes({0, 0, 0, 0}));
+  const Bytes body = {1, 2, 3};
+  const Bytes framed = {3, 0, 0, 0, 1, 2, 3};
+  ByteWriter by_vector;
+  by_vector.WriteBytes(body);
+  EXPECT_EQ(by_vector.data(), framed);
+  ByteWriter by_pointer;
+  by_pointer.WriteBytes(body.data(), body.size());
+  EXPECT_EQ(by_pointer.data(), framed);
+  ByteWriter by_span;
+  by_span.WriteBytes(std::span<const std::uint8_t>(body));
+  EXPECT_EQ(by_span.data(), framed);
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteDoubleVector({1.0, -2.0}); }),
+            Bytes({2, 0, 0, 0,                          // count
+                   0, 0, 0, 0, 0, 0, 0xF0, 0x3F,        // 1.0
+                   0, 0, 0, 0, 0, 0, 0, 0xC0}));        // -2.0
+  EXPECT_EQ(Encoded([](ByteWriter& w) { w.WriteDoubleVector({}); }),
+            Bytes({0, 0, 0, 0}));
+}
+
+TEST(BytesTest, WriterGrowsGeometricallyFromMinimumCapacity) {
+  ByteWriter writer;
+  writer.WriteU8(1);
+  EXPECT_GE(writer.data().capacity(), ByteWriter::kMinCapacity);
+  // 4 KiB of fields in 8-byte stores: a handful of regrowths, not 4096.
+  std::size_t regrowths = 0;
+  std::size_t capacity = writer.data().capacity();
+  for (int i = 0; i < 512; ++i) {
+    writer.WriteU64(static_cast<std::uint64_t>(i));
+    if (writer.data().capacity() != capacity) {
+      ++regrowths;
+      capacity = writer.data().capacity();
+    }
+  }
+  EXPECT_LE(regrowths, 7u);
+  ByteReader reader(writer.data());
+  EXPECT_EQ(*reader.ReadU8(), 1);
+  for (int i = 0; i < 512; ++i) {
+    EXPECT_EQ(*reader.ReadU64(), static_cast<std::uint64_t>(i));
+  }
+}
+
+TEST(BytesTest, DecodeIntoReusesStorage) {
+  ByteWriter writer;
+  writer.WriteString("a fairly long control point name");
+  writer.WriteDoubleVector({1.0, 2.0, 3.0});
+  writer.WriteString("short");
+  writer.WriteDoubleVector({4.0});
+  ByteReader reader(writer.data());
+  std::string text;
+  std::vector<double> values;
+  ASSERT_TRUE(reader.ReadStringInto(text).ok());
+  ASSERT_TRUE(reader.ReadDoubleVectorInto(values).ok());
+  EXPECT_EQ(text, "a fairly long control point name");
+  EXPECT_EQ(values, std::vector<double>({1.0, 2.0, 3.0}));
+  const char* text_storage = text.data();
+  const double* values_storage = values.data();
+  ASSERT_TRUE(reader.ReadStringInto(text).ok());
+  ASSERT_TRUE(reader.ReadDoubleVectorInto(values).ok());
+  EXPECT_EQ(text, "short");
+  EXPECT_EQ(values, std::vector<double>({4.0}));
+  EXPECT_EQ(text.data(), text_storage);      // kept its buffer
+  EXPECT_EQ(values.data(), values_storage);  // kept its buffer
+  EXPECT_FALSE(reader.ReadStringInto(text).ok());  // underrun
+}
+
+// --- CRC-32 ------------------------------------------------------------------
+
+// The classic one-table, one-byte-at-a-time algorithm: the reference the
+// slicing-by-8 implementation must match bit for bit.
+std::uint32_t BytewiseCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string check = "123456789";
+  const auto* data = reinterpret_cast<const std::uint8_t*>(check.data());
+  EXPECT_EQ(Crc32(data, check.size()), 0xCBF43926u);
+  EXPECT_EQ(Crc32(data, 0), 0u);
+  const std::string fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(Crc32(reinterpret_cast<const std::uint8_t*>(fox.data()),
+                  fox.size()),
+            0x414FA339u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(2024);
+  std::vector<std::uint8_t> buffer(600);
+  for (std::uint8_t& byte : buffer) {
+    byte = static_cast<std::uint8_t>(rng.UniformInt(0, 255));
+  }
+  for (std::size_t length = 0; length <= 300; ++length) {
+    const std::size_t offset = rng.UniformU64(8);  // misaligned starts
+    const std::uint8_t* data = buffer.data() + offset;
+    ASSERT_EQ(Crc32(data, length), BytewiseCrc32(data, length))
+        << "length " << length << " offset " << offset;
+  }
+}
+
+TEST(Crc32Test, ContinuationEqualsOneShot) {
+  const std::string text = "write-ahead log record framed in place";
+  const auto* data = reinterpret_cast<const std::uint8_t*>(text.data());
+  for (std::size_t split = 0; split <= text.size(); ++split) {
+    EXPECT_EQ(Crc32(data + split, text.size() - split, Crc32(data, split)),
+              Crc32(data, text.size()))
+        << "split " << split;
+  }
+}
+
+// --- InlineFunction ----------------------------------------------------------
+
+TEST(InlineFunctionTest, MovesAndDestroysItsCallable) {
+  auto counter = std::make_shared<int>(0);
+  {
+    InlineFunction<int(int), 48> fn = [counter](int step) {
+      *counter += step;
+      return *counter;
+    };
+    EXPECT_EQ(counter.use_count(), 2);
+    InlineFunction<int(int), 48> moved = std::move(fn);
+    EXPECT_FALSE(static_cast<bool>(fn));
+    ASSERT_TRUE(static_cast<bool>(moved));
+    EXPECT_EQ(moved(3), 3);
+    EXPECT_EQ(moved(4), 7);
+    EXPECT_EQ(counter.use_count(), 2);  // moved, not copied
+    InlineFunction<int(int), 48> assigned;
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned(1), 8);
+  }
+  EXPECT_EQ(counter.use_count(), 1);  // the capture was destroyed once
 }
 
 // --- Logging -----------------------------------------------------------------
