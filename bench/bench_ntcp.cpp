@@ -161,6 +161,10 @@ void BM_PluginDispatch_PolicyWrapped(benchmark::State& state) {
 }
 BENCHMARK(BM_PluginDispatch_PolicyWrapped);
 
+// The Fig. 9 pull path in-process: Execute enqueues, the work notifier runs
+// the PollingBackend's poll -> compute -> post inline on this thread, and
+// Execute returns the posted result without parking. The gap to
+// BM_PluginDispatch_Simulation is the buffering and hand-off cost.
 void BM_PluginDispatch_MpluginPollingBackend(benchmark::State& state) {
   net::Network network;
   auto mplugin = std::make_unique<plugins::MPlugin>();

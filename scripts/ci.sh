@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI matrix: builds the tree three times — Release (invariants compiled
 # out), RelWithDebInfo under ASan+UBSan (invariants live), and TSan over
-# the concurrency-heavy suites (MPlugin backend thread and long poll/wake,
-# farm worker pool, the striped frame pool they all share) — with warnings as errors throughout, runs the full test
+# the concurrency-heavy suites (farm worker pool, the striped frame pool
+# its workers share, the RPC and NTCP code they run through) — with warnings as errors throughout, runs the full test
 # suite in the first two (the Release leg asserts the exact per-step
 # allocation budgets of alloc_budget_test; the sanitizer legs skip them)
 # and the gridbench self-test after the Release leg, then gates on
@@ -61,12 +61,12 @@ cmake -B "$prefix-tsan" -S "$repo" -DNEES_WERROR=ON \
 cmake --build "$prefix-tsan" -j "$jobs" \
       --target util_test net_test ntcp_test psd_test plugins_test \
                most_test farm_test nees_farm_cli
-# The suites that exercise real threads: the in-process MPlugin
-# PollingBackend thread and its long-poll/wake handshake (plugins_test,
-# most_test), and the multi-tenant farm's worker pool + swarm shards over
-# one shared kImmediate fabric (farm_test). util_test hammers the striped
-# util::FramePool from eight threads: every farm worker acquires and
-# releases its wire frames there. The net/ntcp/psd suites cover the RPC,
+# The suites that exercise real threads: the multi-tenant farm's worker
+# pool + swarm shards over one shared kImmediate fabric (farm_test), two
+# threads executing on one MPlugin through its inline backend
+# (plugins_test), and the MOST runs the farm hosts (most_test). util_test
+# hammers the striped util::FramePool from eight threads: every farm
+# worker acquires and releases its wire frames there. The net/ntcp/psd suites cover the RPC,
 # NTCP and coordinator code those threads run through.
 for suite in util_test net_test ntcp_test psd_test plugins_test most_test \
              farm_test; do
@@ -84,7 +84,7 @@ echo "######## nees_farm smoke wave (TSan) ########"
 
 echo
 echo "######## lockdep lock-order report (nees_locks) ########"
-# Clean pass on the standard workload (threaded MOST run + virtual-time
+# Clean pass on the standard workload (a MOST run + virtual-time
 # fuzz block), then prove the detector end to end: a deliberately injected
 # inversion must come back nonzero.
 "$prefix-asan/tools/nees_locks" --steps 60 --seeds 3

@@ -797,7 +797,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
       trust.AddRoot(ca->root_certificate());
       security::AuthOptions aopts;
       aopts.token_lifetime_micros = token_lifetime[i];
-      // The backend's long-poll plumbing is site-local, not grid traffic;
+      // The backend's poll/notify plumbing is site-local, not grid traffic;
       // it never holds a grid credential (same split as a real site, where
       // the DAQ loop lives inside the security perimeter).
       aopts.open_methods = {"mplugin.poll", "mplugin.notify"};

@@ -1,7 +1,7 @@
 // Deterministic simulation fuzzer for the MOST stack (nees_fuzz).
 //
 // DeliveryMode::kVirtual turns the whole distributed experiment — RPC
-// delivery, retry backoff, long-poll heartbeats, proposal-expiry timers —
+// delivery, retry backoff, backend heartbeats, proposal-expiry timers —
 // into one single-threaded, totally ordered event schedule per seed. This
 // harness exploits that: GenerateScenario(seed) derives a random topology,
 // per-link latency/jitter/drop models, a step engine, and a fault schedule

@@ -236,8 +236,7 @@ util::Status MostExperiment::StartSiteServices() {
     (*models)["center-frame"] =
         MakeColumnModel(stiffness_.middle_n_per_m, false);
     ncsa_backend_ = std::make_unique<plugins::PollingBackend>(
-        ncsa_mplugin_, plugins::MakeSimulationCompute(models),
-        /*poll_wait_micros=*/500'000);
+        ncsa_mplugin_, plugins::MakeSimulationCompute(models));
     ncsa_backend_->Start();
     active_registry_->Register(
         {Qualified("ntcp.ncsa"), Qualified(kNtcpNcsa), "ntcp", "NCSA", 0}, 0);
@@ -295,7 +294,7 @@ util::Status MostExperiment::StartSiteServices() {
       compute = plugins::MakeSimulationCompute(models);
     }
     cu_backend_ = std::make_unique<plugins::PollingBackend>(
-        cu_mplugin_, std::move(compute), /*poll_wait_micros=*/500'000);
+        cu_mplugin_, std::move(compute));
     cu_backend_->Start();
     active_registry_->Register(
         {Qualified("ntcp.cu"), Qualified(kNtcpCu), "ntcp", "CU", 0}, 0);

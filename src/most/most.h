@@ -125,7 +125,8 @@ class MostExperiment {
                  MostOptions options);
   ~MostExperiment();
 
-  /// Brings up all services and backend threads.
+  /// Brings up all services and installs the NCSA and CU MPlugin backends
+  /// on their plugins' work notifiers. Starts no thread.
   util::Status Start();
   void Stop();
 

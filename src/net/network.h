@@ -14,7 +14,7 @@
 //                  single-threaded event loop (PumpOneUntil / AdvanceTo /
 //                  RunUntilQuiescent) drains them in one totally ordered,
 //                  reproducible schedule per fault seed. Blocking layers
-//                  (RPC waits, backoff sleeps, long polls) pump this loop
+//                  (RPC waits, backoff sleeps, plugin waits) pump this loop
 //                  instead of parking on condition variables, so an entire
 //                  MOST-shaped run replays bit-identically from its seed.
 //                  Used by the nees_fuzz harness and by every latency

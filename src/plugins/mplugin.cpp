@@ -36,7 +36,6 @@ MPlugin::~MPlugin() { Shutdown(); }
 void MPlugin::Shutdown() {
   util::MutexLock lock(mu_);
   shutting_down_ = true;
-  work_cv_.NotifyAll();
   for (auto& [id, pending] : pending_) pending->cv.NotifyAll();
 }
 
@@ -58,7 +57,7 @@ util::Result<ntcp::TransactionResult> MPlugin::Execute(
     const ntcp::Proposal& proposal) {
   auto pending = std::make_shared<Pending>();
   if (tracer_ != nullptr) {
-    // The backend thread has no implicit span context; remember ours so the
+    // A remote backend polls from another context; remember ours so the
     // queue/compute records attach under the server.execute span.
     pending->parent_span_id = tracer_->CurrentSpanId();
     pending->enqueued_micros = tracer_->NowMicros();
@@ -68,12 +67,10 @@ util::Result<ntcp::TransactionResult> MPlugin::Execute(
     util::MutexLock lock(mu_);
     pending_[proposal.transaction_id] = pending;
     queue_.push_back(proposal);
-    work_cv_.NotifyOne();
     notify = work_notifier_;
   }
-  // Push-style wakeup for remote backends. Outside the lock: the notifier
-  // typically issues a network send, and the woken backend's first poll
-  // must not contend with us still holding mu_.
+  // Outside the lock: an in-process backend polls and posts right here, and
+  // a remote backend's notifier issues a network send.
   if (notify) notify();
   {
     util::MutexLock lock(mu_);
@@ -120,33 +117,9 @@ util::Result<ntcp::TransactionResult> MPlugin::Execute(
   return pending->result;
 }
 
-std::optional<ntcp::Proposal> MPlugin::PollRequest(
-    std::int64_t max_wait_micros) {
+std::optional<ntcp::Proposal> MPlugin::PollRequest() {
   util::MutexLock lock(mu_);
   ++polls_;
-  const std::uint64_t epoch = poll_epoch_;
-  if (virtual_net_ != nullptr) {
-    // Long polls in virtual time pump the event loop between queue checks.
-    const std::int64_t deadline =
-        virtual_net_->clock()->NowMicros() + max_wait_micros;
-    while (queue_.empty() && !shutting_down_ && poll_epoch_ == epoch &&
-           virtual_net_->clock()->NowMicros() < deadline) {
-      lock.Unlock();
-      virtual_net_->PumpOneUntil(deadline);
-      lock.Lock();
-    }
-  } else {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::microseconds(max_wait_micros);
-    while (queue_.empty() && !shutting_down_ && poll_epoch_ == epoch) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) break;
-      work_cv_.WaitFor(
-          mu_,
-          std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
-              .count());
-    }
-  }
   if (queue_.empty()) return std::nullopt;
   ntcp::Proposal proposal = std::move(queue_.front());
   queue_.pop_front();
@@ -204,20 +177,15 @@ void MPlugin::AttachVirtualNetwork(net::Network* network) {
           : nullptr;
 }
 
-void MPlugin::InterruptPolls() {
-  util::MutexLock lock(mu_);
-  ++poll_epoch_;
-  work_cv_.NotifyAll();
-}
-
 void MPlugin::BindBackendRpc(net::RpcServer& server) {
   server.RegisterMethod(
       "mplugin.poll",
       [this](const net::CallContext&,
              const net::Bytes& body) -> util::Result<net::Bytes> {
         util::ByteReader reader(body);
-        NEES_ASSIGN_OR_RETURN(std::int64_t max_wait, reader.ReadI64());
-        auto proposal = PollRequest(max_wait);
+        // max_wait: decoded for the wire format, ignored (polls never block).
+        NEES_RETURN_IF_ERROR(reader.ReadI64().status());
+        auto proposal = PollRequest();
         util::ByteWriter writer(util::AcquireFrame());
         writer.WriteBool(proposal.has_value());
         if (proposal) ntcp::EncodeProposal(*proposal, writer);
@@ -255,31 +223,31 @@ std::size_t MPlugin::buffered() const {
 // ---------------------------------------------------------------------------
 // PollingBackend
 
-PollingBackend::PollingBackend(MPlugin* plugin, Compute compute,
-                               std::int64_t poll_wait_micros)
-    : plugin_(plugin),
-      compute_(std::move(compute)),
-      poll_wait_micros_(poll_wait_micros) {}
+PollingBackend::PollingBackend(MPlugin* plugin, Compute compute)
+    : plugin_(plugin), compute_(std::move(compute)) {}
 
 PollingBackend::~PollingBackend() { Stop(); }
 
 void PollingBackend::Start() {
-  if (running_.exchange(true)) return;
-  thread_ = std::thread([this] { Loop(); });
+  if (running_) return;
+  running_ = true;
+  plugin_->SetWorkNotifier([this] { Drain(); });
 }
 
 void PollingBackend::Stop() {
-  if (!running_.exchange(false)) return;
-  // Break the in-flight long poll; without this, Stop() blocks for up to
-  // a full poll_wait_micros_ of idle waiting.
-  plugin_->InterruptPolls();
-  if (thread_.joinable()) thread_.join();
+  if (!running_) return;
+  running_ = false;
+  plugin_->SetWorkNotifier(nullptr);
 }
 
-void PollingBackend::Loop() {
-  while (running_) {
-    auto proposal = plugin_->PollRequest(poll_wait_micros_);
-    if (!proposal) continue;
+std::uint64_t PollingBackend::processed() const {
+  util::MutexLock lock(mu_);
+  return processed_;
+}
+
+void PollingBackend::Drain() {
+  util::MutexLock lock(mu_);
+  while (auto proposal = plugin_->PollRequest()) {
     auto outcome = compute_(*proposal);
     const util::Status posted =
         plugin_->PostResult(proposal->transaction_id, std::move(outcome));
@@ -379,7 +347,7 @@ util::Result<bool> VirtualPollingBackend::PollOnce() {
   // into its envelope; the response frames go back to the pool once
   // decoded. A steady-state cycle allocates no frame of its own.
   util::ByteWriter poll_writer(std::move(body_));
-  poll_writer.WriteI64(0);  // no long-poll wait: the wake said work is queued
+  poll_writer.WriteI64(0);  // max_wait: kept on the wire, ignored
   util::Result<net::Bytes> polled =
       rpc_->Call(plugin_id_, PollMethod(), poll_writer.data());
   body_ = poll_writer.Take();

@@ -8,15 +8,15 @@
 // Backend-facing surface, both in-process and over RPC:
 //   mplugin.poll    {max_wait} -> {has_work, Proposal}
 //   mplugin.notify  {txn_id, ok, TransactionResult|error} -> {}
+// `max_wait` stays on the wire for compatibility but is ignored: a poll
+// never blocks, it answers from the queue as it stands.
 #pragma once
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <thread>
 
 #include "net/rpc.h"
 #include "util/mutex.h"
@@ -53,31 +53,26 @@ class MPlugin final : public ntcp::ControlPlugin {
   std::string_view kind() const override { return "mplugin"; }
 
   // --- backend-facing service -------------------------------------------------
-  /// Blocks up to `max_wait_micros` for buffered work (a long poll: enqueued
-  /// work or InterruptPolls() wakes it early, so large waits cost nothing in
-  /// latency). Returns nullopt when the wait lapses with an empty queue.
-  std::optional<ntcp::Proposal> PollRequest(std::int64_t max_wait_micros);
+  /// Dequeues the oldest buffered request; nullopt when the queue is empty.
+  /// Never blocks: backends poll when the work notifier says work is queued.
+  std::optional<ntcp::Proposal> PollRequest();
   /// Completes a pending execution with a result or an error.
   util::Status PostResult(const std::string& transaction_id,
                           util::Result<ntcp::TransactionResult> outcome);
 
-  /// Hook invoked (outside the plugin lock) whenever work is enqueued.
-  /// Lets a *remote* backend be woken push-style — e.g. a one-way
-  /// "mplugin.wake" RPC — instead of discovering work on its next poll.
-  /// In-process backends don't need it; PollRequest wakes on its own.
+  /// Hook invoked (outside the plugin lock, on the enqueuing thread)
+  /// whenever work is enqueued. An in-process PollingBackend drains the
+  /// queue right here; a remote backend is woken push-style, e.g. by a
+  /// one-way "mplugin.wake" RPC. An empty notifier removes the hook.
   void SetWorkNotifier(std::function<void()> notifier);
-
-  /// Wakes every in-flight PollRequest so it re-checks the queue and
-  /// returns. Used by backends to make Stop() prompt under long polls.
-  void InterruptPolls();
 
   /// Binds mplugin.poll / mplugin.notify on an RpcServer for remote backends.
   void BindBackendRpc(net::RpcServer& server);
 
-  /// DeliveryMode::kVirtual: blocking waits (Execute's completion wait and
-  /// PollRequest long polls) pump `network`'s event loop instead of parking
-  /// on condition variables, keeping the whole propose/poll/notify exchange
-  /// single-threaded and seed-deterministic. Attach before the run starts.
+  /// DeliveryMode::kVirtual: Execute's completion wait pumps `network`'s
+  /// event loop instead of parking on a condition variable, keeping the
+  /// whole propose/poll/notify exchange single-threaded and
+  /// seed-deterministic. Attach before the run starts.
   void AttachVirtualNetwork(net::Network* network);
 
   std::uint64_t polls() const;
@@ -99,49 +94,49 @@ class MPlugin final : public ntcp::ControlPlugin {
   };
 
   Config config_;
-  // Set once via AttachVirtualNetwork before the run starts; the pump loops
-  // read it with mu_ released, so it is deliberately not guarded.
+  // Set once via AttachVirtualNetwork before the run starts; the pump loop
+  // reads it with mu_ released, so it is deliberately not guarded.
   net::Network* virtual_net_ = nullptr;  // set iff DeliveryMode::kVirtual
   mutable util::Mutex mu_{"plugins.MPlugin"};
-  util::CondVar work_cv_;  // backend waits for work
   std::deque<ntcp::Proposal> queue_ NEES_GUARDED_BY(mu_);
   std::map<std::string, std::shared_ptr<Pending>> pending_
       NEES_GUARDED_BY(mu_);
   std::function<void()> work_notifier_ NEES_GUARDED_BY(mu_);
   std::uint64_t polls_ NEES_GUARDED_BY(mu_) = 0;
-  // Bumped by InterruptPolls().
-  std::uint64_t poll_epoch_ NEES_GUARDED_BY(mu_) = 0;
   bool shutting_down_ NEES_GUARDED_BY(mu_) = false;
 };
 
-/// In-process "Matlab" backend: a thread that long-polls the MPlugin, runs
-/// a compute function on each proposal, and notifies the result — the NCSA
-/// deployment in miniature. Each poll parks on the plugin's work signal for
-/// up to `poll_wait_micros`, so an idle backend wakes only when work
-/// arrives (or on Stop()) instead of spinning at a fixed interval.
+/// In-process "Matlab" backend — the NCSA deployment in miniature. It keeps
+/// the Fig. 9 pull role: on each work notification it polls the MPlugin,
+/// runs a compute function on the proposal, and posts the result. The cycle
+/// runs inline on the thread that enqueued the work, so Execute() finds its
+/// result already posted and never parks. The backend owns no thread.
 class PollingBackend {
  public:
   using Compute = std::function<util::Result<ntcp::TransactionResult>(
       const ntcp::Proposal&)>;
 
-  PollingBackend(MPlugin* plugin, Compute compute,
-                 std::int64_t poll_wait_micros = 1'000'000);
+  PollingBackend(MPlugin* plugin, Compute compute);
   ~PollingBackend();
 
+  /// Installs the backend as the plugin's work notifier.
   void Start();
+  /// Removes the notifier: later executions go unserviced and time out.
+  /// Idempotent. Must not race an Execute() on another thread.
   void Stop();
 
-  std::uint64_t processed() const { return processed_; }
+  std::uint64_t processed() const;
 
  private:
-  void Loop();
+  void Drain();
 
   MPlugin* plugin_;
   Compute compute_;
-  std::int64_t poll_wait_micros_;
-  std::thread thread_;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> processed_{0};
+  bool running_ = false;
+  // Serializes drains, so computes run one at a time even when several
+  // threads execute on the plugin at once.
+  mutable util::Mutex mu_{"plugins.PollingBackend"};
+  std::uint64_t processed_ NEES_GUARDED_BY(mu_) = 0;
 };
 
 /// Remote backend speaking the RPC surface (Matlab at NCSA, across the

@@ -3,6 +3,8 @@
 // fault narrative in miniature, and the end-to-end data path (DAQ ->
 // repository, NSDS streaming, OGSI inspection).
 #include <cmath>
+#include <filesystem>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -82,6 +84,25 @@ TEST_F(MostRunTest, DryRunCompletesAllSteps) {
                                MostExperiment::kNtcpCu}) {
     EXPECT_EQ(experiment.ServerStats(endpoint).executions, 149u) << endpoint;
   }
+}
+
+// Live threads of this process, one /proc/self/task entry each.
+std::size_t ThreadCount() {
+  return static_cast<std::size_t>(std::distance(
+      std::filesystem::directory_iterator("/proc/self/task"),
+      std::filesystem::directory_iterator{}));
+}
+
+TEST_F(MostRunTest, StartSpawnsNoThreads) {
+  // The NCSA and CU MPlugin backends run inline on their plugins' work
+  // notifiers; bringing the deployment up starts no thread.
+  net::Network network;
+  network.SetClock(&clock_);
+  MostExperiment experiment(&network, &clock_, SmallOptions(10, true));
+  const std::size_t before = ThreadCount();
+  ASSERT_TRUE(experiment.Start().ok());
+  EXPECT_EQ(ThreadCount(), before);
+  experiment.Stop();
 }
 
 TEST_F(MostRunTest, DryRunMatchesNewmarkReference) {

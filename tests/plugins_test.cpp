@@ -3,7 +3,9 @@
 // over RPC), and the LabVIEW/Mini-MOST path — including the "transparent
 // substitution" property (§2.1) that simulation and physical plugins are
 // indistinguishable to an NTCP client.
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "plugins/shorewestern_plugin.h"
 #include "plugins/simulation_plugin.h"
 #include "testbed/specimen.h"
+#include "util/bytes.h"
 #include "util/clock.h"
 
 namespace nees::plugins {
@@ -223,7 +226,7 @@ TEST_F(ShoreWesternPluginTest, InterlockSurfacesAsSafetyError) {
 
 // --- MPlugin ---------------------------------------------------------------------
 
-TEST(MPluginTest, BackendThreadServicesExecute) {
+TEST(MPluginTest, BackendServicesExecute) {
   MPlugin plugin;
   auto models = std::make_shared<std::map<
       std::string, std::unique_ptr<structural::SubstructureModel>>>();
@@ -279,22 +282,80 @@ TEST(MPluginTest, ValidateEnforcesLimit) {
             ErrorCode::kPolicyViolation);
 }
 
-TEST(MPluginTest, LongPollStopIsPromptViaInterruptPolls) {
-  // The backend parks in a multi-second long poll; Stop() must interrupt
-  // it rather than wait out the poll budget.
-  MPlugin plugin;
+TEST(MPluginTest, BackendRunsInlineOnTheExecutingThread) {
+  // The backend owns no thread: the work notifier runs poll -> compute ->
+  // post on the thread that called Execute(). Once Stop() removes the
+  // notifier nothing services the plugin, so the next Execute() times out.
+  MPlugin::Config config;
+  config.execute_timeout_micros = 20'000;  // 20 ms real time
+  MPlugin plugin(config);
   auto models = std::make_shared<std::map<
       std::string, std::unique_ptr<structural::SubstructureModel>>>();
   (*models)["cp"] = ElasticModel(1000.0);
-  PollingBackend backend(&plugin, MakeSimulationCompute(models),
-                         /*poll_wait_micros=*/30'000'000);
+  std::thread::id compute_thread;
+  PollingBackend backend(
+      &plugin, [&, simulate = MakeSimulationCompute(models)](
+                   const ntcp::Proposal& proposal) {
+        compute_thread = std::this_thread::get_id();
+        return simulate(proposal);
+      });
   backend.Start();
-  ASSERT_TRUE(plugin.Execute(MakeProposal("lp1", "cp", 0.01)).ok());
-
-  const util::Stopwatch watch;
-  backend.Stop();
-  EXPECT_LT(watch.ElapsedMicros(), 5'000'000);  // nowhere near 30 s
+  ASSERT_TRUE(plugin.Execute(MakeProposal("in1", "cp", 0.01)).ok());
+  EXPECT_EQ(compute_thread, std::this_thread::get_id());
   EXPECT_EQ(backend.processed(), 1u);
+
+  backend.Stop();
+  EXPECT_EQ(plugin.Execute(MakeProposal("in2", "cp", 0.01)).status().code(),
+            ErrorCode::kTimeout);
+  EXPECT_EQ(backend.processed(), 1u);
+}
+
+TEST(MPluginTest, BackendComputesOneAtATimeAcrossExecutingThreads) {
+  // Two threads execute on one plugin at once. Each runs the backend on
+  // its own thread, but the computes (stateful models, a rig) never
+  // overlap, and both executions complete.
+  MPlugin plugin;
+  std::atomic<int> active{0};
+  PollingBackend backend(&plugin, [&](const ntcp::Proposal&) {
+    EXPECT_EQ(++active, 1);  // no other compute in flight
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    --active;
+    return util::Result<ntcp::TransactionResult>(ntcp::TransactionResult{});
+  });
+  backend.Start();
+  util::Status first;
+  util::Status second;
+  std::thread other(
+      [&] { first = plugin.Execute(MakeProposal("c1", "cp", 0.01)).status(); });
+  second = plugin.Execute(MakeProposal("c2", "cp", 0.01)).status();
+  other.join();
+  EXPECT_TRUE(first.ok()) << first.ToString();
+  EXPECT_TRUE(second.ok()) << second.ToString();
+  EXPECT_EQ(backend.processed(), 2u);
+}
+
+TEST(MPluginTest, RpcPollNeverBlocksOnItsMaxWait) {
+  // mplugin.poll still carries max_wait on the wire, but the plugin
+  // answers from the queue as it stands: an empty queue answers at once,
+  // not after the requested 5 s.
+  net::Network network;
+  MPlugin plugin;
+  net::RpcServer server(&network, "mplugin.w");
+  ASSERT_TRUE(server.Start().ok());
+  plugin.BindBackendRpc(server);
+  net::RpcClient backend_rpc(&network, "matlab.w");
+
+  util::ByteWriter request;
+  request.WriteI64(5'000'000);
+  const util::Stopwatch watch;
+  auto response = backend_rpc.Call("mplugin.w", "mplugin.poll", request.data());
+  EXPECT_LT(watch.ElapsedMicros(), 1'000'000);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  util::ByteReader reader(*response);
+  auto has_work = reader.ReadBool();
+  ASSERT_TRUE(has_work.ok());
+  EXPECT_FALSE(*has_work);
+  EXPECT_EQ(plugin.polls(), 1u);
 }
 
 TEST(MPluginTest, WorkNotifierFiresOnEnqueue) {

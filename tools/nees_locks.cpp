@@ -3,8 +3,9 @@
 //   nees_locks [--seeds N] [--steps N] [--graph] [--allowlist FILE]
 //   nees_locks --inject-inversion | --inject-wait
 //
-// Drives a representative workload — a short threaded MOST experiment
-// (immediate delivery, real backend threads) plus a block of virtual-time
+// Drives a representative workload — a short MOST experiment (immediate
+// delivery, wall clock, both MPlugin backends running inline on the work
+// notifier) plus a block of virtual-time
 // fuzz scenarios with crash/restart faults — with the lockdep registry
 // recording every acquisition. Afterwards it prints the observed lock-order
 // graph (--graph) and reports any violations: lock-order inversions,
@@ -75,8 +76,8 @@ void InjectWaitWhileHolding() {
 }
 
 // Short end-to-end MOST run on an immediate-delivery network: coordinator,
-// three NTCP servers, plugins, polling backends, DAQ pipeline, NSDS
-// streaming — the full multithreaded lock population.
+// three NTCP servers, plugins, the inline polling backends, DAQ pipeline,
+// NSDS streaming — every lock class a MOST run takes, on one thread.
 int RunMostWorkload(std::size_t steps) {
   net::Network network;
   most::MostOptions options;
