@@ -4,8 +4,11 @@
 # the concurrency-heavy suites (farm worker pool, the striped frame pool
 # its workers share, the RPC and NTCP code they run through) — with warnings as errors throughout, runs the full test
 # suite in the first two (the Release leg asserts the exact per-step
-# allocation budgets of alloc_budget_test; the sanitizer legs skip them)
-# and the gridbench self-test after the Release leg, then gates on
+# allocation budgets of alloc_budget_test; the sanitizer legs skip them.
+# The asan+lockdep leg asserts the exact per-step lock-acquisition budgets
+# of lock_budget_test, which count through lockdep; Release, with lockdep
+# compiled out, skips them) and the gridbench self-test after the Release
+# leg, then gates on
 # protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +

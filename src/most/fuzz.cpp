@@ -217,10 +217,10 @@ FuzzTemplate TemplateForSeed(std::uint64_t seed) {
   // the mean case cheap while every multi-thousand-seed sweep still runs
   // dozens of centrifuge campaigns and a handful of full-length MOSTs.
   // Measured per-seed cost (gridbench fuzz_campaign trace run, release,
-  // 1 core of a loaded 4-vCPU VM, allocation-free message path): mini
-  // ~1.1 ms, centrifuge ~0.9 ms, standard ~11.5 ms, full-most (1,500 steps)
-  // ~0.28 s with oracles — a full-most seed costs ~250 minis, which is why
-  // its weight is a tenth of a percent.
+  // 1 pinned core of a 4-vCPU VM, lock-free clocks, expiry index and
+  // replica-only digests): mini ~1.0 ms, centrifuge ~0.9 ms, standard
+  // ~10.4 ms, full-most (1,500 steps) ~0.24 s with oracles — a full-most
+  // seed costs ~240 minis, which is why its weight is a tenth of a percent.
   util::Rng lane = util::Rng(seed).Fork(10);
   const int roll = lane.UniformInt(0, 999);
   if (roll < 935) return FuzzTemplate::kMini;
@@ -647,8 +647,10 @@ FuzzScenario GenerateScenario(std::uint64_t seed, FuzzTemplate shape) {
 
 namespace {
 
+// `digests`: fill metrics_table and the three fingerprints. Only runs that
+// export artifacts or feed the determinism oracle pay for them.
 FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
-                        const FuzzRunOptions& options) {
+                        const FuzzRunOptions& options, bool digests) {
   FuzzOutcome out;
 
   // Oracle 5 (lockdep builds): no lock-order inversion, wait-while-holding,
@@ -1075,11 +1077,13 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     out.inflight_failed += slot->inflight_failed;
   }
   const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
-  out.metrics_table = tracer.metrics().ReportTable();
   out.history = report.history;
-  out.trace_fingerprint = obs::FingerprintSpans(spans);
-  out.metrics_fingerprint = FingerprintString(out.metrics_table);
-  out.history_fingerprint = FingerprintHistory(out.history);
+  if (digests) {
+    out.metrics_table = tracer.metrics().ReportTable();
+    out.trace_fingerprint = obs::FingerprintSpans(spans);
+    out.metrics_fingerprint = FingerprintString(out.metrics_table);
+    out.history_fingerprint = FingerprintHistory(out.history);
+  }
   out.net_totals = network.TotalMetrics();
   out.events_processed = network.virtual_stats().events();
   out.frames_corrupted = out.net_totals.corrupted;
@@ -1122,7 +1126,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
 
 FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
                               std::uint64_t fault_mask,
-                              const FuzzRunOptions& options) {
+                              const FuzzRunOptions& options, bool digests) {
   FuzzOutcome out;
   const std::size_t lockdep_before = util::lockdep::ViolationCount();
 
@@ -1264,10 +1268,18 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   };
   // One soil-characterization pass: shear-wave velocity between the bender
   // pair, then a cone penetration at -0.25m (the E12 measurement loop).
+  // Named requests, not brace temporaries: GCC 12 flags the temporaries'
+  // vectors as maybe-uninitialized once the lambda is inlined.
+  ntcp::ControlPointRequest shear_wave;
+  shear_wave.control_point = "bender:be1:be2";
+  ntcp::ControlPointRequest cone_tool;
+  cone_tool.control_point = "tool:cone-penetrometer";
+  ntcp::ControlPointRequest penetrate;
+  penetrate.control_point = "penetrate";
+  penetrate.target_displacement = {-0.25};
   auto characterize = [&]() -> bool {
-    return run_txn({{"bender:be1:be2", {}, {}}}) &&
-           run_txn({{"tool:cone-penetrometer", {}, {}}}) &&
-           run_txn({{"penetrate", {-0.25}, {}}});
+    return run_txn({shear_wave}) && run_txn({cone_tool}) &&
+           run_txn({penetrate});
   };
 
   std::size_t piles_installed = 0;
@@ -1297,10 +1309,13 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
 
   // --- collect + oracles -----------------------------------------------------
   const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
-  out.metrics_table = tracer.metrics().ReportTable();
-  out.trace_fingerprint = obs::FingerprintSpans(spans);
-  out.metrics_fingerprint = FingerprintString(out.metrics_table);
+  // The measured digest is folded in during the run, so it is always set.
   out.history_fingerprint = measured_digest.value();
+  if (digests) {
+    out.metrics_table = tracer.metrics().ReportTable();
+    out.trace_fingerprint = obs::FingerprintSpans(spans);
+    out.metrics_fingerprint = FingerprintString(out.metrics_table);
+  }
   out.net_totals = network.TotalMetrics();
   out.frames_corrupted = out.net_totals.corrupted;
   out.events_processed = network.virtual_stats().events();
@@ -1328,27 +1343,34 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   return out;
 }
 
+FuzzOutcome RunCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
+                    const FuzzRunOptions& options, bool digests) {
+  if (scenario.shape == FuzzTemplate::kCentrifuge) {
+    return RunCentrifugeCase(scenario, fault_mask, options, digests);
+  }
+  return RunMostCase(scenario, fault_mask, options, digests);
+}
+
 }  // namespace
 
 FuzzOutcome RunFuzzCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
                         const FuzzRunOptions& options) {
-  if (scenario.shape == FuzzTemplate::kCentrifuge) {
-    return RunCentrifugeCase(scenario, fault_mask, options);
-  }
-  return RunMostCase(scenario, fault_mask, options);
+  return RunCase(scenario, fault_mask, options, options.export_artifacts);
 }
 
 FuzzOutcome RunFuzzCaseChecked(const FuzzScenario& scenario,
                                std::uint64_t fault_mask,
                                const FuzzRunOptions& options) {
-  FuzzOutcome first = RunFuzzCase(scenario, fault_mask, options);
+  FuzzOutcome first =
+      RunCase(scenario, fault_mask, options, /*digests=*/true);
   // The replica exists only to prove the fingerprints match: skip the
   // export and the re-run of oracles 2–3 (their verdict cannot change when
   // the fingerprints agree, and a disagreement fails the case anyway).
   FuzzRunOptions replica = options;
   replica.export_artifacts = false;
   replica.run_oracles = false;
-  const FuzzOutcome second = RunFuzzCase(scenario, fault_mask, replica);
+  const FuzzOutcome second =
+      RunCase(scenario, fault_mask, replica, /*digests=*/true);
   if (first.trace_fingerprint != second.trace_fingerprint) {
     first.failures.push_back(
         "determinism: span traces differ between same-seed runs");

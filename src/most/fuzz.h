@@ -149,10 +149,14 @@ FuzzScenario GenerateScenario(std::uint64_t seed, FuzzTemplate shape);
 
 /// Per-run knobs. The defaults reproduce the full-artifact behaviour the
 /// unit tests rely on; sweeps turn exports off (the JSONL string is the
-/// single most expensive part of a clean run) and compare fingerprints.
+/// single most expensive part of a clean run) and compare fingerprints only
+/// on the seeds they replicate (RunFuzzCaseChecked).
 struct FuzzRunOptions {
-  /// Fill FuzzOutcome::trace_jsonl (the byte-stable JSONL export). The
-  /// structural fingerprints are computed either way.
+  /// Fill FuzzOutcome::trace_jsonl (the byte-stable JSONL export), the
+  /// metrics table, and the trace/metrics/history fingerprints. Off, a
+  /// plain RunFuzzCase leaves all of them empty/0 (the centrifuge shape's
+  /// history fingerprint excepted: it is folded in during the run).
+  /// RunFuzzCaseChecked computes the digests for both of its runs anyway.
   bool export_artifacts = true;
   /// Run oracles 2–3 (nees-lint + exactly-once). Oracles 1 (completion),
   /// 4 (determinism, via RunFuzzCaseChecked) and 5 (lockdep) are always on.
@@ -171,11 +175,13 @@ struct FuzzOutcome {
   std::size_t steps_completed = 0;
   std::uint64_t step_reattempts = 0;  // max over sites
   std::string trace_jsonl;            // byte-stable export (if exported)
-  std::string metrics_table;          // byte-stable metrics report
+  std::string metrics_table;          // byte-stable metrics report (digests)
   structural::TimeHistory history;
   /// Structural fingerprints (FNV-1a) of the span snapshot, the metrics
   /// table, and the response history — what RunFuzzCaseChecked compares, so
-  /// the determinism replica never has to build the JSONL string.
+  /// the determinism replica never has to build the JSONL string. Set only
+  /// by exporting runs and by RunFuzzCaseChecked (see
+  /// FuzzRunOptions::export_artifacts); 0 otherwise.
   std::uint64_t trace_fingerprint = 0;
   std::uint64_t metrics_fingerprint = 0;
   std::uint64_t history_fingerprint = 0;
@@ -205,9 +211,10 @@ FuzzOutcome RunFuzzCase(const FuzzScenario& scenario,
                         const FuzzRunOptions& options = FuzzRunOptions());
 
 /// RunFuzzCase twice; adds oracle 4 (same-seed determinism) failures to the
-/// first outcome. The replica run skips exports and oracles 2–3 (its only
-/// job is to produce fingerprints), so a checked clean run costs well under
-/// 2x a plain one.
+/// first outcome. Both runs compute the metrics table and fingerprints
+/// whatever `options.export_artifacts` says; the replica skips the JSONL
+/// export and oracles 2–3 (its only job is to produce fingerprints), so a
+/// checked clean run costs well under 2x a plain one.
 FuzzOutcome RunFuzzCaseChecked(const FuzzScenario& scenario,
                                std::uint64_t fault_mask = kAllFaults,
                                const FuzzRunOptions& options = FuzzRunOptions());

@@ -290,8 +290,7 @@ void Network::PumpClock::SleepMicros(std::int64_t micros) {
 }
 
 void Network::AdvanceVirtualClockTo(std::int64_t micros) {
-  if (virtual_clock_ == nullptr) return;
-  if (micros > virtual_clock_->NowMicros()) virtual_clock_->SetMicros(micros);
+  if (virtual_clock_ != nullptr) virtual_clock_->AdvanceTo(micros);
 }
 
 void Network::ScheduleAt(std::int64_t due_micros, TimerFn fn) {

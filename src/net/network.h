@@ -336,8 +336,9 @@ class Network {
   /// (clock jumps to the limit when nothing is due) from AdvanceTo /
   /// RunUntilQuiescent internals (which advance separately or not at all).
   bool PumpOne(std::int64_t limit_micros, bool advance_on_idle);
-  /// Moves the virtual clock forward to `micros`; never backwards (nested
-  /// pumps may already have advanced past an outer pump's limit).
+  /// Moves the virtual clock forward to `micros` with one SimClock::AdvanceTo;
+  /// never backwards (nested pumps may already have advanced past an outer
+  /// pump's limit).
   void AdvanceVirtualClockTo(std::int64_t micros);
   /// Arrival-time half of kVirtual delivery: re-checks partition, link
   /// up/down, and outage windows at the arrival timestamp, then counts

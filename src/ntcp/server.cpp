@@ -1,6 +1,8 @@
 #include "ntcp/server.h"
 
+#include <algorithm>
 #include <array>
+#include <functional>
 
 #include "check/invariant.h"
 #include "obs/trace.h"
@@ -34,6 +36,11 @@ const obs::Atom kTimeout("timeout");
 const obs::Atom kCause("cause");
 const obs::Atom kKind("kind");
 const obs::Atom kState("state");
+
+bool IsOpen(TransactionState state) {
+  return state == TransactionState::kProposed ||
+         state == TransactionState::kAccepted;
+}
 
 }  // namespace
 
@@ -324,6 +331,7 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
   if (validation.ok()) {
     ++stats_.accepted;
     TransitionLocked(id, inserted->second, TransactionState::kAccepted, "");
+    IndexForExpiryLocked(*inserted);
     WalSyncLocked();  // durable before the accept is disclosed
     return {true, ""};
   }
@@ -447,8 +455,7 @@ util::Status NtcpServer::Cancel(const std::string& transaction_id) {
   }
   TransactionRecord& record = it->second;
   if (record.state == TransactionState::kCancelled) return util::OkStatus();
-  if (record.state != TransactionState::kProposed &&
-      record.state != TransactionState::kAccepted) {
+  if (!IsOpen(record.state)) {
     return util::FailedPrecondition(
         "cannot cancel a transaction in state " +
         std::string(TransactionStateName(record.state)));
@@ -487,26 +494,52 @@ std::vector<std::string> NtcpServer::ListTransactions() const {
   return ids;
 }
 
+void NtcpServer::IndexForExpiryLocked(TransactionTable::value_type& entry) {
+  if (!IsOpen(entry.second.state)) return;
+  const std::int64_t deadline = ProposalDeadlineMicros(entry.second);
+  if (deadline < 0) return;  // no timeout: ProposalWindowLapsed never fires
+  expiry_index_.push_back(ExpiryEntry{deadline, &entry});
+  std::push_heap(expiry_index_.begin(), expiry_index_.end(),
+                 std::greater<>());
+}
+
+void NtcpServer::RebuildExpiryIndexLocked() {
+  expiry_index_.clear();
+  for (auto& entry : transactions_) IndexForExpiryLocked(entry);
+}
+
 int NtcpServer::ExpireStale() {
   util::MutexLock lock(mu_);
   const std::int64_t now = clock_->NowMicros();
-  int expired = 0;
-  for (auto& [id, record] : transactions_) {
-    if (record.state != TransactionState::kProposed &&
-        record.state != TransactionState::kAccepted) {
-      continue;
-    }
-    if (ProposalWindowLapsed(record, now)) {
-      TransitionLocked(id, record, TransactionState::kExpired,
-                       "proposal timeout lapsed");
-      NEES_CHECK_INVARIANT(record.state == TransactionState::kExpired,
-                           "lapsed-window transaction must end kExpired");
-      ++stats_.expired;
-      ++expired;
-    }
+  // A deadline is fixed at creation (proposed_at + timeout), so the entries
+  // strictly past `now` whose transaction is still open are exactly the
+  // records ProposalWindowLapsed(record, now) selects in a table walk.
+  lapsed_.clear();
+  while (!expiry_index_.empty() &&
+         expiry_index_.front().deadline_micros < now) {
+    std::pop_heap(expiry_index_.begin(), expiry_index_.end(),
+                  std::greater<>());
+    TransactionTable::value_type* entry = expiry_index_.back().entry;
+    expiry_index_.pop_back();
+    ++stats_.expiry_visits;
+    if (IsOpen(entry->second.state)) lapsed_.push_back(entry);
   }
-  if (expired > 0) WalSyncLocked();
-  return expired;
+  // Transition in id order, the table walk's order, so ntcp.txn events,
+  // WAL records and schedule ties are unchanged.
+  std::sort(lapsed_.begin(), lapsed_.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  for (TransactionTable::value_type* entry : lapsed_) {
+    TransactionRecord& record = entry->second;
+    NEES_CHECK_INVARIANT(ProposalWindowLapsed(record, now),
+                         "expiry index entry must match the proposal window");
+    TransitionLocked(entry->first, record, TransactionState::kExpired,
+                     "proposal timeout lapsed");
+    NEES_CHECK_INVARIANT(record.state == TransactionState::kExpired,
+                         "lapsed-window transaction must end kExpired");
+    ++stats_.expired;
+  }
+  if (!lapsed_.empty()) WalSyncLocked();
+  return static_cast<int>(lapsed_.size());
 }
 
 int NtcpServer::GarbageCollect(std::int64_t retention_micros) {
@@ -526,6 +559,9 @@ int NtcpServer::GarbageCollect(std::int64_t retention_micros) {
       ++it;
     }
   }
+  // Erased records may still have index entries (their deadline had not
+  // passed yet); rebuild from the survivors so none dangles.
+  if (removed > 0) RebuildExpiryIndexLocked();
   return removed;
 }
 
@@ -617,6 +653,8 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
     ++recovery.inflight_failed;
   }
   WalSyncLocked();
+  // Recovered proposed/accepted transactions keep their original deadlines.
+  RebuildExpiryIndexLocked();
 
   // Republish every recovered transaction's SDE so OGSI inspection of the
   // new incarnation sees the full table, not just post-restart changes.

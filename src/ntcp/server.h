@@ -15,6 +15,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/mutex.h"
 
@@ -40,6 +41,10 @@ struct NtcpServerStats {
   std::uint64_t failures = 0;
   std::uint64_t wal_records = 0;       // transitions logged this incarnation
   std::uint64_t wal_sync_failures = 0;
+  /// Expiry-index entries ExpireStale examined (popped past their
+  /// deadline), whether or not the transaction was still open: a sweep
+  /// costs O(this), not O(table).
+  std::uint64_t expiry_visits = 0;
 };
 
 /// What AttachWal reconstructed from the log (docs/RECOVERY.md, step R2).
@@ -90,6 +95,8 @@ class NtcpServer {
 
   /// Moves proposed/accepted transactions past their timeout to kExpired;
   /// returns how many expired. Call periodically (or before reusing ids).
+  /// Costs O(lapsed entries): a deadline-ordered index yields exactly the
+  /// transactions a full table walk would find, expired in id order.
   int ExpireStale();
 
   /// kVirtual only: arms a self-rescheduling timer on `network`'s event
@@ -174,6 +181,14 @@ class NtcpServer {
   void FlushSdeLocked() NEES_REQUIRES(mu_);
   void BindRpcMethods();
 
+  using TransactionTable = std::map<std::string, TransactionRecord>;
+  /// Adds `entry` to the expiry index if it is open and has a deadline.
+  void IndexForExpiryLocked(TransactionTable::value_type& entry)
+      NEES_REQUIRES(mu_);
+  /// Rebuilds the expiry index from the table (after WAL replay and after
+  /// GarbageCollect erased records the old entries pointed at).
+  void RebuildExpiryIndexLocked() NEES_REQUIRES(mu_);
+
   net::RpcServer rpc_server_;
   std::unique_ptr<ControlPlugin> plugin_;
   util::Clock* clock_;
@@ -181,8 +196,24 @@ class NtcpServer {
   std::shared_ptr<grid::GridService> service_;
 
   mutable util::Mutex mu_{"ntcp.Server"};
-  std::map<std::string, TransactionRecord> transactions_
-      NEES_GUARDED_BY(mu_);
+  TransactionTable transactions_ NEES_GUARDED_BY(mu_);
+  // Expiry index: a min-heap of (proposal deadline, table entry), one entry
+  // per transaction accepted with a deadline. Map nodes never move, so the
+  // pointers stay valid until GarbageCollect erases records, which rebuilds
+  // the heap. Entries whose transaction has since left proposed/accepted
+  // are dropped when their deadline passes.
+  struct ExpiryEntry {
+    std::int64_t deadline_micros;
+    TransactionTable::value_type* entry;
+    // With std::greater the std::*_heap max-heap puts the earliest
+    // deadline at the front.
+    bool operator>(const ExpiryEntry& other) const {
+      return deadline_micros > other.deadline_micros;
+    }
+  };
+  std::vector<ExpiryEntry> expiry_index_ NEES_GUARDED_BY(mu_);
+  // Reused by each sweep for the lapsed entries it sorts into id order.
+  std::vector<TransactionTable::value_type*> lapsed_ NEES_GUARDED_BY(mu_);
   NtcpServerStats stats_ NEES_GUARDED_BY(mu_);
   wal::Log* wal_ NEES_GUARDED_BY(mu_) = nullptr;
   // Every WAL record is encoded here, so logging a transition reuses one

@@ -4,10 +4,9 @@
 // examples run against the wall clock.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
-
-#include "util/mutex.h"
 
 namespace nees::util {
 
@@ -31,30 +30,43 @@ class SystemClock final : public Clock {
 
 /// Manually advanced virtual clock. SleepMicros advances time immediately;
 /// there is no real waiting, which keeps fault-schedule tests instantaneous.
+///
+/// Lock-free: a kVirtual network reads its timeline several times per
+/// event (tracer timestamps, NTCP state stamps, RPC deadlines, the event
+/// loop itself), so a read is one acquire load. kImmediate tests share one
+/// SimClock across threads; writes are release stores / read-modify-writes,
+/// so a reader that sees a time also sees everything its writer did first.
 class SimClock final : public Clock {
  public:
   explicit SimClock(std::int64_t start_micros = 0) : now_(start_micros) {}
 
   std::int64_t NowMicros() const override {
-    MutexLock lock(mu_);
-    return now_;
+    return now_.load(std::memory_order_acquire);
   }
 
   void SleepMicros(std::int64_t micros) override { Advance(micros); }
 
   void Advance(std::int64_t micros) {
-    MutexLock lock(mu_);
-    now_ += micros;
+    now_.fetch_add(micros, std::memory_order_acq_rel);
   }
 
   void SetMicros(std::int64_t micros) {
-    MutexLock lock(mu_);
-    now_ = micros;
+    now_.store(micros, std::memory_order_release);
+  }
+
+  /// Moves time forward to `micros`; never backward (a CAS max), so two
+  /// racing advances leave the later of the two times.
+  void AdvanceTo(std::int64_t micros) {
+    std::int64_t current = now_.load(std::memory_order_relaxed);
+    while (current < micros &&
+           !now_.compare_exchange_weak(current, micros,
+                                       std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+    }
   }
 
  private:
-  mutable Mutex mu_{"util.SimClock"};
-  std::int64_t now_ NEES_GUARDED_BY(mu_);
+  std::atomic<std::int64_t> now_;
 };
 
 /// A clock that reads `base` plus a settable offset — a site whose NTP
@@ -64,34 +76,33 @@ class SimClock final : public Clock {
 /// expiry, token lifetimes) remains internally consistent while drifting
 /// relative to the rest of the grid. Sleeps delegate to the base clock:
 /// skew changes what time a site *reports*, not how fast time passes.
+/// Lock-free like SimClock: the offset is one atomic.
 class SkewedClock final : public Clock {
  public:
   explicit SkewedClock(Clock* base, std::int64_t offset_micros = 0)
       : base_(base), offset_micros_(offset_micros) {}
 
   std::int64_t NowMicros() const override {
-    MutexLock lock(mu_);
-    return base_->NowMicros() + offset_micros_;
+    return base_->NowMicros() + offset_micros();
   }
   void SleepMicros(std::int64_t micros) override {
     base_->SleepMicros(micros);
   }
 
   std::int64_t offset_micros() const {
-    MutexLock lock(mu_);
-    return offset_micros_;
+    return offset_micros_.load(std::memory_order_acquire);
   }
   /// Jumps the reported time forward. Negative deltas are clamped to zero:
   /// a backward step would break the monotonicity contract.
   void AdvanceOffset(std::int64_t delta_micros) {
-    MutexLock lock(mu_);
-    if (delta_micros > 0) offset_micros_ += delta_micros;
+    if (delta_micros > 0) {
+      offset_micros_.fetch_add(delta_micros, std::memory_order_acq_rel);
+    }
   }
 
  private:
   Clock* base_;
-  mutable Mutex mu_{"util.SkewedClock"};
-  std::int64_t offset_micros_ NEES_GUARDED_BY(mu_);
+  std::atomic<std::int64_t> offset_micros_;
 };
 
 /// Wall-clock stopwatch for benches and run reports.

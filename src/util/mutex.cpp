@@ -55,6 +55,8 @@ struct ThreadState {
   // Per-thread cache of already-recorded (from, to) class edges, so the
   // steady state never touches the global registry lock.
   std::unordered_set<std::uint64_t> edge_cache;
+  // Acquisitions by class id (ThreadAcquisitions); survives epoch bumps.
+  std::vector<std::uint64_t> acquisitions;
 };
 
 ThreadState& Thread() {
@@ -168,7 +170,11 @@ void RecordAcquireEdges(const LockClass* acquiring) {
 }
 
 void PushHeld(const LockClass* cls, const void* mu) {
-  Thread().held.push_back(HeldLock{cls, mu});
+  ThreadState& state = Thread();
+  state.held.push_back(HeldLock{cls, mu});
+  const auto id = static_cast<std::size_t>(cls->id);
+  if (state.acquisitions.size() <= id) state.acquisitions.resize(id + 1);
+  ++state.acquisitions[id];
 }
 
 void PopHeld(const void* mu) {
@@ -317,6 +323,42 @@ std::size_t ClassCount() {
   Registry& registry = Global();
   std::lock_guard<std::mutex> lock(registry.mu);
   return registry.by_id.size();
+}
+
+std::vector<std::uint64_t> ThreadAcquisitions() {
+#ifdef NEES_LOCKDEP
+  return Thread().acquisitions;
+#else
+  return {};
+#endif
+}
+
+void DumpAcquisitions(std::ostream& out,
+                      const std::vector<std::uint64_t>& counts,
+                      double divisor) {
+  std::vector<std::pair<std::uint64_t, std::string>> rows;
+  std::uint64_t total = 0;
+  {
+    Registry& registry = Global();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (std::size_t id = 0; id < counts.size(); ++id) {
+      if (counts[id] == 0 || id >= registry.by_id.size()) continue;
+      rows.emplace_back(counts[id], registry.by_id[id]->name);
+      total += counts[id];
+    }
+  }
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  char line[128];
+  for (const auto& [count, name] : rows) {
+    std::snprintf(line, sizeof(line), "  %-28s %12.2f\n", name.c_str(),
+                  static_cast<double>(count) / divisor);
+    out << line;
+  }
+  std::snprintf(line, sizeof(line), "  %-28s %12.2f\n", "total",
+                static_cast<double>(total) / divisor);
+  out << line;
 }
 
 namespace internal {

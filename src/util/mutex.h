@@ -18,6 +18,8 @@
 //     holding any lock ("rpc <held-class>" entries exempt a class).
 // Violations are deduplicated, printed to stderr once, and queryable
 // (lockdep::Violations) so tests and the fuzz oracle can assert on them.
+// The same hook counts each thread's acquisitions per class
+// (lockdep::ThreadAcquisitions), which tests/lock_budget_test gates on.
 // tools/nees_locks dumps the graph and replays an injected inversion.
 #pragma once
 
@@ -96,6 +98,19 @@ void DumpGraph(std::ostream& out);
 /// Graph counters, for reports and tests.
 std::size_t EdgeCount();
 std::size_t ClassCount();
+
+/// Locks the calling thread has acquired since it started, per lock class:
+/// element i counts class id i (shorter than ClassCount() when the last
+/// classes were never taken). Every successful Lock/TryLock and every
+/// CondVar re-acquire counts once. Thread-local and lock-free to update;
+/// Reset() leaves it alone. Empty without NEES_LOCKDEP.
+std::vector<std::uint64_t> ThreadAcquisitions();
+
+/// One row per class with a nonzero count, busiest first, each count
+/// divided by `divisor` (e.g. steps, for a per-step table), then a total.
+void DumpAcquisitions(std::ostream& out,
+                      const std::vector<std::uint64_t>& counts,
+                      double divisor = 1.0);
 
 }  // namespace lockdep
 

@@ -173,19 +173,63 @@ TEST(FuzzRunTest, FaultMaskDisablesFaults) {
   EXPECT_EQ(outcome.net_totals.dropped_outage, 0u);
 }
 
-// Satellite: same fuzz seed twice in-process yields byte-identical span
-// traces, metrics snapshots, and displacement histories.
+// Same fuzz seed twice in-process yields byte-identical span traces, metrics
+// snapshots, and displacement histories. Default (exporting) options, so the
+// metrics tables are filled and compared.
 TEST(FuzzRunTest, SameSeedIsByteIdentical) {
   const FuzzScenario s = GenerateScenario(11);
   const FuzzOutcome a = RunFuzzCase(s);
   const FuzzOutcome b = RunFuzzCase(s);
   EXPECT_EQ(a.trace_jsonl, b.trace_jsonl);
+  EXPECT_FALSE(a.metrics_table.empty());
   EXPECT_EQ(a.metrics_table, b.metrics_table);
   EXPECT_EQ(a.history.displacement, b.history.displacement);
   EXPECT_EQ(a.history.velocity, b.history.velocity);
   EXPECT_EQ(a.events_processed, b.events_processed);
   EXPECT_EQ(a.wakes, b.wakes);
   EXPECT_EQ(a.heartbeats, b.heartbeats);
+}
+
+// Digests are paid for only where something reads them: exporting runs and
+// the determinism replica.
+TEST(FuzzRunTest, UnexportedRunSkipsDigests) {
+  FuzzRunOptions options;
+  options.export_artifacts = false;
+  for (const FuzzTemplate shape :
+       {FuzzTemplate::kMini, FuzzTemplate::kCentrifuge}) {
+    const FuzzOutcome outcome =
+        RunFuzzCase(GenerateScenario(11, shape), kAllFaults, options);
+    EXPECT_TRUE(outcome.ok()) << TemplateName(shape);
+    EXPECT_TRUE(outcome.trace_jsonl.empty());
+    EXPECT_TRUE(outcome.metrics_table.empty());
+    EXPECT_EQ(outcome.trace_fingerprint, 0u);
+    EXPECT_EQ(outcome.metrics_fingerprint, 0u);
+    if (shape != FuzzTemplate::kCentrifuge) {
+      // The centrifuge's measured digest is folded in during the run.
+      EXPECT_EQ(outcome.history_fingerprint, 0u);
+    }
+  }
+}
+
+TEST(FuzzRunTest, CheckedRunComputesDigestsWithoutExports) {
+  FuzzRunOptions quiet;
+  quiet.export_artifacts = false;
+  for (const FuzzTemplate shape :
+       {FuzzTemplate::kMini, FuzzTemplate::kCentrifuge}) {
+    const FuzzScenario s = GenerateScenario(11, shape);
+    const FuzzOutcome checked = RunFuzzCaseChecked(s, kAllFaults, quiet);
+    const FuzzOutcome exported = RunFuzzCase(s);
+    EXPECT_TRUE(checked.ok()) << TemplateName(shape);
+    EXPECT_TRUE(checked.trace_jsonl.empty());
+    EXPECT_FALSE(checked.metrics_table.empty());
+    EXPECT_NE(checked.trace_fingerprint, 0u);
+    EXPECT_NE(checked.metrics_fingerprint, 0u);
+    EXPECT_NE(checked.history_fingerprint, 0u);
+    EXPECT_EQ(checked.metrics_table, exported.metrics_table);
+    EXPECT_EQ(checked.trace_fingerprint, exported.trace_fingerprint);
+    EXPECT_EQ(checked.metrics_fingerprint, exported.metrics_fingerprint);
+    EXPECT_EQ(checked.history_fingerprint, exported.history_fingerprint);
+  }
 }
 
 // --- crash/restart fault class -----------------------------------------------

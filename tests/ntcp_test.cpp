@@ -8,6 +8,7 @@
 #include "ntcp/client.h"
 #include "ntcp/server.h"
 #include "ntcp/types.h"
+#include "obs/trace.h"
 #include "plugins/simulation_plugin.h"
 #include "structural/substructure.h"
 #include "util/clock.h"
@@ -302,6 +303,76 @@ TEST_F(NtcpServerTest, ExpireStaleSweepsOldProposals) {
   EXPECT_EQ(server_->ExpireStale(), 1);
   EXPECT_EQ(server_->GetTransaction("a")->state, TransactionState::kExpired);
   EXPECT_EQ(server_->GetTransaction("b")->state, TransactionState::kAccepted);
+}
+
+// The ids of the transactions the trace shows entering kExpired, in order.
+std::vector<std::string> ExpiredTxnEvents(obs::Tracer& tracer) {
+  std::vector<std::string> ids;
+  for (const obs::SpanRecord& span : tracer.TakeSpans()) {
+    if (span.name != obs::Atom("ntcp.txn")) continue;
+    const obs::Tag* to = span.FindTag("to");
+    const obs::Tag* txn = span.FindTag("txn");
+    if (to == nullptr || txn == nullptr) continue;
+    if (to->ValueText() == "expired") ids.push_back(txn->ValueText());
+  }
+  return ids;
+}
+
+TEST_F(NtcpServerTest, ExpiryIndexExpiresLapsedTransactionsInIdOrder) {
+  obs::Tracer tracer(&clock_);
+  server_->set_tracer(&tracer);
+  // Created c, a, b; deadlines fall in the order c, b, a; ids sort a, b, c.
+  ASSERT_TRUE(server_->Propose(MakeProposal("c", 0.01, 1'000'000)).accepted);
+  ASSERT_TRUE(server_->Propose(MakeProposal("a", 0.01, 3'000'000)).accepted);
+  ASSERT_TRUE(server_->Propose(MakeProposal("b", 0.01, 2'000'000)).accepted);
+  ASSERT_TRUE(
+      server_->Propose(MakeProposal("later", 0.01, 60'000'000)).accepted);
+  clock_.Advance(5'000'000);
+  EXPECT_EQ(server_->ExpireStale(), 3);
+  // One sweep expires them in id order, as a walk of the table would.
+  EXPECT_EQ(ExpiredTxnEvents(tracer),
+            (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_EQ(server_->GetTransaction("later")->state,
+            TransactionState::kAccepted);
+  EXPECT_EQ(server_->stats().expired, 3u);
+}
+
+TEST_F(NtcpServerTest, ExpirySweepsVisitOnlyLapsedIndexEntries) {
+  constexpr int kTransactions = 40;
+  for (int i = 0; i < kTransactions; ++i) {
+    const std::string id = "done-" + std::to_string(i);
+    ASSERT_TRUE(server_->Propose(MakeProposal(id, 0.01, 10'000'000)).accepted);
+    ASSERT_TRUE(server_->Execute(id).ok());
+  }
+  // Before the deadlines a sweep examines nothing, however many run.
+  for (int sweep = 0; sweep < 1000; ++sweep) {
+    EXPECT_EQ(server_->ExpireStale(), 0);
+    clock_.Advance(1'000);
+  }
+  EXPECT_EQ(server_->stats().expiry_visits, 0u);
+  // Past them, one sweep drops each completed transaction's entry once.
+  clock_.Advance(20'000'000);
+  EXPECT_EQ(server_->ExpireStale(), 0);
+  EXPECT_EQ(server_->stats().expiry_visits,
+            static_cast<std::uint64_t>(kTransactions));
+  EXPECT_EQ(server_->ExpireStale(), 0);
+  EXPECT_EQ(server_->stats().expiry_visits,
+            static_cast<std::uint64_t>(kTransactions));
+}
+
+TEST_F(NtcpServerTest, GarbageCollectLeavesNoDanglingExpiryEntry) {
+  // "done" completes long before its deadline, so its index entry is still
+  // queued when GarbageCollect erases the record.
+  ASSERT_TRUE(server_->Propose(MakeProposal("done", 0.01)).accepted);
+  ASSERT_TRUE(server_->Execute("done").ok());
+  ASSERT_TRUE(server_->Propose(MakeProposal("open", 0.01, 30'000'000)).accepted);
+  clock_.Advance(2'000'000);
+  EXPECT_EQ(server_->GarbageCollect(1'000'000), 1);
+  clock_.Advance(100'000'000);
+  EXPECT_EQ(server_->ExpireStale(), 1);
+  EXPECT_EQ(server_->GetTransaction("open")->state, TransactionState::kExpired);
+  // Only the surviving open transaction's entry was left to examine.
+  EXPECT_EQ(server_->stats().expiry_visits, 1u);
 }
 
 TEST_F(NtcpServerTest, FailedExecutionIsCachedNotRetriedIntoPlugin) {
@@ -847,6 +918,23 @@ TEST_F(NtcpWalRecoveryTest, RestartRebuildsTransactionTable) {
   // The still-accepted transaction remains executable on the new incarnation.
   EXPECT_TRUE(second->Execute("t2").ok());
   EXPECT_EQ(plugin->executions(), 1u);
+}
+
+TEST_F(NtcpWalRecoveryTest, RecoveredAcceptedTransactionStillExpires) {
+  auto first = Restart(nullptr);
+  ASSERT_TRUE(first->Propose(MakeProposal("t1", 0.02, 1'000'000)).accepted);
+  ASSERT_TRUE(first->Propose(MakeProposal("t2", 0.02, 1'000'000)).accepted);
+  ASSERT_TRUE(first->Execute("t2").ok());
+  first.reset();
+
+  auto second = Restart(nullptr);
+  EXPECT_EQ(second->GetTransaction("t1")->state, TransactionState::kAccepted);
+  clock_.Advance(2'000'000);
+  // AttachWal rebuilt the expiry index: the recovered deadline still fires.
+  EXPECT_EQ(second->ExpireStale(), 1);
+  EXPECT_EQ(second->GetTransaction("t1")->state, TransactionState::kExpired);
+  EXPECT_EQ(second->GetTransaction("t2")->state,
+            TransactionState::kCompleted);
 }
 
 TEST_F(NtcpWalRecoveryTest, InflightExecutionIsCrashMarkedFailed) {

@@ -7,8 +7,9 @@
 // delivery, wall clock, both MPlugin backends running inline on the work
 // notifier) plus a block of virtual-time
 // fuzz scenarios with crash/restart faults — with the lockdep registry
-// recording every acquisition. Afterwards it prints the observed lock-order
-// graph (--graph) and reports any violations: lock-order inversions,
+// recording every acquisition. Afterwards it prints how many locks of each
+// class the workload thread acquired, the observed lock-order graph
+// (--graph), and any violations: lock-order inversions,
 // condvar waits while holding another lock, and blocking RPCs issued under
 // a lock not covered by the allowlist.
 //
@@ -163,6 +164,9 @@ int main(int argc, char** argv) {
   } else {
     if (int rc = RunMostWorkload(steps); rc != 0) return rc;
     if (int rc = RunFuzzWorkload(seeds); rc != 0) return rc;
+    std::printf("\nlock acquisitions on the workload thread, per class:\n");
+    util::lockdep::DumpAcquisitions(std::cout,
+                                    util::lockdep::ThreadAcquisitions());
   }
 
   if (dump_graph) {
