@@ -10,14 +10,18 @@
 //
 // Regenerates: the per-category exclusive-time breakdown (network / settle
 // / protocol / simulation / ...), the metrics report, the two-run
-// determinism check, and the tracer's wall-clock overhead on a real-time
-// run.
+// determinism check, and the tracer's overhead on a real-time run as the
+// median of paired traced/untraced ratios, in wall and CPU time.
+//
+//   bench_obs [steps = 150] [pairs = 9]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <ctime>
 
 #include "most/most.h"
 #include "obs/trace.h"
+#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace nees;
@@ -32,11 +36,22 @@ most::MostOptions ShapedOptions(std::size_t steps, obs::Tracer* tracer) {
   return options;
 }
 
+/// CPU time of the whole process, so work on any thread counts.
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::size_t steps =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 150;
+  const std::size_t pairs =
+      argc > 2 ? static_cast<std::size_t>(std::max(1ll, std::atoll(argv[2])))
+               : 9;
   std::printf("==== E-obs (§4): per-step latency breakdown, %zu-step hybrid "
               "MOST run ====\n\n", steps);
 
@@ -80,25 +95,66 @@ int main(int argc, char** argv) {
 
   // ---- tracer overhead on a real-time run ---------------------------------
   // Same topology on the system clock, with and without the tracer; in
-  // kImmediate mode nothing sleeps, so this measures pure tracing cost.
+  // kImmediate mode nothing sleeps, so this measures pure tracing cost. One
+  // unpaired run reads whatever the host did meanwhile, so the runs come in
+  // interleaved traced/untraced pairs (which goes first alternates) and the
+  // overhead is each pair's ratio, summarized by median and range.
+  struct Cost {
+    double wall_ms = -1.0;
+    double cpu_ms = 0.0;
+  };
   auto wall_run = [&](obs::Tracer* tracer) {
     net::Network network;
     most::MostExperiment experiment(&network, &util::SystemClock::Instance(),
                                     ShapedOptions(steps, tracer));
+    const double cpu0 = ProcessCpuMs();
     auto report = experiment.Run(psd::FaultPolicy::kFaultTolerant,
                                  tracer ? "walltraced" : "wallbase");
-    return (report.ok() && report->completed) ? report->wall_seconds : -1.0;
+    Cost cost;
+    if (report.ok() && report->completed) {
+      cost.wall_ms = report->wall_seconds * 1000.0;
+      cost.cpu_ms = ProcessCpuMs() - cpu0;
+    }
+    return cost;
   };
-  const double base_seconds = wall_run(nullptr);
-  obs::Tracer wall_tracer(&util::SystemClock::Instance());
-  const double traced_seconds = wall_run(&wall_tracer);
-  if (base_seconds < 0 || traced_seconds < 0) return 1;
-  std::printf("tracer overhead (real clock, %zu steps): %.1f ms untraced vs "
-              "%.1f ms traced (%+.1f%%, %zu spans)\n\n",
-              steps, base_seconds * 1000, traced_seconds * 1000,
-              100.0 * (traced_seconds - base_seconds) /
-                  std::max(base_seconds, 1e-9),
-              wall_tracer.span_count());
+  std::size_t spans = 0;
+  auto traced_wall_run = [&] {
+    obs::Tracer tracer(&util::SystemClock::Instance());
+    const Cost cost = wall_run(&tracer);
+    spans = tracer.span_count();
+    return cost;
+  };
+  if (wall_run(nullptr).wall_ms < 0) return 1;  // warm-up, not counted
+  util::SampleStats base_wall, traced_wall, wall_ratio, cpu_ratio;
+  for (std::size_t pair = 0; pair < pairs; ++pair) {
+    Cost base, traced;
+    if (pair % 2 == 0) {
+      base = wall_run(nullptr);
+      traced = traced_wall_run();
+    } else {
+      traced = traced_wall_run();
+      base = wall_run(nullptr);
+    }
+    if (base.wall_ms < 0 || traced.wall_ms < 0) return 1;
+    base_wall.Add(base.wall_ms);
+    traced_wall.Add(traced.wall_ms);
+    wall_ratio.Add(traced.wall_ms / std::max(base.wall_ms, 1e-6));
+    cpu_ratio.Add(traced.cpu_ms / std::max(base.cpu_ms, 1e-6));
+  }
+  const auto overhead = [](const util::SampleStats& ratio) {
+    return util::Format("%+.1f%% median (min %+.1f%%, max %+.1f%%)",
+                        100.0 * (ratio.Percentile(50) - 1.0),
+                        100.0 * (ratio.min() - 1.0),
+                        100.0 * (ratio.max() - 1.0));
+  };
+  std::printf("tracer overhead (real clock, %zu steps, %zu interleaved "
+              "traced/untraced pairs, %zu spans per traced run):\n"
+              "  wall: %.1f ms untraced vs %.1f ms traced (medians); "
+              "paired ratio %s\n"
+              "  cpu:  paired ratio %s\n\n",
+              steps, pairs, spans, base_wall.Percentile(50),
+              traced_wall.Percentile(50), overhead(wall_ratio).c_str(),
+              overhead(cpu_ratio).c_str());
 
   std::printf(
       "shape: with ~20 ms one-way links, modeled time is dominated by\n"

@@ -8,7 +8,8 @@
 # The asan+lockdep leg asserts the exact per-step lock-acquisition budgets
 # of lock_budget_test, which count through lockdep; Release, with lockdep
 # compiled out, skips them) and the gridbench self-test after the Release
-# leg, then gates on
+# leg (plus one 10-second untraced run of each gridbench workload), then
+# gates on
 # protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +
@@ -54,6 +55,17 @@ echo "######## gridbench self-test ########"
 # at its smallest size in both modes plus the deliberately-wrong-output
 # checks (about 6 s once built).
 python3 "$repo/gridbench/run.py" --selftest
+
+echo
+echo "######## gridbench untraced runs (both workloads, 10 s) ########"
+# The self-test runs each workload at its smallest size; a run at a real
+# length can still exit nonzero (a failed seed, a metric outside
+# BENCHMARK.json). Run each workload once the way the benchmark does, so
+# such a failure stops CI instead of a benchmark run.
+for workload in farm_mini100_w4 fuzz_campaign; do
+  python3 "$repo/gridbench/run.py" --workload "$workload" --seed 1 \
+          --seconds 10 --trace 0
+done
 run_config "$prefix-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
            "-DNEES_SANITIZE=address;undefined" -DNEES_LOCKDEP=ON
 

@@ -6,6 +6,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "ntcp/types.h"
@@ -52,6 +53,93 @@ obs::Atom NameOf(const obs::Tag& tag) {
   return obs::Atom(tag.ValueText());
 }
 
+/// An ntcp.txn event's fields: read from a row as they are, or from a
+/// span's tags.
+struct TxnFields {
+  std::uint64_t span_id = 0;
+  std::string_view txn;
+  obs::Atom endpoint;
+  obs::Atom from;
+  obs::Atom to;
+  obs::Atom cause;  // invalid: no cause
+  std::int64_t step = -1;
+  std::int64_t at = 0;
+  std::int64_t timeout = 0;
+};
+
+TxnFields FieldsOf(const obs::Trace& trace, const obs::TxnRow& row) {
+  TxnFields fields;
+  fields.span_id = row.id;
+  fields.txn = trace.TxnId(row);
+  fields.endpoint = row.endpoint;
+  fields.from = row.from;
+  fields.to = row.to;
+  fields.cause = row.cause;
+  fields.step = row.step;
+  fields.at = row.at;
+  fields.timeout = row.timeout;
+  return fields;
+}
+
+/// What the shape and nesting rules read of any record.
+struct Header {
+  std::uint64_t id = 0;
+  std::uint64_t parent_id = 0;
+  obs::Atom category;
+  std::int64_t start_micros = 0;
+  std::int64_t end_micros = 0;
+};
+
+Header HeaderOf(const obs::SpanRecord& span) {
+  return {span.id, span.parent_id, span.category, span.start_micros,
+          span.end_micros};
+}
+template <typename Row>
+Header HeaderOf(const Row& row) {
+  return {row.id, row.parent_id, Row::Category(), row.start_micros,
+          row.end_micros};
+}
+
+/// A plain span stream as the nesting rule reads it: stream order, and a
+/// lookup by id through the dense index when ids are 1..n (every recorded
+/// trace) and a map otherwise (edited or hand-built traces).
+class SpanIndex {
+ public:
+  explicit SpanIndex(const std::vector<obs::SpanRecord>& spans)
+      : spans_(spans) {
+    for (std::size_t i = 0; i < spans_.size() && dense_; ++i) {
+      dense_ = spans_[i].id == i + 1;
+    }
+    if (!dense_) {
+      sparse_.reserve(spans_.size());
+      for (std::size_t i = 0; i < spans_.size(); ++i) {
+        sparse_.emplace(spans_[i].id, i);  // first occurrence wins
+      }
+    }
+  }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const obs::SpanRecord& span : spans_) fn(span);
+  }
+  template <typename Fn>
+  bool Visit(std::uint64_t id, Fn&& fn) const {
+    const obs::SpanRecord* span = nullptr;
+    if (dense_) {
+      if (id >= 1 && id <= spans_.size()) span = &spans_[id - 1];
+    } else if (const auto it = sparse_.find(id); it != sparse_.end()) {
+      span = &spans_[it->second];
+    }
+    if (span != nullptr) fn(*span);
+    return span != nullptr;
+  }
+
+ private:
+  const std::vector<obs::SpanRecord>& spans_;
+  bool dense_ = true;
+  std::unordered_map<std::uint64_t, std::size_t> sparse_;
+};
+
 /// Replay state for one transaction.
 struct TxnTracker {
   bool created = false;
@@ -79,26 +167,49 @@ struct EndpointState {
 
 class Linter {
  public:
-  explicit Linter(const std::vector<obs::SpanRecord>& spans) : spans_(spans) {}
+  LintReport Run(const std::vector<obs::SpanRecord>& spans) {
+    report_.stats.spans = spans.size();
+    CheckShapeAndNesting(SpanIndex(spans));
+    for (const obs::SpanRecord& span : spans) ReplaySpan(span);
+    return Finish();
+  }
 
-  LintReport Run() {
-    report_.stats.spans = spans_.size();
-    CheckShapeAndNesting();
-    for (const obs::SpanRecord& span : spans_) {
-      if (span.name == kTxnEvent) {
+  /// A dense trace: rows are read in place.
+  LintReport Run(const obs::Trace& trace) {
+    report_.stats.spans = trace.size();
+    CheckShapeAndNesting(trace);
+    trace.ForEach([&](const auto& record) {
+      using Record = std::decay_t<decltype(record)>;
+      if constexpr (std::is_same_v<Record, obs::SpanRecord>) {
+        ReplaySpan(record);
+      } else if constexpr (std::is_same_v<Record, obs::TxnRow>) {
         ++report_.stats.protocol_events;
-        ReplayTransition(span);
-      } else if (span.name == kDupEvent) {
-        ++report_.stats.protocol_events;
-        ReplayDuplicate(span);
-      } else if (span.name == kCrashEvent) {
-        ReplayCrash(span);
-      } else if (span.name == kRestartEvent) {
-        ReplayRestart(span);
-      } else if (span.name == kRecoverEvent) {
-        ReplayRecover(span);
+        ReplayTransition(FieldsOf(trace, record));
       }
+    });
+    return Finish();
+  }
+
+ private:
+  void ReplaySpan(const obs::SpanRecord& span) {
+    if (span.name == kTxnEvent) {
+      ++report_.stats.protocol_events;
+      if (const std::optional<TxnFields> fields = TxnFieldsOf(span)) {
+        ReplayTransition(*fields);
+      }
+    } else if (span.name == kDupEvent) {
+      ++report_.stats.protocol_events;
+      ReplayDuplicate(span);
+    } else if (span.name == kCrashEvent) {
+      ReplayCrash(span);
+    } else if (span.name == kRestartEvent) {
+      ReplayRestart(span);
+    } else if (span.name == kRecoverEvent) {
+      ReplayRecover(span);
     }
+  }
+
+  LintReport Finish() {
     CheckTerminal();
     CheckStepMonotonicity();
     report_.stats.transactions = txns_.size();
@@ -108,7 +219,6 @@ class Linter {
     return std::move(report_);
   }
 
- private:
   void Add(Rule rule, std::uint64_t span_id, std::string_view txn,
            std::int64_t step, std::string message) {
     Violation violation;
@@ -120,21 +230,13 @@ class Linter {
     report_.violations.push_back(std::move(violation));
   }
 
-  /// The span with `id`, through the dense index when ids are 1..n (every
-  /// recorded trace) and a map otherwise (edited or hand-built traces).
-  const obs::SpanRecord* SpanById(std::uint64_t id) const {
-    if (dense_) {
-      return id >= 1 && id <= spans_.size() ? &spans_[id - 1] : nullptr;
-    }
-    const auto it = sparse_index_.find(id);
-    return it == sparse_index_.end() ? nullptr : &spans_[it->second];
-  }
-
-  void CheckShapeAndNesting() {
+  /// `source` is a SpanIndex or a dense obs::Trace: both visit their
+  /// records in stream order and look one up by id.
+  template <typename Source>
+  void CheckShapeAndNesting(const Source& source) {
     std::uint64_t previous_id = 0;
-    dense_ = true;
-    for (std::size_t i = 0; i < spans_.size(); ++i) {
-      const obs::SpanRecord& span = spans_[i];
+    source.ForEach([&](const auto& record) {
+      const Header span = HeaderOf(record);
       if (span.id <= previous_id) {
         Add(Rule::kTraceShape, span.id, "", -1,
             util::Format("span ids not strictly ascending (%llu after %llu)",
@@ -145,37 +247,33 @@ class Linter {
       if (span.end_micros >= 0 && span.end_micros < span.start_micros) {
         Add(Rule::kTraceShape, span.id, "", -1, "span ends before it starts");
       }
-      if (span.id != i + 1) dense_ = false;
-    }
-    if (!dense_) {
-      sparse_index_.reserve(spans_.size());
-      for (std::size_t i = 0; i < spans_.size(); ++i) {
-        sparse_index_.emplace(spans_[i].id, i);  // first occurrence wins
-      }
-    }
-    for (const obs::SpanRecord& span : spans_) {
-      if (span.parent_id == 0) continue;
-      const obs::SpanRecord* parent = SpanById(span.parent_id);
-      if (parent == nullptr || span.parent_id >= span.id) {
+    });
+    source.ForEach([&](const auto& record) {
+      const Header span = HeaderOf(record);
+      if (span.parent_id == 0) return;
+      Header parent;
+      const bool found = source.Visit(
+          span.parent_id, [&](const auto& p) { parent = HeaderOf(p); });
+      if (!found || span.parent_id >= span.id) {
         Add(Rule::kSpanNesting, span.id, "", -1,
             util::Format("parent span %llu missing or not earlier in trace",
                          static_cast<unsigned long long>(span.parent_id)));
-        continue;
+        return;
       }
-      if (span.start_micros < parent->start_micros) {
+      if (span.start_micros < parent.start_micros) {
         Add(Rule::kSpanNesting, span.id, "", -1,
             "span starts before its parent");
       }
       // PSD-step containment: anything recorded directly under a step span
       // must close before the step does, or the step's latency attribution
       // (and the paper's "where does a step go" question) is wrong.
-      if (parent->category == kStepCategory && parent->end_micros >= 0 &&
-          span.end_micros > parent->end_micros) {
+      if (parent.category == kStepCategory && parent.end_micros >= 0 &&
+          span.end_micros > parent.end_micros) {
         Add(Rule::kSpanNesting, span.id, "", -1,
             util::Format("span ends after its PSD-step parent %llu",
-                         static_cast<unsigned long long>(parent->id)));
+                         static_cast<unsigned long long>(parent.id)));
       }
-    }
+    });
   }
 
   EndpointState& Endpoint(obs::Atom name) {
@@ -194,7 +292,9 @@ class Linter {
     return owned_ids_.emplace_back(tag.ValueText());
   }
 
-  void ReplayTransition(const obs::SpanRecord& span) {
+  /// The fields of a span-shaped ntcp.txn event, or nullopt (reported)
+  /// when a required tag is missing.
+  std::optional<TxnFields> TxnFieldsOf(const obs::SpanRecord& span) {
     const obs::Tag* txn_tag = span.FindTag(kTxn);
     const obs::Tag* endpoint_tag = span.FindTag(kEndpoint);
     const obs::Tag* from_tag = span.FindTag(kFrom);
@@ -202,34 +302,50 @@ class Linter {
     const obs::Tag* step_tag = IntTag(span, kStep);
     const obs::Tag* at_tag = IntTag(span, kAt);
     const obs::Tag* timeout_tag = IntTag(span, kTimeout);
-    const std::string_view txn = txn_tag == nullptr ? "" : TxnId(*txn_tag);
+    TxnFields fields;
+    fields.span_id = span.id;
+    fields.txn = txn_tag == nullptr ? "" : TxnId(*txn_tag);
     if (txn_tag == nullptr || endpoint_tag == nullptr || from_tag == nullptr ||
         to_tag == nullptr || step_tag == nullptr || at_tag == nullptr ||
         timeout_tag == nullptr) {
-      Add(Rule::kTraceShape, span.id, txn, -1,
+      Add(Rule::kTraceShape, span.id, fields.txn, -1,
           "ntcp.txn event is missing required tags");
-      return;
+      return std::nullopt;
     }
-    const std::int64_t step = step_tag->number;
-    const std::int64_t at = at_tag->number;
-    const std::int64_t timeout = timeout_tag->number;
-    const obs::Atom from_name = NameOf(*from_tag);
-    const obs::Atom to_name = NameOf(*to_tag);
-    EndpointState& endpoint = Endpoint(NameOf(*endpoint_tag));
+    fields.step = step_tag->number;
+    fields.at = at_tag->number;
+    fields.timeout = timeout_tag->number;
+    fields.from = NameOf(*from_tag);
+    fields.to = NameOf(*to_tag);
+    fields.endpoint = NameOf(*endpoint_tag);
+    if (const obs::Tag* cause_tag = span.FindTag(kCause)) {
+      fields.cause = NameOf(*cause_tag);
+    }
+    return fields;
+  }
+
+  void ReplayTransition(const TxnFields& event) {
+    const std::uint64_t span_id = event.span_id;
+    const std::string_view txn = event.txn;
+    const std::int64_t step = event.step;
+    const std::int64_t at = event.at;
+    const std::int64_t timeout = event.timeout;
+    const obs::Atom from_name = event.from;
+    const obs::Atom to_name = event.to;
+    EndpointState& endpoint = Endpoint(event.endpoint);
     endpoint.protocol = true;
-    CheckEndpointAlive(span, endpoint, txn, step);
-    const obs::Tag* cause_tag = span.FindTag(kCause);
-    if (cause_tag != nullptr && NameOf(*cause_tag) == kCrashRecovery) {
+    CheckEndpointAlive(span_id, endpoint, txn, step);
+    if (event.cause == kCrashRecovery) {
       // Crash-marks are the only transitions recovery may emit, and they
       // are exactly the executing -> failed edge of docs/RECOVERY.md R2.
       if (!endpoint.ever_crashed) {
-        Add(Rule::kCrashConsistency, span.id, txn, step,
+        Add(Rule::kCrashConsistency, span_id, txn, step,
             "crash-recovery transition from an endpoint that never crashed");
       }
       if (from_name !=
               ntcp::TransactionStateAtom(TransactionState::kExecuting) ||
           to_name != ntcp::TransactionStateAtom(TransactionState::kFailed)) {
-        Add(Rule::kCrashConsistency, span.id, txn, step,
+        Add(Rule::kCrashConsistency, span_id, txn, step,
             util::Format("crash-recovery transition must be executing -> "
                          "failed, got %s -> %s",
                          std::string(from_name.str()).c_str(),
@@ -239,7 +355,7 @@ class Linter {
     const std::optional<TransactionState> to =
         ntcp::TransactionStateFromAtom(to_name);
     if (!to.has_value()) {
-      Add(Rule::kTraceShape, span.id, txn, step,
+      Add(Rule::kTraceShape, span_id, txn, step,
           "unknown target state \"" + std::string(to_name.str()) + "\"");
       return;
     }
@@ -247,13 +363,13 @@ class Linter {
 
     if (from_name == ntcp::NoTransactionStateAtom()) {
       if (*to != TransactionState::kProposed) {
-        Add(Rule::kIllegalTransition, span.id, txn, step,
+        Add(Rule::kIllegalTransition, span_id, txn, step,
             "creation event must target \"proposed\", got \"" +
                 std::string(to_name.str()) + "\"");
         return;
       }
       if (tracker.created) {
-        Add(Rule::kIllegalTransition, span.id, txn, step,
+        Add(Rule::kIllegalTransition, span_id, txn, step,
             "transaction created twice");
         return;
       }
@@ -261,65 +377,65 @@ class Linter {
       tracker.state = TransactionState::kProposed;
       tracker.proposed_at = at;
       tracker.step = step;
-      tracker.last_span = span.id;
-      if (step >= 0) endpoint.proposals.push_back({step, span.id, txn});
+      tracker.last_span = span_id;
+      if (step >= 0) endpoint.proposals.push_back({step, span_id, txn});
       return;
     }
 
     const std::optional<TransactionState> from =
         ntcp::TransactionStateFromAtom(from_name);
     if (!from.has_value()) {
-      Add(Rule::kTraceShape, span.id, txn, step,
+      Add(Rule::kTraceShape, span_id, txn, step,
           "unknown source state \"" + std::string(from_name.str()) + "\"");
       return;
     }
     if (!tracker.created) {
-      Add(Rule::kIllegalTransition, span.id, txn, step,
+      Add(Rule::kIllegalTransition, span_id, txn, step,
           "transition without a prior creation event");
       // Track the claimed state so one missing creation does not cascade.
       tracker.created = true;
       tracker.state = *to;
       tracker.step = step;
     } else if (*from != tracker.state) {
-      Add(Rule::kIllegalTransition, span.id, txn, step,
+      Add(Rule::kIllegalTransition, span_id, txn, step,
           util::Format(
               "event claims from=%s but the transaction was in %s",
               std::string(from_name.str()).c_str(),
               std::string(ntcp::TransactionStateName(tracker.state)).c_str()));
       // The event contradicts the replayed state: keep the replayed state.
     } else if (!ntcp::IsLegalTransition(*from, *to)) {
-      Add(Rule::kIllegalTransition, span.id, txn, step,
+      Add(Rule::kIllegalTransition, span_id, txn, step,
           util::Format("illegal Fig. 1 transition %s -> %s",
                        std::string(from_name.str()).c_str(),
                        std::string(to_name.str()).c_str()));
     } else {
       tracker.state = *to;
-      tracker.last_span = span.id;
+      tracker.last_span = span_id;
     }
 
     if (*to == TransactionState::kExecuting) {
       if (++tracker.executing_entries == 2) {
-        Add(Rule::kDuplicateExecute, span.id, txn, step,
+        Add(Rule::kDuplicateExecute, span_id, txn, step,
             "transaction entered kExecuting a second time (at-most-once)");
       }
     }
     if (*to == TransactionState::kExpired) {
-      CheckExpiry(span, txn, step, at, timeout, tracker);
+      CheckExpiry(span_id, txn, step, at, timeout, tracker);
     }
   }
 
-  void CheckExpiry(const obs::SpanRecord& span, std::string_view txn,
+  void CheckExpiry(std::uint64_t span_id, std::string_view txn,
                    std::int64_t step, std::int64_t expired_at,
                    std::int64_t timeout, const TxnTracker& tracker) {
     if (timeout <= 0) {
-      Add(Rule::kBogusExpiry, span.id, txn, step,
+      Add(Rule::kBogusExpiry, span_id, txn, step,
           "transaction expired but its proposal had no timeout window");
       return;
     }
     if (tracker.proposed_at < 0) return;  // creation missing: reported above
     const std::int64_t deadline = tracker.proposed_at + timeout;
     if (expired_at <= deadline) {
-      Add(Rule::kBogusExpiry, span.id, txn, step,
+      Add(Rule::kBogusExpiry, span_id, txn, step,
           util::Format("expired at %lld but the proposal window ran to %lld",
                        static_cast<long long>(expired_at),
                        static_cast<long long>(deadline)));
@@ -338,7 +454,7 @@ class Linter {
     }
     EndpointState& endpoint = Endpoint(NameOf(*endpoint_tag));
     endpoint.protocol = true;
-    CheckEndpointAlive(span, endpoint, txn, -1);
+    CheckEndpointAlive(span.id, endpoint, txn, -1);
     const obs::Atom kind = NameOf(*kind_tag);
     const auto it = txns_.find(txn);
     if (kind == kProposeMismatch) {
@@ -362,11 +478,11 @@ class Linter {
     }
   }
 
-  void CheckEndpointAlive(const obs::SpanRecord& span,
+  void CheckEndpointAlive(std::uint64_t span_id,
                           const EndpointState& endpoint, std::string_view txn,
                           std::int64_t step) {
     if (endpoint.dead) {
-      Add(Rule::kCrashConsistency, span.id, txn, step,
+      Add(Rule::kCrashConsistency, span_id, txn, step,
           "protocol event from crashed endpoint " +
               std::string(endpoint.name.str()));
     }
@@ -472,10 +588,7 @@ class Linter {
     }
   }
 
-  const std::vector<obs::SpanRecord>& spans_;
   LintReport report_;
-  bool dense_ = true;  // spans_[i].id == i + 1 for every i
-  std::unordered_map<std::uint64_t, std::size_t> sparse_index_;
   std::unordered_map<std::string_view, TxnTracker> txns_;
   std::vector<EndpointState> endpoints_;  // first-seen order
   std::deque<std::string> owned_ids_;     // non-text transaction ids
@@ -523,7 +636,12 @@ std::string LintReport::ToString() const {
 }
 
 LintReport LintSpans(const std::vector<obs::SpanRecord>& spans) {
-  return Linter(spans).Run();
+  return Linter().Run(spans);
+}
+
+LintReport LintSpans(const obs::Trace& trace) {
+  if (!trace.dense()) return Linter().Run(obs::Materialize(trace));
+  return Linter().Run(trace);
 }
 
 util::Result<LintReport> LintTraceText(const std::string& text) {
@@ -562,54 +680,86 @@ util::Result<LintReport> LintTraceFile(const std::string& path) {
   return LintTraceText(buffer.str());
 }
 
-std::vector<std::string> CheckExactlyOncePerStep(
-    const std::vector<obs::SpanRecord>& spans,
-    const std::vector<std::string>& endpoints, std::size_t steps,
-    std::uint64_t max_reattempts) {
-  const obs::Atom executing =
-      ntcp::TransactionStateAtom(TransactionState::kExecuting);
-  // counts[e * steps + step]: entries into kExecuting per (endpoint, step).
-  std::vector<obs::Atom> names;
-  names.reserve(endpoints.size());
-  for (const std::string& endpoint : endpoints) {
-    names.push_back(obs::Atom(endpoint));
+namespace {
+
+/// Entries into kExecuting per (endpoint, PSD step), fed one ntcp.txn event
+/// at a time, and the exactly-once verdict over them.
+class ExecutingCounts {
+ public:
+  ExecutingCounts(const std::vector<std::string>& endpoints, std::size_t steps)
+      : endpoints_(endpoints), steps_(steps),
+        counts_(endpoints.size() * steps, 0) {
+    names_.reserve(endpoints.size());
+    for (const std::string& endpoint : endpoints) {
+      names_.push_back(obs::Atom(endpoint));
+    }
   }
-  std::vector<std::uint64_t> counts(endpoints.size() * steps, 0);
-  for (const obs::SpanRecord& span : spans) {
-    if (span.name != kTxnEvent) continue;
+
+  void Add(obs::Atom endpoint, obs::Atom to, std::int64_t step) {
+    if (step < 0 || static_cast<std::uint64_t>(step) >= steps_ ||
+        to != executing_) {
+      return;
+    }
+    const auto at = static_cast<std::size_t>(step);
+    for (std::size_t e = 0; e < names_.size(); ++e) {
+      if (names_[e] == endpoint) ++counts_[e * steps_ + at];
+    }
+  }
+
+  /// A span-shaped event; one missing a tag counts nowhere.
+  void Add(const obs::SpanRecord& span) {
+    if (span.name != kTxnEvent) return;
     const obs::Tag* to = span.FindTag(kTo);
     const obs::Tag* endpoint = span.FindTag(kEndpoint);
     const obs::Tag* step = IntTag(span, kStep);
-    if (to == nullptr || endpoint == nullptr || step == nullptr ||
-        step->number < 0 || static_cast<std::uint64_t>(step->number) >= steps ||
-        NameOf(*to) != executing) {
-      continue;
-    }
-    const obs::Atom name = NameOf(*endpoint);
-    const auto at = static_cast<std::size_t>(step->number);
-    for (std::size_t e = 0; e < names.size(); ++e) {
-      if (names[e] == name) ++counts[e * steps + at];
-    }
+    if (to == nullptr || endpoint == nullptr || step == nullptr) return;
+    Add(NameOf(*endpoint), NameOf(*to), step->number);
   }
-  std::vector<std::string> violations;
-  for (std::size_t e = 0; e < endpoints.size(); ++e) {
-    const std::string& endpoint = endpoints[e];
-    for (std::size_t step = 0; step < steps; ++step) {
-      const std::uint64_t count = counts[e * steps + step];
-      if (count == 0) {
-        violations.push_back(util::Format(
-            "step %zu never entered kExecuting at %s despite run completion",
-            step, endpoint.c_str()));
-      } else if (count > 1 + max_reattempts) {
-        violations.push_back(util::Format(
-            "step %zu entered kExecuting %llu times at %s (max allowed "
-            "1 + %llu re-proposals)",
-            step, static_cast<unsigned long long>(count), endpoint.c_str(),
-            static_cast<unsigned long long>(max_reattempts)));
+
+  std::vector<std::string> Violations(std::uint64_t max_reattempts) const {
+    std::vector<std::string> violations;
+    for (std::size_t e = 0; e < endpoints_.size(); ++e) {
+      const std::string& endpoint = endpoints_[e];
+      for (std::size_t step = 0; step < steps_; ++step) {
+        const std::uint64_t count = counts_[e * steps_ + step];
+        if (count == 0) {
+          violations.push_back(util::Format(
+              "step %zu never entered kExecuting at %s despite run "
+              "completion",
+              step, endpoint.c_str()));
+        } else if (count > 1 + max_reattempts) {
+          violations.push_back(util::Format(
+              "step %zu entered kExecuting %llu times at %s (max allowed "
+              "1 + %llu re-proposals)",
+              step, static_cast<unsigned long long>(count), endpoint.c_str(),
+              static_cast<unsigned long long>(max_reattempts)));
+        }
       }
     }
+    return violations;
   }
-  return violations;
+
+ private:
+  const std::vector<std::string>& endpoints_;
+  const std::size_t steps_;
+  const obs::Atom executing_ =
+      ntcp::TransactionStateAtom(TransactionState::kExecuting);
+  std::vector<obs::Atom> names_;
+  // counts_[e * steps_ + step]
+  std::vector<std::uint64_t> counts_;
+};
+
+}  // namespace
+
+std::vector<std::string> CheckExactlyOncePerStep(
+    const obs::Trace& trace, const std::vector<std::string>& endpoints,
+    std::size_t steps, std::uint64_t max_reattempts) {
+  ExecutingCounts counts(endpoints, steps);
+  for (const obs::TxnRow& row : trace.txns()) {
+    counts.Add(row.endpoint, row.to, row.step);
+  }
+  for (const obs::SpanRecord& span : trace.spans()) counts.Add(span);
+  return counts.Violations(max_reattempts);
 }
 
 }  // namespace nees::check

@@ -87,6 +87,10 @@ struct LintReport {
 /// Replays a span stream (tracer snapshot or parsed trace) against the
 /// protocol rule set above.
 LintReport LintSpans(const std::vector<obs::SpanRecord>& spans);
+/// The same report as linting Materialize(trace). A dense trace (every one
+/// a tracer hands over) is replayed with its rows read in place; any other
+/// is materialized first.
+LintReport LintSpans(const obs::Trace& trace);
 
 /// Parses a JSON-lines trace and lints it; violations carry the 1-based
 /// line number of the offending trace line. Fails on malformed input.
@@ -98,16 +102,15 @@ util::Result<LintReport> LintTraceFile(const std::string& path);
 
 /// Fuzz oracle: run-completion => exactly-once-per-site-per-step. Counts
 /// entries into kExecuting per (endpoint, PSD step) from the "ntcp.txn"
-/// events of a span stream. When the run finished with zero step
-/// re-proposals (`max_reattempts == 0`) every (endpoint, step) pair must
-/// have executed exactly once; with re-proposals a step may legitimately
-/// re-execute under a fresh transaction after a partial phase failure
-/// (at-most-once is per-*transaction*, which LintSpans enforces), so the
-/// count is bounded by 1 + max_reattempts. Returns one message per
+/// events of a trace, rows and spans alike. When the run finished with zero
+/// step re-proposals (`max_reattempts == 0`) every (endpoint, step) pair
+/// must have executed exactly once; with re-proposals a step may
+/// legitimately re-execute under a fresh transaction after a partial phase
+/// failure (at-most-once is per-*transaction*, which LintSpans enforces),
+/// so the count is bounded by 1 + max_reattempts. Returns one message per
 /// violation; empty means the oracle holds.
 std::vector<std::string> CheckExactlyOncePerStep(
-    const std::vector<obs::SpanRecord>& spans,
-    const std::vector<std::string>& endpoints, std::size_t steps,
-    std::uint64_t max_reattempts);
+    const obs::Trace& trace, const std::vector<std::string>& endpoints,
+    std::size_t steps, std::uint64_t max_reattempts);
 
 }  // namespace nees::check

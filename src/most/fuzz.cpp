@@ -988,8 +988,12 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
           &coordinator_rpc, proxy, network.clock(), auth_rng.Split());
       util::Status status;
       // The handshake rides the same lossy link as everything else; retry
-      // it like any other call.
-      for (int attempt = 0; attempt < 8; ++attempt) {
+      // it like any other call. Until the run starts the handshake is the
+      // link's only traffic, so every loss the schedule arms on it (drop
+      // and corruption counts, an outage, refused sends while the site is
+      // crashed) lands on the login. 64 attempts outlast the worst a
+      // site's generated faults add up to; 8 did not.
+      for (int attempt = 0; attempt < 64; ++attempt) {
         status = login->Login(ntcp_ep);
         if (status.ok()) break;
         network.clock()->SleepMicros(100'000);
@@ -1076,11 +1080,11 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     out.transactions_recovered += slot->transactions_recovered;
     out.inflight_failed += slot->inflight_failed;
   }
-  const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
+  const obs::Trace trace = tracer.TakeTrace();
   out.history = report.history;
   if (digests) {
     out.metrics_table = tracer.metrics().ReportTable();
-    out.trace_fingerprint = obs::FingerprintSpans(spans);
+    out.trace_fingerprint = obs::FingerprintSpans(trace);
     out.metrics_fingerprint = FingerprintString(out.metrics_table);
     out.history_fingerprint = FingerprintHistory(out.history);
   }
@@ -1089,7 +1093,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   out.frames_corrupted = out.net_totals.corrupted;
   out.auth_refreshes = *auth_refresh_count;
   if (options.export_artifacts) {
-    out.trace_jsonl = obs::ExportJsonLines(spans);
+    out.trace_jsonl = obs::ExportJsonLines(trace);
   }
 
   // --- oracles ---------------------------------------------------------------
@@ -1100,14 +1104,14 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   }
 
   if (options.run_oracles) {
-    const check::LintReport lint = check::LintSpans(spans);
+    const check::LintReport lint = check::LintSpans(trace);
     for (const auto& violation : lint.violations) {
       out.failures.push_back("lint: " + violation.ToString());
     }
 
     if (report.completed) {
       for (const auto& message : check::CheckExactlyOncePerStep(
-               spans, ntcp_endpoints, report.steps_completed,
+               trace, ntcp_endpoints, report.steps_completed,
                out.step_reattempts)) {
         out.failures.push_back("exactly-once: " + message);
       }
@@ -1308,23 +1312,23 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   network.RunUntilQuiescent();
 
   // --- collect + oracles -----------------------------------------------------
-  const std::vector<obs::SpanRecord> spans = tracer.TakeSpans();
+  const obs::Trace trace = tracer.TakeTrace();
   // The measured digest is folded in during the run, so it is always set.
   out.history_fingerprint = measured_digest.value();
   if (digests) {
     out.metrics_table = tracer.metrics().ReportTable();
-    out.trace_fingerprint = obs::FingerprintSpans(spans);
+    out.trace_fingerprint = obs::FingerprintSpans(trace);
     out.metrics_fingerprint = FingerprintString(out.metrics_table);
   }
   out.net_totals = network.TotalMetrics();
   out.frames_corrupted = out.net_totals.corrupted;
   out.events_processed = network.virtual_stats().events();
   if (options.export_artifacts) {
-    out.trace_jsonl = obs::ExportJsonLines(spans);
+    out.trace_jsonl = obs::ExportJsonLines(trace);
   }
 
   if (options.run_oracles) {
-    const check::LintReport lint = check::LintSpans(spans);
+    const check::LintReport lint = check::LintSpans(trace);
     for (const auto& violation : lint.violations) {
       out.failures.push_back("lint: " + violation.ToString());
     }

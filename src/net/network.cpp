@@ -11,13 +11,6 @@ namespace nees::net {
 
 namespace {
 
-// Trace vocabulary. Endpoint ids are trace atoms, so the from/to tags copy
-// no names.
-const obs::Atom kDeliverEvent("net.deliver");
-const obs::Atom kNetworkCategory("network");
-const obs::Atom kFrom("from");
-const obs::Atom kTo("to");
-
 // Propagation plus bandwidth term: the rng-free part of a link's delay.
 std::int64_t BaseDelayMicros(const LinkModel& model, std::size_t wire_bytes) {
   std::int64_t delay = model.latency_micros;
@@ -263,8 +256,7 @@ util::Status Network::Send(Message message) {
   // transfer event charges the modeled link delay, which advances a modeled
   // SimClock before an inline handler observes the arrival time.
   if (tracer_ != nullptr) {
-    tracer_->RecordEvent(kDeliverEvent, kNetworkCategory, delay,
-                         {{kFrom, from.atom()}, {kTo, to.atom()}});
+    tracer_->RecordDelivery(from.atom(), to.atom(), delay);
     tracer_->metrics().Observe("net.delay_micros",
                                static_cast<double>(delay));
   }
@@ -293,24 +285,35 @@ void Network::AdvanceVirtualClockTo(std::int64_t micros) {
   if (virtual_clock_ != nullptr) virtual_clock_->AdvanceTo(micros);
 }
 
+void Network::PushTimerLocked(std::int64_t due, TimerFn&& fn) {
+  std::uint32_t slot;
+  if (free_timer_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(timer_slots_.size());
+    timer_slots_.push_back(std::move(fn));
+  } else {
+    slot = free_timer_slots_.back();
+    free_timer_slots_.pop_back();
+    timer_slots_[slot] = std::move(fn);
+  }
+  timers_.push(ScheduledTimer{due, schedule_rng_.NextU64(), next_sequence_++,
+                              slot});
+}
+
 void Network::ScheduleAt(std::int64_t due_micros, TimerFn fn) {
   NEES_CHECK_INVARIANT(mode_ == DeliveryMode::kVirtual,
                        "timers require DeliveryMode::kVirtual");
   util::MutexLock lock(mu_);
-  const std::int64_t due =
-      std::max(due_micros, virtual_clock_->NowMicros());
-  timers_.push(ScheduledTimer{due, schedule_rng_.NextU64(), next_sequence_++,
-                              std::move(fn)});
+  PushTimerLocked(std::max(due_micros, virtual_clock_->NowMicros()),
+                  std::move(fn));
 }
 
 void Network::ScheduleAfter(std::int64_t delay_micros, TimerFn fn) {
   NEES_CHECK_INVARIANT(mode_ == DeliveryMode::kVirtual,
                        "timers require DeliveryMode::kVirtual");
   util::MutexLock lock(mu_);
-  const std::int64_t due =
-      virtual_clock_->NowMicros() + std::max<std::int64_t>(delay_micros, 0);
-  timers_.push(ScheduledTimer{due, schedule_rng_.NextU64(), next_sequence_++,
-                              std::move(fn)});
+  PushTimerLocked(
+      virtual_clock_->NowMicros() + std::max<std::int64_t>(delay_micros, 0),
+      std::move(fn));
 }
 
 bool Network::PumpOne(std::int64_t limit_micros, bool advance_on_idle) {
@@ -347,7 +350,9 @@ bool Network::PumpOne(std::int64_t limit_micros, bool advance_on_idle) {
     } else if (pick == Pick::kTimer &&
                timers_.top().due_micros <= limit_micros) {
       AdvanceVirtualClockTo(timers_.top().due_micros);
-      fn = std::move(const_cast<ScheduledTimer&>(timers_.top()).fn);
+      const std::uint32_t slot = timers_.top().slot;
+      fn = std::move(timer_slots_[slot]);
+      free_timer_slots_.push_back(slot);
       timers_.pop();
       ++virtual_stats_.timers_fired;
     } else {
@@ -450,8 +455,7 @@ void Network::DeliverVirtual(Message message, std::int64_t delay_micros) {
     return;
   }
   if (tracer_ != nullptr) {
-    tracer_->RecordEvent(kDeliverEvent, kNetworkCategory, delay_micros,
-                         {{kFrom, from.atom()}, {kTo, to.atom()}});
+    tracer_->RecordDelivery(from.atom(), to.atom(), delay_micros);
     tracer_->metrics().Observe("net.delay_micros",
                                static_cast<double>(delay_micros));
   }

@@ -47,6 +47,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <queue>
@@ -245,11 +246,13 @@ class Network {
     }
   };
 
+  /// A timer's queue key. The callable stays in timer_slots_[slot], so a
+  /// heap sift moves these 32 bytes and never the callable.
   struct ScheduledTimer {
     std::int64_t due_micros;
     std::uint64_t tie;
     std::uint64_t sequence;  // shared counter with messages: globally unique
-    TimerFn fn;
+    std::uint32_t slot;
     bool operator>(const ScheduledTimer& other) const {
       if (due_micros != other.due_micros) return due_micros > other.due_micros;
       if (tie != other.tie) return tie > other.tie;
@@ -340,6 +343,8 @@ class Network {
   /// never backwards (nested pumps may already have advanced past an outer
   /// pump's limit).
   void AdvanceVirtualClockTo(std::int64_t micros);
+  /// Queues `fn` at `due` under a fresh tie and sequence.
+  void PushTimerLocked(std::int64_t due, TimerFn&& fn) NEES_REQUIRES(mu_);
   /// Arrival-time half of kVirtual delivery: re-checks partition, link
   /// up/down, and outage windows at the arrival timestamp, then counts
   /// delivery and runs the handler.
@@ -380,6 +385,10 @@ class Network {
   std::priority_queue<ScheduledTimer, std::vector<ScheduledTimer>,
                       std::greater<>>
       timers_ NEES_GUARDED_BY(mu_);
+  // The queued timers' callables: a slab whose slots never move (a deque
+  // grows without relocating), recycled through free_timer_slots_.
+  std::deque<TimerFn> timer_slots_ NEES_GUARDED_BY(mu_);
+  std::vector<std::uint32_t> free_timer_slots_ NEES_GUARDED_BY(mu_);
   VirtualLoopStats virtual_stats_ NEES_GUARDED_BY(mu_);
 };
 

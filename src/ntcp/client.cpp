@@ -274,6 +274,8 @@ NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
 }
 
 void NtcpClient::AwaitAll(std::vector<AsyncOp>& ops) {
+  // Refilled on every wake; allocated at most once per call.
+  std::vector<net::RpcClient::AsyncCall*> calls;
   for (;;) {
     bool all_done = true;
     for (AsyncOp& op : ops) all_done &= op.Pump();
@@ -281,7 +283,8 @@ void NtcpClient::AwaitAll(std::vector<AsyncOp>& ops) {
 
     // Collect the in-flight attempts and the earliest self-driven event
     // (attempt deadline or backoff expiry) across unfinished ops.
-    std::vector<net::RpcClient::AsyncCall*> calls;
+    if (calls.capacity() == 0) calls.reserve(ops.size());
+    calls.clear();
     std::int64_t wake = std::numeric_limits<std::int64_t>::max();
     net::RpcClient* rpc = nullptr;
     util::Clock* clock = nullptr;

@@ -1,7 +1,6 @@
 #include "ntcp/server.h"
 
 #include <algorithm>
-#include <array>
 #include <functional>
 
 #include "check/invariant.h"
@@ -18,7 +17,6 @@ constexpr std::uint8_t kWalTxnCreate = 1;      // proposal + proposed_at
 constexpr std::uint8_t kWalTxnTransition = 2;  // id, to, at, detail[, result]
 
 // Trace vocabulary.
-const obs::Atom kTxnEvent("ntcp.txn");
 const obs::Atom kDupEvent("ntcp.dup");
 const obs::Atom kRecoverEvent("ntcp.recover");
 const obs::Atom kTxnCategory("txn");
@@ -28,12 +26,7 @@ const obs::Atom kExecuteSpan("server.execute");
 const obs::Atom kGetTransactionSpan("server.getTransaction");
 const obs::Atom kTxn("txn");
 const obs::Atom kEndpoint("endpoint");
-const obs::Atom kFrom("from");
-const obs::Atom kTo("to");
 const obs::Atom kStep("step");
-const obs::Atom kAt("at");
-const obs::Atom kTimeout("timeout");
-const obs::Atom kCause("cause");
 const obs::Atom kKind("kind");
 const obs::Atom kState("state");
 
@@ -181,18 +174,16 @@ void NtcpServer::RecordTxnEventLocked(const TransactionRecord& record,
                                       std::int64_t at_micros,
                                       std::string_view cause) {
   if (tracer_ == nullptr) return;
-  std::array<obs::Tag, 8> tags = {
-      obs::Tag(kTxn, record.proposal.transaction_id),
-      obs::Tag(kEndpoint, endpoint_atom()),
-      obs::Tag(kFrom, from),
-      obs::Tag(kTo, to),
-      obs::Tag(kStep, record.proposal.step_index),
-      obs::Tag(kAt, at_micros),
-      obs::Tag(kTimeout, record.proposal.timeout_micros)};
-  std::size_t count = 7;
-  if (!cause.empty()) tags[count++] = obs::Tag(kCause, obs::Atom(cause));
-  tracer_->RecordEvent(kTxnEvent, kTxnCategory, 0,
-                       std::span<obs::Tag>(tags.data(), count));
+  obs::TxnTransition transition;
+  transition.txn = record.proposal.transaction_id;
+  transition.endpoint = endpoint_atom();
+  transition.from = from;
+  transition.to = to;
+  transition.step = record.proposal.step_index;
+  transition.at = at_micros;
+  transition.timeout = record.proposal.timeout_micros;
+  if (!cause.empty()) transition.cause = obs::Atom(cause);
+  tracer_->RecordTxnTransition(transition);
 }
 
 void NtcpServer::WalLogCreateLocked(const TransactionRecord& record) {
@@ -258,7 +249,15 @@ void NtcpServer::TransitionLocked(const std::string& id,
   NEES_CHECK_INVARIANT(!IsTerminal(record.state),
                        "no transition may leave a terminal state");
   const obs::Atom from = TransactionStateAtom(record.state);
+  const bool leaves_index =
+      IsOpen(record.state) && !IsOpen(to) && ProposalDeadlineMicros(record) >= 0;
   record.state = to;
+  if (leaves_index) {
+    NEES_CHECK_INVARIANT(expiry_live_ > 0,
+                         "an indexed transaction must have been counted live");
+    --expiry_live_;
+    BoundExpiryIndexLocked();
+  }
   if (!detail.empty()) record.detail = detail;
   const std::int64_t at = clock_->NowMicros();
   record.state_timestamps[TransactionStateName(to)] = at;
@@ -324,6 +323,7 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
   const std::string& id = inserted->first;
   NEES_CHECK_INVARIANT(inserted->second.state == TransactionState::kProposed,
                        "a freshly created transaction must be kProposed");
+  if (ProposalDeadlineMicros(inserted->second) >= 0) ++expiry_live_;
   WalLogCreateLocked(inserted->second);
   RecordTxnEventLocked(inserted->second, NoTransactionStateAtom(),
                        TransactionStateAtom(TransactionState::kProposed),
@@ -501,11 +501,31 @@ void NtcpServer::IndexForExpiryLocked(TransactionTable::value_type& entry) {
   expiry_index_.push_back(ExpiryEntry{deadline, &entry});
   std::push_heap(expiry_index_.begin(), expiry_index_.end(),
                  std::greater<>());
+  BoundExpiryIndexLocked();
 }
 
 void NtcpServer::RebuildExpiryIndexLocked() {
   expiry_index_.clear();
-  for (auto& entry : transactions_) IndexForExpiryLocked(entry);
+  for (auto& entry : transactions_) {
+    if (!IsOpen(entry.second.state)) continue;
+    const std::int64_t deadline = ProposalDeadlineMicros(entry.second);
+    if (deadline >= 0) expiry_index_.push_back(ExpiryEntry{deadline, &entry});
+  }
+  std::make_heap(expiry_index_.begin(), expiry_index_.end(),
+                 std::greater<>());
+  expiry_live_ = expiry_index_.size();
+}
+
+void NtcpServer::BoundExpiryIndexLocked() {
+  if (expiry_index_.size() <= 2 * expiry_live_ + kExpirySlack) return;
+  // A transaction never reopens, so a stale entry would only ever be
+  // skipped by a sweep: dropping it keeps the expiry set, and the sweep
+  // sorts what lapses into id order whatever the heap's shape.
+  std::erase_if(expiry_index_, [](const ExpiryEntry& e) {
+    return !IsOpen(e.entry->second.state);
+  });
+  std::make_heap(expiry_index_.begin(), expiry_index_.end(),
+                 std::greater<>());
 }
 
 int NtcpServer::ExpireStale() {
@@ -666,7 +686,9 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
 
 NtcpServerStats NtcpServer::stats() const {
   util::MutexLock lock(mu_);
-  return stats_;
+  NtcpServerStats stats = stats_;
+  stats.expiry_index_entries = expiry_index_.size();
+  return stats;
 }
 
 void NtcpServer::BindRpcMethods() {

@@ -45,6 +45,9 @@ struct NtcpServerStats {
   /// deadline), whether or not the transaction was still open: a sweep
   /// costs O(this), not O(table).
   std::uint64_t expiry_visits = 0;
+  /// Entries in the expiry index now: at most 2 x (open transactions with
+  /// a deadline) + NtcpServer::kExpirySlack, swept or not (see ExpireStale).
+  std::uint64_t expiry_index_entries = 0;
 };
 
 /// What AttachWal reconstructed from the log (docs/RECOVERY.md, step R2).
@@ -96,8 +99,16 @@ class NtcpServer {
   /// Moves proposed/accepted transactions past their timeout to kExpired;
   /// returns how many expired. Call periodically (or before reusing ids).
   /// Costs O(lapsed entries): a deadline-ordered index yields exactly the
-  /// transactions a full table walk would find, expired in id order.
+  /// transactions a full table walk would find, expired in id order. The
+  /// index is bounded whether or not anything sweeps: once its stale
+  /// entries (transactions no longer proposed or accepted) outnumber the
+  /// live ones by more than kExpirySlack, they are dropped in one O(index)
+  /// pass.
   int ExpireStale();
+  /// Stale expiry-index entries tolerated beyond the live count, so a
+  /// small index is never compacted and a compaction's O(index) cost is
+  /// amortized over the transitions that staled it.
+  static constexpr std::size_t kExpirySlack = 64;
 
   /// kVirtual only: arms a self-rescheduling timer on `network`'s event
   /// loop that runs ExpireStale() every `period_micros` of virtual time, so
@@ -188,6 +199,9 @@ class NtcpServer {
   /// Rebuilds the expiry index from the table (after WAL replay and after
   /// GarbageCollect erased records the old entries pointed at).
   void RebuildExpiryIndexLocked() NEES_REQUIRES(mu_);
+  /// Drops the stale index entries once they outnumber the live ones by
+  /// more than kExpirySlack.
+  void BoundExpiryIndexLocked() NEES_REQUIRES(mu_);
 
   net::RpcServer rpc_server_;
   std::unique_ptr<ControlPlugin> plugin_;
@@ -212,6 +226,9 @@ class NtcpServer {
     }
   };
   std::vector<ExpiryEntry> expiry_index_ NEES_GUARDED_BY(mu_);
+  // Open transactions with a deadline: each has one index entry, except
+  // while Propose is creating it or ExpireStale has popped it to expire.
+  std::size_t expiry_live_ NEES_GUARDED_BY(mu_) = 0;
   // Reused by each sweep for the lapsed entries it sorts into id order.
   std::vector<TransactionTable::value_type*> lapsed_ NEES_GUARDED_BY(mu_);
   NtcpServerStats stats_ NEES_GUARDED_BY(mu_);

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <map>
+#include <type_traits>
 
 #include "util/strings.h"
 #include "util/word_hash.h"
@@ -52,6 +53,131 @@ void* TagArena::Allocate(std::size_t bytes) {
   cursor_ += bytes;
   left_ -= bytes;
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// Rows and Trace
+
+namespace {
+
+const Atom kDeliverName("net.deliver");
+const Atom kDeliverCategory("network");
+const Atom kTxnName("ntcp.txn");
+const Atom kTxnCategory("txn");
+const Atom kTxnKey("txn");
+const Atom kEndpointKey("endpoint");
+const Atom kFromKey("from");
+const Atom kToKey("to");
+const Atom kStepKey("step");
+const Atom kAtKey("at");
+const Atom kTimeoutKey("timeout");
+const Atom kCauseKey("cause");
+
+}  // namespace
+
+Atom DeliverRow::Category() { return kDeliverCategory; }
+Atom TxnRow::Category() { return kTxnCategory; }
+
+void Trace::Append(Kind kind, std::size_t index, std::uint64_t id) {
+  if (id != order_.size() + 1) dense_ = false;
+  order_.push_back((static_cast<std::uint32_t>(kind) << kKindShift) |
+                   static_cast<std::uint32_t>(index));
+}
+
+SpanRecord& Trace::AddSpan(SpanRecord span) {
+  Append(kSpan, spans_.size(), span.id);
+  return spans_.emplace_back(std::move(span));
+}
+
+void Trace::AddDeliver(const DeliverRow& row) {
+  Append(kDeliver, delivers_.size(), row.id);
+  delivers_.push_back(row);
+}
+
+void Trace::AddTxn(TxnRow row, std::string_view txn) {
+  Append(kTxn, txns_.size(), row.id);
+  row.txn_offset = static_cast<std::uint32_t>(text_.size());
+  row.txn_size = static_cast<std::uint32_t>(txn.size());
+  text_.append(txn);
+  txns_.push_back(row);
+}
+
+void Trace::clear() {
+  order_.clear();
+  spans_.clear();
+  delivers_.clear();
+  txns_.clear();
+  text_.clear();
+  dense_ = true;
+}
+
+SpanRecord* Trace::FindSpan(std::uint64_t id) {
+  if (!dense_ || id == 0 || id > order_.size()) return nullptr;
+  const std::uint32_t where = order_[id - 1];
+  if ((where >> kKindShift) != kSpan) return nullptr;
+  return &spans_[where & kIndexMask];
+}
+
+namespace {
+
+SpanRecord MaterializeRow(const DeliverRow& row) {
+  SpanRecord span;
+  span.id = row.id;
+  span.parent_id = row.parent_id;
+  span.name = kDeliverName;
+  span.category = kDeliverCategory;
+  span.start_micros = row.start_micros;
+  span.end_micros = row.end_micros;
+  span.modeled_micros = row.modeled_micros;
+  span.tags = {{kFromKey, row.from}, {kToKey, row.to}};
+  return span;
+}
+
+SpanRecord MaterializeRow(const Trace& trace, const TxnRow& row) {
+  SpanRecord span;
+  span.id = row.id;
+  span.parent_id = row.parent_id;
+  span.name = kTxnName;
+  span.category = kTxnCategory;
+  span.start_micros = row.start_micros;
+  span.end_micros = row.end_micros;
+  span.tags.reserve(row.cause.valid() ? 8 : 7);
+  span.tags.emplace_back(kTxnKey, std::string(trace.TxnId(row)));
+  span.tags.emplace_back(kEndpointKey, row.endpoint);
+  span.tags.emplace_back(kFromKey, row.from);
+  span.tags.emplace_back(kToKey, row.to);
+  span.tags.emplace_back(kStepKey, row.step);
+  span.tags.emplace_back(kAtKey, row.at);
+  span.tags.emplace_back(kTimeoutKey, row.timeout);
+  if (row.cause.valid()) span.tags.emplace_back(kCauseKey, row.cause);
+  return span;
+}
+
+}  // namespace
+
+std::vector<SpanRecord> Materialize(Trace&& trace) {
+  std::vector<SpanRecord> spans;
+  spans.reserve(trace.size());
+  for (const std::uint32_t where : trace.order_) {
+    const std::uint32_t index = where & Trace::kIndexMask;
+    switch (where >> Trace::kKindShift) {
+      case Trace::kSpan:
+        spans.push_back(std::move(trace.spans_[index]));
+        break;
+      case Trace::kDeliver:
+        spans.push_back(MaterializeRow(trace.delivers_[index]));
+        break;
+      default:
+        spans.push_back(MaterializeRow(trace, trace.txns_[index]));
+        break;
+    }
+  }
+  trace.clear();
+  return spans;
+}
+
+std::vector<SpanRecord> Materialize(const Trace& trace) {
+  return Materialize(Trace(trace));
 }
 
 // ---------------------------------------------------------------------------
@@ -111,23 +237,30 @@ std::vector<std::uint64_t>& Tracer::StackLocked() {
 SpanRecord& Tracer::StartLocked(Atom name, Atom category,
                                 std::uint64_t parent_id, bool implicit_parent,
                                 bool push_stack) {
+  const std::uint64_t id = trace_.size() + 1;
   if (implicit_parent || push_stack) {
     std::vector<std::uint64_t>& stack = StackLocked();
     if (implicit_parent) parent_id = stack.empty() ? 0 : stack.back();
-    if (push_stack) stack.push_back(spans_.size() + 1);
+    if (push_stack) stack.push_back(id);
   }
-  SpanRecord& record = spans_.emplace_back();
+  SpanRecord record;
   record.tags = TagList(arena_);
-  record.id = spans_.size();
+  record.id = id;
   record.parent_id = parent_id;
   record.name = name;
   record.category = category;
-  return record;
+  return trace_.AddSpan(std::move(record));
+}
+
+std::uint64_t Tracer::ImplicitParentLocked() {
+  const std::vector<std::uint64_t>& stack = StackLocked();
+  return stack.empty() ? 0 : stack.back();
 }
 
 void Tracer::EndLocked(std::uint64_t id) {
-  if (id == 0 || id > spans_.size()) return;
-  SpanRecord& record = spans_[id - 1];
+  SpanRecord* span = trace_.FindSpan(id);
+  if (span == nullptr) return;
+  SpanRecord& record = *span;
   if (record.end_micros < 0) record.end_micros = clock_->NowMicros();
   // Unwind the starting thread's stack; tolerate cross-thread End.
   const auto erase_from = [id](std::vector<std::uint64_t>& stack) {
@@ -185,8 +318,9 @@ void Tracer::EndSpanId(std::uint64_t id) {
 
 void Tracer::AddTagById(std::uint64_t id, Tag tag) {
   util::MutexLock lock(mu_);
-  if (id == 0 || id > spans_.size()) return;
-  TagList& tags = spans_[id - 1].tags;
+  SpanRecord* span = trace_.FindSpan(id);
+  if (span == nullptr) return;
+  TagList& tags = span->tags;
   if (tags.empty()) tags.reserve(4);
   tags.push_back(std::move(tag));
 }
@@ -194,8 +328,8 @@ void Tracer::AddTagById(std::uint64_t id, Tag tag) {
 void Tracer::AddModeledMicrosById(std::uint64_t id, std::int64_t micros) {
   if (micros > 0 && modeled_ != nullptr) modeled_->Advance(micros);
   util::MutexLock lock(mu_);
-  if (id == 0 || id > spans_.size()) return;
-  spans_[id - 1].modeled_micros += micros;
+  SpanRecord* span = trace_.FindSpan(id);
+  if (span != nullptr) span->modeled_micros += micros;
 }
 
 void Tracer::RecordClosedLocked(std::uint64_t parent_id, bool implicit_parent,
@@ -231,12 +365,6 @@ void Tracer::RecordEvent(Atom name, Atom category,
                      modeled_micros, Copied(tags));
 }
 
-void Tracer::RecordEvent(Atom name, Atom category,
-                         std::int64_t modeled_micros, std::span<Tag> tags) {
-  RecordModeledEvent(0, /*implicit_parent=*/true, name, category,
-                     modeled_micros, TagSource(tags));
-}
-
 void Tracer::RecordEventUnder(std::uint64_t parent_id, Atom name,
                               Atom category, std::int64_t modeled_micros,
                               Tags tags) {
@@ -253,6 +381,39 @@ void Tracer::RecordInterval(std::uint64_t parent_id, Atom name,
                      Copied(tags));
 }
 
+void Tracer::RecordDelivery(Atom from, Atom to, std::int64_t modeled_micros) {
+  DeliverRow row;
+  row.start_micros = clock_->NowMicros();
+  if (modeled_micros > 0 && modeled_ != nullptr) {
+    modeled_->Advance(modeled_micros);
+  }
+  row.end_micros = clock_->NowMicros();
+  row.modeled_micros = modeled_micros;
+  row.from = from;
+  row.to = to;
+  util::MutexLock lock(mu_);
+  row.id = trace_.size() + 1;
+  row.parent_id = ImplicitParentLocked();
+  trace_.AddDeliver(row);
+}
+
+void Tracer::RecordTxnTransition(const TxnTransition& transition) {
+  TxnRow row;
+  row.start_micros = clock_->NowMicros();
+  row.end_micros = clock_->NowMicros();
+  row.step = transition.step;
+  row.at = transition.at;
+  row.timeout = transition.timeout;
+  row.endpoint = transition.endpoint;
+  row.from = transition.from;
+  row.to = transition.to;
+  row.cause = transition.cause;
+  util::MutexLock lock(mu_);
+  row.id = trace_.size() + 1;
+  row.parent_id = ImplicitParentLocked();
+  trace_.AddTxn(row, transition.txn);
+}
+
 std::uint64_t Tracer::CurrentSpanId() const {
   util::MutexLock lock(mu_);
   const std::thread::id self = std::this_thread::get_id();
@@ -266,30 +427,32 @@ std::uint64_t Tracer::CurrentSpanId() const {
 
 std::vector<SpanRecord> Tracer::Snapshot() const {
   util::MutexLock lock(mu_);
-  return spans_;
+  return Materialize(trace_);
 }
 
-std::vector<SpanRecord> Tracer::TakeSpans() {
+Trace Tracer::TakeTrace() {
   util::MutexLock lock(mu_);
-  std::vector<SpanRecord> spans = std::move(spans_);
-  spans_.clear();
+  Trace trace = std::move(trace_);
+  trace_.clear();
   stacks_.clear();
   // The taken spans keep the old arena; later spans must not share it with
   // a consumer that may edit them.
   arena_->Unref();
   arena_ = TagArena::Create();
-  return spans;
+  return trace;
 }
+
+std::vector<SpanRecord> Tracer::TakeSpans() { return Materialize(TakeTrace()); }
 
 std::size_t Tracer::span_count() const {
   util::MutexLock lock(mu_);
-  return spans_.size();
+  return trace_.size();
 }
 
 void Tracer::Clear() {
   {
     util::MutexLock lock(mu_);
-    spans_.clear();
+    trace_.clear();
     stacks_.clear();
     arena_->Unref();
     arena_ = TagArena::Create();
@@ -405,38 +568,89 @@ void AppendInt(Int value, std::string& out) {
   out.append(buffer, result.ptr);
 }
 
-void AppendSpanJson(const SpanRecord& span, std::string& out) {
+/// A record up to its tag object's opening brace.
+void AppendHeadJson(std::uint64_t id, std::uint64_t parent_id, Atom name,
+                    Atom category, std::int64_t start_micros,
+                    std::int64_t end_micros, std::int64_t modeled_micros,
+                    std::string& out) {
   out += "{\"id\":";
-  AppendInt(span.id, out);
+  AppendInt(id, out);
   out += ",\"parent\":";
-  AppendInt(span.parent_id, out);
+  AppendInt(parent_id, out);
   out += ",\"name\":";
-  AppendJsonString(span.name.str(), out);
+  AppendJsonString(name.str(), out);
   out += ",\"cat\":";
-  AppendJsonString(span.category.str(), out);
+  AppendJsonString(category.str(), out);
   out += ",\"start\":";
-  AppendInt(span.start_micros, out);
+  AppendInt(start_micros, out);
   // Open spans export as zero-length at their start time.
   out += ",\"end\":";
-  AppendInt(std::max(span.start_micros, span.end_micros), out);
+  AppendInt(std::max(start_micros, end_micros), out);
   out += ",\"modeled\":";
-  AppendInt(span.modeled_micros, out);
+  AppendInt(modeled_micros, out);
   out += ",\"tags\":{";
+}
+
+/// `"key":` after a comma unless it is the record's first tag.
+void AppendKeyJson(Atom key, bool first, std::string& out) {
+  if (!first) out += ',';
+  AppendJsonString(key.str(), out);
+  out += ':';
+}
+
+void AppendIntValueJson(std::int64_t value, std::string& out) {
+  out += '"';
+  AppendInt(value, out);
+  out += '"';
+}
+
+void AppendSpanJson(const SpanRecord& span, std::string& out) {
+  AppendHeadJson(span.id, span.parent_id, span.name, span.category,
+                 span.start_micros, span.end_micros, span.modeled_micros,
+                 out);
   bool first = true;
   for (const Tag& tag : span.tags) {
-    if (!first) out += ',';
+    AppendKeyJson(tag.key, first, out);
     first = false;
-    AppendJsonString(tag.key.str(), out);
-    out += ':';
     switch (tag.kind) {
-      case Tag::Kind::kInt:
-        out += '"';
-        AppendInt(tag.number, out);
-        out += '"';
-        break;
+      case Tag::Kind::kInt: AppendIntValueJson(tag.number, out); break;
       case Tag::Kind::kName: AppendJsonString(tag.name().str(), out); break;
       case Tag::Kind::kText: AppendJsonString(tag.text, out); break;
     }
+  }
+  out += "}}\n";
+}
+
+void AppendRowJson(const Trace&, const DeliverRow& row, std::string& out) {
+  AppendHeadJson(row.id, row.parent_id, kDeliverName, kDeliverCategory,
+                 row.start_micros, row.end_micros, row.modeled_micros, out);
+  AppendKeyJson(kFromKey, true, out);
+  AppendJsonString(row.from.str(), out);
+  AppendKeyJson(kToKey, false, out);
+  AppendJsonString(row.to.str(), out);
+  out += "}}\n";
+}
+
+void AppendRowJson(const Trace& trace, const TxnRow& row, std::string& out) {
+  AppendHeadJson(row.id, row.parent_id, kTxnName, kTxnCategory,
+                 row.start_micros, row.end_micros, 0, out);
+  AppendKeyJson(kTxnKey, true, out);
+  AppendJsonString(trace.TxnId(row), out);
+  AppendKeyJson(kEndpointKey, false, out);
+  AppendJsonString(row.endpoint.str(), out);
+  AppendKeyJson(kFromKey, false, out);
+  AppendJsonString(row.from.str(), out);
+  AppendKeyJson(kToKey, false, out);
+  AppendJsonString(row.to.str(), out);
+  AppendKeyJson(kStepKey, false, out);
+  AppendIntValueJson(row.step, out);
+  AppendKeyJson(kAtKey, false, out);
+  AppendIntValueJson(row.at, out);
+  AppendKeyJson(kTimeoutKey, false, out);
+  AppendIntValueJson(row.timeout, out);
+  if (row.cause.valid()) {
+    AppendKeyJson(kCauseKey, false, out);
+    AppendJsonString(row.cause.str(), out);
   }
   out += "}}\n";
 }
@@ -462,9 +676,23 @@ std::string ExportJsonLines(const std::vector<SpanRecord>& spans) {
   return out;
 }
 
+std::string ExportJsonLines(const Trace& trace) {
+  std::string out;
+  out.reserve(trace.size() * 128);
+  trace.ForEach([&](const auto& record) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(record)>,
+                                 SpanRecord>) {
+      AppendSpanJson(record, out);
+    } else {
+      AppendRowJson(trace, record, out);
+    }
+  });
+  return out;
+}
+
 std::string Tracer::ExportJsonLines() const {
   util::MutexLock lock(mu_);
-  return obs::ExportJsonLines(spans_);
+  return obs::ExportJsonLines(trace_);
 }
 
 util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
@@ -517,27 +745,94 @@ util::Result<std::vector<SpanRecord>> ParseJsonLines(const std::string& text) {
   return spans;
 }
 
+namespace {
+
+// FingerprintSpans words. A row hashes exactly the words of the span it
+// materializes as.
+
+void HashHead(std::uint64_t id, std::uint64_t parent_id, Atom name,
+              Atom category, std::int64_t start_micros,
+              std::int64_t end_micros, std::int64_t modeled_micros,
+              std::size_t tag_count, util::WordHash& hash) {
+  hash.Word(id);
+  hash.Word(parent_id);
+  hash.Word((std::uint64_t{name.raw()} << 32) | category.raw());
+  hash.Word(static_cast<std::uint64_t>(start_micros));
+  hash.Word(static_cast<std::uint64_t>(end_micros));
+  hash.Word(static_cast<std::uint64_t>(modeled_micros));
+  hash.Word(tag_count);
+}
+
+void HashTagKey(Atom key, Tag::Kind kind, util::WordHash& hash) {
+  hash.Word((std::uint64_t{key.raw()} << 8) |
+            static_cast<std::uint64_t>(kind));
+}
+
+void HashNameTag(Atom key, Atom value, util::WordHash& hash) {
+  HashTagKey(key, Tag::Kind::kName, hash);
+  hash.Word(value.raw());
+}
+
+void HashIntTag(Atom key, std::int64_t value, util::WordHash& hash) {
+  HashTagKey(key, Tag::Kind::kInt, hash);
+  hash.Word(static_cast<std::uint64_t>(value));
+}
+
+void HashRecord(const SpanRecord& span, util::WordHash& hash) {
+  HashHead(span.id, span.parent_id, span.name, span.category,
+           span.start_micros, span.end_micros, span.modeled_micros,
+           span.tags.size(), hash);
+  for (const Tag& tag : span.tags) {
+    HashTagKey(tag.key, tag.kind, hash);
+    if (tag.kind == Tag::Kind::kText) {
+      hash.String(tag.text);
+    } else {
+      hash.Word(static_cast<std::uint64_t>(tag.number));
+    }
+  }
+}
+
+void HashRecord(const Trace&, const DeliverRow& row, util::WordHash& hash) {
+  HashHead(row.id, row.parent_id, kDeliverName, kDeliverCategory,
+           row.start_micros, row.end_micros, row.modeled_micros, 2, hash);
+  HashNameTag(kFromKey, row.from, hash);
+  HashNameTag(kToKey, row.to, hash);
+}
+
+void HashRecord(const Trace& trace, const TxnRow& row, util::WordHash& hash) {
+  HashHead(row.id, row.parent_id, kTxnName, kTxnCategory, row.start_micros,
+           row.end_micros, 0, row.cause.valid() ? 8 : 7, hash);
+  HashTagKey(kTxnKey, Tag::Kind::kText, hash);
+  hash.String(trace.TxnId(row));
+  HashNameTag(kEndpointKey, row.endpoint, hash);
+  HashNameTag(kFromKey, row.from, hash);
+  HashNameTag(kToKey, row.to, hash);
+  HashIntTag(kStepKey, row.step, hash);
+  HashIntTag(kAtKey, row.at, hash);
+  HashIntTag(kTimeoutKey, row.timeout, hash);
+  if (row.cause.valid()) HashNameTag(kCauseKey, row.cause, hash);
+}
+
+}  // namespace
+
 std::uint64_t FingerprintSpans(const std::vector<SpanRecord>& spans) {
   util::WordHash hash;
   hash.Word(spans.size());
-  for (const SpanRecord& span : spans) {
-    hash.Word(span.id);
-    hash.Word(span.parent_id);
-    hash.Word((std::uint64_t{span.name.raw()} << 32) | span.category.raw());
-    hash.Word(static_cast<std::uint64_t>(span.start_micros));
-    hash.Word(static_cast<std::uint64_t>(span.end_micros));
-    hash.Word(static_cast<std::uint64_t>(span.modeled_micros));
-    hash.Word(span.tags.size());
-    for (const Tag& tag : span.tags) {
-      hash.Word((std::uint64_t{tag.key.raw()} << 8) |
-                static_cast<std::uint64_t>(tag.kind));
-      if (tag.kind == Tag::Kind::kText) {
-        hash.String(tag.text);
-      } else {
-        hash.Word(static_cast<std::uint64_t>(tag.number));
-      }
+  for (const SpanRecord& span : spans) HashRecord(span, hash);
+  return hash.value();
+}
+
+std::uint64_t FingerprintSpans(const Trace& trace) {
+  util::WordHash hash;
+  hash.Word(trace.size());
+  trace.ForEach([&](const auto& record) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(record)>,
+                                 SpanRecord>) {
+      HashRecord(record, hash);
+    } else {
+      HashRecord(trace, record, hash);
     }
-  }
+  });
   return hash.value();
 }
 

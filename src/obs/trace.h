@@ -17,7 +17,11 @@
 // words, free-form text as strings — so recording a span formats nothing.
 // Text is rendered only by ExportJsonLines and BreakdownTable. The tags of
 // recorded spans live in the tracer's TagArena, so recording a span whose
-// tag values are integers, names or short text allocates nothing.
+// tag values are integers, names or short text allocates nothing. The two
+// hottest events, "net.deliver" and "ntcp.txn", are not spans at all but
+// fixed-width rows (DeliverRow, TxnRow) in the same id sequence; a Trace
+// holds both, and Materialize turns rows back into the spans they stand
+// for (DESIGN.md decision 22).
 //
 // Parenting: spans nest implicitly per thread (a span started while another
 // is open on the same thread becomes its child). Cross-thread hops — the
@@ -35,6 +39,7 @@
 #include <new>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -254,6 +259,132 @@ struct SpanRecord {
   }
 };
 
+/// A "net.deliver" event (category "network") as a fixed-width row: the
+/// tags it exports, from and to, are endpoint names, and its modeled delay
+/// is the link's. Exports as a span with tags {from, to}.
+struct DeliverRow {
+  std::uint64_t id = 0;
+  std::uint64_t parent_id = 0;
+  std::int64_t start_micros = 0;
+  std::int64_t end_micros = 0;
+  std::int64_t modeled_micros = 0;
+  Atom from;
+  Atom to;
+
+  static Atom Category();  // "network"
+};
+
+/// An "ntcp.txn" state transition (category "txn", no modeled time) as a
+/// fixed-width row. The transaction id is free-form text, so the row holds
+/// it as a slice of its Trace's text pool (see Trace::TxnId) instead of
+/// interning it. Exports as a span with tags {txn, endpoint, from, to, step,
+/// at, timeout} and a trailing {cause} when `cause` is valid.
+struct TxnRow {
+  std::uint64_t id = 0;
+  std::uint64_t parent_id = 0;
+  std::int64_t start_micros = 0;
+  std::int64_t end_micros = 0;
+  std::int64_t step = -1;
+  std::int64_t at = 0;
+  std::int64_t timeout = 0;
+  std::uint32_t txn_offset = 0;
+  std::uint32_t txn_size = 0;
+  Atom endpoint;
+  Atom from;
+  Atom to;
+  Atom cause;  // invalid: no cause
+
+  static Atom Category();  // "txn"
+};
+
+/// What a producer passes to Tracer::RecordTxnTransition.
+struct TxnTransition {
+  std::string_view txn;
+  Atom endpoint;
+  Atom from;
+  Atom to;
+  std::int64_t step = -1;
+  std::int64_t at = 0;
+  std::int64_t timeout = 0;
+  Atom cause;  // invalid: no cause
+};
+
+/// A recorded trace: spans plus the rows of the two hot event kinds, in one
+/// stream. Records keep their append order; a tracer appends in id order
+/// from 1, so a trace it hands over is dense (record i has id i + 1) and
+/// its stream order is exactly the id order Materialize reproduces.
+/// Consumers that know the row kinds (ExportJsonLines, FingerprintSpans,
+/// check::LintSpans) read rows in place; everything else materializes.
+class Trace {
+ public:
+  /// Appends a record. A record whose id is not the next in 1..n leaves
+  /// the trace non-dense (hand-built and edited traces).
+  SpanRecord& AddSpan(SpanRecord span);
+  void AddDeliver(const DeliverRow& row);
+  /// Copies `txn` into the text pool and points the row at it.
+  void AddTxn(TxnRow row, std::string_view txn);
+
+  std::size_t size() const { return order_.size(); }
+  bool empty() const { return order_.empty(); }
+  bool dense() const { return dense_; }
+  void clear();
+
+  const std::vector<SpanRecord>& spans() const { return spans_; }
+  const std::vector<DeliverRow>& delivers() const { return delivers_; }
+  const std::vector<TxnRow>& txns() const { return txns_; }
+  std::string_view TxnId(const TxnRow& row) const {
+    return std::string_view(text_).substr(row.txn_offset, row.txn_size);
+  }
+
+  /// Calls fn(const SpanRecord&), fn(const DeliverRow&) or fn(const
+  /// TxnRow&) for every record, in stream order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const std::uint32_t where : order_) VisitAt(where, fn);
+  }
+  /// Calls fn on the record with `id` and returns true; false when there
+  /// is none or the trace is not dense.
+  template <typename Fn>
+  bool Visit(std::uint64_t id, Fn&& fn) const {
+    if (!dense_ || id == 0 || id > order_.size()) return false;
+    VisitAt(order_[id - 1], fn);
+    return true;
+  }
+  /// The span with `id` in a dense trace; nullptr for a row or no record.
+  SpanRecord* FindSpan(std::uint64_t id);
+
+ private:
+  // order_ entries: the record's kind in the top two bits, its index in
+  // that kind's vector below.
+  enum Kind : std::uint32_t { kSpan = 0, kDeliver = 1, kTxn = 2 };
+  static constexpr int kKindShift = 30;
+  static constexpr std::uint32_t kIndexMask = (1u << kKindShift) - 1;
+
+  template <typename Fn>
+  void VisitAt(std::uint32_t where, Fn& fn) const {
+    const std::uint32_t index = where & kIndexMask;
+    switch (where >> kKindShift) {
+      case kSpan: fn(spans_[index]); break;
+      case kDeliver: fn(delivers_[index]); break;
+      default: fn(txns_[index]); break;
+    }
+  }
+  void Append(Kind kind, std::size_t index, std::uint64_t id);
+  friend std::vector<SpanRecord> Materialize(Trace&& trace);
+
+  std::vector<std::uint32_t> order_;
+  std::vector<SpanRecord> spans_;
+  std::vector<DeliverRow> delivers_;
+  std::vector<TxnRow> txns_;
+  std::string text_;  // transaction ids of txns_
+  bool dense_ = true;
+};
+
+/// The trace as plain spans, in stream order: each row becomes the span it
+/// exports as. The rvalue form moves the spans out instead of copying them.
+std::vector<SpanRecord> Materialize(const Trace& trace);
+std::vector<SpanRecord> Materialize(Trace&& trace);
+
 class Tracer;
 
 /// RAII handle for an open span. Movable; End() (or destruction) closes it.
@@ -324,16 +455,24 @@ class Tracer {
   /// the modeled delay (zero-length when `modeled_micros` is 0).
   void RecordEvent(Atom name, Atom category, std::int64_t modeled_micros = 0,
                    Tags tags = {});
-  /// As above, moving the tags from the caller's array (events whose tag
-  /// count varies, like the NTCP server's `ntcp.txn`).
-  void RecordEvent(Atom name, Atom category, std::int64_t modeled_micros,
-                   std::span<Tag> tags);
   void RecordEventUnder(std::uint64_t parent_id, Atom name, Atom category,
                         std::int64_t modeled_micros = 0, Tags tags = {});
   /// Records an interval measured by the caller (e.g. queue dwell time).
   void RecordInterval(std::uint64_t parent_id, Atom name, Atom category,
                       std::int64_t start_micros, std::int64_t end_micros,
                       Tags tags = {});
+
+  // --- rows -----------------------------------------------------------------
+  // The hot events as rows: each records what RecordEvent records for the
+  // same name, category, delay and tags, in a fixed-width record instead
+  // of a SpanRecord with a TagList. Rows take ids from the span sequence
+  // and, like events, never join the span stack, so they are never
+  // parents.
+
+  /// A "net.deliver" event charging `modeled_micros` of link delay.
+  void RecordDelivery(Atom from, Atom to, std::int64_t modeled_micros);
+  /// A zero-length "ntcp.txn" event.
+  void RecordTxnTransition(const TxnTransition& transition);
 
   /// Innermost open span on the calling thread (0 if none).
   std::uint64_t CurrentSpanId() const;
@@ -342,12 +481,16 @@ class Tracer {
   MetricsRegistry& metrics() { return metrics_; }
 
   // --- export ---------------------------------------------------------------
-  /// A copy of the spans so far, ordered by id, for live readers.
+  /// A copy of the spans so far, rows materialized, ordered by id, for
+  /// live readers.
   std::vector<SpanRecord> Snapshot() const;
-  /// Hands the spans over to an end-of-run consumer instead of copying
-  /// them. The tracer is left with no spans and no open-span stacks; spans
-  /// recorded afterwards start again at id 1. Metrics are kept.
+  /// Hands the trace over to an end-of-run consumer instead of copying it.
+  /// The tracer is left with no records and no open-span stacks; records
+  /// made afterwards start again at id 1. Metrics are kept.
+  Trace TakeTrace();
+  /// TakeTrace with the rows materialized.
   std::vector<SpanRecord> TakeSpans();
+  /// Spans plus rows.
   std::size_t span_count() const;
 
   /// One JSON object per line, ids ascending, fixed key order — two runs
@@ -402,6 +545,8 @@ class Tracer {
   SpanRecord& StartLocked(Atom name, Atom category, std::uint64_t parent_id,
                           bool implicit_parent, bool push_stack)
       NEES_REQUIRES(mu_);
+  /// The calling thread's current span, the parent of an event or row.
+  std::uint64_t ImplicitParentLocked() NEES_REQUIRES(mu_);
   void EndLocked(std::uint64_t id) NEES_REQUIRES(mu_);
   /// A closed span whose duration is `modeled_micros` of modeled time;
   /// `implicit_parent` takes the calling thread's current span as parent.
@@ -419,11 +564,11 @@ class Tracer {
   MetricsRegistry metrics_;
 
   mutable util::Mutex mu_{"obs.Tracer"};
-  // Tag storage of the spans in spans_ (one reference held); replaced when
+  // Tag storage of the spans in trace_ (one reference held); replaced when
   // they are handed over.
   TagArena* arena_ NEES_GUARDED_BY(mu_);
-  // spans_[i].id == i + 1
-  std::vector<SpanRecord> spans_ NEES_GUARDED_BY(mu_);
+  // Dense: record i has id i + 1.
+  Trace trace_ NEES_GUARDED_BY(mu_);
   // Open-span stacks, one per thread that has recorded; a handful at most.
   std::vector<ThreadStack> stacks_ NEES_GUARDED_BY(mu_);
 };
@@ -432,12 +577,17 @@ class Tracer {
 /// format (one JSON object per line, fixed key order). Lets offline trace
 /// tooling re-export edited span streams.
 std::string ExportJsonLines(const std::vector<SpanRecord>& spans);
+/// The same bytes as exporting Materialize(trace), rows written in place.
+std::string ExportJsonLines(const Trace& trace);
 
 /// Fingerprint of a span stream for the same-seed determinism oracle:
 /// util::WordHash over every field JSONL exports, one word per id, time,
 /// atom pair or integer value and 8-byte words over text values. Atoms hash
 /// as ids, so compare fingerprints only within one process.
 std::uint64_t FingerprintSpans(const std::vector<SpanRecord>& spans);
+/// The same value as fingerprinting Materialize(trace), rows hashed in
+/// place.
+std::uint64_t FingerprintSpans(const Trace& trace);
 
 /// Parses ExportJsonLines output back into records (round-trip tests and
 /// offline trace tooling). Rejects malformed lines with kDataLoss. Names,

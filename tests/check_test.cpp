@@ -49,7 +49,7 @@ std::unique_ptr<plugins::SimulationPlugin> MakeElasticPlugin() {
 /// Drives one NTCP server through the interesting protocol paths —
 /// complete, duplicate propose+execute, expire on the execute path, expire
 /// via the sweep, cancel — and returns the recorded trace.
-std::vector<obs::SpanRecord> RecordScenarioSpans() {
+obs::Trace RecordScenarioTrace() {
   util::SimClock clock{1'000'000};
   obs::Tracer tracer(&clock, &clock);
   net::Network network;
@@ -82,7 +82,11 @@ std::vector<obs::SpanRecord> RecordScenarioSpans() {
   EXPECT_EQ(server.stats().expired, 2u);
   EXPECT_EQ(server.stats().duplicate_proposals, 1u);
   EXPECT_EQ(server.stats().duplicate_executes, 1u);
-  return tracer.Snapshot();
+  return tracer.TakeTrace();
+}
+
+std::vector<obs::SpanRecord> RecordScenarioSpans() {
+  return obs::Materialize(RecordScenarioTrace());
 }
 
 obs::SpanRecord Event(std::uint64_t id, const std::string& txn,
@@ -371,6 +375,178 @@ TEST(CheckTest, CrashRecoveryOnWrongEdgeReported) {
   spans.push_back(mark);
   EXPECT_EQ(Rules(LintSpans(spans)),
             (std::set<Rule>{Rule::kCrashConsistency}));
+}
+
+// --- row traces --------------------------------------------------------------
+
+/// A transition row as Event() builds the span.
+obs::TxnRow TxnRowAt(std::uint64_t id, const std::string& from,
+                     const std::string& to, std::int64_t at,
+                     std::int64_t step = -1) {
+  obs::TxnRow row;
+  row.id = id;
+  row.start_micros = at;
+  row.end_micros = at;
+  row.step = step;
+  row.at = at;
+  row.timeout = 60'000'000;
+  row.endpoint = obs::Atom("ntcp.hand");
+  row.from = obs::Atom(from);
+  row.to = obs::Atom(to);
+  return row;
+}
+
+/// LintSpans on the trace's rows in place reports exactly what it reports
+/// on the materialized spans: the same stats and violations, in order.
+void ExpectRowLintMatchesMaterialized(const obs::Trace& trace) {
+  const LintReport rows = LintSpans(trace);
+  const LintReport spans = LintSpans(obs::Materialize(trace));
+  EXPECT_EQ(rows.ToString(), spans.ToString());
+  EXPECT_EQ(rows.stats.spans, spans.stats.spans);
+  EXPECT_EQ(rows.stats.protocol_events, spans.stats.protocol_events);
+  EXPECT_EQ(rows.stats.transactions, spans.stats.transactions);
+  EXPECT_EQ(rows.stats.endpoints, spans.stats.endpoints);
+}
+
+TEST(CheckRowTest, RecordedTraceLintsAsItsSpans) {
+  const obs::Trace trace = RecordScenarioTrace();
+  ASSERT_TRUE(trace.dense());
+  ASSERT_FALSE(trace.txns().empty());
+  const LintReport report = LintSpans(trace);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  ExpectRowLintMatchesMaterialized(trace);
+}
+
+TEST(CheckRowTest, ExactlyOnceReadsRowsAsItsSpans) {
+  util::SimClock sim;
+  obs::Tracer tracer(&sim, &sim);
+  net::Network network;
+  network.SetClock(&sim);
+  most::MostOptions options;
+  options.steps = 6;
+  options.hybrid = false;
+  options.tracer = &tracer;
+  most::MostExperiment experiment(&network, &sim, options);
+  auto report = experiment.Run(psd::FaultPolicy::kFaultTolerant, "rowonce");
+  ASSERT_TRUE(report.ok());
+  ASSERT_TRUE(report->completed);
+  const obs::Trace trace = tracer.TakeTrace();
+  ASSERT_FALSE(trace.delivers().empty());
+  ExpectRowLintMatchesMaterialized(trace);
+  EXPECT_TRUE(LintSpans(trace).ok());
+
+  const std::vector<std::string> endpoints = {
+      most::MostExperiment::kNtcpUiuc, most::MostExperiment::kNtcpNcsa,
+      most::MostExperiment::kNtcpCu};
+  EXPECT_TRUE(CheckExactlyOncePerStep(trace, endpoints,
+                                      report->steps_completed, 0)
+                  .empty());
+  // One step more than ran: every site misses it, whether the transitions
+  // are rows or plain spans.
+  const auto rows = CheckExactlyOncePerStep(trace, endpoints,
+                                            report->steps_completed + 1, 0);
+  EXPECT_EQ(rows.size(), 3u);
+  obs::Trace spans;
+  for (obs::SpanRecord& span : obs::Materialize(trace)) {
+    spans.AddSpan(std::move(span));
+  }
+  ASSERT_TRUE(spans.txns().empty());
+  EXPECT_EQ(rows, CheckExactlyOncePerStep(spans, endpoints,
+                                          report->steps_completed + 1, 0));
+}
+
+TEST(CheckRowTest, RowFaultsLintAsTheirSpans) {
+  obs::SpanRecord step;
+  step.id = 1;
+  step.name = "psd.step";
+  step.category = "step";
+  step.start_micros = 0;
+  step.end_micros = 100;
+
+  {  // A row whose parent does not exist.
+    obs::Trace trace;
+    trace.AddSpan(step);
+    obs::TxnRow created = TxnRowAt(2, "none", "proposed", 10, 0);
+    created.parent_id = 99;
+    trace.AddTxn(created, "t-orphan");
+    trace.AddTxn(TxnRowAt(3, "proposed", "cancelled", 20, 0), "t-orphan");
+    EXPECT_EQ(Rules(LintSpans(trace)), (std::set<Rule>{Rule::kSpanNesting}));
+    ExpectRowLintMatchesMaterialized(trace);
+  }
+  {  // A delivery outliving its PSD-step parent.
+    obs::Trace trace;
+    trace.AddSpan(step);
+    obs::DeliverRow late;
+    late.id = 2;
+    late.parent_id = 1;
+    late.start_micros = 50;
+    late.end_micros = 150;
+    late.modeled_micros = 100;
+    late.from = obs::Atom("coord");
+    late.to = obs::Atom("ntcp.hand");
+    trace.AddDeliver(late);
+    EXPECT_EQ(Rules(LintSpans(trace)), (std::set<Rule>{Rule::kSpanNesting}));
+    ExpectRowLintMatchesMaterialized(trace);
+  }
+  {  // An illegal Fig. 1 transition.
+    obs::Trace trace;
+    trace.AddTxn(TxnRowAt(1, "none", "proposed", 10, 0), "t-bad");
+    trace.AddTxn(TxnRowAt(2, "proposed", "completed", 20, 0), "t-bad");
+    EXPECT_EQ(Rules(LintSpans(trace)),
+              (std::set<Rule>{Rule::kIllegalTransition, Rule::kNonTerminal}));
+    ExpectRowLintMatchesMaterialized(trace);
+  }
+  {  // A transition inside its endpoint's crash window.
+    obs::Trace trace;
+    trace.AddTxn(TxnRowAt(1, "none", "proposed", 10, 0), "t-dead");
+    trace.AddSpan(Marker(2, "site.crash", 20));
+    trace.AddTxn(TxnRowAt(3, "proposed", "cancelled", 30, 0), "t-dead");
+    EXPECT_EQ(Rules(LintSpans(trace)),
+              (std::set<Rule>{Rule::kCrashConsistency}));
+    ExpectRowLintMatchesMaterialized(trace);
+  }
+  {  // A crash-mark row on the wrong edge.
+    obs::Trace trace;
+    trace.AddTxn(TxnRowAt(1, "none", "proposed", 10, 0), "t-w");
+    trace.AddSpan(Marker(2, "site.crash", 20));
+    trace.AddSpan(Marker(3, "site.restart", 30));
+    obs::TxnRow mark = TxnRowAt(4, "proposed", "cancelled", 40, 0);
+    mark.cause = obs::Atom("crash-recovery");
+    trace.AddTxn(mark, "t-w");
+    EXPECT_EQ(Rules(LintSpans(trace)),
+              (std::set<Rule>{Rule::kCrashConsistency}));
+    ExpectRowLintMatchesMaterialized(trace);
+  }
+}
+
+TEST(CheckRowTest, NonDenseTraceFallsBackToSpans) {
+  // Ids 10, 20, 30: the in-place path cannot look parents up by id, so the
+  // trace is materialized and linted through the sparse index, which finds
+  // the delivery's real parent.
+  obs::Trace trace;
+  obs::SpanRecord step;
+  step.id = 10;
+  step.name = "psd.step";
+  step.category = "step";
+  step.start_micros = 0;
+  step.end_micros = 100;
+  trace.AddSpan(step);
+  obs::DeliverRow deliver;
+  deliver.id = 20;
+  deliver.parent_id = 10;
+  deliver.start_micros = 10;
+  deliver.end_micros = 30;
+  deliver.from = obs::Atom("coord");
+  deliver.to = obs::Atom("ntcp.hand");
+  trace.AddDeliver(deliver);
+  trace.AddTxn(TxnRowAt(30, "none", "proposed", 40, 0), "t-sparse");
+  trace.AddTxn(TxnRowAt(25, "proposed", "cancelled", 50, 0), "t-sparse");
+  ASSERT_FALSE(trace.dense());
+
+  const LintReport report = LintSpans(trace);
+  EXPECT_EQ(Rules(report), (std::set<Rule>{Rule::kTraceShape}))
+      << report.ToString();  // 25 after 30; the parent 10 is found
+  ExpectRowLintMatchesMaterialized(trace);
 }
 
 // --- text round trip ---------------------------------------------------------

@@ -294,6 +294,24 @@ TEST(FuzzRunTest, CrashRestartMidTransactionCompletes) {
   EXPECT_GE(outcome.inflight_failed, 1u);  // died mid-execute
 }
 
+TEST(FuzzRunTest, UpFrontLoginOutlastsTheFaultsArmedOnItsLink) {
+  // Before the run starts the GSI handshake is the only traffic on its
+  // link, so it absorbs every loss armed there. Seed 273080: a random
+  // drop, a three-frame corruption burst and four sends refused while the
+  // site is crashed. Seed 363472: three corrupted requests, three dropped
+  // replies and random loss. Eight attempts ran out on both.
+  for (const std::uint64_t seed : {273080u, 363472u}) {
+    const FuzzOutcome outcome =
+        RunFuzzCaseChecked(GenerateScenario(seed, FuzzTemplate::kMini));
+    EXPECT_TRUE(outcome.ok()) << seed << ": "
+                              << (outcome.failures.empty()
+                                      ? ""
+                                      : outcome.failures.front());
+    EXPECT_TRUE(outcome.run_completed) << seed;
+    EXPECT_EQ(outcome.frames_corrupted, 3u) << seed;
+  }
+}
+
 TEST(FuzzRunTest, CrashStatsAreDeterministic) {
   const FuzzScenario s = GenerateScenario(25);
   const FuzzOutcome a = RunFuzzCase(s);

@@ -1149,6 +1149,42 @@ TEST(VirtualNetworkTest, TimersInterleaveWithMessagesInTimestampOrder) {
   EXPECT_EQ(network.virtual_stats().messages_delivered, 1u);
 }
 
+/// A capture that counts how often the callable holding it is moved.
+struct MoveCounter {
+  explicit MoveCounter(int* moves) : moves(moves) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  int* moves;
+};
+
+/// Moves of one timer's callable from ScheduleAt until it fires, with
+/// `depth` timers due before it and `depth` after it in the queue.
+int TrackedTimerMoves(int depth) {
+  Network network(DeliveryMode::kVirtual);
+  int fired = 0;
+  for (int i = 0; i < depth; ++i) {
+    network.ScheduleAt(2 * i, [&fired] { ++fired; });
+  }
+  int moves = 0;
+  bool ran = false;
+  network.ScheduleAt(2 * depth - 1,
+                     [counter = MoveCounter(&moves), &ran] { ran = true; });
+  for (int i = 0; i < depth; ++i) {
+    network.ScheduleAt(2 * (depth + i), [&fired] { ++fired; });
+  }
+  network.RunUntilQuiescent();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(fired, 2 * depth);
+  return moves;
+}
+
+TEST(VirtualNetworkTest, TimerCallableMovesDoNotGrowWithQueueDepth) {
+  // The queue sifts keys; a callable stays in its slot until it fires.
+  const int shallow = TrackedTimerMoves(1);
+  EXPECT_LE(shallow, 3);
+  EXPECT_EQ(TrackedTimerMoves(2'000), shallow);
+}
+
 TEST(VirtualNetworkTest, ScheduleAfterIsRelativeToVirtualNow) {
   Network network(DeliveryMode::kVirtual);
   EXPECT_EQ(network.AdvanceTo(10'000), 0u);

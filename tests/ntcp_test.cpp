@@ -360,6 +360,37 @@ TEST_F(NtcpServerTest, ExpirySweepsVisitOnlyLapsedIndexEntries) {
             static_cast<std::uint64_t>(kTransactions));
 }
 
+TEST_F(NtcpServerTest, UnsweptExpiryIndexStaysBounded) {
+  // Nothing sweeps this server (a kImmediate tenant never arms the expiry
+  // timer), so the entries of finished transactions must be dropped as
+  // they accumulate. Every tenth transaction stays open.
+  constexpr int kTransactions = 10'000;
+  std::uint64_t open = 0;
+  std::uint64_t peak = 0;
+  for (int i = 0; i < kTransactions; ++i) {
+    const std::string id = "t-" + std::to_string(100'000 + i);
+    ASSERT_TRUE(server_->Propose(MakeProposal(id, 0.01, 10'000'000)).accepted);
+    if (i % 10 == 0) {
+      ++open;
+    } else {
+      ASSERT_TRUE(server_->Execute(id).ok());
+    }
+    const std::uint64_t entries = server_->stats().expiry_index_entries;
+    peak = std::max(peak, entries);
+    ASSERT_LE(entries, 2 * open + NtcpServer::kExpirySlack) << "after " << id;
+  }
+  EXPECT_GE(peak, open);
+  // The open transactions still expire, once each, in id order.
+  clock_.Advance(20'000'000);
+  EXPECT_EQ(server_->ExpireStale(), static_cast<int>(open));
+  EXPECT_EQ(server_->stats().expired, open);
+  EXPECT_EQ(server_->GetTransaction("t-100000")->state,
+            TransactionState::kExpired);
+  EXPECT_EQ(server_->GetTransaction("t-100001")->state,
+            TransactionState::kCompleted);
+  EXPECT_EQ(server_->stats().expiry_index_entries, 0u);
+}
+
 TEST_F(NtcpServerTest, GarbageCollectLeavesNoDanglingExpiryEntry) {
   // "done" completes long before its deadline, so its index entry is still
   // queued when GarbageCollect erases the record.

@@ -239,7 +239,8 @@ TEST(TracerTest, TakenSpansOwnTheirTagsApartFromTheTracer) {
     obs::Tracer tracer(&sim, &sim);
     obs::Tag moved[] = {{"txn", std::string("a-transaction-id-longer-than-sso")},
                         {"step", 7}};
-    tracer.RecordEvent("ntcp.txn", "txn", 0, std::span<obs::Tag>(moved));
+    tracer.EndSpanId(
+        tracer.BeginSpanId("ntcp.txn", "txn", 0, std::span<obs::Tag>(moved)));
     {
       obs::Span span = tracer.StartSpan("ntcp.propose", "protocol");
       span.AddTag("endpoint", obs::Atom("ntcp.s0"));
@@ -257,6 +258,58 @@ TEST(TracerTest, TakenSpansOwnTheirTagsApartFromTheTracer) {
   taken[1].tags.push_back({"more", 3});  // grows inside the kept arena
   EXPECT_EQ(taken[1].tags.size(), 3u);
   EXPECT_EQ(copy[0].tags.size(), 3u);
+}
+
+// --- fingerprints --------------------------------------------------------------
+
+// A trace with a step span, a delivery under it, two transitions (one with a
+// cause, one without) and a span recorded after the rows.
+obs::Trace RowTrace() {
+  obs::Trace trace;
+  obs::SpanRecord step;
+  step.id = 1;
+  step.name = "psd.step";
+  step.category = "step";
+  step.start_micros = 100;
+  step.end_micros = 900;
+  trace.AddSpan(step);
+  obs::DeliverRow deliver;
+  deliver.id = 2;
+  deliver.parent_id = 1;
+  deliver.start_micros = 200;
+  deliver.end_micros = 250;
+  deliver.modeled_micros = 50;
+  deliver.from = obs::Atom("coord");
+  deliver.to = obs::Atom("ntcp.s0");
+  trace.AddDeliver(deliver);
+  obs::TxnRow created;
+  created.id = 3;
+  created.parent_id = 1;
+  created.start_micros = 250;
+  created.end_micros = 250;
+  created.step = 3;
+  created.at = 250;
+  created.timeout = 60'000'000;
+  created.endpoint = obs::Atom("ntcp.s0");
+  created.from = obs::Atom("none");
+  created.to = obs::Atom("proposed");
+  trace.AddTxn(created, "run-s3-a1-S0-with-a-long-id");
+  obs::TxnRow failed = created;
+  failed.id = 4;
+  failed.from = obs::Atom("executing");
+  failed.to = obs::Atom("failed");
+  failed.cause = obs::Atom("crash-recovery");
+  trace.AddTxn(failed, "run-s3-a1-S0-with-a-long-id");
+  obs::SpanRecord after;
+  after.id = 5;
+  after.parent_id = 1;
+  after.name = "site.execute";
+  after.category = "protocol";
+  after.start_micros = 300;
+  after.end_micros = 400;
+  after.tags = {{"step", 3}, {"note", std::string("quote\"d")}};
+  trace.AddSpan(after);
+  return trace;
 }
 
 TEST(TracerTest, FingerprintCoversEveryExportedField) {
@@ -304,6 +357,176 @@ TEST(TracerTest, FingerprintCoversEveryExportedField) {
         << field;
     EXPECT_NE(obs::FingerprintSpans(changed), fingerprint) << field;
   }
+
+  // Every row field, through a trace: rows are hashed and written in
+  // place, and hash the words of the spans they materialize as.
+  const obs::Trace row_base = RowTrace();
+  const std::uint64_t row_fingerprint = obs::FingerprintSpans(row_base);
+  const std::string row_exported = obs::ExportJsonLines(row_base);
+
+  // Rebuilds the trace with one row field changed.
+  const auto with = [](auto mutate_deliver, auto mutate_txn,
+                       std::string_view txn_id) {
+    const obs::Trace source = RowTrace();
+    obs::Trace trace;
+    trace.AddSpan(source.spans()[0]);
+    obs::DeliverRow deliver = source.delivers()[0];
+    mutate_deliver(deliver);
+    trace.AddDeliver(deliver);
+    obs::TxnRow created = source.txns()[0];
+    trace.AddTxn(created, source.TxnId(created));
+    obs::TxnRow failed = source.txns()[1];
+    mutate_txn(failed);
+    trace.AddTxn(failed, txn_id.empty() ? source.TxnId(failed) : txn_id);
+    trace.AddSpan(source.spans()[1]);
+    return trace;
+  };
+  const auto same_txn = [](obs::TxnRow&) {};
+  const auto same_deliver = [](obs::DeliverRow&) {};
+  using Deliver = obs::DeliverRow;
+  using Txn = obs::TxnRow;
+  const std::pair<const char*, obs::Trace> mutants[] = {
+      {"deliver id", with([](Deliver& r) { ++r.id; }, same_txn, "")},
+      {"deliver parent", with([](Deliver& r) { r.parent_id = 0; }, same_txn, "")},
+      {"deliver start", with([](Deliver& r) { ++r.start_micros; }, same_txn, "")},
+      {"deliver end", with([](Deliver& r) { ++r.end_micros; }, same_txn, "")},
+      {"deliver modeled",
+       with([](Deliver& r) { ++r.modeled_micros; }, same_txn, "")},
+      {"deliver from",
+       with([](Deliver& r) { r.from = obs::Atom("ntcp.s1"); }, same_txn, "")},
+      {"deliver to",
+       with([](Deliver& r) { r.to = obs::Atom("ntcp.s1"); }, same_txn, "")},
+      {"txn row id", with(same_deliver, [](Txn& r) { ++r.id; }, "")},
+      {"txn row parent", with(same_deliver, [](Txn& r) { r.parent_id = 0; }, "")},
+      {"txn row start", with(same_deliver, [](Txn& r) { ++r.start_micros; }, "")},
+      {"txn row end", with(same_deliver, [](Txn& r) { ++r.end_micros; }, "")},
+      {"txn id", with(same_deliver, same_txn, "run-s3-a1-S0-with-a-long-iD")},
+      {"txn endpoint",
+       with(same_deliver, [](Txn& r) { r.endpoint = obs::Atom("ntcp.s1"); }, "")},
+      {"txn from",
+       with(same_deliver, [](Txn& r) { r.from = obs::Atom("accepted"); }, "")},
+      {"txn to",
+       with(same_deliver, [](Txn& r) { r.to = obs::Atom("completed"); }, "")},
+      {"txn step", with(same_deliver, [](Txn& r) { ++r.step; }, "")},
+      {"txn at", with(same_deliver, [](Txn& r) { ++r.at; }, "")},
+      {"txn timeout", with(same_deliver, [](Txn& r) { ++r.timeout; }, "")},
+      {"txn cause",
+       with(same_deliver, [](Txn& r) { r.cause = obs::Atom("other"); }, "")},
+      {"txn no cause", with(same_deliver, [](Txn& r) { r.cause = {}; }, "")},
+  };
+  EXPECT_EQ(obs::FingerprintSpans(with(same_deliver, same_txn, "")),
+            row_fingerprint);
+  for (const auto& [field, changed] : mutants) {
+    EXPECT_NE(obs::ExportJsonLines(changed), row_exported) << field;
+    EXPECT_NE(obs::FingerprintSpans(changed), row_fingerprint) << field;
+    EXPECT_EQ(obs::FingerprintSpans(changed),
+              obs::FingerprintSpans(obs::Materialize(changed)))
+        << field;
+  }
+}
+
+// --- rows ----------------------------------------------------------------------
+
+TEST(TraceRowTest, RowsRecordWhatTheirEventsRecord) {
+  // The same calls through rows and through RecordEvent with tags give the
+  // same spans, bytes and fingerprint.
+  const auto record = [](bool rows) {
+    util::SimClock sim{1'000};
+    obs::Tracer tracer(&sim, &sim);
+    obs::Span step = tracer.StartSpan("psd.step", "step");
+    sim.Advance(10);
+    obs::TxnTransition transition;
+    transition.txn = "a-transaction-id-longer-than-sso";
+    transition.endpoint = obs::Atom("ntcp.s0");
+    transition.from = obs::Atom("none");
+    transition.to = obs::Atom("proposed");
+    transition.step = 4;
+    transition.at = sim.NowMicros();
+    transition.timeout = 5'000;
+    if (rows) {
+      tracer.RecordDelivery(obs::Atom("coord"), obs::Atom("ntcp.s0"), 700);
+      tracer.RecordTxnTransition(transition);
+      transition.cause = obs::Atom("crash-recovery");
+      tracer.RecordTxnTransition(transition);
+    } else {
+      // The events the producers recorded before these were rows.
+      tracer.RecordEvent("net.deliver", "network", 700,
+                         {{"from", obs::Atom("coord")},
+                          {"to", obs::Atom("ntcp.s0")}});
+      const std::string txn(transition.txn);
+      tracer.RecordEvent("ntcp.txn", "txn", 0,
+                         {{"txn", txn},
+                          {"endpoint", transition.endpoint},
+                          {"from", transition.from},
+                          {"to", transition.to},
+                          {"step", transition.step},
+                          {"at", transition.at},
+                          {"timeout", transition.timeout}});
+      tracer.RecordEvent("ntcp.txn", "txn", 0,
+                         {{"txn", txn},
+                          {"endpoint", transition.endpoint},
+                          {"from", transition.from},
+                          {"to", transition.to},
+                          {"step", transition.step},
+                          {"at", transition.at},
+                          {"timeout", transition.timeout},
+                          {"cause", obs::Atom("crash-recovery")}});
+    }
+    // Rows never join the span stack: this event's parent is the step.
+    tracer.RecordEvent("ev", "network", 5);
+    EXPECT_EQ(tracer.CurrentSpanId(), step.id());
+    step.End();
+    return tracer.TakeTrace();
+  };
+  const obs::Trace rows = record(true);
+  const obs::Trace events = record(false);
+  EXPECT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows.delivers().size(), 1u);
+  EXPECT_EQ(rows.txns().size(), 2u);
+  EXPECT_TRUE(rows.dense());
+  EXPECT_EQ(obs::Materialize(rows), obs::Materialize(events));
+  EXPECT_EQ(obs::ExportJsonLines(rows), obs::ExportJsonLines(events));
+  EXPECT_EQ(obs::FingerprintSpans(rows), obs::FingerprintSpans(events));
+  EXPECT_EQ(obs::Materialize(rows).back().parent_id, 1u);
+}
+
+TEST(TraceRowTest, RowsExportAndFingerprintAsTheirSpans) {
+  const obs::Trace trace = RowTrace();
+  const std::vector<obs::SpanRecord> spans = obs::Materialize(trace);
+  ASSERT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans[2].tags.size(), 7u);
+  EXPECT_EQ(spans[3].tags.back().key, "cause");
+  EXPECT_EQ(obs::ExportJsonLines(trace), obs::ExportJsonLines(spans));
+  EXPECT_EQ(obs::FingerprintSpans(trace), obs::FingerprintSpans(spans));
+  // Text round trip: the rows come back as plain spans with the same bytes.
+  const auto parsed = obs::ParseJsonLines(obs::ExportJsonLines(trace));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed, spans);
+  // Moving the spans out gives the same stream.
+  obs::Trace moved = RowTrace();
+  EXPECT_EQ(obs::Materialize(std::move(moved)), spans);
+}
+
+TEST(TraceRowTest, TracerSpanApisIncludeRows) {
+  util::SimClock sim;
+  obs::Tracer tracer(&sim, &sim);
+  {
+    obs::Span step = tracer.StartSpan("step", "step");
+    tracer.RecordDelivery(obs::Atom("a"), obs::Atom("b"), 40'000);
+    tracer.RecordEvent("settle", "settle", 60'000);
+  }
+  EXPECT_EQ(tracer.span_count(), 3u);
+  const std::vector<obs::SpanRecord> snapshot = tracer.Snapshot();
+  ASSERT_EQ(snapshot.size(), 3u);
+  EXPECT_EQ(snapshot[1].name, "net.deliver");
+  EXPECT_EQ(snapshot[1].DurationMicros(), 40'000);
+  EXPECT_EQ(tracer.ExportJsonLines(), obs::ExportJsonLines(snapshot));
+  // The delivery is billed to "network" exactly as a recorded event was.
+  const std::string table = tracer.BreakdownTable();
+  EXPECT_NE(table.find("network"), std::string::npos);
+  EXPECT_NE(table.find("40.0%"), std::string::npos);
+  EXPECT_EQ(tracer.TakeSpans(), snapshot);
+  EXPECT_EQ(tracer.span_count(), 0u);
 }
 
 TEST(TracerTest, ParseRejectsMalformedLines) {
