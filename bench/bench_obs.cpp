@@ -13,7 +13,7 @@
 // determinism check, and the tracer's overhead on a real-time run as the
 // median of paired traced/untraced ratios, in wall and CPU time.
 //
-//   bench_obs [steps = 150] [pairs = 9]
+//   bench_obs [steps = 150]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +27,9 @@
 using namespace nees;
 
 namespace {
+
+/// Interleaved traced/untraced pairs behind the overhead figure.
+constexpr std::size_t kOverheadPairs = 9;
 
 most::MostOptions ShapedOptions(std::size_t steps, obs::Tracer* tracer) {
   most::MostOptions options;
@@ -49,9 +52,6 @@ double ProcessCpuMs() {
 int main(int argc, char** argv) {
   const std::size_t steps =
       argc > 1 ? static_cast<std::size_t>(std::atoll(argv[1])) : 150;
-  const std::size_t pairs =
-      argc > 2 ? static_cast<std::size_t>(std::max(1ll, std::atoll(argv[2])))
-               : 9;
   std::printf("==== E-obs (§4): per-step latency breakdown, %zu-step hybrid "
               "MOST run ====\n\n", steps);
 
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   };
   if (wall_run(nullptr).wall_ms < 0) return 1;  // warm-up, not counted
   util::SampleStats base_wall, traced_wall, wall_ratio, cpu_ratio;
-  for (std::size_t pair = 0; pair < pairs; ++pair) {
+  for (std::size_t pair = 0; pair < kOverheadPairs; ++pair) {
     Cost base, traced;
     if (pair % 2 == 0) {
       base = wall_run(nullptr);
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
               "  wall: %.1f ms untraced vs %.1f ms traced (medians); "
               "paired ratio %s\n"
               "  cpu:  paired ratio %s\n\n",
-              steps, pairs, spans, base_wall.Percentile(50),
+              steps, kOverheadPairs, spans, base_wall.Percentile(50),
               traced_wall.Percentile(50), overhead(wall_ratio).c_str(),
               overhead(cpu_ratio).c_str());
 

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cstdio>
 #include <map>
@@ -120,36 +121,91 @@ SpanRecord* Trace::FindSpan(std::uint64_t id) {
 
 namespace {
 
-SpanRecord MaterializeRow(const DeliverRow& row) {
+/// One tag of a row, as the span the row stands for carries it; a text
+/// value points into the row's Trace.
+struct RowTag {
+  Atom key;
+  Tag::Kind kind = Tag::Kind::kInt;
+  std::int64_t number = 0;  // kInt: the value; kName: the value atom's raw id
+  std::string_view text;    // kText: the value
+};
+
+/// A row seen as the span it stands for. The ViewOf overloads below are
+/// the one statement of each row kind's name, category and tags (keys,
+/// order, kinds, the optional cause): Materialize, ExportJsonLines and
+/// FingerprintSpans all read rows through them, so the three stay in step.
+struct RowView {
+  template <typename Row>
+  RowView(const Row& row, Atom name, Atom category,
+          std::int64_t modeled_micros)
+      : id(row.id), parent_id(row.parent_id), name(name), category(category),
+        start_micros(row.start_micros), end_micros(row.end_micros),
+        modeled_micros(modeled_micros) {}
+
+  std::uint64_t id;
+  std::uint64_t parent_id;
+  Atom name;
+  Atom category;
+  std::int64_t start_micros;
+  std::int64_t end_micros;
+  std::int64_t modeled_micros;
+  std::array<RowTag, 8> tags;
+  std::size_t tag_count = 0;
+
+  void AddName(Atom key, Atom value) {
+    tags[tag_count++] = {key, Tag::Kind::kName, value.raw(), {}};
+  }
+  void AddInt(Atom key, std::int64_t value) {
+    tags[tag_count++] = {key, Tag::Kind::kInt, value, {}};
+  }
+  void AddText(Atom key, std::string_view value) {
+    tags[tag_count++] = {key, Tag::Kind::kText, 0, value};
+  }
+  std::span<const RowTag> tag_list() const { return {tags.data(), tag_count}; }
+};
+
+RowView ViewOf(const Trace&, const DeliverRow& row) {
+  RowView view(row, kDeliverName, kDeliverCategory, row.modeled_micros);
+  view.AddName(kFromKey, row.from);
+  view.AddName(kToKey, row.to);
+  return view;
+}
+
+RowView ViewOf(const Trace& trace, const TxnRow& row) {
+  RowView view(row, kTxnName, kTxnCategory, 0);
+  view.AddText(kTxnKey, trace.TxnId(row));
+  view.AddName(kEndpointKey, row.endpoint);
+  view.AddName(kFromKey, row.from);
+  view.AddName(kToKey, row.to);
+  view.AddInt(kStepKey, row.step);
+  view.AddInt(kAtKey, row.at);
+  view.AddInt(kTimeoutKey, row.timeout);
+  if (row.cause.valid()) view.AddName(kCauseKey, row.cause);
+  return view;
+}
+
+SpanRecord MaterializeRow(const RowView& row) {
   SpanRecord span;
   span.id = row.id;
   span.parent_id = row.parent_id;
-  span.name = kDeliverName;
-  span.category = kDeliverCategory;
+  span.name = row.name;
+  span.category = row.category;
   span.start_micros = row.start_micros;
   span.end_micros = row.end_micros;
   span.modeled_micros = row.modeled_micros;
-  span.tags = {{kFromKey, row.from}, {kToKey, row.to}};
-  return span;
-}
-
-SpanRecord MaterializeRow(const Trace& trace, const TxnRow& row) {
-  SpanRecord span;
-  span.id = row.id;
-  span.parent_id = row.parent_id;
-  span.name = kTxnName;
-  span.category = kTxnCategory;
-  span.start_micros = row.start_micros;
-  span.end_micros = row.end_micros;
-  span.tags.reserve(row.cause.valid() ? 8 : 7);
-  span.tags.emplace_back(kTxnKey, std::string(trace.TxnId(row)));
-  span.tags.emplace_back(kEndpointKey, row.endpoint);
-  span.tags.emplace_back(kFromKey, row.from);
-  span.tags.emplace_back(kToKey, row.to);
-  span.tags.emplace_back(kStepKey, row.step);
-  span.tags.emplace_back(kAtKey, row.at);
-  span.tags.emplace_back(kTimeoutKey, row.timeout);
-  if (row.cause.valid()) span.tags.emplace_back(kCauseKey, row.cause);
+  span.tags.reserve(row.tag_count);
+  for (const RowTag& tag : row.tag_list()) {
+    switch (tag.kind) {
+      case Tag::Kind::kInt: span.tags.emplace_back(tag.key, tag.number); break;
+      case Tag::Kind::kName:
+        span.tags.emplace_back(
+            tag.key, Atom::FromRaw(static_cast<std::uint32_t>(tag.number)));
+        break;
+      case Tag::Kind::kText:
+        span.tags.emplace_back(tag.key, std::string(tag.text));
+        break;
+    }
+  }
   return span;
 }
 
@@ -165,10 +221,11 @@ std::vector<SpanRecord> Materialize(Trace&& trace) {
         spans.push_back(std::move(trace.spans_[index]));
         break;
       case Trace::kDeliver:
-        spans.push_back(MaterializeRow(trace.delivers_[index]));
+        spans.push_back(
+            MaterializeRow(ViewOf(trace, trace.delivers_[index])));
         break;
       default:
-        spans.push_back(MaterializeRow(trace, trace.txns_[index]));
+        spans.push_back(MaterializeRow(ViewOf(trace, trace.txns_[index])));
         break;
     }
   }
@@ -604,53 +661,39 @@ void AppendIntValueJson(std::int64_t value, std::string& out) {
   out += '"';
 }
 
+/// `"key":"value"`, the value rendered from its kind.
+void AppendTagJson(Atom key, Tag::Kind kind, std::int64_t number,
+                   std::string_view text, bool first, std::string& out) {
+  AppendKeyJson(key, first, out);
+  switch (kind) {
+    case Tag::Kind::kInt: AppendIntValueJson(number, out); break;
+    case Tag::Kind::kName:
+      AppendJsonString(
+          Atom::FromRaw(static_cast<std::uint32_t>(number)).str(), out);
+      break;
+    case Tag::Kind::kText: AppendJsonString(text, out); break;
+  }
+}
+
 void AppendSpanJson(const SpanRecord& span, std::string& out) {
   AppendHeadJson(span.id, span.parent_id, span.name, span.category,
                  span.start_micros, span.end_micros, span.modeled_micros,
                  out);
   bool first = true;
   for (const Tag& tag : span.tags) {
-    AppendKeyJson(tag.key, first, out);
+    AppendTagJson(tag.key, tag.kind, tag.number, tag.text, first, out);
     first = false;
-    switch (tag.kind) {
-      case Tag::Kind::kInt: AppendIntValueJson(tag.number, out); break;
-      case Tag::Kind::kName: AppendJsonString(tag.name().str(), out); break;
-      case Tag::Kind::kText: AppendJsonString(tag.text, out); break;
-    }
   }
   out += "}}\n";
 }
 
-void AppendRowJson(const Trace&, const DeliverRow& row, std::string& out) {
-  AppendHeadJson(row.id, row.parent_id, kDeliverName, kDeliverCategory,
+void AppendRowJson(const RowView& row, std::string& out) {
+  AppendHeadJson(row.id, row.parent_id, row.name, row.category,
                  row.start_micros, row.end_micros, row.modeled_micros, out);
-  AppendKeyJson(kFromKey, true, out);
-  AppendJsonString(row.from.str(), out);
-  AppendKeyJson(kToKey, false, out);
-  AppendJsonString(row.to.str(), out);
-  out += "}}\n";
-}
-
-void AppendRowJson(const Trace& trace, const TxnRow& row, std::string& out) {
-  AppendHeadJson(row.id, row.parent_id, kTxnName, kTxnCategory,
-                 row.start_micros, row.end_micros, 0, out);
-  AppendKeyJson(kTxnKey, true, out);
-  AppendJsonString(trace.TxnId(row), out);
-  AppendKeyJson(kEndpointKey, false, out);
-  AppendJsonString(row.endpoint.str(), out);
-  AppendKeyJson(kFromKey, false, out);
-  AppendJsonString(row.from.str(), out);
-  AppendKeyJson(kToKey, false, out);
-  AppendJsonString(row.to.str(), out);
-  AppendKeyJson(kStepKey, false, out);
-  AppendIntValueJson(row.step, out);
-  AppendKeyJson(kAtKey, false, out);
-  AppendIntValueJson(row.at, out);
-  AppendKeyJson(kTimeoutKey, false, out);
-  AppendIntValueJson(row.timeout, out);
-  if (row.cause.valid()) {
-    AppendKeyJson(kCauseKey, false, out);
-    AppendJsonString(row.cause.str(), out);
+  bool first = true;
+  for (const RowTag& tag : row.tag_list()) {
+    AppendTagJson(tag.key, tag.kind, tag.number, tag.text, first, out);
+    first = false;
   }
   out += "}}\n";
 }
@@ -684,7 +727,7 @@ std::string ExportJsonLines(const Trace& trace) {
                                  SpanRecord>) {
       AppendSpanJson(record, out);
     } else {
-      AppendRowJson(trace, record, out);
+      AppendRowJson(ViewOf(trace, record), out);
     }
   });
   return out;
@@ -763,19 +806,15 @@ void HashHead(std::uint64_t id, std::uint64_t parent_id, Atom name,
   hash.Word(tag_count);
 }
 
-void HashTagKey(Atom key, Tag::Kind kind, util::WordHash& hash) {
+void HashTag(Atom key, Tag::Kind kind, std::int64_t number,
+             std::string_view text, util::WordHash& hash) {
   hash.Word((std::uint64_t{key.raw()} << 8) |
             static_cast<std::uint64_t>(kind));
-}
-
-void HashNameTag(Atom key, Atom value, util::WordHash& hash) {
-  HashTagKey(key, Tag::Kind::kName, hash);
-  hash.Word(value.raw());
-}
-
-void HashIntTag(Atom key, std::int64_t value, util::WordHash& hash) {
-  HashTagKey(key, Tag::Kind::kInt, hash);
-  hash.Word(static_cast<std::uint64_t>(value));
+  if (kind == Tag::Kind::kText) {
+    hash.String(text);
+  } else {
+    hash.Word(static_cast<std::uint64_t>(number));
+  }
 }
 
 void HashRecord(const SpanRecord& span, util::WordHash& hash) {
@@ -783,34 +822,16 @@ void HashRecord(const SpanRecord& span, util::WordHash& hash) {
            span.start_micros, span.end_micros, span.modeled_micros,
            span.tags.size(), hash);
   for (const Tag& tag : span.tags) {
-    HashTagKey(tag.key, tag.kind, hash);
-    if (tag.kind == Tag::Kind::kText) {
-      hash.String(tag.text);
-    } else {
-      hash.Word(static_cast<std::uint64_t>(tag.number));
-    }
+    HashTag(tag.key, tag.kind, tag.number, tag.text, hash);
   }
 }
 
-void HashRecord(const Trace&, const DeliverRow& row, util::WordHash& hash) {
-  HashHead(row.id, row.parent_id, kDeliverName, kDeliverCategory,
-           row.start_micros, row.end_micros, row.modeled_micros, 2, hash);
-  HashNameTag(kFromKey, row.from, hash);
-  HashNameTag(kToKey, row.to, hash);
-}
-
-void HashRecord(const Trace& trace, const TxnRow& row, util::WordHash& hash) {
-  HashHead(row.id, row.parent_id, kTxnName, kTxnCategory, row.start_micros,
-           row.end_micros, 0, row.cause.valid() ? 8 : 7, hash);
-  HashTagKey(kTxnKey, Tag::Kind::kText, hash);
-  hash.String(trace.TxnId(row));
-  HashNameTag(kEndpointKey, row.endpoint, hash);
-  HashNameTag(kFromKey, row.from, hash);
-  HashNameTag(kToKey, row.to, hash);
-  HashIntTag(kStepKey, row.step, hash);
-  HashIntTag(kAtKey, row.at, hash);
-  HashIntTag(kTimeoutKey, row.timeout, hash);
-  if (row.cause.valid()) HashNameTag(kCauseKey, row.cause, hash);
+void HashRecord(const RowView& row, util::WordHash& hash) {
+  HashHead(row.id, row.parent_id, row.name, row.category, row.start_micros,
+           row.end_micros, row.modeled_micros, row.tag_count, hash);
+  for (const RowTag& tag : row.tag_list()) {
+    HashTag(tag.key, tag.kind, tag.number, tag.text, hash);
+  }
 }
 
 }  // namespace
@@ -830,7 +851,7 @@ std::uint64_t FingerprintSpans(const Trace& trace) {
                                  SpanRecord>) {
       HashRecord(record, hash);
     } else {
-      HashRecord(trace, record, hash);
+      HashRecord(ViewOf(trace, record), hash);
     }
   });
   return hash.value();
