@@ -323,7 +323,7 @@ int main(int argc, char** argv) {
   std::printf(
       "shape: virtual time decouples schedule exploration from wall time —\n"
       "a multi-second simulated experiment (WAN latencies, outages, retry\n"
-      "backoff, heartbeats) replays in milliseconds, so the oracle stack\n"
+      "backoff, re-wakes) replays in milliseconds, so the oracle stack\n"
       "sweeps hundreds of thousands of distinct fault schedules per hour\n"
       "on one core.\n");
   return (failures == 0 && campaign.failures == 0) ? 0 : 1;

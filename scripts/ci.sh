@@ -9,7 +9,8 @@
 # of lock_budget_test, which count through lockdep; Release, with lockdep
 # compiled out, skips them) and the gridbench self-test after the Release
 # leg (plus one 10-second untraced run of each gridbench workload and a
-# 100,000-seed Release fuzz campaign), then gates on
+# 100,000-seed Release fuzz campaign, whose summary must count at least
+# one crash-marked transaction and one re-wake), then gates on
 # protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +
@@ -75,7 +76,23 @@ echo "######## nees_fuzz campaign, seeds 1-100,000 (Release) ########"
 # runs the cheap oracles, and a failure prints its replay command. The
 # range holds seed 86665, whose up-front GSI login used to run out of
 # retries.
-"$prefix-release/tools/nees_fuzz" --campaign --seeds 100000 --workers "$jobs"
+campaign_log="$prefix-release/campaign-100k.txt"
+if ! "$prefix-release/tools/nees_fuzz" --campaign --seeds 100000 \
+       --workers "$jobs" > "$campaign_log"; then
+  cat "$campaign_log"
+  exit 1
+fi
+cat "$campaign_log"
+# Coverage floor: the range must still crash a site mid-execute (WAL
+# crash-marking) and still lose a wake that only the plugin's re-wake
+# recovers. An event-order change that stops exercising either backstop
+# fails here instead of passing silently.
+for counter in crash-marked re-wakes; do
+  if grep -Eq "[ ]0 $counter" "$campaign_log"; then
+    echo "campaign coverage FAILED: 0 $counter in seeds 1-100,000" >&2
+    exit 1
+  fi
+done
 run_config "$prefix-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
            "-DNEES_SANITIZE=address;undefined" -DNEES_LOCKDEP=ON
 

@@ -231,12 +231,12 @@ FuzzTemplate TemplateForSeed(std::uint64_t seed) {
 
 std::string FuzzScenario::Describe() const {
   std::string out = util::Format(
-      "seed=%llu template=%s sites=%zu steps=%zu engine=%s heartbeat=%lldus "
+      "seed=%llu template=%s sites=%zu steps=%zu engine=%s rewake=%lldus "
       "expiry=%lldus faults=%zu\n",
       static_cast<unsigned long long>(seed),
       std::string(TemplateName(shape)).c_str(), sites, steps,
       std::string(EngineName(engine)).c_str(),
-      static_cast<long long>(heartbeat_micros),
+      static_cast<long long>(rewake_micros),
       static_cast<long long>(expiry_period_micros), faults.size());
   if (shape == FuzzTemplate::kCentrifuge) {
     out += util::Format("  piles=%zu\n", piles);
@@ -329,7 +329,7 @@ FuzzScenario GenerateMini(std::uint64_t seed) {
   s.steps = static_cast<std::size_t>(topo.UniformInt(5, 10));
   s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
                                     : psd::StepEngine::kSequential;
-  s.heartbeat_micros = 1000LL * timing.UniformInt(150, 400);
+  s.rewake_micros = 1000LL * timing.UniformInt(150, 400);
   s.expiry_period_micros = 1000LL * timing.UniformInt(200, 1000);
 
   for (std::size_t i = 0; i < s.sites; ++i) {
@@ -405,7 +405,7 @@ FuzzScenario GenerateFullMost(std::uint64_t seed) {
   s.steps = 1500;
   s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
                                     : psd::StepEngine::kSequential;
-  s.heartbeat_micros = 1000LL * timing.UniformInt(150, 400);
+  s.rewake_micros = 1000LL * timing.UniformInt(150, 400);
   s.expiry_period_micros = 1000LL * timing.UniformInt(200, 1000);
 
   for (std::size_t i = 0; i < s.sites; ++i) {
@@ -494,10 +494,10 @@ FuzzScenario GenerateCentrifuge(std::uint64_t seed) {
   // then re-characterize), each budgeted ~250ms of virtual time.
   const std::int64_t horizon =
       static_cast<std::int64_t>(3 + s.piles * 6) * 250'000;
-  // Survivability budget, specific to this shape: unlike the MOST
-  // templates there is no heartbeat/poll background traffic on the
-  // operator link, so armed DropNext/CorruptNext counts don't drain
-  // between transactions — they stack. A transaction gets 6 RPC attempts
+  // Survivability budget, specific to this shape: the operator link
+  // carries one transaction at a time and nothing else, so armed
+  // DropNext/CorruptNext counts don't drain between transactions — they
+  // stack. A transaction gets 6 RPC attempts
   // and (corrupted frames fail the CRC, i.e. are drops) every armed loss
   // can land on the same transaction, so the total armed loss count across
   // the schedule must stay under the retry ladder. Draws beyond the budget
@@ -562,7 +562,7 @@ FuzzScenario GenerateScenario(std::uint64_t seed) {
   s.steps = static_cast<std::size_t>(topo.UniformInt(8, 24));
   s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
                                     : psd::StepEngine::kSequential;
-  s.heartbeat_micros = 1000LL * timing.UniformInt(150, 400);
+  s.rewake_micros = 1000LL * timing.UniformInt(150, 400);
   s.expiry_period_micros = 1000LL * timing.UniformInt(200, 1000);
 
   for (std::size_t i = 0; i < s.sites; ++i) {
@@ -722,6 +722,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
 
     plugins::MPluginConfig mconfig;
     mconfig.execute_timeout_micros = 30'000'000;  // virtual; generous
+    mconfig.rewake_micros = scenario.rewake_micros;
     auto plugin = std::make_unique<plugins::MPlugin>(mconfig);
     harness->plugin = plugin.get();
     harness->server = std::make_unique<ntcp::NtcpServer>(
@@ -755,9 +756,8 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
         std::make_unique<net::RpcServer>(&network, WakeEndpoint(i));
     harness->wake_server->Start();
     harness->backend = std::make_unique<plugins::VirtualPollingBackend>(
-        &network, harness->backend_rpc.get(), ntcp_ep,
-        plugins::MakeSimulationCompute(slot.models),
-        scenario.heartbeat_micros);
+        harness->backend_rpc.get(), ntcp_ep,
+        plugins::MakeSimulationCompute(slot.models));
     harness->backend->BindWakeRpc(*harness->wake_server);
     harness->backend->Start();
 
@@ -874,8 +874,8 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   // Tracks the last instant any enabled fault can still be in flight; the
   // teardown advance must clear it, or (on runs that fail early, or long
   // templates whose faults land past the natural end) a crash fault's
-  // revival would fire inside RunUntilQuiescent and build a fresh backend
-  // whose self-rescheduling heartbeat never quiesces.
+  // revival would fire inside RunUntilQuiescent, after the orphan sweep
+  // below, and its recovered transactions would never be swept.
   std::int64_t fault_horizon = 0;
   for (std::size_t i = 0; i < scenario.faults.size(); ++i) {
     if (!FaultEnabled(fault_mask, i)) continue;
@@ -1046,7 +1046,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   // that stopped early (completion failure) or a long template whose
   // schedule outlives the natural end, crash faults may still be pending,
   // and their revivals must fire here — not during RunUntilQuiescent,
-  // where a freshly built backend's heartbeat chain would never drain.
+  // after the advance that expires what a revived incarnation recovered.
   network.AdvanceTo(std::max(network.clock()->NowMicros(), fault_horizon) +
                     config.proposal_timeout_micros +
                     2 * scenario.expiry_period_micros);
@@ -1065,15 +1065,19 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   for (const auto& stats : report.site_stats) {
     out.step_reattempts = std::max(out.step_reattempts, stats.step_reattempts);
   }
-  for (const auto& slot : sites) {
-    // Wake/heartbeat counters accumulate across every incarnation.
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const SiteSlot* slot = sites[i].get();
+    out.wakes_lost +=
+        network.LinkMetricsFor(NotifierEndpoint(i), WakeEndpoint(i))
+            .dropped_total();
+    // Wake counters accumulate across every incarnation.
     if (slot->live != nullptr) {
       out.wakes += slot->live->backend->wakes();
-      out.heartbeats += slot->live->backend->heartbeats();
+      out.rewakes += slot->live->plugin->rewakes();
     }
     for (const auto& dead : slot->graveyard) {
       out.wakes += dead->backend->wakes();
-      out.heartbeats += dead->backend->heartbeats();
+      out.rewakes += dead->plugin->rewakes();
     }
     out.site_crashes += slot->crashes;
     out.site_recoveries += slot->recoveries;

@@ -1,7 +1,7 @@
 // Deterministic simulation fuzzer for the MOST stack (nees_fuzz).
 //
 // DeliveryMode::kVirtual turns the whole distributed experiment — RPC
-// delivery, retry backoff, backend heartbeats, proposal-expiry timers —
+// delivery, retry backoff, backend wakes, proposal-expiry timers —
 // into one single-threaded, totally ordered event schedule per seed. This
 // harness exploits that: GenerateScenario(seed) derives a random topology,
 // per-link latency/jitter/drop models, a step engine, and a fault schedule
@@ -130,7 +130,9 @@ struct FuzzScenario {
   std::size_t steps = 12;
   psd::StepEngine engine = psd::StepEngine::kAsync;
   std::vector<net::LinkModel> site_links;  // coordinator<->site, per site
-  std::int64_t heartbeat_micros = 250'000;
+  /// MPluginConfig::rewake_micros: how long an unpolled request waits
+  /// before its Execute re-sends the lost wake.
+  std::int64_t rewake_micros = 250'000;
   std::int64_t expiry_period_micros = 500'000;
   /// kCentrifuge only: piles installed (each = 3 robot transactions, plus a
   /// 3-transaction soil characterization pass before and after every pile).
@@ -188,7 +190,8 @@ struct FuzzOutcome {
   net::LinkMetrics net_totals;
   std::uint64_t events_processed = 0;  // virtual loop deliveries + timers
   std::uint64_t wakes = 0;             // backend wake RPCs handled
-  std::uint64_t heartbeats = 0;        // backend heartbeat firings
+  std::uint64_t wakes_lost = 0;        // wake notifications the network lost
+  std::uint64_t rewakes = 0;           // wakes re-sent for unpolled requests
   // Crash/restart accounting (kSiteCrashRestart faults).
   std::uint64_t site_crashes = 0;      // kill events that found a live site
   std::uint64_t site_recoveries = 0;   // revivals (== crashes when all fire)

@@ -275,7 +275,7 @@ std::int64_t Network::PumpClock::NowMicros() const {
 
 void Network::PumpClock::SleepMicros(std::int64_t micros) {
   // A virtual "sleep" delivers everything due in the window, in order, so
-  // a backoff timer or heartbeat wait observes the world it would have
+  // a backoff timer or completion wait observes the world it would have
   // observed on a real network — just reproducibly.
   network_->AdvanceTo(network_->virtual_clock_->NowMicros() +
                       std::max<std::int64_t>(micros, 0));

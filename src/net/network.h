@@ -165,7 +165,7 @@ class Network {
   /// The clock protocol layers should use. In kImmediate this is whatever
   /// SetClock installed. In kVirtual it is a pumping facade:
   /// NowMicros() reads the virtual timeline and SleepMicros(d) runs
-  /// AdvanceTo(now + d), so a "sleeping" caller (retry backoff, heartbeat
+  /// AdvanceTo(now + d), so a "sleeping" caller (retry backoff, completion
   /// wait) delivers every event due in the window, in order, before waking.
   util::Clock* clock() const { return clock_; }
 

@@ -69,20 +69,36 @@ void NtcpServer::Stop() {
 
 void NtcpServer::ArmExpiryTimer(net::Network* network,
                                 std::int64_t period_micros) {
-  if (expiry_armed_ == nullptr) {
-    expiry_armed_ = std::make_shared<bool>(true);
+  // A fresh flag per arming: ticks queued by an earlier arming stay dead.
+  if (expiry_armed_ != nullptr) *expiry_armed_ = false;
+  expiry_armed_ = std::make_shared<bool>(true);
+  util::MutexLock lock(mu_);
+  expiry_net_ = network;
+  expiry_origin_ = network->clock()->NowMicros();
+  expiry_period_ = period_micros;
+  expiry_tick_queued_ = false;
+  QueueExpiryTickLocked();
+}
+
+void NtcpServer::QueueExpiryTickLocked() {
+  if (expiry_net_ == nullptr || expiry_tick_queued_ || expiry_live_ == 0) {
+    return;
   }
-  *expiry_armed_ = true;
-  // Self-rescheduling: each firing expires stale proposals, then re-arms —
-  // unless Stop() cleared the flag, in which case the chain ends and
-  // RunUntilQuiescent can drain to empty.
-  std::shared_ptr<bool> armed = expiry_armed_;
-  network->ScheduleAfter(period_micros, [this, network, period_micros,
-                                         armed] {
-    if (!*armed) return;
-    ExpireStale();
-    ArmExpiryTimer(network, period_micros);
+  const std::int64_t now = expiry_net_->clock()->NowMicros();
+  const std::int64_t due =
+      expiry_origin_ +
+      ((now - expiry_origin_) / expiry_period_ + 1) * expiry_period_;
+  expiry_tick_queued_ = true;
+  expiry_net_->ScheduleAt(due, [this, armed = expiry_armed_] {
+    if (*armed) OnExpiryTick();
   });
+}
+
+void NtcpServer::OnExpiryTick() {
+  util::MutexLock lock(mu_);
+  ExpireStaleLocked();
+  expiry_tick_queued_ = false;
+  QueueExpiryTickLocked();
 }
 
 void NtcpServer::set_tracer(obs::Tracer* tracer) {
@@ -332,6 +348,7 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
     ++stats_.accepted;
     TransitionLocked(id, inserted->second, TransactionState::kAccepted, "");
     IndexForExpiryLocked(*inserted);
+    QueueExpiryTickLocked();
     WalSyncLocked();  // durable before the accept is disclosed
     return {true, ""};
   }
@@ -530,6 +547,10 @@ void NtcpServer::BoundExpiryIndexLocked() {
 
 int NtcpServer::ExpireStale() {
   util::MutexLock lock(mu_);
+  return ExpireStaleLocked();
+}
+
+int NtcpServer::ExpireStaleLocked() {
   const std::int64_t now = clock_->NowMicros();
   // A deadline is fixed at creation (proposed_at + timeout), so the entries
   // strictly past `now` whose transaction is still open are exactly the
@@ -675,6 +696,7 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
   WalSyncLocked();
   // Recovered proposed/accepted transactions keep their original deadlines.
   RebuildExpiryIndexLocked();
+  QueueExpiryTickLocked();
 
   // Republish every recovered transaction's SDE so OGSI inspection of the
   // new incarnation sees the full table, not just post-restart changes.

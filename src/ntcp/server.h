@@ -110,11 +110,15 @@ class NtcpServer {
   /// amortized over the transitions that staled it.
   static constexpr std::size_t kExpirySlack = 64;
 
-  /// kVirtual only: arms a self-rescheduling timer on `network`'s event
-  /// loop that runs ExpireStale() every `period_micros` of virtual time, so
-  /// proposal expiry joins the same totally ordered, seed-reproducible
-  /// schedule as delivery, retries, and heartbeats. Disarmed by Stop() (an
-  /// already-queued firing becomes a no-op and does not re-arm).
+  /// kVirtual only: runs ExpireStale() on `network`'s event loop at the
+  /// ticks arm time + k * `period_micros` of virtual time, so proposal
+  /// expiry joins the same totally ordered, seed-reproducible schedule as
+  /// delivery and retries. A tick is queued only while a transaction can
+  /// lapse: a tick that leaves nothing open does not re-arm, and the
+  /// Propose that opens one queues the next tick of the grid (as does this
+  /// call, for transactions recovered from the WAL). A skipped tick would
+  /// have found nothing to expire. Disarmed by Stop() (an already-queued
+  /// tick becomes a no-op and does not re-arm).
   void ArmExpiryTimer(net::Network* network, std::int64_t period_micros);
 
   /// Drops terminal transactions older than `retention_micros`, bounding
@@ -202,6 +206,11 @@ class NtcpServer {
   /// Drops the stale index entries once they outnumber the live ones by
   /// more than kExpirySlack.
   void BoundExpiryIndexLocked() NEES_REQUIRES(mu_);
+  int ExpireStaleLocked() NEES_REQUIRES(mu_);
+  /// Queues the first expiry tick of the grid strictly after now, unless
+  /// the timer is unarmed, a tick is already queued, or nothing can lapse.
+  void QueueExpiryTickLocked() NEES_REQUIRES(mu_);
+  void OnExpiryTick();
 
   net::RpcServer rpc_server_;
   std::unique_ptr<ControlPlugin> plugin_;
@@ -246,8 +255,14 @@ class NtcpServer {
       TransactionState::kProposed;
   std::int64_t last_changed_at_ NEES_GUARDED_BY(mu_) = 0;
 
-  // Liveness flag captured by armed expiry timers; cleared on Stop() so a
-  // queued firing after shutdown is a safe no-op.
+  // The expiry tick grid (ArmExpiryTimer): ticks fall at expiry_origin_ +
+  // k * expiry_period_ on expiry_net_'s clock; null until armed.
+  net::Network* expiry_net_ NEES_GUARDED_BY(mu_) = nullptr;
+  std::int64_t expiry_origin_ NEES_GUARDED_BY(mu_) = 0;
+  std::int64_t expiry_period_ NEES_GUARDED_BY(mu_) = 0;
+  bool expiry_tick_queued_ NEES_GUARDED_BY(mu_) = false;
+  // Liveness flag captured by queued expiry ticks; cleared on Stop() so a
+  // tick that fires after shutdown is a safe no-op.
   std::shared_ptr<bool> expiry_armed_;
 };
 

@@ -27,6 +27,14 @@ net::MethodId NotifyMethod() {
   return id;
 }
 
+// The {has_work, Proposal} answer of both mplugin.poll and mplugin.notify.
+net::Bytes EncodePoll(const std::optional<ntcp::Proposal>& proposal) {
+  util::ByteWriter writer(util::AcquireFrame());
+  writer.WriteBool(proposal.has_value());
+  if (proposal) ntcp::EncodeProposal(*proposal, writer);
+  return writer.Take();
+}
+
 }  // namespace
 
 MPlugin::MPlugin(Config config) : config_(config) {}
@@ -80,12 +88,34 @@ util::Result<ntcp::TransactionResult> MPlugin::Execute(
       // runs outside mu_ (it delivers the wake, the backend's poll, the
       // compute, and the notify — possibly recursively) until PostResult
       // marks us done or the timeout's virtual deadline passes.
-      const std::int64_t give_up = virtual_net_->clock()->NowMicros() +
-                                   config_.execute_timeout_micros;
-      while (!pending->done && !shutting_down_ &&
-             virtual_net_->clock()->NowMicros() < give_up) {
+      util::Clock* clock = virtual_net_->clock();
+      const std::int64_t give_up =
+          clock->NowMicros() + config_.execute_timeout_micros;
+      std::int64_t rewake_at = config_.rewake_micros > 0
+                                   ? clock->NowMicros() + config_.rewake_micros
+                                   : give_up;
+      while (!pending->done && !shutting_down_) {
+        const std::int64_t now = clock->NowMicros();
+        if (now >= give_up) break;
+        if (now >= rewake_at) {
+          // Still unpolled one interval on: the wake was lost, so the
+          // backend is not coming. Tell it again.
+          rewake_at = now + config_.rewake_micros;
+          const bool unpolled = std::any_of(
+              queue_.begin(), queue_.end(), [&](const ntcp::Proposal& q) {
+                return q.transaction_id == proposal.transaction_id;
+              });
+          if (unpolled && work_notifier_) {
+            ++rewakes_;
+            std::function<void()> renotify = work_notifier_;
+            lock.Unlock();
+            renotify();
+            lock.Lock();
+          }
+          continue;
+        }
         lock.Unlock();
-        virtual_net_->PumpOneUntil(give_up);
+        virtual_net_->PumpOneUntil(std::min(give_up, rewake_at));
         lock.Lock();
       }
       completed = pending->done || shutting_down_;
@@ -185,11 +215,7 @@ void MPlugin::BindBackendRpc(net::RpcServer& server) {
         util::ByteReader reader(body);
         // max_wait: decoded for the wire format, ignored (polls never block).
         NEES_RETURN_IF_ERROR(reader.ReadI64().status());
-        auto proposal = PollRequest();
-        util::ByteWriter writer(util::AcquireFrame());
-        writer.WriteBool(proposal.has_value());
-        if (proposal) ntcp::EncodeProposal(*proposal, writer);
-        return writer.Take();
+        return EncodePoll(PollRequest());
       });
   server.RegisterMethod(
       "mplugin.notify",
@@ -206,7 +232,7 @@ void MPlugin::BindBackendRpc(net::RpcServer& server) {
           NEES_ASSIGN_OR_RETURN(std::string error, reader.ReadString());
           NEES_RETURN_IF_ERROR(PostResult(id, util::Internal(error)));
         }
-        return net::Bytes{};
+        return EncodePoll(PollRequest());
       });
 }
 
@@ -218,6 +244,11 @@ std::uint64_t MPlugin::polls() const {
 std::size_t MPlugin::buffered() const {
   util::MutexLock lock(mu_);
   return queue_.size();
+}
+
+std::uint64_t MPlugin::rewakes() const {
+  util::MutexLock lock(mu_);
+  return rewakes_;
 }
 
 // ---------------------------------------------------------------------------
@@ -262,16 +293,12 @@ void PollingBackend::Drain() {
 // ---------------------------------------------------------------------------
 // VirtualPollingBackend
 
-VirtualPollingBackend::VirtualPollingBackend(net::Network* network,
-                                             net::RpcClient* rpc,
+VirtualPollingBackend::VirtualPollingBackend(net::RpcClient* rpc,
                                              std::string plugin_endpoint,
-                                             Compute compute,
-                                             std::int64_t heartbeat_micros)
-    : network_(network),
-      rpc_(rpc),
+                                             Compute compute)
+    : rpc_(rpc),
       plugin_id_(plugin_endpoint),
-      compute_(std::move(compute)),
-      heartbeat_micros_(heartbeat_micros) {}
+      compute_(std::move(compute)) {}
 
 VirtualPollingBackend::~VirtualPollingBackend() { Stop(); }
 
@@ -282,88 +309,66 @@ void VirtualPollingBackend::BindWakeRpc(net::RpcServer& server) {
       [this, running](const net::CallContext&, const net::Bytes&) {
         if (!*running) return;
         ++wakes_;
-        // Activity: the next fallback firing should come promptly again.
-        heartbeat_interval_ = heartbeat_micros_;
         Drain();
       });
 }
 
-void VirtualPollingBackend::Start() {
-  if (*running_) return;
-  *running_ = true;
-  heartbeat_interval_ = heartbeat_micros_;
-  ArmHeartbeat();
-}
+void VirtualPollingBackend::Start() { *running_ = true; }
 
 void VirtualPollingBackend::Stop() { *running_ = false; }
 
-void VirtualPollingBackend::ArmHeartbeat() {
-  std::shared_ptr<bool> running = running_;
-  network_->ScheduleAfter(heartbeat_interval_, [this, running] {
-    if (!*running) return;
-    ++heartbeats_;
-    const std::uint64_t before = processed_;
-    Drain();
-    // Adaptive backoff: idle firings double the interval up to 8x base;
-    // any firing that found work snaps back to the base interval.
-    if (processed_ == before) {
-      heartbeat_interval_ =
-          std::min<std::int64_t>(heartbeat_interval_ * 2,
-                                 heartbeat_micros_ * 8);
-    } else {
-      heartbeat_interval_ = heartbeat_micros_;
-    }
-    ArmHeartbeat();
-  });
-}
-
 void VirtualPollingBackend::Drain() {
   if (draining_) {
-    // A wake delivered while a poll cycle's RPCs were pumping the loop:
-    // remember it so the outer drain re-checks the queue instead of
-    // dropping the signal on the floor.
+    // A wake delivered while a cycle's RPCs were pumping the loop: remember
+    // it so the outer drain polls again instead of dropping the signal on
+    // the floor (the notify hand-off may already have served its request).
     rewake_ = true;
     return;
   }
   draining_ = true;
   do {
     rewake_ = false;
-    for (;;) {
-      auto worked = PollOnce();
-      if (!worked.ok()) {
-        NEES_LOG_WARN("plugins.backend")
-            << "virtual poll cycle failed: " << worked.status().ToString();
-        break;
-      }
-      if (!*worked) break;
-      ++processed_;
+    // One poll; after that every notify answers with the next request, so
+    // the drain ends on the notify that finds the queue empty.
+    util::ByteWriter poll_writer(std::move(body_));
+    poll_writer.WriteI64(0);  // max_wait: kept on the wire, ignored
+    util::Result<net::Bytes> polled =
+        rpc_->Call(plugin_id_, PollMethod(), poll_writer.data());
+    body_ = poll_writer.Take();
+    util::Result<bool> worked = TakeWork(std::move(polled));
+    while (worked.ok() && *worked) {
+      worked = ComputeAndNotify();
+      if (worked.ok()) ++processed_;
+    }
+    if (!worked.ok()) {
+      NEES_LOG_WARN("plugins.backend")
+          << "virtual poll cycle failed: " << worked.status().ToString();
     }
   } while (rewake_ && *running_);
   draining_ = false;
 }
 
-util::Result<bool> VirtualPollingBackend::PollOnce() {
-  // Both request bodies are encoded into body_, which the RPC layer copies
-  // into its envelope; the response frames go back to the pool once
-  // decoded. A steady-state cycle allocates no frame of its own.
-  util::ByteWriter poll_writer(std::move(body_));
-  poll_writer.WriteI64(0);  // max_wait: kept on the wire, ignored
-  util::Result<net::Bytes> polled =
-      rpc_->Call(plugin_id_, PollMethod(), poll_writer.data());
-  body_ = poll_writer.Take();
-  NEES_RETURN_IF_ERROR(polled.status());
-  net::Bytes response = *std::move(polled);
-  util::ByteReader reader(response);
+util::Result<bool> VirtualPollingBackend::TakeWork(
+    util::Result<net::Bytes> response) {
+  // The response frame goes back to the pool once decoded; a steady-state
+  // cycle allocates no frame of its own.
+  NEES_RETURN_IF_ERROR(response.status());
+  net::Bytes frame = *std::move(response);
+  util::ByteReader reader(frame);
   util::Result<bool> has_work = reader.ReadBool();
   util::Status decoded;
   if (has_work.ok() && *has_work) {
     decoded = ntcp::DecodeProposalInto(reader, proposal_);
   }
-  util::ReleaseFrame(std::move(response));
+  util::ReleaseFrame(std::move(frame));
   NEES_RETURN_IF_ERROR(has_work.status());
-  if (!*has_work) return false;
   NEES_RETURN_IF_ERROR(decoded);
+  return *has_work;
+}
 
+util::Result<bool> VirtualPollingBackend::ComputeAndNotify() {
+  // The request body is encoded into body_, which the RPC layer copies
+  // into its envelope.
   auto outcome = compute_(proposal_);
   util::ByteWriter notify_writer(std::move(body_));
   notify_writer.WriteString(proposal_.transaction_id);
@@ -376,9 +381,7 @@ util::Result<bool> VirtualPollingBackend::PollOnce() {
   util::Result<net::Bytes> notified =
       rpc_->Call(plugin_id_, NotifyMethod(), notify_writer.data());
   body_ = notify_writer.Take();
-  NEES_RETURN_IF_ERROR(notified.status());
-  util::ReleaseFrame(std::move(notified.value()));
-  return true;
+  return TakeWork(std::move(notified));
 }
 
 PollingBackend::Compute MakeSimulationCompute(

@@ -7,9 +7,12 @@
 //
 // Backend-facing surface, both in-process and over RPC:
 //   mplugin.poll    {max_wait} -> {has_work, Proposal}
-//   mplugin.notify  {txn_id, ok, TransactionResult|error} -> {}
+//   mplugin.notify  {txn_id, ok, TransactionResult|error}
+//                                -> {has_work, Proposal}
 // `max_wait` stays on the wire for compatibility but is ignored: a poll
-// never blocks, it answers from the queue as it stands.
+// never blocks, it answers from the queue as it stands. A notify answers
+// like a poll made right after the result was posted, so a backend that
+// keeps computing while notifies hand it work never sends an empty poll.
 #pragma once
 
 #include <deque>
@@ -28,6 +31,11 @@ namespace nees::plugins {
 struct MPluginConfig {
   /// How long Execute() waits for the backend to poll + notify.
   std::int64_t execute_timeout_micros = 10'000'000;
+  /// DeliveryMode::kVirtual only: when Execute's request is still queued
+  /// and unpolled this long after the work notification (a lost wake), it
+  /// sends the notification again, and again every interval after. 0 never
+  /// re-sends.
+  std::int64_t rewake_micros = 0;
   double max_abs_displacement_m = 1.0;
 };
 
@@ -72,11 +80,14 @@ class MPlugin final : public ntcp::ControlPlugin {
   /// DeliveryMode::kVirtual: Execute's completion wait pumps `network`'s
   /// event loop instead of parking on a condition variable, keeping the
   /// whole propose/poll/notify exchange single-threaded and
-  /// seed-deterministic. Attach before the run starts.
+  /// seed-deterministic; it is also where a lost wake is re-sent
+  /// (Config::rewake_micros). Attach before the run starts.
   void AttachVirtualNetwork(net::Network* network);
 
   std::uint64_t polls() const;
   std::size_t buffered() const;
+  /// Work notifications Execute() re-sent for a request left unpolled.
+  std::uint64_t rewakes() const;
 
  private:
   struct Pending {
@@ -103,6 +114,7 @@ class MPlugin final : public ntcp::ControlPlugin {
       NEES_GUARDED_BY(mu_);
   std::function<void()> work_notifier_ NEES_GUARDED_BY(mu_);
   std::uint64_t polls_ NEES_GUARDED_BY(mu_) = 0;
+  std::uint64_t rewakes_ NEES_GUARDED_BY(mu_) = 0;
   bool shutting_down_ NEES_GUARDED_BY(mu_) = false;
 };
 
@@ -141,68 +153,53 @@ class PollingBackend {
 
 /// Remote backend speaking the RPC surface (Matlab at NCSA, across the
 /// simulated network), event-driven for DeliveryMode::kVirtual: no thread
-/// at all. A one-way "mplugin.wake" delivery drains the plugin's queue
-/// inline on the network's event loop, and a self-rescheduling heartbeat
-/// timer re-polls every `heartbeat_micros` of *virtual* time in case a wake
-/// was lost ("a lost wake only delays, never stalls"), replayed
-/// deterministically per seed. Each
-/// poll/compute/notify cycle issues blocking RPCs whose waits pump the
-/// event loop recursively.
-///
-/// The heartbeat backs off adaptively: a firing that finds no work doubles
-/// the interval (capped at 8x the base), and any wake or productive firing
-/// snaps it back to the base. Wakes drive all steady-state progress, so the
-/// fallback re-poll can afford to get lazy on an idle backend — this cuts
-/// the empty poll RPC pairs (~92% of all messages in a fuzz run) by ~3x
-/// without weakening the contract: the first firing after activity is
-/// always at the base interval, so a wake lost during normal operation
-/// still recovers within one base heartbeat.
+/// and no timer. A one-way "mplugin.wake" delivery drains the plugin's
+/// queue inline on the network's event loop: one poll, then compute and
+/// notify for as long as each notify hands back the next request. Each RPC
+/// pumps the event loop recursively while it waits. A lost wake is the
+/// plugin's to repair (MPluginConfig::rewake_micros): the backend runs
+/// only when woken.
 class VirtualPollingBackend {
  public:
   using Compute = PollingBackend::Compute;
 
-  VirtualPollingBackend(net::Network* network, net::RpcClient* rpc,
-                        std::string plugin_endpoint, Compute compute,
-                        std::int64_t heartbeat_micros = 250'000);
+  VirtualPollingBackend(net::RpcClient* rpc, std::string plugin_endpoint,
+                        Compute compute);
   ~VirtualPollingBackend();
 
   /// Registers the one-way "mplugin.wake" method on `server` (the backend's
   /// control endpoint; the plugin's work notifier targets it).
   void BindWakeRpc(net::RpcServer& server);
 
-  /// Arms the heartbeat chain. Call once the endpoints exist.
+  /// Starts answering wakes. Call once the endpoints exist.
   void Start();
-  /// Disarms: queued heartbeat/wake firings become no-ops and do not
-  /// re-arm, so RunUntilQuiescent() can drain to empty after a run.
+  /// Stops: wakes delivered from now on are no-ops.
   void Stop();
 
   std::uint64_t processed() const { return processed_; }
   std::uint64_t wakes() const { return wakes_; }
-  std::uint64_t heartbeats() const { return heartbeats_; }
 
  private:
   void Drain();
-  void ArmHeartbeat();
-  /// One poll+compute+notify cycle against the plugin's RPC surface;
-  /// returns true if work was done. Runs on every wake and heartbeat.
-  util::Result<bool> PollOnce();
+  /// Decodes a poll or notify response into proposal_; returns whether it
+  /// carried a request.
+  util::Result<bool> TakeWork(util::Result<net::Bytes> response);
+  /// Computes proposal_ and notifies the result; returns whether the
+  /// notify handed back the next request (decoded into proposal_).
+  util::Result<bool> ComputeAndNotify();
 
-  net::Network* network_;
   net::RpcClient* rpc_;
   net::EndpointId plugin_id_;  // resolved once, not per poll
   Compute compute_;
   std::vector<std::uint8_t> body_;  // reused poll/notify request body
-  ntcp::Proposal proposal_;         // reused decode target of each poll
-  std::int64_t heartbeat_micros_;
-  // Captured by armed timers and the wake binding; cleared on Stop() so a
-  // late firing is a safe no-op even after this object is torn down.
+  ntcp::Proposal proposal_;         // reused decode target of each response
+  // Captured by the wake binding; cleared on Stop() so a late wake is a
+  // safe no-op even after this object is torn down.
   std::shared_ptr<bool> running_ = std::make_shared<bool>(false);
   bool draining_ = false;  // re-entrancy guard; nested wakes set rewake_
   bool rewake_ = false;
-  std::int64_t heartbeat_interval_ = 0;  // current adaptive interval
   std::uint64_t processed_ = 0;
   std::uint64_t wakes_ = 0;
-  std::uint64_t heartbeats_ = 0;
 };
 
 /// Builds the standard "Matlab simulation" compute function from a set of

@@ -891,6 +891,141 @@ std::size_t LastFrameOffset(const std::vector<std::uint8_t>& bytes) {
   return last;
 }
 
+// --- expiry tick grid (kVirtual) --------------------------------------------
+// ArmExpiryTimer queues a tick only while a transaction can lapse. Ticks
+// still fall on the grid arm time + k * period, so the ticks it skips are
+// exactly those that would have found nothing to expire.
+
+constexpr std::int64_t kExpiryPeriod = 300'000;
+
+// Network time of the first expiry tick at which a transaction proposed at
+// `proposed_at` with `timeout` lapses on `site_time`'s clock.
+template <typename SiteTime>
+std::int64_t FirstLapsingTick(std::int64_t armed_at, std::int64_t proposed_at,
+                              std::int64_t timeout, SiteTime site_time) {
+  std::int64_t tick = armed_at + kExpiryPeriod;
+  while (tick <= proposed_at || site_time(tick) <= proposed_at + timeout) {
+    tick += kExpiryPeriod;
+  }
+  return tick;
+}
+
+TEST(NtcpExpiryGridTest, ArmedServerWithNothingOpenFiresNoTimer) {
+  net::Network network(net::DeliveryMode::kVirtual);
+  NtcpServer server(&network, "ntcp.grid", MakeElasticPlugin(),
+                    network.clock());
+  ASSERT_TRUE(server.Start().ok());
+  server.ArmExpiryTimer(&network, kExpiryPeriod);
+  network.AdvanceTo(network.clock()->NowMicros() + 60'000'000);
+  EXPECT_EQ(network.virtual_stats().timers_fired, 0u);
+
+  // A transaction that completes leaves nothing open: the tick its propose
+  // queued fires once and does not re-arm.
+  ASSERT_TRUE(server.Propose(MakeProposal("done", 0.01)).accepted);
+  ASSERT_TRUE(server.Execute("done").ok());
+  network.AdvanceTo(network.clock()->NowMicros() + 60'000'000);
+  EXPECT_EQ(network.virtual_stats().timers_fired, 1u);
+  EXPECT_EQ(server.stats().expired, 0u);
+  server.Stop();
+  EXPECT_EQ(network.RunUntilQuiescent(), 0u);
+}
+
+TEST(NtcpExpiryGridTest, UnexecutedTransactionExpiresOnFirstLapsedGridTick) {
+  net::Network network(net::DeliveryMode::kVirtual);
+  NtcpServer server(&network, "ntcp.grid", MakeElasticPlugin(),
+                    network.clock());
+  ASSERT_TRUE(server.Start().ok());
+  const std::int64_t armed_at = network.clock()->NowMicros();
+  server.ArmExpiryTimer(&network, kExpiryPeriod);
+  network.AdvanceTo(armed_at + 1'234'567);  // off the grid
+
+  constexpr std::int64_t kTimeout = 1'000'000;
+  const std::int64_t proposed_at = network.clock()->NowMicros();
+  ASSERT_TRUE(server.Propose(MakeProposal("late", 0.01, kTimeout)).accepted);
+  network.AdvanceTo(proposed_at + 60'000'000);
+
+  const std::int64_t want = FirstLapsingTick(
+      armed_at, proposed_at, kTimeout, [](std::int64_t t) { return t; });
+  const auto record = server.GetTransaction("late");
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->state, TransactionState::kExpired);
+  EXPECT_EQ(record->state_timestamps.find("expired")->second, want);
+  // One tick per grid point from the propose to the expiry, none after.
+  EXPECT_EQ(network.virtual_stats().timers_fired,
+            static_cast<std::uint64_t>((want - armed_at) / kExpiryPeriod -
+                                       (proposed_at - armed_at) /
+                                           kExpiryPeriod));
+  server.Stop();
+}
+
+TEST(NtcpExpiryGridTest, ForwardSkewJumpExpiresOnTheSameGridTick) {
+  // The site clock jumps forward inside the proposal window. Expiry reads
+  // the site clock but ticks on the network clock, so the first tick after
+  // the jump at which the site clock is past the deadline expires it.
+  net::Network network(net::DeliveryMode::kVirtual);
+  util::SkewedClock site_clock(network.clock());
+  NtcpServer server(&network, "ntcp.grid", MakeElasticPlugin(), &site_clock);
+  ASSERT_TRUE(server.Start().ok());
+  const std::int64_t armed_at = network.clock()->NowMicros();
+  server.ArmExpiryTimer(&network, kExpiryPeriod);
+  network.AdvanceTo(armed_at + 450'000);
+
+  constexpr std::int64_t kTimeout = 2'000'000;
+  constexpr std::int64_t kJump = 1'100'000;
+  const std::int64_t proposed_at = network.clock()->NowMicros();
+  const std::int64_t jump_at = proposed_at + 510'000;  // off the grid
+  network.ScheduleAt(jump_at, [&site_clock] {
+    site_clock.AdvanceOffset(kJump);
+  });
+  ASSERT_TRUE(server.Propose(MakeProposal("skew", 0.01, kTimeout)).accepted);
+  network.AdvanceTo(proposed_at + 60'000'000);
+
+  const std::int64_t want = FirstLapsingTick(
+      armed_at, proposed_at, kTimeout,
+      [&](std::int64_t t) { return t >= jump_at ? t + kJump : t; });
+  ASSERT_LT(want, proposed_at + kTimeout);  // the jump moved it earlier
+  const auto record = server.GetTransaction("skew");
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->state, TransactionState::kExpired);
+  EXPECT_EQ(record->state_timestamps.find("expired")->second, want + kJump);
+  server.Stop();
+}
+
+TEST(NtcpExpiryGridTest, RecoveredOpenTransactionRearmsTheTick) {
+  net::Network network(net::DeliveryMode::kVirtual);
+  wal::MemoryStorage storage;
+  constexpr std::int64_t kTimeout = 1'000'000;
+  std::int64_t proposed_at = 0;
+  {
+    wal::Log log(&storage);
+    NtcpServer first(&network, "ntcp.grid", MakeElasticPlugin(),
+                     network.clock());
+    ASSERT_TRUE(first.Start().ok());
+    ASSERT_TRUE(first.AttachWal(&log).ok());
+    first.ArmExpiryTimer(&network, kExpiryPeriod);
+    proposed_at = network.clock()->NowMicros();
+    ASSERT_TRUE(first.Propose(MakeProposal("open", 0.01, kTimeout)).accepted);
+  }  // the process dies; its queued tick becomes a no-op
+  network.AdvanceTo(proposed_at + 100'000);
+
+  wal::Log log(&storage);
+  NtcpServer second(&network, "ntcp.grid", MakeElasticPlugin(),
+                    network.clock());
+  ASSERT_TRUE(second.Start().ok());
+  ASSERT_TRUE(second.AttachWal(&log).ok());
+  const std::int64_t armed_at = network.clock()->NowMicros();
+  second.ArmExpiryTimer(&network, kExpiryPeriod);
+  network.AdvanceTo(armed_at + 60'000'000);
+
+  const auto record = second.GetTransaction("open");
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->state, TransactionState::kExpired);
+  EXPECT_EQ(record->state_timestamps.find("expired")->second,
+            FirstLapsingTick(armed_at, proposed_at, kTimeout,
+                             [](std::int64_t t) { return t; }));
+  second.Stop();
+}
+
 class NtcpWalRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override { network_.SetClock(&clock_); }

@@ -378,14 +378,14 @@ TEST(MPluginTest, WorkNotifierFiresOnEnqueue) {
 // backend's control endpoint "matlab.v.ctl" from "mplugin.v.notifier".
 struct VirtualMPluginRig {
   explicit VirtualMPluginRig(net::Network* network,
-                             std::int64_t heartbeat_micros)
-      : plugin(MakeConfig()),
+                             std::int64_t rewake_micros = 0)
+      : plugin(MakeConfig(rewake_micros)),
         plugin_server(network, "mplugin.v"),
         backend_rpc(network, "matlab.v"),
         backend_ctl(network, "matlab.v.ctl"),
         wake_rpc(network, "mplugin.v.notifier"),
-        backend(network, &backend_rpc, "mplugin.v",
-                MakeSimulationCompute(MakeModels()), heartbeat_micros) {
+        backend(&backend_rpc, "mplugin.v",
+                MakeSimulationCompute(MakeModels())) {
     plugin.AttachVirtualNetwork(network);
     EXPECT_TRUE(plugin_server.Start().ok());
     plugin.BindBackendRpc(plugin_server);
@@ -396,9 +396,10 @@ struct VirtualMPluginRig {
     backend.Start();
   }
 
-  static MPlugin::Config MakeConfig() {
+  static MPlugin::Config MakeConfig(std::int64_t rewake_micros) {
     MPlugin::Config config;
     config.execute_timeout_micros = 10'000'000;
+    config.rewake_micros = rewake_micros;
     return config;
   }
   static std::shared_ptr<
@@ -419,14 +420,14 @@ struct VirtualMPluginRig {
 };
 
 TEST(MPluginTest, VirtualBackendIsWakeDrivenSingleThreaded) {
-  // No executor thread: Execute() pumps the virtual event loop inline, and
-  // the whole propose -> wake -> poll -> compute -> notify exchange runs on
-  // this thread in virtual time, completing long before the heartbeat.
+  // No executor thread and no timer: Execute() pumps the virtual event
+  // loop inline, and the whole propose -> wake -> poll -> compute -> notify
+  // exchange runs on this thread in virtual time, driven by the wake alone.
   net::Network network(net::DeliveryMode::kVirtual);
   net::LinkModel link;
   link.latency_micros = 1'000;
   network.SetDefaultLink(link);
-  VirtualMPluginRig rig(&network, /*heartbeat_micros=*/250'000);
+  VirtualMPluginRig rig(&network, /*rewake_micros=*/250'000);
 
   const std::int64_t t0 = network.clock()->NowMicros();
   util::Result<ntcp::TransactionResult> result =
@@ -435,24 +436,60 @@ TEST(MPluginTest, VirtualBackendIsWakeDrivenSingleThreaded) {
 
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->results[0].measured_force[0], 10.0, 1e-9);
-  EXPECT_GE(rig.backend.wakes(), 1u);
+  EXPECT_EQ(rig.backend.wakes(), 1u);
   EXPECT_EQ(rig.backend.processed(), 1u);
-  EXPECT_LT(took, 125'000);  // via the wake path, not the heartbeat
+  EXPECT_EQ(rig.plugin.rewakes(), 0u);
+  // One wake, one poll, one notify: the notify's answer says the queue is
+  // empty, so no trailing poll follows.
+  EXPECT_EQ(rig.plugin.polls(), 2u);
+  EXPECT_EQ(took, 5 * link.latency_micros);  // wake + two round trips
 
   rig.backend.Stop();
-  network.RunUntilQuiescent();
+  EXPECT_EQ(network.RunUntilQuiescent(), 0u);  // nothing left scheduled
 }
 
-TEST(MPluginTest, VirtualBackendLostWakeOnlyDelaysNeverStalls) {
-  // Satellite coverage: sever exactly one mplugin.wake delivery. The
-  // execute must still complete — recovered by the heartbeat re-poll — and
-  // the extra latency is bounded by one heartbeat period of virtual time.
-  constexpr std::int64_t kHeartbeat = 250'000;
+TEST(MPluginTest, VirtualBackendNotifyHandsOverQueuedWork) {
+  // Two requests queued before the backend runs: the one poll takes the
+  // first, and the first notify's answer carries the second.
   net::Network network(net::DeliveryMode::kVirtual);
   net::LinkModel link;
   link.latency_micros = 1'000;
   network.SetDefaultLink(link);
-  VirtualMPluginRig rig(&network, kHeartbeat);
+  VirtualMPluginRig rig(&network);
+  rig.plugin.SetWorkNotifier(nullptr);  // hold both requests back
+  util::Result<ntcp::TransactionResult> first = util::Internal("unset");
+  network.ScheduleAfter(0, [&] {
+    first = rig.plugin.Execute(MakeProposal("h1", "cp", 0.02));
+  });
+  network.ScheduleAfter(10, [&] {
+    rig.plugin.SetWorkNotifier([&] {
+      (void)rig.wake_rpc.OneWay("matlab.v.ctl", "mplugin.wake", {});
+    });
+    util::Result<ntcp::TransactionResult> second =
+        rig.plugin.Execute(MakeProposal("h2", "cp", 0.04));
+    ASSERT_TRUE(second.ok());
+    EXPECT_NEAR(second->results[0].measured_force[0], 20.0, 1e-9);
+  });
+  network.RunUntilQuiescent();
+
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(rig.backend.processed(), 2u);
+  EXPECT_EQ(rig.backend.wakes(), 1u);
+  EXPECT_EQ(rig.plugin.polls(), 3u);  // one poll + two notify answers
+  rig.backend.Stop();
+}
+
+TEST(MPluginTest, VirtualBackendLostWakeOnlyDelaysNeverStalls) {
+  // Sever exactly one mplugin.wake delivery. The execute must still
+  // complete, recovered by the plugin re-sending the wake for its unpolled
+  // request, and the extra latency is bounded by one re-wake interval.
+  constexpr std::int64_t kRewake = 250'000;
+  constexpr std::int64_t kLatency = 1'000;
+  net::Network network(net::DeliveryMode::kVirtual);
+  net::LinkModel link;
+  link.latency_micros = kLatency;
+  network.SetDefaultLink(link);
+  VirtualMPluginRig rig(&network, kRewake);
   network.DropNext("mplugin.v.notifier", "matlab.v.ctl", 1);
 
   const std::int64_t t0 = network.clock()->NowMicros();
@@ -461,15 +498,19 @@ TEST(MPluginTest, VirtualBackendLostWakeOnlyDelaysNeverStalls) {
   const std::int64_t took = network.clock()->NowMicros() - t0;
 
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(rig.backend.wakes(), 0u);       // the wake really was lost
-  EXPECT_GE(rig.backend.heartbeats(), 1u);  // ...and the heartbeat recovered
+  EXPECT_EQ(network.LinkMetricsFor("mplugin.v.notifier", "matlab.v.ctl")
+                .dropped_forced,
+            1u);                               // the wake really was lost
+  EXPECT_EQ(rig.plugin.rewakes(), 1u);         // ...and was sent once more
+  EXPECT_EQ(rig.backend.wakes(), 1u);
   EXPECT_EQ(rig.backend.processed(), 1u);
-  // Delayed to roughly the first heartbeat firing; bounded, not stalled.
-  EXPECT_GE(took, kHeartbeat / 2);
-  EXPECT_LE(took, kHeartbeat + 50'000);
+  // One interval, then the re-sent wake and the poll and notify round
+  // trips: delayed, bounded, never stalled.
+  EXPECT_GE(took, kRewake);
+  EXPECT_LE(took, kRewake + 5 * kLatency);
 
   rig.backend.Stop();
-  network.RunUntilQuiescent();
+  EXPECT_EQ(network.RunUntilQuiescent(), 0u);
 }
 
 // --- LabViewPlugin ----------------------------------------------------------------

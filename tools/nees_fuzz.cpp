@@ -87,6 +87,7 @@ struct SweepTotals {
   std::uint64_t inflight_failed = 0;
   std::uint64_t frames_corrupted = 0;
   std::uint64_t auth_refreshes = 0;
+  std::uint64_t rewakes = 0;
   std::uint64_t checked_runs = 0;  // seeds that also ran the replica
   std::uint64_t by_template[4] = {0, 0, 0, 0};
   std::vector<std::string> replays;  // shrunk repro commands for failures
@@ -119,6 +120,7 @@ bool RunSeed(std::uint64_t seed, std::uint64_t mask,
     totals->inflight_failed += outcome.inflight_failed;
     totals->frames_corrupted += outcome.frames_corrupted;
     totals->auth_refreshes += outcome.auth_refreshes;
+    totals->rewakes += outcome.rewakes;
     totals->checked_runs += check ? 1 : 0;
     totals->by_template[static_cast<int>(shape)] += 1;
   }
@@ -169,7 +171,7 @@ std::string WorkerJson(int worker, std::uint64_t ran, std::uint64_t failures,
       "{\"worker\":%d,\"seeds\":%llu,\"failures\":%llu,\"checked\":%llu,"
       "\"events\":%llu,\"crashes\":%llu,\"recoveries\":%llu,"
       "\"txns_replayed\":%llu,\"crash_marked\":%llu,"
-      "\"frames_corrupted\":%llu,\"auth_refreshes\":%llu,"
+      "\"frames_corrupted\":%llu,\"auth_refreshes\":%llu,\"rewakes\":%llu,"
       "\"mini\":%llu,\"standard\":%llu,\"full_most\":%llu,"
       "\"centrifuge\":%llu,\"elapsed_s\":%.3f,\"replays\":[%s]}\n",
       worker, static_cast<unsigned long long>(ran),
@@ -182,6 +184,7 @@ std::string WorkerJson(int worker, std::uint64_t ran, std::uint64_t failures,
       static_cast<unsigned long long>(totals.inflight_failed),
       static_cast<unsigned long long>(totals.frames_corrupted),
       static_cast<unsigned long long>(totals.auth_refreshes),
+      static_cast<unsigned long long>(totals.rewakes),
       static_cast<unsigned long long>(
           totals.by_template[static_cast<int>(most::FuzzTemplate::kMini)]),
       static_cast<unsigned long long>(
@@ -316,6 +319,7 @@ int RunCampaign(std::uint64_t start, std::uint64_t count, int workers,
     merged.inflight_failed += JsonU64(json, "crash_marked");
     merged.frames_corrupted += JsonU64(json, "frames_corrupted");
     merged.auth_refreshes += JsonU64(json, "auth_refreshes");
+    merged.rewakes += JsonU64(json, "rewakes");
     merged.by_template[static_cast<int>(most::FuzzTemplate::kMini)] +=
         JsonU64(json, "mini");
     merged.by_template[static_cast<int>(most::FuzzTemplate::kStandard)] +=
@@ -353,7 +357,8 @@ int RunCampaign(std::uint64_t start, std::uint64_t count, int workers,
       "%llu determinism-checked, %llu virtual events\n"
       "  mix: %s\n"
       "  faults: %llu crashes / %llu recoveries, %llu txns replayed, "
-      "%llu crash-marked, %llu frames corrupted, %llu auth refreshes\n"
+      "%llu crash-marked, %llu frames corrupted, %llu auth refreshes, "
+      "%llu re-wakes\n"
       "  %.2fs wall (%.0f seeds/hour)\n",
       static_cast<unsigned long long>(total_ran),
       static_cast<unsigned long long>(start),
@@ -367,8 +372,8 @@ int RunCampaign(std::uint64_t start, std::uint64_t count, int workers,
       static_cast<unsigned long long>(merged.transactions_recovered),
       static_cast<unsigned long long>(merged.inflight_failed),
       static_cast<unsigned long long>(merged.frames_corrupted),
-      static_cast<unsigned long long>(merged.auth_refreshes), elapsed,
-      per_hour);
+      static_cast<unsigned long long>(merged.auth_refreshes),
+      static_cast<unsigned long long>(merged.rewakes), elapsed, per_hour);
   for (const std::string& replay : merged.replays) {
     std::printf("  replay: %s\n", replay.c_str());
   }
@@ -431,7 +436,7 @@ int RunCorpus(const char* path, bool verbose) {
   std::printf(
       "corpus: %llu pinned seeds, %llu failures, %llu virtual events, "
       "%llu crashes / %llu recoveries, %llu frames corrupted, "
-      "%llu auth refreshes, %.2fs\n",
+      "%llu auth refreshes, %llu re-wakes, %.2fs\n",
       static_cast<unsigned long long>(entries),
       static_cast<unsigned long long>(failures),
       static_cast<unsigned long long>(totals.events),
@@ -439,6 +444,7 @@ int RunCorpus(const char* path, bool verbose) {
       static_cast<unsigned long long>(totals.recoveries),
       static_cast<unsigned long long>(totals.frames_corrupted),
       static_cast<unsigned long long>(totals.auth_refreshes),
+      static_cast<unsigned long long>(totals.rewakes),
       watch.ElapsedSeconds());
   if (rc != 0) return rc;
   return failures == 0 ? 0 : 1;
@@ -523,7 +529,7 @@ int main(int argc, char** argv) {
     std::printf(
         "seed %llu (%s): %s (%llu virtual events, %llu crashes / %llu "
         "recoveries, %llu txns replayed, %llu crash-marked, %llu frames "
-        "corrupted, %llu auth refreshes, %.2fs)\n",
+        "corrupted, %llu auth refreshes, %llu re-wakes, %.2fs)\n",
         static_cast<unsigned long long>(seed),
         std::string(most::TemplateName(shape)).c_str(), ok ? "OK" : "FAIL",
         static_cast<unsigned long long>(totals.events),
@@ -533,6 +539,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(totals.inflight_failed),
         static_cast<unsigned long long>(totals.frames_corrupted),
         static_cast<unsigned long long>(totals.auth_refreshes),
+        static_cast<unsigned long long>(totals.rewakes),
         watch.ElapsedSeconds());
     return ok ? 0 : 1;
   }
@@ -549,7 +556,7 @@ int main(int argc, char** argv) {
   std::printf(
       "fuzz: %llu seeds (%llu..%llu), %llu failures, %llu virtual events, "
       "%llu crashes / %llu recoveries, %llu txns replayed, %llu crash-marked, "
-      "%llu frames corrupted, %llu auth refreshes, mix %s, "
+      "%llu frames corrupted, %llu auth refreshes, %llu re-wakes, mix %s, "
       "%.2fs (%.0f seeds/hour)\n",
       static_cast<unsigned long long>(count),
       static_cast<unsigned long long>(start),
@@ -562,6 +569,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(totals.inflight_failed),
       static_cast<unsigned long long>(totals.frames_corrupted),
       static_cast<unsigned long long>(totals.auth_refreshes),
+      static_cast<unsigned long long>(totals.rewakes),
       TemplateMix(totals).c_str(), elapsed, per_hour);
   return failures == 0 ? 0 : 1;
 }
