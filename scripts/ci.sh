@@ -128,13 +128,21 @@ echo
 echo "######## lockdep lock-order report (nees_locks) ########"
 # Clean pass on the standard workload (a MOST run + virtual-time
 # fuzz block), then prove the detector end to end: a deliberately injected
-# inversion must come back nonzero.
+# inversion and a deliberately injected condvar wait under a second lock
+# must each come back nonzero. No product path waits on a CondVar, so the
+# injected wait is the only live proof of the wait rule outside
+# analysis_test.
 "$prefix-asan/tools/nees_locks" --steps 60 --seeds 3
 if "$prefix-asan/tools/nees_locks" --inject-inversion > /dev/null 2>&1; then
   echo "lockdep check FAILED: injected inversion was not detected" >&2
   exit 1
 fi
 echo "injected inversion detected (nonzero exit) -- detector is live"
+if "$prefix-asan/tools/nees_locks" --inject-wait > /dev/null 2>&1; then
+  echo "lockdep check FAILED: injected wait-while-holding was not detected" >&2
+  exit 1
+fi
+echo "injected wait-while-holding detected (nonzero exit) -- wait rule is live"
 
 echo
 echo "######## clang -Wthread-safety leg (build-only, needs clang) ########"

@@ -148,7 +148,6 @@ util::Status ExperimentFarm::PlaceSession(Tenant& tenant) {
       opts.steps =
           tenant.spec.steps != 0 ? tenant.spec.steps : options_.most_steps;
       opts.seed = tenant.spec.seed != 0 ? tenant.spec.seed : opts.seed;
-      opts.step_engine = options_.step_engine;
       // Farm tenants travel light: no per-tenant repository/DAQ drop dirs;
       // streaming rides the shared NSDS.
       opts.with_repository = false;

@@ -74,9 +74,6 @@ struct FarmOptions {
   std::size_t mini_steps = 80;
   std::size_t most_steps = 200;
   std::size_t centrifuge_piles = 2;
-  /// Step engine for farm-hosted PSD coordinators. kSequential keeps the
-  /// thread count = workers; results are engine-invariant (E5/E6).
-  psd::StepEngine step_engine = psd::StepEngine::kSequential;
   /// Registry lease for tenant registrations; 0 = no expiry.
   std::int64_t registry_lease_micros = 0;
   /// Keep each session's full TimeHistory in its result.

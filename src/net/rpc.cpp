@@ -595,52 +595,15 @@ util::Result<Bytes> RpcClient::AsyncCall::Wait() {
   if (client_ == nullptr) {
     return util::Internal("Wait() on an empty AsyncCall");
   }
-  RpcClient* client = client_;
-  client_ = nullptr;  // Wait at most once
-  if (!send_error_.ok()) return send_error_;
-  {
-    bool staged;
-    {
-      util::MutexLock lock(client->mu_);
-      staged = !state_->sent;
-    }
-    if (staged) client->FlushBatch();
-  }
-  if (client->network_->mode() == DeliveryMode::kVirtual) {
-    // A pumping wait while any lock is held risks a distributed stall: the
-    // response handler may need that very lock. Lockdep flags it. Immediate
-    // mode never waits (responses resolved inline during Send).
-    util::lockdep::CheckBlockingCall("RpcClient::AsyncCall::Wait");
-    // Drive the event loop from this thread. Response handlers run inline
-    // inside PumpOneUntil and take client->mu_, so the lock is released
-    // around each pump.
-    for (;;) {
-      {
-        util::MutexLock lock(client->mu_);
-        if (state_->done) break;
-      }
-      if (client->network_->clock()->NowMicros() >= deadline_micros_) break;
-      client->network_->PumpOneUntil(deadline_micros_);
-    }
-  }
-
-  util::Status status;
-  Bytes response;
-  {
-    util::MutexLock lock(client->mu_);
-    // Immediate mode: the response (if any) was delivered inline during
-    // Send; if state->done is false the message was dropped en route.
-    client->pending_.Erase(correlation_);
-    if (!state_->done) {
-      client->RecycleCallLocked(std::move(state_));
-      return util::TimeoutError(TimeoutMessage());
-    }
-    status = std::move(state_->status);
-    response = std::move(state_->response);
-    client->RecycleCallLocked(std::move(state_));
-  }
-  if (!status.ok()) return status;
-  return response;
+  AsyncCall* const self = this;
+  client_->WaitAnyUntil(std::span<AsyncCall* const>(&self, 1),
+                        std::numeric_limits<std::int64_t>::max());
+  // Resolved now: the reply arrived, the send failed, or (kVirtual) the
+  // clock reached the deadline; in kImmediate mode an unanswered call is
+  // lost and resolves as a timeout.
+  util::Result<Bytes> outcome = util::Internal("unresolved");
+  TryResolve(&outcome);
+  return outcome;
 }
 
 bool RpcClient::AsyncCall::TryResolve(util::Result<Bytes>* out) {
@@ -682,27 +645,27 @@ bool RpcClient::AsyncCall::TryResolve(util::Result<Bytes>* out) {
   return false;
 }
 
-void RpcClient::WaitAll(const std::vector<AsyncCall*>& calls) {
-  WaitAnyUntil(calls, std::numeric_limits<std::int64_t>::max(),
-               /*wait_for_all=*/true);
-}
-
-void RpcClient::WaitAnyUntil(const std::vector<AsyncCall*>& calls,
+void RpcClient::WaitAnyUntil(std::span<AsyncCall* const> calls,
                              std::int64_t wake_micros) {
-  WaitAnyUntil(calls, wake_micros, /*wait_for_all=*/false);
-}
-
-void RpcClient::WaitAnyUntil(const std::vector<AsyncCall*>& calls,
-                             std::int64_t wake_micros, bool wait_for_all) {
-  // Anything still staged must hit the wire before a wait makes sense.
-  FlushBatch();
+  // A call still staged in the open batch window must hit the wire before
+  // a wait makes sense. Waiting only on sent calls leaves the window open
+  // (a synchronous Call thereby takes no extra lock).
+  bool staged = false;
+  {
+    util::MutexLock lock(mu_);
+    for (const AsyncCall* call : calls) {
+      staged |= call->client_ != nullptr && call->send_error_.ok() &&
+                !call->state_->sent;
+    }
+  }
+  if (staged) FlushBatch();
   // Immediate mode: every call resolved inline during issue.
   if (network_->mode() != DeliveryMode::kVirtual) return;
+  // A pumping wait while any lock is held risks a distributed stall: the
+  // response handler may need that very lock. Lockdep flags it.
   util::lockdep::CheckBlockingCall("RpcClient::WaitAnyUntil");
   for (;;) {
-    std::int64_t wake = wait_for_all
-                            ? std::numeric_limits<std::int64_t>::max()
-                            : wake_micros;
+    std::int64_t wake = wake_micros;
     bool any_live = false;
     bool any_resolved = false;
     const std::int64_t now = network_->clock()->NowMicros();
@@ -719,12 +682,12 @@ void RpcClient::WaitAnyUntil(const std::vector<AsyncCall*>& calls,
         wake = std::min(wake, call->deadline_micros_);
       }
     }
-    if (!any_live) return;
-    if (any_resolved && !wait_for_all) return;
+    if (!any_live || any_resolved) return;
     if (now >= wake) return;
     // Deliver exactly one event (or advance the clock to `wake`), then
     // re-evaluate; completions, timeouts, and the caller's wake time are
-    // thereby multiplexed in one deterministic order.
+    // thereby multiplexed in one deterministic order. Response handlers
+    // run inline here and take mu_, which is released around each pump.
     network_->PumpOneUntil(wake);
   }
 }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,9 +163,10 @@ class RpcClient {
   /// simulated-time timeouts rather than wall-clock ones.
   class AsyncCall {
    public:
-    /// Blocks until the reply arrives or the call's timeout lapses. In
-    /// kVirtual mode "blocking" means pumping the network's event loop up
-    /// to the deadline, so waits are deterministic and instantaneous. A
+    /// Blocks until the reply arrives or the call's timeout lapses:
+    /// WaitAnyUntil on this call alone, then TryResolve. In kVirtual mode
+    /// "blocking" means pumping the network's event loop up to the
+    /// deadline, so waits are deterministic and instantaneous. A
     /// still-staged call is flushed first.
     util::Result<Bytes> Wait();
 
@@ -205,24 +207,22 @@ class RpcClient {
   /// staged for the same target into one framed "rpc.batch" multi-call
   /// message (a lone staged call goes out as a plain request, wire-
   /// identical to the unbatched path) and ends the window. Staged handles
-  /// resolve exactly like un-batched ones; Wait/WaitAll/WaitAnyUntil on a
+  /// resolve exactly like un-batched ones; Wait/WaitAnyUntil on a
   /// still-staged handle flush first, so forgetting FlushBatch degrades to
   /// unbatched timing, never a hang.
   void BeginBatch();
   void FlushBatch();
 
-  /// Batch primitive: blocks until every call has resolved (replied, send
-  /// failed, or deadline lapsed). Harvest results with Wait()/TryResolve()
-  /// per handle afterwards. No-op in kImmediate mode, where calls resolve
-  /// inline during issue; in kVirtual mode it pumps the event loop.
-  void WaitAll(const std::vector<AsyncCall*>& calls);
-
-  /// Blocks until at least one of the (currently unresolved) calls
-  /// completes, or the network clock reaches `wake_micros`, or the earliest
-  /// deadline among the calls lapses — whichever comes first. Returns
-  /// immediately if any call is already resolved. No-op in kImmediate mode;
-  /// pumps the event loop in kVirtual mode.
-  void WaitAnyUntil(const std::vector<AsyncCall*>& calls,
+  /// The one wait loop of the RPC layer. Blocks until at least one of the
+  /// (currently unresolved) calls completes, or the network clock reaches
+  /// `wake_micros`, or the earliest deadline among the calls lapses —
+  /// whichever comes first. Returns immediately if any call is already
+  /// resolved. Harvest outcomes with TryResolve() per handle afterwards.
+  /// Flushes the open batch window only if one of `calls` is still staged
+  /// in it. No-op in kImmediate mode, where calls resolve inline during
+  /// issue; in kVirtual mode it pumps the event loop one event at a time
+  /// between checks, single-threaded and deterministic.
+  void WaitAnyUntil(std::span<AsyncCall* const> calls,
                     std::int64_t wake_micros);
 
   /// Fire-and-forget send (streaming, notifications).
@@ -269,12 +269,6 @@ class RpcClient {
   /// simply dropped and freed normally.
   void RecycleCallLocked(std::shared_ptr<PendingCall> call)
       NEES_REQUIRES(mu_);
-
-  /// Shared engine behind WaitAll (wait_for_all) and WaitAnyUntil: pumps
-  /// the kVirtual event loop one event at a time between predicate checks.
-  /// Single-threaded and deterministic.
-  void WaitAnyUntil(const std::vector<AsyncCall*>& calls,
-                    std::int64_t wake_micros, bool wait_for_all);
 
   Network* network_;
   std::string endpoint_;

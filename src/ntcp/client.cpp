@@ -53,9 +53,9 @@ NtcpClient::NtcpClient(net::RpcClient* rpc, std::string server_endpoint,
       policy_(policy),
       clock_(clock) {}
 
-// One in-flight NTCP operation. The retry loop of the old synchronous
-// CallWithRetry lives here as an explicit state machine so that many
-// operations (one per site) can be interleaved on a single thread.
+// One in-flight NTCP operation. The retry loop lives here as an explicit
+// state machine so that many operations (one per site) can be interleaved
+// on a single thread; a synchronous call is an AwaitAll over one op.
 struct NtcpClient::AsyncOp::State {
   enum class Phase { kInFlight, kBackoff, kDone };
 
@@ -208,18 +208,7 @@ bool NtcpClient::AsyncOp::Pump() {
 
 util::Result<net::Bytes> NtcpClient::AsyncOp::Await() {
   if (state_ == nullptr) return util::Internal("Await() on an empty AsyncOp");
-  while (!Pump()) {
-    State& s = *state_;
-    NtcpClient* client = s.client;
-    if (s.phase == State::Phase::kInFlight) {
-      client->rpc_->WaitAnyUntil({&s.call}, s.call.deadline_micros());
-    } else {
-      const std::int64_t now = client->clock_->NowMicros();
-      if (s.resume_at_micros > now) {
-        client->clock_->SleepMicros(s.resume_at_micros - now);
-      }
-    }
-  }
+  AwaitAll(std::span<AsyncOp>(this, 1));
   util::Result<net::Bytes> outcome = std::move(state_->outcome);
   // Park the spent block for the owning client's next StartOp. Resetting
   // in place is allocation-free: the body frame was already released, the
@@ -273,7 +262,7 @@ NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
   return op;
 }
 
-void NtcpClient::AwaitAll(std::vector<AsyncOp>& ops) {
+void NtcpClient::AwaitAll(std::span<AsyncOp> ops) {
   // Refilled on every wake; allocated at most once per call.
   std::vector<net::RpcClient::AsyncCall*> calls;
   for (;;) {
@@ -309,12 +298,6 @@ void NtcpClient::AwaitAll(std::vector<AsyncOp>& ops) {
       if (wake > now) clock->SleepMicros(wake - now);
     }
   }
-}
-
-util::Result<net::Bytes> NtcpClient::CallWithRetry(net::MethodId method,
-                                                   const net::Bytes& body) {
-  AsyncOp op = StartOp(method, body, {}, /*parent_span_id=*/0);
-  return op.Await();
 }
 
 NtcpClient::AsyncOp NtcpClient::ProposeAsync(const Proposal& proposal,
@@ -400,15 +383,17 @@ util::Result<TransactionRecord> NtcpClient::GetTransaction(
     const std::string& transaction_id) {
   util::ByteWriter writer(util::AcquireFrame(transaction_id.size() + 4));
   writer.WriteString(transaction_id);
-  NEES_ASSIGN_OR_RETURN(net::Bytes response,
-                        CallWithRetry(GetTransactionMethod(), writer.Take()));
+  AsyncOp op = StartOp(GetTransactionMethod(), writer.Take(), {},
+                       /*parent_span_id=*/0);
+  NEES_ASSIGN_OR_RETURN(net::Bytes response, op.Await());
   util::ByteReader reader(response);
   return DecodeTransactionRecord(reader);
 }
 
 util::Result<std::vector<std::string>> NtcpClient::ListTransactions() {
-  NEES_ASSIGN_OR_RETURN(net::Bytes response,
-                        CallWithRetry(ListTransactionsMethod(), {}));
+  AsyncOp op = StartOp(ListTransactionsMethod(), {}, {},
+                       /*parent_span_id=*/0);
+  NEES_ASSIGN_OR_RETURN(net::Bytes response, op.Await());
   util::ByteReader reader(response);
   NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
   std::vector<std::string> ids;

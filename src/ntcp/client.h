@@ -60,11 +60,11 @@ class NtcpClient {
   /// Handle to an in-flight asynchronous NTCP operation. The full retry /
   /// backoff / at-most-once state machine of the synchronous API runs
   /// inside the handle: Pump() advances it without blocking (resolving the
-  /// current RPC attempt, scheduling backoff, or reissuing), Await() drives
-  /// it to completion on the calling thread. Many ops — across sites — can
-  /// be multiplexed on one thread with AwaitAll(); no thread is ever
-  /// created. Obtain via ProposeAsync/ExecuteAsync/CancelAsync and decode
-  /// with the matching Finish* function.
+  /// current RPC attempt, scheduling backoff, or reissuing). AwaitAll()
+  /// drives many ops — across sites — to completion, multiplexed on the
+  /// calling thread; Await() is AwaitAll() over this op alone. No thread
+  /// is ever created. Obtain via ProposeAsync/ExecuteAsync/CancelAsync and
+  /// decode with the matching Finish* function.
   class AsyncOp {
    public:
     AsyncOp();
@@ -89,7 +89,8 @@ class NtcpClient {
     std::int64_t elapsed_micros() const;
 
     /// Blocks until the operation resolves (including retries + backoff)
-    /// and consumes the outcome. Prefer the typed Finish* helpers.
+    /// through AwaitAll() and consumes the outcome. Prefer the typed
+    /// Finish* helpers.
     util::Result<net::Bytes> Await();
 
    private:
@@ -116,11 +117,12 @@ class NtcpClient {
   static util::Status FinishExecute(AsyncOp& op, TransactionResult& result);
   static util::Status FinishCancel(AsyncOp& op);
 
-  /// Drives every op to completion on the calling thread, overlapping all
-  /// their round trips and backoff windows. The ops may target different
-  /// sites; they should share one underlying RpcClient so a single batch
-  /// wait covers every in-flight attempt.
-  static void AwaitAll(std::vector<AsyncOp>& ops);
+  /// The one wait loop of the NTCP client: drives every op to completion
+  /// on the calling thread, overlapping all their round trips and backoff
+  /// windows. The ops may target different sites; they should share one
+  /// underlying RpcClient so a single RPC wait covers every in-flight
+  /// attempt.
+  static void AwaitAll(std::span<AsyncOp> ops);
 
   const std::string& server() const { return server_; }
   NtcpClientStats stats() const { return stats_; }
@@ -151,11 +153,6 @@ class NtcpClient {
   /// operation's span after the server tag; they are moved from.
   AsyncOp StartOp(net::MethodId method, net::Bytes body,
                   std::span<obs::Tag> op_tags, std::uint64_t parent_span_id);
-
-  /// Runs `call` with transient-error retry + exponential backoff.
-  /// Synchronous facade over StartOp + Await.
-  util::Result<net::Bytes> CallWithRetry(net::MethodId method,
-                                         const net::Bytes& body);
 
   net::RpcClient* rpc_;
   std::string server_;

@@ -1,7 +1,6 @@
 #include "plugins/mplugin.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "obs/trace.h"
@@ -44,7 +43,6 @@ MPlugin::~MPlugin() { Shutdown(); }
 void MPlugin::Shutdown() {
   util::MutexLock lock(mu_);
   shutting_down_ = true;
-  for (auto& [id, pending] : pending_) pending->cv.NotifyAll();
 }
 
 util::Status MPlugin::Validate(const ntcp::Proposal& proposal) {
@@ -82,12 +80,11 @@ util::Result<ntcp::TransactionResult> MPlugin::Execute(
   if (notify) notify();
   {
     util::MutexLock lock(mu_);
-    bool completed;
     if (virtual_net_ != nullptr) {
-      // Virtual time: drive the event loop instead of parking. Each pump
-      // runs outside mu_ (it delivers the wake, the backend's poll, the
-      // compute, and the notify — possibly recursively) until PostResult
-      // marks us done or the timeout's virtual deadline passes.
+      // Virtual time: drive the event loop. Each pump runs outside mu_ (it
+      // delivers the wake, the backend's poll, the compute, and the notify
+      // — possibly recursively) until PostResult marks us done or the
+      // timeout's virtual deadline passes.
       util::Clock* clock = virtual_net_->clock();
       const std::int64_t give_up =
           clock->NowMicros() + config_.execute_timeout_micros;
@@ -118,23 +115,12 @@ util::Result<ntcp::TransactionResult> MPlugin::Execute(
         virtual_net_->PumpOneUntil(std::min(give_up, rewake_at));
         lock.Lock();
       }
-      completed = pending->done || shutting_down_;
-    } else {
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::microseconds(config_.execute_timeout_micros);
-      while (!pending->done && !shutting_down_) {
-        const auto now = std::chrono::steady_clock::now();
-        if (now >= deadline) break;
-        pending->cv.WaitFor(
-            mu_, std::chrono::duration_cast<std::chrono::microseconds>(
-                     deadline - now)
-                     .count());
-      }
-      completed = pending->done || shutting_down_;
     }
+    // Outside kVirtual there is nothing to wait for: the inline
+    // PollingBackend posted the result before notify() returned, so a
+    // request still open here has no backend and fails fast.
     pending_.erase(proposal.transaction_id);
-    if (!completed || !pending->done) {
+    if (!pending->done) {
       // Remove the unclaimed request so a late backend can't act on it.
       std::erase_if(queue_, [&](const ntcp::Proposal& queued) {
         return queued.transaction_id == proposal.transaction_id;
@@ -190,7 +176,6 @@ util::Status MPlugin::PostResult(
   } else {
     it->second->status = outcome.status();
   }
-  it->second->cv.NotifyOne();  // wake exactly the Execute that is waiting
   return util::OkStatus();
 }
 

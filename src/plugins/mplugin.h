@@ -29,7 +29,10 @@
 namespace nees::plugins {
 
 struct MPluginConfig {
-  /// How long Execute() waits for the backend to poll + notify.
+  /// DeliveryMode::kVirtual only: how long (virtual time) Execute() pumps
+  /// the event loop for the backend to poll + notify. Elsewhere the inline
+  /// PollingBackend has posted the result before the work notifier
+  /// returns, so an unserviced request times out at once.
   std::int64_t execute_timeout_micros = 10'000'000;
   /// DeliveryMode::kVirtual only: when Execute's request is still queued
   /// and unpolled this long after the work notification (a lost wake), it
@@ -46,12 +49,12 @@ class MPlugin final : public ntcp::ControlPlugin {
   explicit MPlugin(Config config = Config());
   ~MPlugin() override;
 
-  /// Kills the plugin: in-flight Execute() waits unwind as timeouts and
-  /// every later poll/execute returns immediately. Idempotent; the
-  /// destructor calls it. Crash simulation calls it on the dead
-  /// incarnation so zombie stack frames (an Execute that was on the stack
-  /// when the crash fired) fail out instead of waiting on a backend that
-  /// will never answer.
+  /// Kills the plugin: an Execute() pumping the kVirtual event loop stops
+  /// waiting and unwinds as a timeout. Idempotent; the destructor calls
+  /// it. Crash simulation calls it on the dead incarnation so zombie stack
+  /// frames (an Execute that was on the stack when the crash fired) fail
+  /// out instead of waiting on a backend that will never answer. Outside
+  /// kVirtual, Execute() never waits, so there is nothing to unwind.
   void Shutdown();
 
   // --- ControlPlugin ---------------------------------------------------------
@@ -78,10 +81,9 @@ class MPlugin final : public ntcp::ControlPlugin {
   void BindBackendRpc(net::RpcServer& server);
 
   /// DeliveryMode::kVirtual: Execute's completion wait pumps `network`'s
-  /// event loop instead of parking on a condition variable, keeping the
-  /// whole propose/poll/notify exchange single-threaded and
-  /// seed-deterministic; it is also where a lost wake is re-sent
-  /// (Config::rewake_micros). Attach before the run starts.
+  /// event loop, keeping the whole propose/poll/notify exchange
+  /// single-threaded and seed-deterministic; it is also where a lost wake
+  /// is re-sent (Config::rewake_micros). Attach before the run starts.
   void AttachVirtualNetwork(net::Network* network);
 
   std::uint64_t polls() const;
@@ -94,10 +96,6 @@ class MPlugin final : public ntcp::ControlPlugin {
     bool done = false;
     util::Status status;
     ntcp::TransactionResult result;
-    // Each waiter gets its own signal so completing one transaction never
-    // wakes the others (several Executes can be pending at once under the
-    // coordinator's async fan-out).
-    util::CondVar cv;
     // Tracing context carried across the Execute -> poll -> notify hop.
     std::uint64_t parent_span_id = 0;
     std::int64_t enqueued_micros = 0;

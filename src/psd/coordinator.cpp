@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 
 #include "check/invariant.h"
 #include "obs/trace.h"
@@ -121,127 +122,117 @@ util::Status SimulationCoordinator::EnsureInitialized() {
   return util::OkStatus();
 }
 
-util::Status SimulationCoordinator::ForEachSite(
-    const std::function<util::Status(std::size_t site)>& work) {
-  util::Status first_error;
-  for (std::size_t i = 0; i < config_.sites.size(); ++i) {
-    const util::Status status = work(i);
-    if (!status.ok() && first_error.ok()) first_error = status;
-  }
-  return first_error;
-}
-
-util::Status SimulationCoordinator::ProposeAllAsync(
-    const std::vector<std::string>& transaction_ids,
-    const structural::Vector& displacement, std::vector<char>& accepted) {
+template <typename Issue, typename Finish>
+util::Status SimulationCoordinator::RunPhase(obs::Atom span_name, Issue issue,
+                                             Finish finish) {
   const std::size_t site_count = config_.sites.size();
   std::vector<ntcp::NtcpClient::AsyncOp>& ops = ops_scratch_;
   if (ops.size() != site_count) ops.resize(site_count);
   std::vector<std::uint64_t>& site_spans = site_spans_scratch_;
   site_spans.assign(site_count, 0);
-  if (proposal_scratch_.size() != site_count) {
-    proposal_scratch_.resize(site_count);
-  }
-  // Stage the whole fan-out, then flush it as one framed send per site.
-  rpc_->BeginBatch();
-  for (std::size_t i = 0; i < site_count; ++i) {
-    const SubstructureSite& site = config_.sites[i];
-    // Explicit span parenting: every site's spans are created from this one
-    // thread, so the implicit per-thread span stack cannot tell them apart.
-    if (config_.tracer != nullptr) {
-      site_spans[i] = config_.tracer->BeginSpanId(
-          kProposeSpan, kCoordination, step_span_id_,
-          {{kSite, site_atoms_[i]}});
-    }
-    // The scratch proposal's strings and vectors keep their capacity from
-    // the previous step, so refilling them allocates nothing.
-    ntcp::Proposal& proposal = proposal_scratch_[i];
-    proposal.transaction_id.assign(transaction_ids[i]);
-    proposal.step_index = static_cast<std::int64_t>(step_);
-    proposal.timeout_micros = config_.proposal_timeout_micros;
-    if (proposal.actions.size() != 1) proposal.actions.resize(1);
-    ntcp::ControlPointRequest& action = proposal.actions[0];
-    action.control_point.assign(site.control_point);
-    action.target_displacement.clear();
-    for (std::size_t dof : site.dofs) {
-      action.target_displacement.push_back(displacement[dof]);
-    }
-    action.target_force.clear();
-    ops[i] = clients_[i]->ProposeAsync(proposal, site_spans[i]);
-  }
-  rpc_->FlushBatch();
-  ntcp::NtcpClient::AwaitAll(ops);
-
+  // kAsync issues every site in one window, staged as one framed send per
+  // site; kSequential issues a window of one site at a time, unbatched.
+  const bool batched = config_.step_engine == StepEngine::kAsync;
+  const std::size_t window = batched ? site_count : 1;
   util::Status first_error;
-  for (std::size_t i = 0; i < site_count; ++i) {
-    const SubstructureSite& site = config_.sites[i];
-    site_stats_[i].step_micros.Add(
-        static_cast<double>(ops[i].elapsed_micros()));
-    ++site_stats_[i].proposals;
-    const util::Status status = ntcp::NtcpClient::FinishPropose(ops[i]);
-    if (config_.tracer != nullptr) config_.tracer->EndSpanId(site_spans[i]);
-    if (status.ok()) {
-      accepted[i] = 1;
-    } else if (first_error.ok()) {
-      first_error = util::Status(status.code(), "propose to " + site.name +
-                                                    " failed: " +
-                                                    status.message());
+  for (std::size_t begin = 0; begin < site_count; begin += window) {
+    const std::size_t end = std::min(begin + window, site_count);
+    if (batched) rpc_->BeginBatch();
+    for (std::size_t i = begin; i < end; ++i) {
+      // Explicit span parenting: every site's spans are created from this
+      // one thread, so the implicit per-thread span stack cannot tell them
+      // apart. The span still joins that stack, as does the op's protocol
+      // span, so in a window of one the site's server spans nest inside.
+      if (config_.tracer != nullptr) {
+        site_spans[i] = config_.tracer->BeginSpanId(
+            span_name, kCoordination, step_span_id_,
+            {{kSite, site_atoms_[i]}});
+      }
+      ops[i] = issue(i, site_spans[i]);
+    }
+    if (batched) rpc_->FlushBatch();
+    ntcp::NtcpClient::AwaitAll(
+        std::span<ntcp::NtcpClient::AsyncOp>(ops).subspan(begin, end - begin));
+    for (std::size_t i = begin; i < end; ++i) {
+      site_stats_[i].step_micros.Add(
+          static_cast<double>(ops[i].elapsed_micros()));
+      const util::Status status = finish(i, ops[i]);
+      if (config_.tracer != nullptr) config_.tracer->EndSpanId(site_spans[i]);
+      if (!status.ok() && first_error.ok()) first_error = status;
     }
   }
   return first_error;
 }
 
-util::Status SimulationCoordinator::ExecuteAllAsync(
+util::Status SimulationCoordinator::ProposeAll(
+    const std::vector<std::string>& transaction_ids,
+    const structural::Vector& displacement, std::vector<char>& accepted) {
+  if (proposal_scratch_.size() != config_.sites.size()) {
+    proposal_scratch_.resize(config_.sites.size());
+  }
+  return RunPhase(
+      kProposeSpan,
+      [&](std::size_t i, std::uint64_t span_id) {
+        const SubstructureSite& site = config_.sites[i];
+        // The scratch proposal's strings and vectors keep their capacity
+        // from the previous step, so refilling them allocates nothing.
+        ntcp::Proposal& proposal = proposal_scratch_[i];
+        proposal.transaction_id.assign(transaction_ids[i]);
+        proposal.step_index = static_cast<std::int64_t>(step_);
+        proposal.timeout_micros = config_.proposal_timeout_micros;
+        if (proposal.actions.size() != 1) proposal.actions.resize(1);
+        ntcp::ControlPointRequest& action = proposal.actions[0];
+        action.control_point.assign(site.control_point);
+        action.target_displacement.clear();
+        for (std::size_t dof : site.dofs) {
+          action.target_displacement.push_back(displacement[dof]);
+        }
+        action.target_force.clear();
+        return clients_[i]->ProposeAsync(proposal, span_id);
+      },
+      [&](std::size_t i, ntcp::NtcpClient::AsyncOp& op) {
+        ++site_stats_[i].proposals;
+        const util::Status status = ntcp::NtcpClient::FinishPropose(op);
+        if (status.ok()) {
+          accepted[i] = 1;
+          return status;
+        }
+        return util::Status(status.code(), "propose to " +
+                                               config_.sites[i].name +
+                                               " failed: " + status.message());
+      });
+}
+
+util::Status SimulationCoordinator::ExecuteAll(
     const std::vector<std::string>& transaction_ids,
     std::vector<ntcp::TransactionResult>& results,
     std::vector<char>& executed) {
-  const std::size_t site_count = config_.sites.size();
-  std::vector<ntcp::NtcpClient::AsyncOp>& ops = ops_scratch_;
-  if (ops.size() != site_count) ops.resize(site_count);
-  std::vector<std::uint64_t>& site_spans = site_spans_scratch_;
-  site_spans.assign(site_count, 0);
-  rpc_->BeginBatch();
-  for (std::size_t i = 0; i < site_count; ++i) {
-    if (config_.tracer != nullptr) {
-      site_spans[i] = config_.tracer->BeginSpanId(
-          kExecuteSpan, kCoordination, step_span_id_,
-          {{kSite, site_atoms_[i]}});
-    }
-    ops[i] = clients_[i]->ExecuteAsync(transaction_ids[i], site_spans[i]);
-  }
-  rpc_->FlushBatch();
-  ntcp::NtcpClient::AwaitAll(ops);
-
-  util::Status first_error;
-  for (std::size_t i = 0; i < site_count; ++i) {
-    const SubstructureSite& site = config_.sites[i];
-    site_stats_[i].step_micros.Add(
-        static_cast<double>(ops[i].elapsed_micros()));
-    ++site_stats_[i].executes;
-    // Decoded into the previous step's storage, which keeps its capacity.
-    const util::Status status =
-        ntcp::NtcpClient::FinishExecute(ops[i], results[i]);
-    if (config_.tracer != nullptr) config_.tracer->EndSpanId(site_spans[i]);
-    if (!status.ok()) {
-      if (first_error.ok()) {
-        first_error = util::Status(status.code(), "execute at " + site.name +
-                                                      " failed: " +
-                                                      status.message());
-      }
-      continue;
-    }
-    const ntcp::ControlPointResult* cp = results[i].Find(site.control_point);
-    if (cp == nullptr || cp->measured_force.size() != site.dofs.size()) {
-      if (first_error.ok()) {
-        first_error =
-            util::Internal("invalid response from " + site.name +
-                           ": missing/mis-sized control point result");
-      }
-      continue;
-    }
-    executed[i] = 1;
-  }
-  return first_error;
+  return RunPhase(
+      kExecuteSpan,
+      [&](std::size_t i, std::uint64_t span_id) {
+        return clients_[i]->ExecuteAsync(transaction_ids[i], span_id);
+      },
+      [&](std::size_t i, ntcp::NtcpClient::AsyncOp& op) {
+        const SubstructureSite& site = config_.sites[i];
+        ++site_stats_[i].executes;
+        // Decoded into the previous step's storage, which keeps its
+        // capacity.
+        const util::Status status =
+            ntcp::NtcpClient::FinishExecute(op, results[i]);
+        if (!status.ok()) {
+          return util::Status(status.code(), "execute at " + site.name +
+                                                 " failed: " +
+                                                 status.message());
+        }
+        const ntcp::ControlPointResult* cp =
+            results[i].Find(site.control_point);
+        if (cp == nullptr || cp->measured_force.size() != site.dofs.size()) {
+          return util::Internal("invalid response from " + site.name +
+                                ": missing/mis-sized control point result");
+        }
+        executed[i] = 1;
+        return util::OkStatus();
+      });
 }
 
 util::Status SimulationCoordinator::CycleOnce(
@@ -270,42 +261,8 @@ util::Status SimulationCoordinator::CycleOnce(
     id.append(config_.sites[i].name);
   }
   const std::int64_t propose_t0 = clock_->NowMicros();
-  util::Status proposed;
-  if (config_.step_engine == StepEngine::kAsync) {
-    proposed = ProposeAllAsync(transaction_ids, displacement, accepted);
-  } else {
-    proposed = ForEachSite([&](std::size_t i) {
-      const SubstructureSite& site = config_.sites[i];
-      obs::Span site_span;
-      if (config_.tracer != nullptr) {
-        site_span = config_.tracer->StartSpanWithParent(
-            kProposeSpan, kCoordination, step_span_id_);
-        site_span.AddTag(kSite, site_atoms_[i]);
-      }
-      ntcp::Proposal proposal;
-      proposal.transaction_id = transaction_ids[i];
-      proposal.step_index = static_cast<std::int64_t>(step_);
-      proposal.timeout_micros = config_.proposal_timeout_micros;
-      ntcp::ControlPointRequest action;
-      action.control_point = site.control_point;
-      for (std::size_t dof : site.dofs) {
-        action.target_displacement.push_back(displacement[dof]);
-      }
-      proposal.actions.push_back(std::move(action));
-
-      const util::Stopwatch watch;
-      const util::Status status = clients_[i]->Propose(proposal);
-      site_stats_[i].step_micros.Add(
-          static_cast<double>(watch.ElapsedMicros()));
-      ++site_stats_[i].proposals;
-      if (status.ok()) {
-        accepted[i] = 1;
-        return status;
-      }
-      return util::Status(status.code(), "propose to " + site.name +
-                                             " failed: " + status.message());
-    });
-  }
+  const util::Status proposed =
+      ProposeAll(transaction_ids, displacement, accepted);
   propose_phase_micros_.Add(
       static_cast<double>(clock_->NowMicros() - propose_t0));
   if (!proposed.ok()) {
@@ -324,41 +281,8 @@ util::Status SimulationCoordinator::CycleOnce(
   std::vector<char>& executed = executed_scratch_;
   executed.assign(site_count, 0);
   const std::int64_t execute_t0 = clock_->NowMicros();
-  util::Status exec_status;
-  if (config_.step_engine == StepEngine::kAsync) {
-    exec_status = ExecuteAllAsync(transaction_ids, results, executed);
-  } else {
-    exec_status = ForEachSite([&](std::size_t i) {
-      const SubstructureSite& site = config_.sites[i];
-      obs::Span site_span;
-      if (config_.tracer != nullptr) {
-        site_span = config_.tracer->StartSpanWithParent(
-            kExecuteSpan, kCoordination, step_span_id_);
-        site_span.AddTag(kSite, site_atoms_[i]);
-      }
-      const util::Stopwatch watch;
-      ntcp::NtcpClient::AsyncOp op =
-          clients_[i]->ExecuteAsync(transaction_ids[i]);
-      const util::Status status =
-          ntcp::NtcpClient::FinishExecute(op, results[i]);
-      site_stats_[i].step_micros.Add(
-          static_cast<double>(watch.ElapsedMicros()));
-      ++site_stats_[i].executes;
-      if (!status.ok()) {
-        return util::Status(status.code(), "execute at " + site.name +
-                                               " failed: " +
-                                               status.message());
-      }
-      const ntcp::ControlPointResult* cp =
-          results[i].Find(site.control_point);
-      if (cp == nullptr || cp->measured_force.size() != site.dofs.size()) {
-        return util::Internal("invalid response from " + site.name +
-                              ": missing/mis-sized control point result");
-      }
-      executed[i] = 1;
-      return util::OkStatus();
-    });
-  }
+  const util::Status exec_status =
+      ExecuteAll(transaction_ids, results, executed);
   execute_phase_micros_.Add(
       static_cast<double>(clock_->NowMicros() - execute_t0));
   for (std::size_t i = 0; i < site_count; ++i) {

@@ -111,7 +111,7 @@ struct SiteStats {
   std::uint64_t executes = 0;
   std::uint64_t rpc_retries = 0;
   std::uint64_t step_reattempts = 0;
-  util::SampleStats step_micros;  // time spent on this site per step
+  util::SampleStats step_micros;  // each propose/execute, coordinator clock
 };
 
 struct RunReport {
@@ -203,10 +203,6 @@ class SimulationCoordinator {
   void WalLogSiteOutcome(const std::string& transaction_id,
                          const std::string& site, bool executed);
   void WalSync();
-  /// Runs `work` for every site in order (the kSequential engine); returns
-  /// the first error after all sites have run.
-  util::Status ForEachSite(
-      const std::function<util::Status(std::size_t site)>& work);
   /// One full propose-all / execute-all cycle for the current step; fills
   /// `forces` with the assembled restoring force vector.
   util::Status RunNtcpCycle(const structural::Vector& displacement,
@@ -216,15 +212,22 @@ class SimulationCoordinator {
                          structural::Vector& forces,
                          std::vector<ntcp::TransactionResult>& results);
 
-  /// Completion-driven phases (StepEngine::kAsync): issue all sites'
-  /// requests, then multiplex completions on the calling thread.
-  /// `accepted` / `executed` record per-site success.
-  util::Status ProposeAllAsync(const std::vector<std::string>& transaction_ids,
-                               const structural::Vector& displacement,
-                               std::vector<char>& accepted);
-  util::Status ExecuteAllAsync(const std::vector<std::string>& transaction_ids,
-                               std::vector<ntcp::TransactionResult>& results,
-                               std::vector<char>& executed);
+  /// One phase over every site, for both engines: windows of sites are
+  /// issued (`issue(site, span_id)` returns the site's op) and awaited
+  /// together with NtcpClient::AwaitAll, then `finish(site, op)` decodes
+  /// each. The window is every site, batched, for kAsync and one site,
+  /// unbatched, for kSequential. Returns the first error after all sites
+  /// have run.
+  template <typename Issue, typename Finish>
+  util::Status RunPhase(obs::Atom span_name, Issue issue, Finish finish);
+  /// The propose and execute phases; `accepted` / `executed` record
+  /// per-site success.
+  util::Status ProposeAll(const std::vector<std::string>& transaction_ids,
+                          const structural::Vector& displacement,
+                          std::vector<char>& accepted);
+  util::Status ExecuteAll(const std::vector<std::string>& transaction_ids,
+                          std::vector<ntcp::TransactionResult>& results,
+                          std::vector<char>& executed);
 
   CoordinatorConfig config_;
   net::RpcClient* rpc_;

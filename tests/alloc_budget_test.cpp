@@ -66,13 +66,15 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-// Measured steady-state costs when the budgets were set: 193.99
+// Measured steady-state costs when the budgets were set: 176.80
 // allocations per step for the fuzz mini scenario and 28.07 for Mini-MOST.
-// The fuzz figure was 215.6 before ntcp.txn events became trace rows (no
-// heap copy of each transaction id) and NtcpClient::AwaitAll stopped
-// building a vector per wake; before the message path was made
-// allocation-free the two were 751.93 and 67.07.
-constexpr double kFuzzMiniBudget = 200.0;
+// The fuzz figure was 193.97 while the sequential step engine built a
+// fresh proposal per site and its waits built a vector per wake, 215.6
+// before ntcp.txn events became trace rows (no heap copy of each
+// transaction id) and NtcpClient::AwaitAll stopped building a vector per
+// wake; before the message path was made allocation-free the two were
+// 751.93 and 67.07.
+constexpr double kFuzzMiniBudget = 194.0;
 constexpr double kMiniMostBudget = 30.0;
 
 // Counts the heap allocations `run` makes.

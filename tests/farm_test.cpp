@@ -79,7 +79,6 @@ TEST(FarmTest, FarmHostedMostMatchesStandaloneBitIdentical) {
     most::MostOptions options;
     options.steps = kSteps;
     options.seed = kSeed;
-    options.step_engine = psd::StepEngine::kSequential;
     options.with_repository = false;
     options.daq_flush_every_steps = 0;
     most::MostExperiment experiment(&network, network.clock(),

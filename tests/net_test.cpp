@@ -880,13 +880,13 @@ TEST(RpcBatchWireTest, SingletonBatchIsWireIdenticalToPlainRequest) {
   EXPECT_NE(frames[1].correlation_id, frames[0].correlation_id);
 }
 
-// --- overlapped calls: CallAsync + WaitAll / WaitAnyUntil --------------------
+// --- overlapped calls: CallAsync + Wait / WaitAnyUntil -----------------------
 //
 // Latency-scheduled delivery under kVirtual: every message lands at its
 // modeled arrival time on the network's virtual clock, so the cost of an
 // overlapped round trip is asserted exactly, in modeled microseconds.
 
-TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
+TEST(ScheduledRpcTest, PerCallWaitsCollectOverlappedCalls) {
   Network network(DeliveryMode::kVirtual);
   LinkModel model;
   model.latency_micros = 3'000;
@@ -908,13 +908,10 @@ TEST(ScheduledRpcTest, WaitAllCollectsOverlappedCalls) {
                                      AsBytes(util::Format("c%d", i)),
                                      1'000'000));
   }
-  std::vector<RpcClient::AsyncCall*> handles;
-  for (RpcClient::AsyncCall& call : calls) handles.push_back(&call);
-  client.WaitAll(handles);
-
+  // Waiting on each handle in turn: the first wait's pumping delivers
+  // every reply, so the later waits find theirs already resolved.
   for (int i = 0; i < kCalls; ++i) {
-    util::Result<Bytes> result = util::Internal("unset");
-    ASSERT_TRUE(calls[i].TryResolve(&result)) << i;
+    util::Result<Bytes> result = calls[i].Wait();
     ASSERT_TRUE(result.ok()) << i;
     EXPECT_EQ(AsString(*result), util::Format("c%d", i));
   }
@@ -944,13 +941,14 @@ TEST(ScheduledRpcTest, WaitAnyUntilReturnsOnFirstCompletion) {
 
   RpcClient::AsyncCall a = client.CallAsync("fast", "echo", AsBytes("a"));
   RpcClient::AsyncCall b = client.CallAsync("slow", "echo", AsBytes("b"));
+  const std::vector<RpcClient::AsyncCall*> both = {&a, &b};
   // A wake time before any arrival ends the wait there, nothing resolved.
-  client.WaitAnyUntil({&a, &b}, 500);
+  client.WaitAnyUntil(both, 500);
   EXPECT_EQ(network.clock()->NowMicros(), 500);
   util::Result<Bytes> first = util::Internal("unset");
   EXPECT_FALSE(a.TryResolve(&first));
   // The wait then returns at the fast call's arrival: 1 fast RTT.
-  client.WaitAnyUntil({&a, &b}, 1'000'000);
+  client.WaitAnyUntil(both, 1'000'000);
   EXPECT_EQ(network.clock()->NowMicros(), 2'000);
   EXPECT_TRUE(a.TryResolve(&first));  // fast call resolved the wait
   ASSERT_TRUE(first.ok());

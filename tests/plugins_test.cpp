@@ -243,19 +243,22 @@ TEST(MPluginTest, BackendServicesExecute) {
 }
 
 TEST(MPluginTest, ExecuteTimesOutWithoutBackend) {
+  // Outside kVirtual an in-process backend posts before the work notifier
+  // returns, so with no backend there is nothing to wait for: Execute
+  // fails at once instead of sitting out its (kVirtual-only) timeout.
   MPlugin::Config config;
-  config.execute_timeout_micros = 20'000;  // 20 ms real time
+  config.execute_timeout_micros = 5'000'000;
   MPlugin plugin(config);
+  const util::Stopwatch watch;
   auto result = plugin.Execute(MakeProposal("m2", "cp", 0.01));
+  EXPECT_LT(watch.ElapsedMicros(), 1'000'000);
   EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
   // The stale request was withdrawn from the queue.
   EXPECT_EQ(plugin.buffered(), 0u);
 }
 
 TEST(MPluginTest, LateNotifyAfterTimeoutIsRejected) {
-  MPlugin::Config config;
-  config.execute_timeout_micros = 10'000;
-  MPlugin plugin(config);
+  MPlugin plugin;
   auto result = plugin.Execute(MakeProposal("m3", "cp", 0.01));
   EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
   EXPECT_EQ(plugin.PostResult("m3", ntcp::TransactionResult{}).code(),
@@ -286,9 +289,7 @@ TEST(MPluginTest, BackendRunsInlineOnTheExecutingThread) {
   // The backend owns no thread: the work notifier runs poll -> compute ->
   // post on the thread that called Execute(). Once Stop() removes the
   // notifier nothing services the plugin, so the next Execute() times out.
-  MPlugin::Config config;
-  config.execute_timeout_micros = 20'000;  // 20 ms real time
-  MPlugin plugin(config);
+  MPlugin plugin;
   auto models = std::make_shared<std::map<
       std::string, std::unique_ptr<structural::SubstructureModel>>>();
   (*models)["cp"] = ElasticModel(1000.0);
@@ -359,9 +360,7 @@ TEST(MPluginTest, RpcPollNeverBlocksOnItsMaxWait) {
 }
 
 TEST(MPluginTest, WorkNotifierFiresOnEnqueue) {
-  MPlugin::Config config;
-  config.execute_timeout_micros = 50'000;
-  MPlugin plugin(config);
+  MPlugin plugin;
   std::atomic<int> notified{0};
   plugin.SetWorkNotifier([&] { ++notified; });
   // No backend: the execute times out, but the notifier must have fired

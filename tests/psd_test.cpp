@@ -631,7 +631,9 @@ TEST_F(CoordinatorTest, AsyncEngineProducesIdenticalResponse) {
 TEST_F(CoordinatorTest, ParallelSitesOverlapWanRoundTrips) {
   // Over a 2 ms one-way WAN in virtual time, the async engine overlaps the
   // three sites: every propose/execute phase costs exactly one round trip,
-  // where the sequential engine pays one per site.
+  // where the sequential engine pays one per site. Either way each site's
+  // own propose or execute takes exactly one round trip on the
+  // coordinator's clock.
   net::Network network(net::DeliveryMode::kVirtual);
   net::LinkModel wan;
   wan.latency_micros = 2000;  // 2 ms one way
@@ -649,6 +651,7 @@ TEST_F(CoordinatorTest, ParallelSitesOverlapWanRoundTrips) {
     servers.push_back(std::move(server));
   }
 
+  constexpr double kRtt = 4'000;
   auto run = [&](StepEngine engine, const std::string& name) {
     CoordinatorConfig config = MakeConfig(15);
     config.run_id = name;
@@ -661,9 +664,14 @@ TEST_F(CoordinatorTest, ParallelSitesOverlapWanRoundTrips) {
     const RunReport report = coordinator.Run();
     EXPECT_TRUE(report.completed) << report.failure.ToString();
     EXPECT_EQ(report.propose_phase_micros.count(), 14u) << name;
+    EXPECT_EQ(report.site_stats.size(), 3u) << name;
+    for (const SiteStats& site : report.site_stats) {
+      EXPECT_EQ(site.step_micros.count(), 28u) << name << " " << site.name;
+      EXPECT_EQ(site.step_micros.min(), kRtt) << name << " " << site.name;
+      EXPECT_EQ(site.step_micros.max(), kRtt) << name << " " << site.name;
+    }
     return report;
   };
-  constexpr double kRtt = 4'000;
   const RunReport sequential = run(StepEngine::kSequential, "seq");
   EXPECT_EQ(sequential.propose_phase_micros.min(), 3 * kRtt);
   EXPECT_EQ(sequential.propose_phase_micros.max(), 3 * kRtt);
