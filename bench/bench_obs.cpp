@@ -157,9 +157,13 @@ int main(int argc, char** argv) {
               overhead(cpu_ratio).c_str());
 
   std::printf(
-      "shape: with ~20 ms one-way links, modeled time is dominated by\n"
-      "network transfer (4 messages x 3 sites x ~20 ms per step) and\n"
-      "actuator settling, exactly the paper's finding that protocol and\n"
-      "computation are negligible next to WAN latency and rig motion.\n");
+      "shape: the protocol row is an attribution artifact, not protocol\n"
+      "cost (EXPERIMENTS.md E-obs): under the async engine every site's\n"
+      "client protocol span joins the coordinator's span stack, all\n"
+      "servers run under the last-issued one, and the other sites'\n"
+      "childless protocol spans bill their whole round trip again. The\n"
+      "step itself is network transfer (4 messages x 3 sites x ~20 ms)\n"
+      "plus actuator settling; computation is all but free, the paper's\n"
+      "finding.\n");
   return 0;
 }

@@ -444,8 +444,12 @@ RpcClient::AsyncCall RpcClient::Issue(EndpointId target, MethodId method,
   async.target_ = target;
   async.method_ = method;
   // Deadline on the network's injected clock, not the wall clock, so
-  // SimClock-driven tests time out in simulated time.
-  async.deadline_micros_ = network_->clock()->NowMicros() + timeout_micros;
+  // SimClock-driven tests time out in simulated time. Only kVirtual waits
+  // for a deadline; a kImmediate call resolves without one (TryResolve,
+  // WaitAnyUntil), so it reads no clock here.
+  if (network_->mode() == DeliveryMode::kVirtual) {
+    async.deadline_micros_ = network_->clock()->NowMicros() + timeout_micros;
+  }
   std::string token;
   {
     util::MutexLock lock(mu_);

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <string>
@@ -179,7 +180,8 @@ class RpcClient {
     /// Wait(), resolves at most once per handle.
     bool TryResolve(util::Result<Bytes>* out);
 
-    /// Clock-based deadline (micros on the network's clock).
+    /// Clock-based deadline (micros on the network's clock). kVirtual only:
+    /// a kImmediate call never waits, so its deadline stays INT64_MAX.
     std::int64_t deadline_micros() const { return deadline_micros_; }
 
    private:
@@ -190,7 +192,7 @@ class RpcClient {
     RpcClient* client_ = nullptr;
     std::uint64_t correlation_ = 0;
     std::shared_ptr<PendingCall> state_;
-    std::int64_t deadline_micros_ = 0;
+    std::int64_t deadline_micros_ = std::numeric_limits<std::int64_t>::max();
     util::Status send_error_;
     EndpointId target_;
     MethodId method_;

@@ -263,8 +263,11 @@ NtcpClient::AsyncOp NtcpClient::StartOp(net::MethodId method, net::Bytes body,
 }
 
 void NtcpClient::AwaitAll(std::span<AsyncOp> ops) {
-  // Refilled on every wake; allocated at most once per call.
-  std::vector<net::RpcClient::AsyncCall*> calls;
+  // Room for one in-flight attempt per op, refilled on every wake: inline
+  // for up to kInlineCalls ops, else one vector allocated on the first wait.
+  constexpr std::size_t kInlineCalls = 16;
+  std::array<net::RpcClient::AsyncCall*, kInlineCalls> inline_calls;
+  std::vector<net::RpcClient::AsyncCall*> spilled;
   for (;;) {
     bool all_done = true;
     for (AsyncOp& op : ops) all_done &= op.Pump();
@@ -272,8 +275,13 @@ void NtcpClient::AwaitAll(std::span<AsyncOp> ops) {
 
     // Collect the in-flight attempts and the earliest self-driven event
     // (attempt deadline or backoff expiry) across unfinished ops.
-    if (calls.capacity() == 0) calls.reserve(ops.size());
-    calls.clear();
+    if (ops.size() > kInlineCalls && spilled.empty()) {
+      spilled.resize(ops.size());
+    }
+    const std::span<net::RpcClient::AsyncCall*> calls =
+        spilled.empty() ? std::span<net::RpcClient::AsyncCall*>(inline_calls)
+                        : std::span<net::RpcClient::AsyncCall*>(spilled);
+    std::size_t in_flight = 0;
     std::int64_t wake = std::numeric_limits<std::int64_t>::max();
     net::RpcClient* rpc = nullptr;
     util::Clock* clock = nullptr;
@@ -284,14 +292,14 @@ void NtcpClient::AwaitAll(std::span<AsyncOp> ops) {
       clock = s.client->clock_;
       wake = std::min(wake, op.NextEventMicros());
       if (s.phase == AsyncOp::State::Phase::kInFlight) {
-        calls.push_back(&s.call);
+        calls[in_flight++] = &s.call;
       }
     }
     if (rpc == nullptr) return;  // nothing unfinished after all
-    if (!calls.empty()) {
+    if (in_flight > 0) {
       // Sleep until any in-flight attempt completes, a deadline lapses, or
       // the earliest backoff expires — whichever is first.
-      rpc->WaitAnyUntil(calls, wake);
+      rpc->WaitAnyUntil(calls.first(in_flight), wake);
     } else {
       // Only backoff timers remain; sleeping advances a SimClock instantly.
       const std::int64_t now = clock->NowMicros();

@@ -96,7 +96,7 @@ void NtcpServer::QueueExpiryTickLocked() {
 
 void NtcpServer::OnExpiryTick() {
   util::MutexLock lock(mu_);
-  ExpireStaleLocked();
+  ExpireStaleLocked(clock_->NowMicros());
   expiry_tick_queued_ = false;
   QueueExpiryTickLocked();
 }
@@ -110,21 +110,23 @@ util::Status NtcpServer::PublishTo(grid::ServiceContainer& container) {
   return container.AddService(service_).status();
 }
 
-void NtcpServer::PublishTxnSdeLocked(const std::string& id,
-                                     const TransactionRecord& record) {
+void NtcpServer::PublishTxnSdeLocked(const TransactionRecord& record) {
   grid::SdeValue value;
   value.Set("state", std::string(TransactionStateName(record.state)));
   value.Set("step", std::to_string(record.proposal.step_index));
   value.Set("actions", std::to_string(record.proposal.actions.size()));
   value.Set("timeout_micros", std::to_string(record.proposal.timeout_micros));
   if (!record.detail.empty()) value.Set("detail", record.detail);
-  for (const auto& [state_name, micros] : record.state_timestamps) {
-    value.Set("t_" + state_name, std::to_string(micros));
-  }
+  record.state_timestamps.ForEach(
+      [&value](TransactionState state, std::int64_t micros) {
+        std::string key = "t_";
+        key += TransactionStateName(state);
+        value.Set(key, std::to_string(micros));
+      });
   if (record.state == TransactionState::kCompleted) {
     value.Set("results", std::to_string(record.result.results.size()));
   }
-  service_->SetServiceData("txn." + id, value);
+  service_->SetServiceData("txn." + record.proposal.transaction_id, value);
 }
 
 void NtcpServer::PublishServerStatsLocked() {
@@ -140,26 +142,26 @@ void NtcpServer::PublishServerStatsLocked() {
   service_->SetServiceData("serverStats", stats);
 }
 
-void NtcpServer::PublishSdeLocked(const std::string& id,
-                                  const TransactionRecord& record) {
-  PublishTxnSdeLocked(id, record);
+void NtcpServer::PublishSdeLocked(const TransactionRecord& record,
+                                  std::int64_t now_micros) {
+  PublishTxnSdeLocked(record);
 
   // The "most recently changed" SDE monitors the server as a whole (§2.1).
   grid::SdeValue last;
-  last.Set("transaction", id);
+  last.Set("transaction", record.proposal.transaction_id);
   last.Set("state", std::string(TransactionStateName(record.state)));
-  last.Set("time", std::to_string(clock_->NowMicros()));
+  last.Set("time", std::to_string(now_micros));
   service_->SetServiceData("lastChanged", last);
 
   PublishServerStatsLocked();
 }
 
-void NtcpServer::MarkSdeDirtyLocked(const std::string& id,
-                                    TransactionState state,
+void NtcpServer::MarkSdeDirtyLocked(const TransactionRecord& record,
                                     std::int64_t at_micros) {
   sde_dirty_ = true;
-  last_changed_id_.assign(id);  // reuses capacity in steady state
-  last_changed_state_ = state;
+  // Reuses capacity in steady state.
+  last_changed_id_.assign(record.proposal.transaction_id);
+  last_changed_state_ = record.state;
   last_changed_at_ = at_micros;
 }
 
@@ -171,8 +173,10 @@ void NtcpServer::FlushSde() {
 void NtcpServer::FlushSdeLocked() {
   if (!sde_dirty_) return;
   sde_dirty_ = false;
-  for (const auto& [id, record] : transactions_) {
-    PublishTxnSdeLocked(id, record);
+  // In id order: a subscriber that joined since the change sees one
+  // notification per transaction, in the order it always has.
+  for (const TransactionRecord* record : transactions_.SortedById()) {
+    PublishTxnSdeLocked(*record);
   }
   if (!last_changed_id_.empty()) {
     grid::SdeValue last;
@@ -206,19 +210,19 @@ void NtcpServer::WalLogCreateLocked(const TransactionRecord& record) {
   if (wal_ == nullptr) return;
   util::ByteWriter writer(std::move(wal_buffer_));
   EncodeProposal(record.proposal, writer);
-  const auto it = record.state_timestamps.find(
-      TransactionStateName(TransactionState::kProposed));
-  writer.WriteI64(it == record.state_timestamps.end() ? -1 : it->second);
+  const StateTimestamps& stamps = record.state_timestamps;
+  writer.WriteI64(stamps.contains(TransactionState::kProposed)
+                      ? stamps.at(TransactionState::kProposed)
+                      : -1);
   if (wal_->Append(kWalTxnCreate, writer.data()).ok()) ++stats_.wal_records;
   wal_buffer_ = writer.Take();
 }
 
-void NtcpServer::WalLogTransitionLocked(const std::string& id,
-                                        const TransactionRecord& record,
+void NtcpServer::WalLogTransitionLocked(const TransactionRecord& record,
                                         std::int64_t at_micros) {
   if (wal_ == nullptr) return;
   util::ByteWriter writer(std::move(wal_buffer_));
-  writer.WriteString(id);
+  writer.WriteString(record.proposal.transaction_id);
   writer.WriteU8(static_cast<std::uint8_t>(record.state));
   writer.WriteI64(at_micros);
   writer.WriteString(record.detail);
@@ -251,15 +255,15 @@ void NtcpServer::RecordDupEventLocked(const TransactionRecord& record,
                         {kState, TransactionStateAtom(record.state)}});
 }
 
-void NtcpServer::TransitionLocked(const std::string& id,
-                                  TransactionRecord& record,
-                                  TransactionState to,
-                                  const std::string& detail,
-                                  const std::string& cause) {
+void NtcpServer::TransitionLocked(TransactionRecord& record,
+                                  TransactionState to, std::int64_t at,
+                                  std::string_view detail,
+                                  std::string_view cause) {
   if (!IsLegalTransition(record.state, to)) {
     NEES_LOG_ERROR("ntcp.server." + endpoint())
         << "illegal transition " << TransactionStateName(record.state)
-        << " -> " << TransactionStateName(to) << " for " << id;
+        << " -> " << TransactionStateName(to) << " for "
+        << record.proposal.transaction_id;
     return;
   }
   NEES_CHECK_INVARIANT(!IsTerminal(record.state),
@@ -274,18 +278,17 @@ void NtcpServer::TransitionLocked(const std::string& id,
     --expiry_live_;
     BoundExpiryIndexLocked();
   }
-  if (!detail.empty()) record.detail = detail;
-  const std::int64_t at = clock_->NowMicros();
-  record.state_timestamps[TransactionStateName(to)] = at;
-  WalLogTransitionLocked(id, record, at);
+  if (!detail.empty()) record.detail.assign(detail);
+  StampState(record, to, at);
+  WalLogTransitionLocked(record, at);
   RecordTxnEventLocked(record, from, TransactionStateAtom(to), at, cause);
   if (service_->HasSdeSubscribers()) {
     // A subscriber needs the change callback now; publish eagerly.
-    PublishSdeLocked(id, record);
+    PublishSdeLocked(record, at);
   } else {
     // Nobody is watching: defer the (allocation-heavy) SDE rebuild to the
     // next OGSI read. This is the dominant saving on the step hot path.
-    MarkSdeDirtyLocked(id, to, at);
+    MarkSdeDirtyLocked(record, at);
   }
 }
 
@@ -307,56 +310,48 @@ NtcpServer::ProposeOutcome NtcpServer::Propose(Proposal proposal) {
     return {false, "transaction id must not be empty"};
   }
 
-  auto it = transactions_.find(proposal.transaction_id);
-  if (it != transactions_.end()) {
+  // The id is hashed once: for the duplicate check and for the insert.
+  const std::uint64_t hash = TransactionTable::Hash(proposal.transaction_id);
+  if (const TransactionRecord* existing =
+          transactions_.Find(proposal.transaction_id, hash)) {
     // At-most-once: an identical re-sent proposal gets the original answer;
     // a *different* proposal under the same name is a protocol violation.
-    if (it->second.proposal == proposal) {
+    if (existing->proposal == proposal) {
       ++stats_.duplicate_proposals;
-      RecordDupEventLocked(it->second, "propose");
-      const bool was_accepted =
-          it->second.state != TransactionState::kRejected;
-      return {was_accepted, it->second.detail};
+      RecordDupEventLocked(*existing, "propose");
+      const bool was_accepted = existing->state != TransactionState::kRejected;
+      return {was_accepted, existing->detail};
     }
     ++stats_.rejected;
-    RecordDupEventLocked(it->second, "propose-mismatch");
+    RecordDupEventLocked(*existing, "propose-mismatch");
     return {false, "transaction id already in use with a different proposal"};
   }
 
   const util::Status validation = plugin_->Validate(proposal);
-  TransactionRecord record;
-  record.proposal = std::move(proposal);
-  record.state = TransactionState::kProposed;
+  // One clock read stamps the creation and the accept/reject decision.
   const std::int64_t proposed_at = clock_->NowMicros();
-  record.state_timestamps[TransactionStateName(
-      TransactionState::kProposed)] = proposed_at;
-
-  // Pair members construct in order, so the key is copied out of
-  // record.proposal before the record itself is moved into the node.
-  auto [inserted, unused] = transactions_.emplace(
-      record.proposal.transaction_id, std::move(record));
-  (void)unused;
-  const std::string& id = inserted->first;
-  NEES_CHECK_INVARIANT(inserted->second.state == TransactionState::kProposed,
+  TransactionRecord& record = transactions_.Insert(hash, std::move(proposal));
+  StampState(record, TransactionState::kProposed, proposed_at);
+  NEES_CHECK_INVARIANT(record.state == TransactionState::kProposed,
                        "a freshly created transaction must be kProposed");
-  if (ProposalDeadlineMicros(inserted->second) >= 0) ++expiry_live_;
-  WalLogCreateLocked(inserted->second);
-  RecordTxnEventLocked(inserted->second, NoTransactionStateAtom(),
+  if (ProposalDeadlineMicros(record) >= 0) ++expiry_live_;
+  WalLogCreateLocked(record);
+  RecordTxnEventLocked(record, NoTransactionStateAtom(),
                        TransactionStateAtom(TransactionState::kProposed),
                        proposed_at);
   if (validation.ok()) {
     ++stats_.accepted;
-    TransitionLocked(id, inserted->second, TransactionState::kAccepted, "");
-    IndexForExpiryLocked(*inserted);
+    TransitionLocked(record, TransactionState::kAccepted, proposed_at);
+    IndexForExpiryLocked(record);
     QueueExpiryTickLocked();
     WalSyncLocked();  // durable before the accept is disclosed
     return {true, ""};
   }
   ++stats_.rejected;
-  TransitionLocked(id, inserted->second, TransactionState::kRejected,
-                   validation.ToString());
+  std::string reason = validation.ToString();
+  TransitionLocked(record, TransactionState::kRejected, proposed_at, reason);
   WalSyncLocked();
-  return {false, validation.ToString()};
+  return {false, std::move(reason)};
 }
 
 util::Result<TransactionResult> NtcpServer::Execute(
@@ -378,14 +373,14 @@ util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
     span.AddTag(kTxn, transaction_id);
     tracer_->metrics().Increment("ntcp.server.executes");
   }
-  const Proposal* proposal = nullptr;
+  TransactionRecord* executing = nullptr;
   {
     util::MutexLock lock(mu_);
-    auto it = transactions_.find(transaction_id);
-    if (it == transactions_.end()) {
+    TransactionRecord* found = transactions_.Find(transaction_id);
+    if (found == nullptr) {
       return util::NotFound("unknown transaction: " + transaction_id);
     }
-    TransactionRecord& record = it->second;
+    TransactionRecord& record = *found;
 
     switch (record.state) {
       case TransactionState::kCompleted:
@@ -413,10 +408,12 @@ util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
         break;
     }
 
-    // Enforce the proposal timeout window.
-    if (ProposalWindowLapsed(record, clock_->NowMicros())) {
+    // Enforce the proposal timeout window. The same read stamps whichever
+    // transition follows.
+    const std::int64_t now = clock_->NowMicros();
+    if (ProposalWindowLapsed(record, now)) {
       ++stats_.expired;
-      TransitionLocked(transaction_id, record, TransactionState::kExpired,
+      TransitionLocked(record, TransactionState::kExpired, now,
                        "proposal timeout lapsed before execute");
       NEES_CHECK_INVARIANT(record.state == TransactionState::kExpired,
                            "lapsed-window transaction must end kExpired");
@@ -424,41 +421,38 @@ util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
       return util::FailedPrecondition("transaction expired");
     }
 
-    TransitionLocked(transaction_id, record, TransactionState::kExecuting,
-                     "");
+    TransitionLocked(record, TransactionState::kExecuting, now);
     // The intent to execute must be durable *before* the plugin can move the
     // specimen: after a crash, recovery sees kExecuting and crash-marks it
     // kFailed instead of silently re-executing (at-most-once).
     WalSyncLocked();
-    // Safe to read outside the lock: the proposal is immutable once the
-    // record is created, std::map nodes do not move, and the record cannot
-    // be erased while kExecuting (GarbageCollect only drops terminal
-    // states, and AttachWal runs before the server takes traffic).
-    proposal = &record.proposal;
+    // Safe to use outside the lock: the proposal is immutable once the
+    // record is created, records never move, and the record cannot be
+    // erased while kExecuting (GarbageCollect only drops terminal states,
+    // and AttachWal runs before the server takes traffic).
+    executing = &record;
     ++stats_.executions;
   }
 
   // Run the plugin outside the table lock: executions can take (simulated)
   // seconds and inspection must stay responsive meanwhile.
-  util::Result<TransactionResult> outcome = plugin_->Execute(*proposal);
+  util::Result<TransactionResult> outcome =
+      plugin_->Execute(executing->proposal);
 
   util::MutexLock lock(mu_);
-  auto it = transactions_.find(transaction_id);
-  if (it == transactions_.end()) {
-    return util::Internal("transaction vanished during execution");
-  }
-  NEES_CHECK_INVARIANT(it->second.state == TransactionState::kExecuting,
+  TransactionRecord& record = *executing;
+  NEES_CHECK_INVARIANT(record.state == TransactionState::kExecuting,
                        "transaction left kExecuting during plugin execution");
+  const std::int64_t done_at = clock_->NowMicros();
   if (outcome.ok()) {
-    it->second.result = std::move(*outcome);
-    TransitionLocked(transaction_id, it->second, TransactionState::kCompleted,
-                     "");
+    record.result = std::move(*outcome);
+    TransitionLocked(record, TransactionState::kCompleted, done_at);
     WalSyncLocked();  // result durable before the reply that caches it
-    consume(it->second.result);
+    consume(record.result);
     return util::OkStatus();
   }
   ++stats_.failures;
-  TransitionLocked(transaction_id, it->second, TransactionState::kFailed,
+  TransitionLocked(record, TransactionState::kFailed, done_at,
                    outcome.status().ToString());
   WalSyncLocked();
   return outcome.status();
@@ -466,22 +460,21 @@ util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
 
 util::Status NtcpServer::Cancel(const std::string& transaction_id) {
   util::MutexLock lock(mu_);
-  auto it = transactions_.find(transaction_id);
-  if (it == transactions_.end()) {
+  TransactionRecord* record = transactions_.Find(transaction_id);
+  if (record == nullptr) {
     return util::NotFound("unknown transaction: " + transaction_id);
   }
-  TransactionRecord& record = it->second;
-  if (record.state == TransactionState::kCancelled) return util::OkStatus();
-  if (!IsOpen(record.state)) {
+  if (record->state == TransactionState::kCancelled) return util::OkStatus();
+  if (!IsOpen(record->state)) {
     return util::FailedPrecondition(
         "cannot cancel a transaction in state " +
-        std::string(TransactionStateName(record.state)));
+        std::string(TransactionStateName(record->state)));
   }
   ++stats_.cancels;
-  TransitionLocked(transaction_id, record, TransactionState::kCancelled,
+  TransitionLocked(*record, TransactionState::kCancelled, clock_->NowMicros(),
                    "cancelled by client");
   WalSyncLocked();
-  plugin_->OnCancel(record.proposal);
+  plugin_->OnCancel(record->proposal);
   return util::OkStatus();
 }
 
@@ -493,29 +486,28 @@ util::Result<TransactionRecord> NtcpServer::GetTransaction(
     span.AddTag(kEndpoint, endpoint_atom());
   }
   util::MutexLock lock(mu_);
-  auto it = transactions_.find(transaction_id);
-  if (it == transactions_.end()) {
+  const TransactionRecord* record = transactions_.Find(transaction_id);
+  if (record == nullptr) {
     return util::NotFound("unknown transaction: " + transaction_id);
   }
-  return it->second;
+  return *record;
 }
 
 std::vector<std::string> NtcpServer::ListTransactions() const {
   util::MutexLock lock(mu_);
   std::vector<std::string> ids;
   ids.reserve(transactions_.size());
-  for (const auto& [id, record] : transactions_) {
-    (void)record;
-    ids.push_back(id);
+  for (const TransactionRecord* record : transactions_.SortedById()) {
+    ids.push_back(record->proposal.transaction_id);
   }
   return ids;
 }
 
-void NtcpServer::IndexForExpiryLocked(TransactionTable::value_type& entry) {
-  if (!IsOpen(entry.second.state)) return;
-  const std::int64_t deadline = ProposalDeadlineMicros(entry.second);
+void NtcpServer::IndexForExpiryLocked(TransactionRecord& record) {
+  if (!IsOpen(record.state)) return;
+  const std::int64_t deadline = ProposalDeadlineMicros(record);
   if (deadline < 0) return;  // no timeout: ProposalWindowLapsed never fires
-  expiry_index_.push_back(ExpiryEntry{deadline, &entry});
+  expiry_index_.push_back(ExpiryEntry{deadline, &record});
   std::push_heap(expiry_index_.begin(), expiry_index_.end(),
                  std::greater<>());
   BoundExpiryIndexLocked();
@@ -523,11 +515,11 @@ void NtcpServer::IndexForExpiryLocked(TransactionTable::value_type& entry) {
 
 void NtcpServer::RebuildExpiryIndexLocked() {
   expiry_index_.clear();
-  for (auto& entry : transactions_) {
-    if (!IsOpen(entry.second.state)) continue;
-    const std::int64_t deadline = ProposalDeadlineMicros(entry.second);
-    if (deadline >= 0) expiry_index_.push_back(ExpiryEntry{deadline, &entry});
-  }
+  transactions_.ForEach([this](TransactionRecord& record) {
+    if (!IsOpen(record.state)) return;
+    const std::int64_t deadline = ProposalDeadlineMicros(record);
+    if (deadline >= 0) expiry_index_.push_back(ExpiryEntry{deadline, &record});
+  });
   std::make_heap(expiry_index_.begin(), expiry_index_.end(),
                  std::greater<>());
   expiry_live_ = expiry_index_.size();
@@ -539,7 +531,7 @@ void NtcpServer::BoundExpiryIndexLocked() {
   // skipped by a sweep: dropping it keeps the expiry set, and the sweep
   // sorts what lapses into id order whatever the heap's shape.
   std::erase_if(expiry_index_, [](const ExpiryEntry& e) {
-    return !IsOpen(e.entry->second.state);
+    return !IsOpen(e.record->state);
   });
   std::make_heap(expiry_index_.begin(), expiry_index_.end(),
                  std::greater<>());
@@ -547,11 +539,10 @@ void NtcpServer::BoundExpiryIndexLocked() {
 
 int NtcpServer::ExpireStale() {
   util::MutexLock lock(mu_);
-  return ExpireStaleLocked();
+  return ExpireStaleLocked(clock_->NowMicros());
 }
 
-int NtcpServer::ExpireStaleLocked() {
-  const std::int64_t now = clock_->NowMicros();
+int NtcpServer::ExpireStaleLocked(std::int64_t now) {
   // A deadline is fixed at creation (proposed_at + timeout), so the entries
   // strictly past `now` whose transaction is still open are exactly the
   // records ProposalWindowLapsed(record, now) selects in a table walk.
@@ -560,22 +551,20 @@ int NtcpServer::ExpireStaleLocked() {
          expiry_index_.front().deadline_micros < now) {
     std::pop_heap(expiry_index_.begin(), expiry_index_.end(),
                   std::greater<>());
-    TransactionTable::value_type* entry = expiry_index_.back().entry;
+    TransactionRecord* record = expiry_index_.back().record;
     expiry_index_.pop_back();
     ++stats_.expiry_visits;
-    if (IsOpen(entry->second.state)) lapsed_.push_back(entry);
+    if (IsOpen(record->state)) lapsed_.push_back(record);
   }
-  // Transition in id order, the table walk's order, so ntcp.txn events,
-  // WAL records and schedule ties are unchanged.
-  std::sort(lapsed_.begin(), lapsed_.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (TransactionTable::value_type* entry : lapsed_) {
-    TransactionRecord& record = entry->second;
-    NEES_CHECK_INVARIANT(ProposalWindowLapsed(record, now),
+  // Transition in id order, the order a table walk in id order would take,
+  // so ntcp.txn events, WAL records and schedule ties are unchanged.
+  TransactionTable::SortById(lapsed_);
+  for (TransactionRecord* record : lapsed_) {
+    NEES_CHECK_INVARIANT(ProposalWindowLapsed(*record, now),
                          "expiry index entry must match the proposal window");
-    TransitionLocked(entry->first, record, TransactionState::kExpired,
+    TransitionLocked(*record, TransactionState::kExpired, now,
                      "proposal timeout lapsed");
-    NEES_CHECK_INVARIANT(record.state == TransactionState::kExpired,
+    NEES_CHECK_INVARIANT(record->state == TransactionState::kExpired,
                          "lapsed-window transaction must end kExpired");
     ++stats_.expired;
   }
@@ -586,24 +575,21 @@ int NtcpServer::ExpireStaleLocked() {
 int NtcpServer::GarbageCollect(std::int64_t retention_micros) {
   util::MutexLock lock(mu_);
   const std::int64_t cutoff = clock_->NowMicros() - retention_micros;
-  int removed = 0;
-  for (auto it = transactions_.begin(); it != transactions_.end();) {
-    std::int64_t last_change = 0;
-    for (const auto& [state, micros] : it->second.state_timestamps) {
-      last_change = std::max(last_change, micros);
-    }
-    if (IsTerminal(it->second.state) && last_change < cutoff) {
-      service_->RemoveServiceData("txn." + it->first);
-      it = transactions_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
-  }
+  const std::size_t removed =
+      transactions_.EraseIf([&](const TransactionRecord& record) {
+        std::int64_t last_change = 0;
+        record.state_timestamps.ForEach(
+            [&last_change](TransactionState, std::int64_t micros) {
+              last_change = std::max(last_change, micros);
+            });
+        if (!IsTerminal(record.state) || last_change >= cutoff) return false;
+        service_->RemoveServiceData("txn." + record.proposal.transaction_id);
+        return true;
+      });
   // Erased records may still have index entries (their deadline had not
   // passed yet); rebuild from the survivors so none dangles.
   if (removed > 0) RebuildExpiryIndexLocked();
-  return removed;
+  return static_cast<int>(removed);
 }
 
 util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
@@ -621,15 +607,14 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
     if (rec.type == kWalTxnCreate) {
       NEES_ASSIGN_OR_RETURN(Proposal proposal, DecodeProposal(reader));
       NEES_ASSIGN_OR_RETURN(std::int64_t at, reader.ReadI64());
-      auto [it, inserted] =
-          transactions_.try_emplace(proposal.transaction_id);
-      if (!inserted) continue;  // double recovery: upsert, don't clobber
-      it->second.proposal = std::move(proposal);
-      it->second.state = TransactionState::kProposed;
-      if (at >= 0) {
-        it->second.state_timestamps[TransactionStateName(
-            TransactionState::kProposed)] = at;
+      const std::uint64_t hash =
+          TransactionTable::Hash(proposal.transaction_id);
+      if (transactions_.Find(proposal.transaction_id, hash) != nullptr) {
+        continue;  // double recovery: upsert, don't clobber
       }
+      TransactionRecord& record =
+          transactions_.Insert(hash, std::move(proposal));
+      if (at >= 0) StampState(record, TransactionState::kProposed, at);
       ++recovery.transactions_recovered;
     } else if (rec.type == kWalTxnTransition) {
       NEES_ASSIGN_OR_RETURN(std::string id, reader.ReadString());
@@ -642,19 +627,17 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
             "WAL transition for %s names unknown state %u", id.c_str(),
             static_cast<unsigned>(state_raw)));
       }
-      auto it = transactions_.find(id);
-      if (it == transactions_.end()) {
+      TransactionRecord* record = transactions_.Find(id);
+      if (record == nullptr) {
         // Creates are synced before any transition is appended, so a
         // transition without its create means the log is not ours.
         return util::DataLoss("WAL transition for unknown transaction: " + id);
       }
-      it->second.state = static_cast<TransactionState>(state_raw);
-      if (!detail.empty()) it->second.detail = detail;
-      it->second.state_timestamps[TransactionStateName(
-          it->second.state)] = at;
+      record->state = static_cast<TransactionState>(state_raw);
+      if (!detail.empty()) record->detail = std::move(detail);
+      StampState(*record, record->state, at);
       if (has_result) {
-        NEES_ASSIGN_OR_RETURN(it->second.result,
-                              DecodeTransactionResult(reader));
+        NEES_ASSIGN_OR_RETURN(record->result, DecodeTransactionResult(reader));
       }
     } else {
       return util::DataLoss(util::Format(
@@ -665,10 +648,15 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
   // Only attach once replay succeeded: a corrupt log must not be appended to.
   wal_ = log;
 
-  std::vector<std::string> inflight;
-  for (const auto& [id, record] : transactions_) {
-    if (record.state == TransactionState::kExecuting) inflight.push_back(id);
-  }
+  std::vector<TransactionRecord*> inflight;
+  transactions_.ForEach([&inflight](TransactionRecord& record) {
+    if (record.state == TransactionState::kExecuting) {
+      inflight.push_back(&record);
+    }
+  });
+  // In id order, so the crash-marks' ntcp.txn events and WAL records keep
+  // their place.
+  TransactionTable::SortById(inflight);
 
   if (!records.empty() && tracer_ != nullptr) {
     tracer_->RecordEvent(
@@ -685,10 +673,10 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
   // executing -> failed edge) and let the coordinator re-propose under a
   // fresh attempt id. These transitions ARE traced (cause=crash-recovery)
   // and logged, so a second crash replays them instead of re-deciding.
-  for (const std::string& id : inflight) {
-    auto it = transactions_.find(id);
+  const std::int64_t now = clock_->NowMicros();
+  for (TransactionRecord* record : inflight) {
     ++stats_.failures;
-    TransitionLocked(id, it->second, TransactionState::kFailed,
+    TransitionLocked(*record, TransactionState::kFailed, now,
                      "site crashed during execution; specimen state unknown",
                      "crash-recovery");
     ++recovery.inflight_failed;
@@ -699,9 +687,10 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
   QueueExpiryTickLocked();
 
   // Republish every recovered transaction's SDE so OGSI inspection of the
-  // new incarnation sees the full table, not just post-restart changes.
-  for (const auto& [id, record] : transactions_) {
-    PublishSdeLocked(id, record);
+  // new incarnation sees the full table, not just post-restart changes. In
+  // id order, which leaves lastChanged on the greatest id.
+  for (const TransactionRecord* record : transactions_.SortedById()) {
+    PublishSdeLocked(*record, now);
   }
   return recovery;
 }

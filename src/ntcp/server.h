@@ -12,9 +12,9 @@
 //   ntcp.listTransactions {}     -> [txn_id...]
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/mutex.h"
@@ -23,6 +23,7 @@
 #include "grid/service.h"
 #include "net/rpc.h"
 #include "ntcp/plugin.h"
+#include "ntcp/transaction_table.h"
 #include "ntcp/types.h"
 #include "util/clock.h"
 #include "wal/wal.h"
@@ -152,9 +153,11 @@ class NtcpServer {
   template <typename Consume>
   util::Status ExecuteWith(const std::string& transaction_id,
                            Consume&& consume);
-  void TransitionLocked(const std::string& id, TransactionRecord& record,
-                        TransactionState to, const std::string& detail,
-                        const std::string& cause = "") NEES_REQUIRES(mu_);
+  /// Moves `record` to `to`, stamped `at`: the caller's one clock read,
+  /// shared by every transition it makes at that instant.
+  void TransitionLocked(TransactionRecord& record, TransactionState to,
+                        std::int64_t at, std::string_view detail = {},
+                        std::string_view cause = {}) NEES_REQUIRES(mu_);
   /// Emits one "ntcp.txn" protocol event per state change (from "none" for
   /// creation) into the trace stream; nees-lint replays these. A non-empty
   /// `cause` is added as a tag (crash-mark transitions carry
@@ -167,8 +170,7 @@ class NtcpServer {
   /// style stores (which cannot fail); FileStorage callers watch stats.
   void WalLogCreateLocked(const TransactionRecord& record)
       NEES_REQUIRES(mu_);
-  void WalLogTransitionLocked(const std::string& id,
-                              const TransactionRecord& record,
+  void WalLogTransitionLocked(const TransactionRecord& record,
                               std::int64_t at_micros) NEES_REQUIRES(mu_);
   void WalSyncLocked() NEES_REQUIRES(mu_);
   /// Emits an "ntcp.dup" event when a retry is served from the
@@ -179,16 +181,16 @@ class NtcpServer {
   /// serverStats) for one transaction. Only runs on the hot path when the
   /// grid service has subscribers; otherwise transitions just mark the
   /// table dirty and FlushSde() rebuilds the documents on the next OGSI
-  /// read (publish-on-read via GridService::SetRefreshHook).
-  void PublishSdeLocked(const std::string& id,
-                        const TransactionRecord& record) NEES_REQUIRES(mu_);
-  void PublishTxnSdeLocked(const std::string& id,
-                           const TransactionRecord& record)
+  /// read (publish-on-read via GridService::SetRefreshHook). `now_micros`
+  /// is the lastChanged time.
+  void PublishSdeLocked(const TransactionRecord& record,
+                        std::int64_t now_micros) NEES_REQUIRES(mu_);
+  void PublishTxnSdeLocked(const TransactionRecord& record)
       NEES_REQUIRES(mu_);
   void PublishServerStatsLocked() NEES_REQUIRES(mu_);
   /// Records that SDE documents are stale and captures the most recent
   /// change for the lastChanged SDE without allocating.
-  void MarkSdeDirtyLocked(const std::string& id, TransactionState state,
+  void MarkSdeDirtyLocked(const TransactionRecord& record,
                           std::int64_t at_micros) NEES_REQUIRES(mu_);
   /// Refresh-hook target: republishes every transaction plus lastChanged
   /// and serverStats iff something changed since the last flush.
@@ -196,17 +198,15 @@ class NtcpServer {
   void FlushSdeLocked() NEES_REQUIRES(mu_);
   void BindRpcMethods();
 
-  using TransactionTable = std::map<std::string, TransactionRecord>;
-  /// Adds `entry` to the expiry index if it is open and has a deadline.
-  void IndexForExpiryLocked(TransactionTable::value_type& entry)
-      NEES_REQUIRES(mu_);
+  /// Adds `record` to the expiry index if it is open and has a deadline.
+  void IndexForExpiryLocked(TransactionRecord& record) NEES_REQUIRES(mu_);
   /// Rebuilds the expiry index from the table (after WAL replay and after
   /// GarbageCollect erased records the old entries pointed at).
   void RebuildExpiryIndexLocked() NEES_REQUIRES(mu_);
   /// Drops the stale index entries once they outnumber the live ones by
   /// more than kExpirySlack.
   void BoundExpiryIndexLocked() NEES_REQUIRES(mu_);
-  int ExpireStaleLocked() NEES_REQUIRES(mu_);
+  int ExpireStaleLocked(std::int64_t now) NEES_REQUIRES(mu_);
   /// Queues the first expiry tick of the grid strictly after now, unless
   /// the timer is unarmed, a tick is already queued, or nothing can lapse.
   void QueueExpiryTickLocked() NEES_REQUIRES(mu_);
@@ -220,14 +220,14 @@ class NtcpServer {
 
   mutable util::Mutex mu_{"ntcp.Server"};
   TransactionTable transactions_ NEES_GUARDED_BY(mu_);
-  // Expiry index: a min-heap of (proposal deadline, table entry), one entry
-  // per transaction accepted with a deadline. Map nodes never move, so the
+  // Expiry index: a min-heap of (proposal deadline, record), one entry per
+  // transaction accepted with a deadline. Records never move, so the
   // pointers stay valid until GarbageCollect erases records, which rebuilds
   // the heap. Entries whose transaction has since left proposed/accepted
   // are dropped when their deadline passes.
   struct ExpiryEntry {
     std::int64_t deadline_micros;
-    TransactionTable::value_type* entry;
+    TransactionRecord* record;
     // With std::greater the std::*_heap max-heap puts the earliest
     // deadline at the front.
     bool operator>(const ExpiryEntry& other) const {
@@ -239,7 +239,7 @@ class NtcpServer {
   // while Propose is creating it or ExpireStale has popped it to expire.
   std::size_t expiry_live_ NEES_GUARDED_BY(mu_) = 0;
   // Reused by each sweep for the lapsed entries it sorts into id order.
-  std::vector<TransactionTable::value_type*> lapsed_ NEES_GUARDED_BY(mu_);
+  std::vector<TransactionRecord*> lapsed_ NEES_GUARDED_BY(mu_);
   NtcpServerStats stats_ NEES_GUARDED_BY(mu_);
   wal::Log* wal_ NEES_GUARDED_BY(mu_) = nullptr;
   // Every WAL record is encoded here, so logging a transition reuses one

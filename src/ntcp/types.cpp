@@ -1,35 +1,8 @@
 #include "ntcp/types.h"
 
-#include <algorithm>
 #include <array>
 
 namespace nees::ntcp {
-
-std::int64_t& StateTimestamps::operator[](std::string_view state) {
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), state,
-      [](const value_type& entry, std::string_view key) {
-        return entry.first < key;
-      });
-  if (it != entries_.end() && it->first == state) return it->second;
-  const auto index = it - entries_.begin();  // reserve invalidates `it`
-  if (entries_.capacity() == 0) {
-    entries_.reserve(4);  // proposed/accepted/executing/terminal
-  }
-  it = entries_.emplace(entries_.begin() + index, std::string(state), 0);
-  return it->second;
-}
-
-StateTimestamps::const_iterator StateTimestamps::find(
-    std::string_view state) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), state,
-      [](const value_type& entry, std::string_view key) {
-        return entry.first < key;
-      });
-  if (it != entries_.end() && it->first == state) return it;
-  return entries_.end();
-}
 
 const ControlPointResult* TransactionResult::Find(
     const std::string& control_point) const {
@@ -83,6 +56,15 @@ std::optional<TransactionState> TransactionStateFromAtom(obs::Atom atom) {
   return std::nullopt;
 }
 
+std::optional<TransactionState> TransactionStateFromName(
+    std::string_view name) {
+  for (int i = 0; i < kStateCount; ++i) {
+    const auto state = static_cast<TransactionState>(i);
+    if (TransactionStateName(state) == name) return state;
+  }
+  return std::nullopt;
+}
+
 obs::Atom NoTransactionStateAtom() {
   static const obs::Atom none("none");
   return none;
@@ -116,12 +98,13 @@ bool IsLegalTransition(TransactionState from, TransactionState to) {
   }
 }
 
-std::int64_t ProposalDeadlineMicros(const TransactionRecord& record) {
-  if (record.proposal.timeout_micros <= 0) return -1;
-  const auto proposed_at = record.state_timestamps.find(
-      TransactionStateName(TransactionState::kProposed));
-  if (proposed_at == record.state_timestamps.end()) return -1;
-  return proposed_at->second + record.proposal.timeout_micros;
+void StampState(TransactionRecord& record, TransactionState state,
+                std::int64_t micros) {
+  record.state_timestamps.Set(state, micros);
+  if (state != TransactionState::kProposed) return;
+  record.deadline_micros = record.proposal.timeout_micros > 0
+                               ? micros + record.proposal.timeout_micros
+                               : -1;
 }
 
 bool ProposalWindowLapsed(const TransactionRecord& record,
@@ -227,10 +210,11 @@ void EncodeTransactionRecord(const TransactionRecord& record,
   writer.WriteString(record.detail);
   EncodeTransactionResult(record.result, writer);
   writer.WriteU32(static_cast<std::uint32_t>(record.state_timestamps.size()));
-  for (const auto& [state, micros] : record.state_timestamps) {
-    writer.WriteString(state);
-    writer.WriteI64(micros);
-  }
+  record.state_timestamps.ForEach(
+      [&writer](TransactionState state, std::int64_t micros) {
+        writer.WriteString(TransactionStateName(state));
+        writer.WriteI64(micros);
+      });
 }
 
 util::Result<TransactionRecord> DecodeTransactionRecord(
@@ -245,10 +229,15 @@ util::Result<TransactionRecord> DecodeTransactionRecord(
   NEES_ASSIGN_OR_RETURN(record.detail, reader.ReadString());
   NEES_ASSIGN_OR_RETURN(record.result, DecodeTransactionResult(reader));
   NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
+  std::string key;
   for (std::uint32_t i = 0; i < count; ++i) {
-    NEES_ASSIGN_OR_RETURN(std::string key, reader.ReadString());
+    NEES_RETURN_IF_ERROR(reader.ReadStringInto(key));
     NEES_ASSIGN_OR_RETURN(std::int64_t micros, reader.ReadI64());
-    record.state_timestamps[key] = micros;
+    const std::optional<TransactionState> state = TransactionStateFromName(key);
+    if (!state.has_value()) {
+      return util::DataLoss("timestamp names no transaction state: " + key);
+    }
+    StampState(record, *state, micros);
   }
   return record;
 }

@@ -13,11 +13,12 @@
 // service data element, so any participant can inspect any transaction.
 #pragma once
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/intern.h"
@@ -88,31 +89,62 @@ bool IsLegalTransition(TransactionState from, TransactionState to);
 /// Terminal states admit no further transitions.
 bool IsTerminal(TransactionState state);
 
-/// state-name -> micros timestamps, kept as a sorted flat vector. A
-/// transaction visits at most a handful of states, so a node-per-entry
-/// std::map spent a heap allocation per transition on the server hot path;
-/// the flat form allocates once (amortised) per record. API mirrors the
-/// std::map subset the codebase uses: operator[], find, contains,
-/// iteration in key order, and equality.
+/// The state named `name`, if any.
+std::optional<TransactionState> TransactionStateFromName(std::string_view name);
+
+/// state -> micros timestamps: one fixed slot per TransactionState plus a
+/// presence mask, so stamping and reading a state are O(1) and a record
+/// holds its timestamps without a heap allocation. ForEach visits the
+/// stamped states in name order, the order the wire encoding has always
+/// used.
 class StateTimestamps {
  public:
-  using value_type = std::pair<std::string, std::int64_t>;
-  using const_iterator = std::vector<value_type>::const_iterator;
-
-  std::int64_t& operator[](std::string_view state);
-  const_iterator find(std::string_view state) const;
-  bool contains(std::string_view state) const {
-    return find(state) != end();
+  void Set(TransactionState state, std::int64_t micros) {
+    micros_[Index(state)] = micros;
+    present_ |= Bit(state);
   }
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
+  bool contains(TransactionState state) const {
+    return (present_ & Bit(state)) != 0;
+  }
+  /// The stamp of `state`; `state` must be stamped.
+  std::int64_t at(TransactionState state) const {
+    return micros_[Index(state)];
+  }
+  std::size_t size() const { return std::popcount(present_); }
+  bool empty() const { return present_ == 0; }
+
+  /// Calls fn(state, micros) for every stamped state, in name order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (TransactionState state : kNameOrder) {
+      if (contains(state)) fn(state, at(state));
+    }
+  }
+
   friend bool operator==(const StateTimestamps&,
                          const StateTimestamps&) = default;
 
  private:
-  std::vector<value_type> entries_;  // sorted by state name
+  static constexpr std::size_t kStates =
+      static_cast<std::size_t>(TransactionState::kExpired) + 1;
+  // TransactionStateName order: accepted < cancelled < completed <
+  // executing < expired < failed < proposed < rejected.
+  static constexpr TransactionState kNameOrder[kStates] = {
+      TransactionState::kAccepted,  TransactionState::kCancelled,
+      TransactionState::kCompleted, TransactionState::kExecuting,
+      TransactionState::kExpired,   TransactionState::kFailed,
+      TransactionState::kProposed,  TransactionState::kRejected};
+
+  static std::size_t Index(TransactionState state) {
+    return static_cast<std::size_t>(state);
+  }
+  static std::uint8_t Bit(TransactionState state) {
+    return static_cast<std::uint8_t>(1u << Index(state));
+  }
+
+  // Unstamped slots stay 0, so the defaulted == compares stamps only.
+  std::int64_t micros_[kStates] = {};
+  std::uint8_t present_ = 0;
 };
 
 /// Full server-side record of a transaction (also the getTransaction reply).
@@ -122,13 +154,24 @@ struct TransactionRecord {
   std::string detail;  // rejection reason / failure message
   TransactionResult result;                    // valid when kCompleted
   StateTimestamps state_timestamps;            // state -> micros
+  /// End of the proposal window, fixed when kProposed is stamped; -1 for
+  /// none. Read it through ProposalDeadlineMicros.
+  std::int64_t deadline_micros = -1;
 };
+
+/// Stamps `record`'s entry into `state` at `micros`. Stamping kProposed also
+/// fixes the proposal deadline (the proposal's timeout after the stamp, or
+/// -1 without a timeout), so the stamp and the deadline never disagree.
+void StampState(TransactionRecord& record, TransactionState state,
+                std::int64_t micros);
 
 /// Absolute sim-clock deadline of `record`'s proposal window, or -1 when the
 /// proposal carries no timeout (or was never stamped kProposed). The single
 /// source of truth for expiry: the execute-path check and the ExpireStale
 /// sweep both go through here so the two comparisons cannot drift.
-std::int64_t ProposalDeadlineMicros(const TransactionRecord& record);
+inline std::int64_t ProposalDeadlineMicros(const TransactionRecord& record) {
+  return record.deadline_micros;
+}
 
 /// True when `now_micros` is strictly past the proposal window.
 bool ProposalWindowLapsed(const TransactionRecord& record,

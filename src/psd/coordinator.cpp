@@ -263,8 +263,10 @@ util::Status SimulationCoordinator::CycleOnce(
   const std::int64_t propose_t0 = clock_->NowMicros();
   const util::Status proposed =
       ProposeAll(transaction_ids, displacement, accepted);
-  propose_phase_micros_.Add(
-      static_cast<double>(clock_->NowMicros() - propose_t0));
+  // One read ends the propose phase and starts the execute phase: nothing
+  // between them can move the clock.
+  const std::int64_t execute_t0 = clock_->NowMicros();
+  propose_phase_micros_.Add(static_cast<double>(execute_t0 - propose_t0));
   if (!proposed.ok()) {
     // §2.1: "If any of the requested proposals is rejected, the client may
     // send a request to cancel the transaction." Release the accepted
@@ -280,7 +282,6 @@ util::Status SimulationCoordinator::CycleOnce(
   results.resize(site_count);
   std::vector<char>& executed = executed_scratch_;
   executed.assign(site_count, 0);
-  const std::int64_t execute_t0 = clock_->NowMicros();
   const util::Status exec_status =
       ExecuteAll(transaction_ids, results, executed);
   execute_phase_micros_.Add(
@@ -457,6 +458,11 @@ util::Result<bool> SimulationCoordinator::StepOperatorSplitting(
 }
 
 util::Result<bool> SimulationCoordinator::ExecuteStep() {
+  if (history_released_) {
+    return util::FailedPrecondition(
+        "Run() already returned this run's history; Restore a checkpoint "
+        "to step again");
+  }
   NEES_RETURN_IF_ERROR(EnsureInitialized());
   NEES_CHECK_INVARIANT(history_.displacement.size() == step_ + 1,
                        "history must hold exactly one record per step at a "
@@ -508,7 +514,10 @@ RunReport SimulationCoordinator::Run() {
     }
   }
   report.steps_completed = step_;
-  report.history = history_;
+  // Moved, not copied: the history is the run's product, and a copy costs
+  // three vectors per step.
+  report.history = std::move(history_);
+  history_released_ = true;
   report.site_stats = site_stats();
   report.transient_faults_recovered = transient_recovered_;
   for (const auto& client : clients_) {
@@ -653,6 +662,8 @@ util::Result<CoordinatorWalRecovery> SimulationCoordinator::AttachWal(
 }
 
 Checkpoint SimulationCoordinator::GetCheckpoint() const {
+  NEES_CHECK_INVARIANT(!history_released_,
+                       "a checkpoint taken after Run() has no history");
   Checkpoint checkpoint;
   checkpoint.step = step_;
   checkpoint.d = d_;
@@ -680,6 +691,7 @@ util::Status SimulationCoordinator::Restore(const Checkpoint& checkpoint) {
   v_ = checkpoint.v;
   a_ = checkpoint.a;
   history_ = checkpoint.history;
+  history_released_ = false;
   return util::OkStatus();
 }
 

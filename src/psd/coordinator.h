@@ -172,6 +172,8 @@ class SimulationCoordinator {
   void SetStepObserver(StepObserver observer);
 
   /// Runs from the current state to completion or first unrecovered fault.
+  /// The report takes the run's history: afterwards ExecuteStep (and so a
+  /// second Run) fails with kFailedPrecondition until Restore.
   RunReport Run();
 
   /// Executes exactly one step; Ok(false) when the record is exhausted.
@@ -189,6 +191,8 @@ class SimulationCoordinator {
   /// before Run(); `log` must outlive the coordinator.
   util::Result<CoordinatorWalRecovery> AttachWal(wal::Log* log);
 
+  /// The history recorded so far, for callers that drive ExecuteStep
+  /// themselves; empty once Run() has handed it to its report.
   const structural::TimeHistory& history() const { return history_; }
   std::size_t current_step() const { return step_; }
   std::vector<SiteStats> site_stats() const;
@@ -254,6 +258,7 @@ class SimulationCoordinator {
   structural::Vector v_;  // OS state
   structural::Vector a_;
   structural::TimeHistory history_;
+  bool history_released_ = false;  // Run() moved history_ into its report
   std::uint64_t transient_recovered_ = 0;
   wal::Log* wal_ = nullptr;
   std::vector<std::uint8_t> wal_buffer_;  // reused by every WAL record

@@ -66,16 +66,18 @@ constexpr bool kSanitized = false;
 constexpr bool kSanitized = false;
 #endif
 
-// Measured steady-state costs when the budgets were set: 176.80
-// allocations per step for the fuzz mini scenario and 28.07 for Mini-MOST.
-// The fuzz figure was 193.97 while the sequential step engine built a
-// fresh proposal per site and its waits built a vector per wake, 215.6
-// before ntcp.txn events became trace rows (no heap copy of each
-// transaction id) and NtcpClient::AwaitAll stopped building a vector per
-// wake; before the message path was made allocation-free the two were
-// 751.93 and 67.07.
-constexpr double kFuzzMiniBudget = 194.0;
-constexpr double kMiniMostBudget = 30.0;
+// Measured steady-state costs when the budgets were set: 153.85
+// allocations per step for the fuzz mini scenario and 21.09 for Mini-MOST.
+// They were 176.80 and 28.07 while the NTCP server kept its transactions in
+// a std::map (a key copy and a timestamp vector per transaction),
+// NtcpClient::AwaitAll reserved a vector per wait and the coordinator
+// copied its history into the run report. The fuzz figure was 193.97 while
+// the sequential step engine built a fresh proposal per site and its waits
+// built a vector per wake, 215.6 before ntcp.txn events became trace rows
+// (no heap copy of each transaction id); before the message path was made
+// allocation-free the two were 751.93 and 67.07.
+constexpr double kFuzzMiniBudget = 169.0;
+constexpr double kMiniMostBudget = 23.0;
 
 // Counts the heap allocations `run` makes.
 template <typename Run>

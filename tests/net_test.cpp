@@ -2,6 +2,7 @@
 // latency accounting, partitions, and loss-as-timeout semantics.
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -786,12 +787,30 @@ TEST_F(RpcTest, UnansweredAsyncCallResolvesAsTimeoutImmediately) {
 TEST_F(RpcTest, AsyncDeadlineUsesInjectedClock) {
   // The deadline must be stamped from the network's util::Clock, not the
   // wall clock — SimClock-driven tests otherwise silently wait real time.
+  // Only kVirtual waits for a deadline: a kImmediate call resolves without
+  // one, so issuing it stamps none.
   util::SimClock clock(500'000);
   network_.SetClock(&clock);
-  RpcClient::AsyncCall call =
+  RpcClient::AsyncCall immediate =
       client_->CallAsync("server", "echo", AsBytes("x"), 250'000);
-  EXPECT_EQ(call.deadline_micros(), 750'000);
+  EXPECT_EQ(immediate.deadline_micros(),
+            std::numeric_limits<std::int64_t>::max());
   network_.SetClock(&util::SystemClock::Instance());
+
+  Network network(DeliveryMode::kVirtual);
+  util::SimClock timeline(500'000);
+  network.SetClock(&timeline);
+  RpcServer server(&network, "server");
+  ASSERT_TRUE(server.Start().ok());
+  server.RegisterMethod(
+      "echo", [](const CallContext&, const Bytes& body) -> util::Result<Bytes> {
+        return body;
+      });
+  RpcClient client(&network, "client");
+  RpcClient::AsyncCall call =
+      client.CallAsync("server", "echo", AsBytes("x"), 250'000);
+  EXPECT_EQ(call.deadline_micros(), 750'000);
+  EXPECT_TRUE(call.Wait().ok());
 }
 
 // --- batched pipelining ------------------------------------------------------

@@ -3,6 +3,9 @@
 // publication, OGSI inspection of transactions, and client retry recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "grid/container.h"
 #include "net/network.h"
 #include "ntcp/client.h"
@@ -91,45 +94,71 @@ TEST(StateMachineTest, AllStatesHaveNames) {
 // --- state-timestamp flat map ------------------------------------------------
 
 TEST(StateTimestampsTest, InsertsStaySortedAndUpdatesOverwrite) {
+  using S = TransactionState;
   StateTimestamps stamps;
   EXPECT_TRUE(stamps.empty());
-  // Reverse-alphabetical insertion exercises front-of-vector emplacement
-  // (each insert shifts, and the first insert also reserves).
-  stamps["proposed"] = 1;
-  stamps["executing"] = 3;
-  stamps["completed"] = 4;
-  stamps["accepted"] = 2;
+  // Stamped in reverse name order, visited in name order.
+  stamps.Set(S::kProposed, 1);
+  stamps.Set(S::kExecuting, 3);
+  stamps.Set(S::kCompleted, 4);
+  stamps.Set(S::kAccepted, 2);
   EXPECT_EQ(stamps.size(), 4u);
   std::vector<std::string> order;
-  for (const auto& [state, micros] : stamps) order.push_back(state);
+  stamps.ForEach([&order](S state, std::int64_t) {
+    order.emplace_back(TransactionStateName(state));
+  });
   EXPECT_EQ(order, (std::vector<std::string>{"accepted", "completed",
                                              "executing", "proposed"}));
-  EXPECT_EQ(stamps.find("executing")->second, 3);
-  stamps["executing"] = 30;  // update, not duplicate
+  EXPECT_EQ(stamps.at(S::kExecuting), 3);
+  stamps.Set(S::kExecuting, 30);  // update, not duplicate
   EXPECT_EQ(stamps.size(), 4u);
-  EXPECT_EQ(stamps.find("executing")->second, 30);
+  EXPECT_EQ(stamps.at(S::kExecuting), 30);
+}
+
+TEST(StateTimestampsTest, ForEachVisitsEveryStateInNameOrder) {
+  // The encoding's key order: every state, sorted by name.
+  StateTimestamps stamps;
+  std::vector<std::string> names;
+  for (int s = 0; s <= static_cast<int>(TransactionState::kExpired); ++s) {
+    const auto state = static_cast<TransactionState>(s);
+    stamps.Set(state, s);
+    names.emplace_back(TransactionStateName(state));
+  }
+  std::sort(names.begin(), names.end());
+  std::vector<std::string> order;
+  stamps.ForEach([&order](TransactionState state, std::int64_t micros) {
+    EXPECT_EQ(micros, static_cast<int>(state));
+    order.emplace_back(TransactionStateName(state));
+  });
+  EXPECT_EQ(order, names);
 }
 
 TEST(StateTimestampsTest, FindAndContainsMissBetweenKeys) {
+  using S = TransactionState;
   StateTimestamps stamps;
-  stamps["accepted"] = 2;
-  stamps["proposed"] = 1;
-  EXPECT_TRUE(stamps.contains("accepted"));
-  EXPECT_FALSE(stamps.contains("cancelled"));  // sorts between the two
-  EXPECT_EQ(stamps.find("cancelled"), stamps.end());
-  EXPECT_EQ(stamps.find(""), stamps.end());
+  stamps.Set(S::kAccepted, 2);
+  stamps.Set(S::kProposed, 1);
+  EXPECT_TRUE(stamps.contains(S::kAccepted));
+  EXPECT_FALSE(stamps.contains(S::kCancelled));  // sorts between the two
+  EXPECT_EQ(TransactionStateFromName("cancelled"), S::kCancelled);
+  EXPECT_FALSE(TransactionStateFromName("").has_value());
+  EXPECT_FALSE(TransactionStateFromName("unknown").has_value());
 }
 
 TEST(StateTimestampsTest, EqualityIsOrderInsensitiveByConstruction) {
+  using S = TransactionState;
   StateTimestamps a;
-  a["proposed"] = 1;
-  a["accepted"] = 2;
+  a.Set(S::kProposed, 1);
+  a.Set(S::kAccepted, 2);
   StateTimestamps b;
-  b["accepted"] = 2;
-  b["proposed"] = 1;
-  EXPECT_EQ(a, b);  // both store sorted, so insertion order cannot leak
-  b["accepted"] = 99;
+  b.Set(S::kAccepted, 2);
+  b.Set(S::kProposed, 1);
+  EXPECT_EQ(a, b);  // one slot per state, so stamping order cannot leak
+  b.Set(S::kAccepted, 99);
   EXPECT_FALSE(a == b);
+  StateTimestamps c = a;
+  c.Set(S::kExpired, 0);  // a zero stamp still counts
+  EXPECT_FALSE(a == c);
 }
 
 // --- wire encodings -------------------------------------------------------------
@@ -156,8 +185,8 @@ TEST(WireTest, TransactionRecordRoundTrip) {
   cp.measured_displacement = {0.0099};
   cp.measured_force = {9.9};
   record.result.results.push_back(cp);
-  record.state_timestamps["proposed"] = 100;
-  record.state_timestamps["completed"] = 500;
+  StampState(record, TransactionState::kProposed, 100);
+  StampState(record, TransactionState::kCompleted, 500);
 
   util::ByteWriter writer;
   EncodeTransactionRecord(record, writer);
@@ -168,6 +197,8 @@ TEST(WireTest, TransactionRecordRoundTrip) {
   EXPECT_EQ(decoded->state, record.state);
   EXPECT_EQ(decoded->result, record.result);
   EXPECT_EQ(decoded->state_timestamps, record.state_timestamps);
+  // The proposal deadline is fixed again from the decoded kProposed stamp.
+  EXPECT_EQ(ProposalDeadlineMicros(*decoded), 100 + 60'000'000);
 }
 
 TEST(WireTest, CorruptRecordRejected) {
@@ -179,6 +210,22 @@ TEST(WireTest, CorruptRecordRejected) {
   writer.WriteU32(0);
   util::ByteReader reader(writer.data());
   EXPECT_FALSE(DecodeTransactionRecord(reader).ok());
+}
+
+TEST(WireTest, UnknownTimestampStateRejected) {
+  // A timestamp key must name a Fig. 1 state: a record carrying any other
+  // key is not one this protocol wrote.
+  util::ByteWriter writer;
+  EncodeProposal(MakeProposal("t", 0.01), writer);
+  writer.WriteU8(static_cast<std::uint8_t>(TransactionState::kAccepted));
+  writer.WriteString("");
+  writer.WriteU32(0);  // no results
+  writer.WriteU32(1);  // one timestamp, under a name that is no state
+  writer.WriteString("approved");
+  writer.WriteI64(100);
+  util::ByteReader reader(writer.data());
+  EXPECT_EQ(DecodeTransactionRecord(reader).status().code(),
+            ErrorCode::kDataLoss);
 }
 
 // --- server core -----------------------------------------------------------------
@@ -204,8 +251,8 @@ TEST_F(NtcpServerTest, ProposeExecuteLifecycle) {
   auto record = server_->GetTransaction("t1");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->state, TransactionState::kAccepted);
-  EXPECT_TRUE(record->state_timestamps.contains("proposed"));
-  EXPECT_TRUE(record->state_timestamps.contains("accepted"));
+  EXPECT_TRUE(record->state_timestamps.contains(TransactionState::kProposed));
+  EXPECT_TRUE(record->state_timestamps.contains(TransactionState::kAccepted));
 
   auto result = server_->Execute("t1");
   ASSERT_TRUE(result.ok());
@@ -214,8 +261,8 @@ TEST_F(NtcpServerTest, ProposeExecuteLifecycle) {
 
   record = server_->GetTransaction("t1");
   EXPECT_EQ(record->state, TransactionState::kCompleted);
-  EXPECT_TRUE(record->state_timestamps.contains("executing"));
-  EXPECT_TRUE(record->state_timestamps.contains("completed"));
+  EXPECT_TRUE(record->state_timestamps.contains(TransactionState::kExecuting));
+  EXPECT_TRUE(record->state_timestamps.contains(TransactionState::kCompleted));
 }
 
 TEST_F(NtcpServerTest, InvalidProposalRejected) {
@@ -494,6 +541,74 @@ TEST_F(NtcpServerTest, ListTransactions) {
   EXPECT_EQ(server_->ListTransactions().size(), 2u);
 }
 
+TEST_F(NtcpServerTest, ListTransactionsReturnsIdsInSortedOrder) {
+  // Ids share the coordinator's long "<run>-s<step>-a<attempt>-<site>"
+  // prefix and arrive out of order; the listing is in id order whatever
+  // order the table keeps them in.
+  std::vector<std::string> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(util::Format("run-s%d-a1-site%d", (i * 17) % 40, i % 3));
+  }
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(server_->Propose(MakeProposal(id, 0.01)).accepted);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(server_->ListTransactions(), ids);
+}
+
+TEST_F(NtcpServerTest, FlushNotifiesALateSubscriberInIdOrder) {
+  // Transitions with no subscriber only mark the SDEs dirty; a subscriber
+  // that joins before the next OGSI read is notified by the flush, once
+  // per transaction, in id order.
+  std::vector<std::string> ids;
+  for (int i = 0; i < 24; ++i) {
+    ids.push_back(util::Format("run-s%d-a1-site%d", (i * 7) % 24, i % 2));
+  }
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(server_->Propose(MakeProposal(id, 0.01)).accepted);
+  }
+  std::vector<std::string> notified;
+  server_->service_data().SubscribeSde(
+      "txn.", [&notified](const std::string& key, const grid::SdeValue&) {
+        notified.push_back(key.substr(4));
+      });
+  ASSERT_TRUE(server_->service_data().GetServiceData("serverStats"));
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(notified, ids);
+}
+
+// Counts the reads of a SimClock's time.
+class CountingClock final : public util::Clock {
+ public:
+  std::int64_t NowMicros() const override {
+    ++reads_;
+    return base_.NowMicros();
+  }
+  void SleepMicros(std::int64_t micros) override { base_.Advance(micros); }
+  int TakeReads() { return std::exchange(reads_, 0); }
+
+ private:
+  util::SimClock base_{1'000'000};
+  mutable int reads_ = 0;
+};
+
+TEST(NtcpServerClockTest, ReadsTheClockOncePerProposeAndTwicePerExecute) {
+  CountingClock clock;
+  net::Network network;
+  NtcpServer server(&network, "ntcp.clock", MakeElasticPlugin(), &clock);
+  ASSERT_TRUE(server.Start().ok());
+  for (const char* id : {"c1", "c2"}) {
+    clock.TakeReads();
+    ASSERT_TRUE(server.Propose(MakeProposal(id, 0.01)).accepted);
+    EXPECT_EQ(clock.TakeReads(), 1) << "propose " << id;
+    ASSERT_TRUE(server.Execute(id).ok());
+    // Once before the plugin moves the specimen, once after it returns.
+    EXPECT_EQ(clock.TakeReads(), 2) << "execute " << id;
+  }
+  ASSERT_TRUE(server.Execute("c1").ok());  // served from the cache
+  EXPECT_EQ(clock.TakeReads(), 0);
+}
+
 // --- client over the network -------------------------------------------------------
 
 class NtcpClientTest : public ::testing::Test {
@@ -528,6 +643,36 @@ TEST_F(NtcpClientTest, FullRemoteLifecycle) {
   auto ids = client_->ListTransactions();
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(*ids, std::vector<std::string>{"r1"});
+}
+
+TEST_F(NtcpClientTest, GetTransactionReplyBytesArePinned) {
+  // Pins the getTransaction reply bytes of a completed, a rejected and a
+  // cancelled transaction: the record encoding, its timestamps in state-name
+  // order, and their values. Any change to what a remote inspector reads
+  // fails here, however the server keeps its table.
+  ASSERT_TRUE(client_->Propose(MakeProposal("p1", 0.03)).ok());
+  clock_.Advance(1'200);
+  ASSERT_TRUE(client_->Execute("p1").ok());
+  clock_.Advance(800);
+  Proposal bad = MakeProposal("p2", 0.01);
+  bad.actions[0].control_point = "nope";
+  ASSERT_FALSE(client_->Propose(bad).ok());
+  clock_.Advance(500);
+  ASSERT_TRUE(client_->Propose(MakeProposal("p3", -0.02, 9'000'000)).ok());
+  clock_.Advance(300);
+  ASSERT_TRUE(client_->Cancel("p3").ok());
+  net::Bytes replies;
+  for (const char* id : {"p1", "p2", "p3"}) {
+    util::ByteWriter request;
+    request.WriteString(id);
+    auto reply = rpc_->Call(net::EndpointId("ntcp.site"),
+                            net::MethodId("ntcp.getTransaction"),
+                            request.data());
+    ASSERT_TRUE(reply.ok()) << id;
+    replies.insert(replies.end(), reply->begin(), reply->end());
+  }
+  EXPECT_EQ(util::ToHex(util::Sha256::Hash(replies)),
+            "76d8f37c85f9b9b0b171b9b971f7b989ad4bc51e5d5ae9d4d9526b7d7b995101");
 }
 
 TEST_F(NtcpClientTest, RejectionSurfacesAsPolicyViolation) {
@@ -949,7 +1094,7 @@ TEST(NtcpExpiryGridTest, UnexecutedTransactionExpiresOnFirstLapsedGridTick) {
   const auto record = server.GetTransaction("late");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->state, TransactionState::kExpired);
-  EXPECT_EQ(record->state_timestamps.find("expired")->second, want);
+  EXPECT_EQ(record->state_timestamps.at(TransactionState::kExpired), want);
   // One tick per grid point from the propose to the expiry, none after.
   EXPECT_EQ(network.virtual_stats().timers_fired,
             static_cast<std::uint64_t>((want - armed_at) / kExpiryPeriod -
@@ -987,7 +1132,8 @@ TEST(NtcpExpiryGridTest, ForwardSkewJumpExpiresOnTheSameGridTick) {
   const auto record = server.GetTransaction("skew");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->state, TransactionState::kExpired);
-  EXPECT_EQ(record->state_timestamps.find("expired")->second, want + kJump);
+  EXPECT_EQ(record->state_timestamps.at(TransactionState::kExpired),
+            want + kJump);
   server.Stop();
 }
 
@@ -1020,7 +1166,7 @@ TEST(NtcpExpiryGridTest, RecoveredOpenTransactionRearmsTheTick) {
   const auto record = second.GetTransaction("open");
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record->state, TransactionState::kExpired);
-  EXPECT_EQ(record->state_timestamps.find("expired")->second,
+  EXPECT_EQ(record->state_timestamps.at(TransactionState::kExpired),
             FirstLapsingTick(armed_at, proposed_at, kTimeout,
                              [](std::int64_t t) { return t; }));
   second.Stop();
@@ -1044,6 +1190,32 @@ class NtcpWalRecoveryTest : public ::testing::Test {
     EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
     if (recovery != nullptr && recovered.ok()) *recovery = *recovered;
     return server;
+  }
+
+  /// Writes a log by hand in the docs/RECOVERY.md grammar: a TxnCreate per
+  /// id, in the given order, then each id's `transitions` in turn.
+  void AppendLog(const std::vector<std::string>& ids,
+                 const std::vector<TransactionState>& transitions) {
+    wal::Log log(&storage_);
+    ASSERT_TRUE(log.Open().ok());
+    for (const std::string& id : ids) {
+      util::ByteWriter writer;
+      EncodeProposal(MakeProposal(id, 0.02), writer);
+      writer.WriteI64(clock_.NowMicros());
+      ASSERT_TRUE(log.Append(1, writer.data()).ok());
+    }
+    for (const std::string& id : ids) {
+      for (TransactionState to : transitions) {
+        util::ByteWriter writer;
+        writer.WriteString(id);
+        writer.WriteU8(static_cast<std::uint8_t>(to));
+        writer.WriteI64(clock_.NowMicros());
+        writer.WriteString("");
+        writer.WriteBool(false);
+        ASSERT_TRUE(log.Append(2, writer.data()).ok());
+      }
+    }
+    ASSERT_TRUE(log.Sync().ok());
   }
 
   util::SimClock clock_{1'000'000};
@@ -1189,6 +1361,48 @@ TEST_F(NtcpWalRecoveryTest, CorruptLogRefusesToRecover) {
   auto recovered = server->AttachWal(&log);
   ASSERT_FALSE(recovered.ok());
   EXPECT_EQ(recovered.status().code(), ErrorCode::kDataLoss);
+}
+
+TEST_F(NtcpWalRecoveryTest, CrashMarksFollowIdOrder) {
+  // A log whose in-flight transactions were created out of id order,
+  // written in the docs/RECOVERY.md grammar.
+  const std::vector<std::string> ids = {"t5", "t2", "t7", "t0",
+                                        "t3", "t6", "t1", "t4"};
+  AppendLog(ids, {TransactionState::kAccepted, TransactionState::kExecuting});
+  WalRecovery recovery;
+  auto server = Restart(&recovery);
+  EXPECT_EQ(recovery.inflight_failed, ids.size());
+  // The crash-marks were logged after the replayed records, in id order.
+  wal::Log reread(&storage_);
+  auto records = reread.Open();
+  ASSERT_TRUE(records.ok());
+  ASSERT_GE(records->size(), ids.size());
+  std::vector<std::string> marked;
+  for (std::size_t i = records->size() - ids.size(); i < records->size();
+       ++i) {
+    util::ByteReader reader((*records)[i].payload);
+    auto id = reader.ReadString();
+    ASSERT_TRUE(id.ok());
+    marked.push_back(*id);
+  }
+  std::vector<std::string> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(marked, sorted);
+}
+
+TEST_F(NtcpWalRecoveryTest, RecoveryLeavesLastChangedOnGreatestId) {
+  std::vector<std::string> ids;
+  for (int i = 0; i < 24; ++i) {
+    ids.push_back(util::Format("run-s%d-a1-site%d", (i * 7) % 24, i % 2));
+  }
+  AppendLog(ids, {TransactionState::kAccepted});
+  auto server = Restart(nullptr);
+  // The recovered table is republished in id order, so the last write of
+  // the lastChanged SDE names the greatest id.
+  const auto last = server->service_data().GetServiceData("lastChanged");
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->Get("transaction"),
+            *std::max_element(ids.begin(), ids.end()));
 }
 
 TEST_F(NtcpWalRecoveryTest, WalBytesMatchPinnedDigest) {

@@ -124,11 +124,11 @@ TEST_P(NtcpFuzzTest, RandomOperationsPreserveProtocolInvariants) {
         if (record.ok()) {
           // Timestamps must be monotone along the observed path.
           std::int64_t last = 0;
-          for (const auto& [state, micros] : record->state_timestamps) {
-            (void)state;
-            EXPECT_GE(micros, 0);
-            last = std::max(last, micros);
-          }
+          record->state_timestamps.ForEach(
+              [&last](ntcp::TransactionState, std::int64_t micros) {
+                EXPECT_GE(micros, 0);
+                last = std::max(last, micros);
+              });
         }
         break;
       }

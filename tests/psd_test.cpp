@@ -484,6 +484,20 @@ TEST_F(CoordinatorTest, DimensionMismatchCaughtAtInit) {
   EXPECT_EQ(report.failure.code(), ErrorCode::kInvalidArgument);
 }
 
+TEST_F(CoordinatorTest, SecondRunFailsInsteadOfReturningNoHistory) {
+  SimulationCoordinator coordinator(MakeConfig(10), rpc_.get(), &clock_);
+  const RunReport first = coordinator.Run();
+  ASSERT_TRUE(first.completed);
+  EXPECT_EQ(first.history.displacement.size(), first.steps_completed + 1);
+  // The first report took the history, so a second Run must not pass off
+  // an empty one as a finished run.
+  const RunReport second = coordinator.Run();
+  EXPECT_FALSE(second.completed);
+  EXPECT_EQ(second.failure.code(), ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(coordinator.ExecuteStep().status().code(),
+            ErrorCode::kFailedPrecondition);
+}
+
 TEST_F(CoordinatorTest, SiteDofOutOfRangeCaught) {
   auto config = MakeConfig(10);
   config.sites[0].dofs = {5};
