@@ -157,13 +157,10 @@ int main(int argc, char** argv) {
               overhead(cpu_ratio).c_str());
 
   std::printf(
-      "shape: the protocol row is an attribution artifact, not protocol\n"
-      "cost (EXPERIMENTS.md E-obs): under the async engine every site's\n"
-      "client protocol span joins the coordinator's span stack, all\n"
-      "servers run under the last-issued one, and the other sites'\n"
-      "childless protocol spans bill their whole round trip again. The\n"
-      "step itself is network transfer (4 messages x 3 sites x ~20 ms)\n"
-      "plus actuator settling; computation is all but free, the paper's\n"
-      "finding.\n");
+      "shape: the step is actuator settling plus network transfer\n"
+      "(4 messages x 3 sites x ~20 ms); every site's server spans nest\n"
+      "under its own protocol span, so protocol handling bills 0.0%%, and\n"
+      "integration, ingest and streaming are all but free -- the\n"
+      "paper's finding.\n");
   return 0;
 }

@@ -10,7 +10,9 @@
 # compiled out, skips them) and the gridbench self-test after the Release
 # leg (plus one 10-second untraced run of each gridbench workload and a
 # 100,000-seed Release fuzz campaign, whose summary must count at least
-# one crash-marked transaction and one re-wake), then gates on
+# one crash-marked transaction and one re-wake, and a 40-step bench_obs
+# run whose traces must be byte-identical and whose breakdown must bill
+# 0.0% to protocol), then gates on
 # protocol conformance: a fresh
 # 150-step hybrid MOST trace must pass nees_lint, a 200-seed sharded fuzz
 # campaign (two forked workers, campaign template mix, all oracles, ASan +
@@ -93,6 +95,25 @@ for counter in crash-marked re-wakes; do
     exit 1
   fi
 done
+
+echo
+echo "######## E-obs breakdown (bench_obs 40, Release) ########"
+# A traced 40-step hybrid MOST run, twice: the two traces must be
+# byte-identical, and the client protocol spans must bill no exclusive
+# time, since each site's server, network and settle spans nest under its
+# own call. A protocol share above 0.0% means spans are parented under
+# another site's call again.
+obs_log="$prefix-release/bench-obs-40.txt"
+"$prefix-release/bench/bench_obs" 40 > "$obs_log"
+cat "$obs_log"
+if ! grep -q '^determinism: .* are byte-identical$' "$obs_log"; then
+  echo "bench_obs FAILED: the two runs' traces are not byte-identical" >&2
+  exit 1
+fi
+if ! grep -Eq '^\| protocol +\|.*\| +0\.0% \|$' "$obs_log"; then
+  echo "bench_obs FAILED: the protocol row bills a non-zero share" >&2
+  exit 1
+fi
 run_config "$prefix-asan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
            "-DNEES_SANITIZE=address;undefined" -DNEES_LOCKDEP=ON
 

@@ -56,8 +56,9 @@ struct MostOptions {
   /// as its K0 and tolerates arbitrarily coarse dt.
   psd::PsdIntegrator integrator = psd::PsdIntegrator::kCentralDifference;
   /// How the coordinator fans each NTCP phase out to the three sites.
-  /// Results are identical across engines (E5/E6 assert this); only wall
-  /// time and threading behavior differ.
+  /// Results are identical across engines (E5/E6 assert this); only the
+  /// modeled phase latency under kVirtual differs. No engine starts a
+  /// thread.
   psd::StepEngine step_engine = psd::StepEngine::kAsync;
   /// Hysteretic (Bouc–Wen) columns at the physical sites instead of
   /// elastic ones — enables yielding/hysteresis studies.

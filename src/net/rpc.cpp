@@ -10,15 +10,6 @@
 
 namespace nees::net {
 
-namespace {
-
-MethodId BatchMethodId() {
-  static const MethodId id{kBatchMethodName};
-  return id;
-}
-
-}  // namespace
-
 Bytes EncodeRequestEnvelope(const std::string& auth_token, const Bytes& body) {
   util::ByteWriter writer(util::AcquireFrame(8 + auth_token.size() +
                                              body.size()));
@@ -166,12 +157,6 @@ util::Result<Bytes> RpcServer::DispatchCall(CallContext& context,
 }
 
 void RpcServer::HandleMessage(Message message) {
-  if (message.kind == MessageKind::kRequest &&
-      message.method == BatchMethodId()) {
-    HandleBatch(std::move(message));
-    return;
-  }
-
   std::string auth_token;
   Bytes body;
   const util::Status decode_status =
@@ -233,82 +218,6 @@ void RpcServer::HandleMessage(Message message) {
   (void)network_->Send(std::move(response));
 }
 
-void RpcServer::HandleBatch(Message message) {
-  std::string auth_token;
-  Bytes body;
-  if (!ConsumeRequestEnvelope(&message.payload, &auth_token, &body).ok()) {
-    return;  // corrupt batch frame: lost, callers time out (like loss)
-  }
-
-  CallContext context;
-  context.caller_endpoint = message.from.name();
-  context.auth_token = std::move(auth_token);
-
-  // Sub-frames: u64 correlation | u32 method | bytes body, `count` times.
-  // Each sub-call runs the normal dispatch path (method table, auth hook,
-  // handler) so server-side semantics — at-most-once state machines, trace
-  // events per transaction — are identical to unbatched delivery.
-  util::ByteReader reader(body);
-  auto count = reader.ReadU32();
-  if (!count.ok()) {
-    util::ReleaseFrame(std::move(body));
-    return;
-  }
-  util::ByteWriter response_writer(util::AcquireFrame(body.size()));
-  response_writer.WriteU32(*count);
-  Bytes sub_body = util::AcquireFrame();
-  bool corrupt = false;
-  for (std::uint32_t i = 0; i < *count && !corrupt; ++i) {
-    auto correlation = reader.ReadU64();
-    auto method_raw = reader.ReadU32();
-    auto view = reader.ReadBytesView();
-    if (!correlation.ok() || !method_raw.ok() || !view.ok()) {
-      corrupt = true;  // truncated mid-batch: drop the whole frame
-      break;
-    }
-    const MethodId method = MethodId::FromRaw(*method_raw);
-    sub_body.assign(view->begin(), view->end());
-    context.method = method.name();
-    context.subject.clear();
-    util::Status status;
-    Bytes result_body;
-    if (!EndpointTable::Instance().Known(*method_raw)) {
-      status = util::DataLoss("batch sub-call: unknown method id " +
-                              std::to_string(*method_raw));
-    } else {
-      auto result = DispatchCall(context, method, sub_body);
-      if (result.ok()) {
-        result_body = *std::move(result);
-      } else {
-        status = result.status();
-      }
-    }
-    response_writer.WriteU64(*correlation);
-    response_writer.WriteU16(static_cast<std::uint16_t>(status.code()));
-    response_writer.WriteString(status.message());
-    response_writer.WriteBytes(result_body);
-    util::ReleaseFrame(std::move(result_body));
-  }
-  util::ReleaseFrame(std::move(sub_body));
-  util::ReleaseFrame(std::move(body));
-  if (corrupt) return;
-
-  Message response;
-  response.from = endpoint_id_;
-  response.to = message.from;
-  response.kind = MessageKind::kResponse;
-  response.correlation_id = message.correlation_id;
-  response.method = BatchMethodId();
-  Bytes response_body = response_writer.Take();
-  util::ByteWriter envelope(util::AcquireFrame(10 + response_body.size()));
-  envelope.WriteU16(static_cast<std::uint16_t>(util::ErrorCode::kOk));
-  envelope.WriteString("");
-  envelope.WriteBytes(response_body);
-  response.payload = envelope.Take();
-  util::ReleaseFrame(std::move(response_body));
-  (void)network_->Send(std::move(response));
-}
-
 // ---------------------------------------------------------------------------
 // RpcClient
 
@@ -349,21 +258,13 @@ const std::string& RpcClient::TokenRefLocked(EndpointId target) const {
   return token != nullptr ? *token : auth_token_;
 }
 
-std::string RpcClient::TokenForLocked(EndpointId target) const {
-  return TokenRefLocked(target);
-}
-
 std::string RpcClient::TokenFor(EndpointId target) {
   util::MutexLock lock(mu_);
-  return TokenForLocked(target);
+  return TokenRefLocked(target);
 }
 
 void RpcClient::HandleMessage(Message message) {
   if (message.kind != MessageKind::kResponse) return;
-  if (message.method == BatchMethodId()) {
-    HandleBatchResponse(std::move(message));
-    return;
-  }
   util::Status status;
   Bytes body;
   const util::Status decoded =
@@ -375,42 +276,6 @@ void RpcClient::HandleMessage(Message message) {
   call.status = decoded.ok() ? status : decoded;
   call.response = std::move(body);
   call.done = true;
-}
-
-void RpcClient::HandleBatchResponse(Message message) {
-  util::Status outer;
-  Bytes body;
-  if (!ConsumeResponseEnvelope(&message.payload, &outer, &body).ok() ||
-      !outer.ok()) {
-    return;  // corrupt/failed batch frame: callers time out (like loss)
-  }
-  util::ByteReader reader(body);
-  auto count = reader.ReadU32();
-  if (!count.ok()) {
-    util::ReleaseFrame(std::move(body));
-    return;
-  }
-  {
-    util::MutexLock lock(mu_);
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto correlation = reader.ReadU64();
-      auto code = reader.ReadU16();
-      auto text = reader.ReadString();
-      auto view = reader.ReadBytesView();
-      if (!correlation.ok() || !code.ok() || !text.ok() || !view.ok()) {
-        break;  // truncated tail: the already-demuxed calls stand
-      }
-      auto* slot = pending_.Find(*correlation);
-      if (slot == nullptr) continue;  // late/duplicate sub-response
-      PendingCall& call = **slot;
-      call.status = util::Status(static_cast<util::ErrorCode>(*code),
-                                 *std::move(text));
-      call.response = util::AcquireFrame(view->size());
-      call.response.assign(view->begin(), view->end());
-      call.done = true;
-    }
-  }
-  util::ReleaseFrame(std::move(body));
 }
 
 std::string RpcClient::AsyncCall::TimeoutMessage() const {
@@ -429,7 +294,6 @@ void RpcClient::RecycleCallLocked(std::shared_ptr<PendingCall> call) {
   constexpr std::size_t kMaxPooledCalls = 1024;
   if (call_pool_.size() >= kMaxPooledCalls) return;
   call->done = false;
-  call->sent = true;
   call->status = util::OkStatus();
   util::ReleaseFrame(std::move(call->response));
   call->response.clear();
@@ -456,40 +320,7 @@ RpcClient::AsyncCall RpcClient::Issue(EndpointId target, MethodId method,
     async.state_ = AcquireCallLocked();
     async.correlation_ = next_correlation_++;
     pending_[async.correlation_] = async.state_;
-    const std::string& live_token = TokenRefLocked(target);
-    if (batching_) {
-      // Stage instead of send: the pooled body copy travels in the batch
-      // frame at FlushBatch time. sent=false keeps TryResolve from
-      // treating the unsent call as an immediate-mode timeout.
-      async.state_->sent = false;
-      StagedTarget* group = nullptr;
-      for (StagedTarget& candidate : staging_) {
-        if (candidate.target == target) {
-          group = &candidate;
-          break;
-        }
-      }
-      if (group == nullptr) {
-        if (!staging_pool_.empty()) {
-          // Reuse a parked shell: its calls vector and token string keep
-          // their capacity from the previous window.
-          staging_.push_back(std::move(staging_pool_.back()));
-          staging_pool_.pop_back();
-          group = &staging_.back();
-          group->target = target;
-          group->token.assign(live_token);
-        } else {
-          staging_.push_back(StagedTarget{target, live_token, {}});
-          group = &staging_.back();
-        }
-      }
-      Bytes staged_body = util::AcquireFrame(body.size());
-      staged_body.assign(body.begin(), body.end());
-      group->calls.push_back(StagedCall{async.correlation_, method,
-                                        std::move(staged_body), async.state_});
-      return async;
-    }
-    token = live_token;  // copied out: still needed after the lock drops
+    token = TokenRefLocked(target);  // copied out: needed after the lock drops
   }
 
   Message request;
@@ -513,86 +344,6 @@ RpcClient::AsyncCall RpcClient::Issue(EndpointId target, MethodId method,
                                           " failed: " + send_status.message());
   }
   return async;
-}
-
-void RpcClient::BeginBatch() {
-  util::MutexLock lock(mu_);
-  batching_ = true;
-}
-
-void RpcClient::FlushBatch() {
-  std::vector<StagedTarget> staged;
-  {
-    util::MutexLock lock(mu_);
-    batching_ = false;
-    if (staging_.empty()) return;
-    staged = std::move(staging_);
-    staging_.clear();
-  }
-  for (StagedTarget& group : staged) {
-    util::Status send_status;
-    Message request;
-    request.from = endpoint_id_;
-    request.to = group.target;
-    request.kind = MessageKind::kRequest;
-    if (group.calls.size() == 1) {
-      // A lone call needs no envelope-within-envelope: it goes out as a
-      // plain request, bit-identical to the unbatched wire format.
-      StagedCall& call = group.calls.front();
-      request.correlation_id = call.correlation;
-      request.method = call.method;
-      util::ByteWriter writer(
-          util::AcquireFrame(8 + group.token.size() + call.body.size()));
-      writer.WriteString(group.token);
-      writer.WriteBytes(call.body);
-      request.payload = writer.Take();
-      util::ReleaseFrame(std::move(call.body));
-    } else {
-      request.method = BatchMethodId();
-      {
-        util::MutexLock lock(mu_);
-        request.correlation_id = next_correlation_++;
-      }
-      util::ByteWriter body_writer(util::AcquireFrame());
-      body_writer.WriteU32(static_cast<std::uint32_t>(group.calls.size()));
-      for (StagedCall& call : group.calls) {
-        body_writer.WriteU64(call.correlation);
-        body_writer.WriteU32(call.method.raw());
-        body_writer.WriteBytes(call.body);
-        util::ReleaseFrame(std::move(call.body));
-      }
-      Bytes batch_body = body_writer.Take();
-      util::ByteWriter envelope(
-          util::AcquireFrame(8 + group.token.size() + batch_body.size()));
-      envelope.WriteString(group.token);
-      envelope.WriteBytes(batch_body);
-      util::ReleaseFrame(std::move(batch_body));
-      request.payload = envelope.Take();
-    }
-    send_status = network_->Send(std::move(request));
-
-    util::MutexLock lock(mu_);
-    for (StagedCall& call : group.calls) {
-      if (!send_status.ok() && !call.state->done) {
-        call.state->status = util::Unavailable(
-            "send to " + group.target.str() + " failed: " +
-            send_status.message());
-        call.state->done = true;
-      }
-      call.state->sent = true;
-    }
-  }
-  // Park the emptied shells (and the staging vector's own buffer) so the
-  // next batch window stages without reallocating.
-  {
-    util::MutexLock lock(mu_);
-    for (StagedTarget& group : staged) {
-      group.calls.clear();
-      staging_pool_.push_back(std::move(group));
-    }
-    staged.clear();
-    if (staging_.empty()) staging_ = std::move(staged);
-  }
 }
 
 util::Result<Bytes> RpcClient::AsyncCall::Wait() {
@@ -633,9 +384,6 @@ bool RpcClient::AsyncCall::TryResolve(util::Result<Bytes>* out) {
     client->RecycleCallLocked(std::move(state_));
     return true;
   }
-  // Still staged in an open batch window: not on the wire yet, so neither
-  // answered nor lost. The flush (or a Wait) moves it along.
-  if (!state_->sent) return false;
   // Immediate mode resolves unanswered calls at once (see header); in
   // kVirtual mode the call times out when the clock passes the deadline.
   if (client->network_->mode() == DeliveryMode::kImmediate ||
@@ -651,18 +399,6 @@ bool RpcClient::AsyncCall::TryResolve(util::Result<Bytes>* out) {
 
 void RpcClient::WaitAnyUntil(std::span<AsyncCall* const> calls,
                              std::int64_t wake_micros) {
-  // A call still staged in the open batch window must hit the wire before
-  // a wait makes sense. Waiting only on sent calls leaves the window open
-  // (a synchronous Call thereby takes no extra lock).
-  bool staged = false;
-  {
-    util::MutexLock lock(mu_);
-    for (const AsyncCall* call : calls) {
-      staged |= call->client_ != nullptr && call->send_error_.ok() &&
-                !call->state_->sent;
-    }
-  }
-  if (staged) FlushBatch();
   // Immediate mode: every call resolved inline during issue.
   if (network_->mode() != DeliveryMode::kVirtual) return;
   // A pumping wait while any lock is held risks a distributed stall: the

@@ -13,10 +13,7 @@
 // Hot-path layout: targets and methods are interned ids (net/endpoint.h),
 // method dispatch and the pending-call correlation table are open-addressed
 // (util/open_hash.h), and envelopes are encoded into recycled pool frames
-// (util/frame_pool.h). Between BeginBatch() and FlushBatch() a client
-// stages CallAsync requests and coalesces the ones sharing a target into a
-// single "rpc.batch" multi-call frame — the GridFTP-style pipelining the
-// coordinator uses for its per-site propose/execute fan-out.
+// (util/frame_pool.h). Every call goes on the wire when it is issued.
 #pragma once
 
 #include <cstdint>
@@ -46,9 +43,6 @@ struct CallContext {
   std::string subject;               // authenticated identity ("" if anonymous)
   std::string_view method;
 };
-
-/// The reserved multi-call method name (see RpcClient::BeginBatch).
-inline constexpr std::string_view kBatchMethodName = "rpc.batch";
 
 class RpcServer {
  public:
@@ -92,12 +86,7 @@ class RpcServer {
   };
 
   void HandleMessage(Message message);
-  /// Unpacks one "rpc.batch" frame: every sub-call runs through the normal
-  /// method/auth dispatch (so per-transaction semantics and trace events
-  /// are preserved), and the per-call outcomes are coalesced into one
-  /// response frame the client demultiplexes by correlation id.
-  void HandleBatch(Message message);
-  /// Shared per-call core: method lookup, authentication, handler run.
+  /// Per-call core: method lookup, authentication, handler run.
   util::Result<Bytes> DispatchCall(CallContext& context, MethodId method,
                                    const Bytes& body);
   MethodEntry& EntryLocked(MethodId id) NEES_REQUIRES(mu_);
@@ -119,11 +108,6 @@ class RpcServer {
 /// Send under kImmediate, from the event loop a waiter pumps under kVirtual.
 struct PendingCall {
   bool done = false;
-  /// False while the call is staged inside an open BeginBatch window (not
-  /// yet on the wire). Guards the immediate-mode "unanswered means lost"
-  /// auto-timeout in TryResolve: a staged call is not unanswered, it is
-  /// unsent.
-  bool sent = true;
   util::Status status;
   Bytes response;
 };
@@ -167,16 +151,14 @@ class RpcClient {
     /// Blocks until the reply arrives or the call's timeout lapses:
     /// WaitAnyUntil on this call alone, then TryResolve. In kVirtual mode
     /// "blocking" means pumping the network's event loop up to the
-    /// deadline, so waits are deterministic and instantaneous. A
-    /// still-staged call is flushed first.
+    /// deadline, so waits are deterministic and instantaneous.
     util::Result<Bytes> Wait();
 
     /// Non-blocking: if the call has resolved (reply arrived, send failed,
     /// or the deadline lapsed), writes the outcome to `out` and returns
     /// true; otherwise returns false. In kImmediate mode an unanswered call
     /// resolves as a timeout at once — the response (if any) was delivered
-    /// inline during Send, so there is nothing left to wait for. A call
-    /// still staged in an open batch window is never resolved here. Like
+    /// inline during Send, so there is nothing left to wait for. Like
     /// Wait(), resolves at most once per handle.
     bool TryResolve(util::Result<Bytes>* out);
 
@@ -204,24 +186,12 @@ class RpcClient {
   AsyncCall CallAsync(EndpointId target, MethodId method, const Bytes& body,
                       std::int64_t timeout_micros = 1'000'000);
 
-  /// Pipelining: between BeginBatch() and FlushBatch(), CallAsync stages
-  /// requests instead of sending them. FlushBatch coalesces all calls
-  /// staged for the same target into one framed "rpc.batch" multi-call
-  /// message (a lone staged call goes out as a plain request, wire-
-  /// identical to the unbatched path) and ends the window. Staged handles
-  /// resolve exactly like un-batched ones; Wait/WaitAnyUntil on a
-  /// still-staged handle flush first, so forgetting FlushBatch degrades to
-  /// unbatched timing, never a hang.
-  void BeginBatch();
-  void FlushBatch();
-
   /// The one wait loop of the RPC layer. Blocks until at least one of the
   /// (currently unresolved) calls completes, or the network clock reaches
   /// `wake_micros`, or the earliest deadline among the calls lapses —
   /// whichever comes first. Returns immediately if any call is already
   /// resolved. Harvest outcomes with TryResolve() per handle afterwards.
-  /// Flushes the open batch window only if one of `calls` is still staged
-  /// in it. No-op in kImmediate mode, where calls resolve inline during
+  /// No-op in kImmediate mode, where calls resolve inline during
   /// issue; in kVirtual mode it pumps the event loop one event at a time
   /// between checks, single-threaded and deterministic.
   void WaitAnyUntil(std::span<AsyncCall* const> calls,
@@ -234,32 +204,14 @@ class RpcClient {
   EndpointId endpoint_id() const { return endpoint_id_; }
 
  private:
-  /// One call staged inside an open batch window.
-  struct StagedCall {
-    std::uint64_t correlation = 0;
-    MethodId method;
-    Bytes body;  // pooled copy of the caller's body
-    std::shared_ptr<PendingCall> state;
-  };
-  struct StagedTarget {
-    EndpointId target;
-    std::string token;
-    std::vector<StagedCall> calls;
-  };
-
   void HandleMessage(Message message);
-  /// Demultiplexes one "rpc.batch" response frame into the per-sub-call
-  /// pending slots by correlation id.
-  void HandleBatchResponse(Message message);
 
   /// Issues the request and registers the pending slot (shared by Call and
-  /// CallAsync); on send failure returns the error in AsyncCall. Inside a
-  /// batch window the call is staged instead of sent.
+  /// CallAsync); on send failure returns the error in AsyncCall.
   AsyncCall Issue(EndpointId target, MethodId method, const Bytes& body,
                   std::int64_t timeout_micros);
 
   std::string TokenFor(EndpointId target) NEES_EXCLUDES(mu_);
-  std::string TokenForLocked(EndpointId target) const NEES_REQUIRES(mu_);
   /// Allocation-free variant; the reference is only valid under mu_.
   const std::string& TokenRefLocked(EndpointId target) const
       NEES_REQUIRES(mu_);
@@ -267,8 +219,8 @@ class RpcClient {
   /// Pops a recycled PendingCall (or allocates the pool's first few).
   std::shared_ptr<PendingCall> AcquireCallLocked() NEES_REQUIRES(mu_);
   /// Returns a resolved slot to the pool. Only the last owner may recycle:
-  /// a slot still referenced elsewhere (e.g. by a staged batch entry) is
-  /// simply dropped and freed normally.
+  /// a slot a copied AsyncCall handle still references is simply dropped
+  /// and freed normally.
   void RecycleCallLocked(std::shared_ptr<PendingCall> call)
       NEES_REQUIRES(mu_);
 
@@ -283,12 +235,6 @@ class RpcClient {
   std::uint64_t next_correlation_ NEES_GUARDED_BY(mu_) = 1;
   util::OpenHashMap<std::uint64_t, std::shared_ptr<PendingCall>> pending_
       NEES_GUARDED_BY(mu_);
-  bool batching_ NEES_GUARDED_BY(mu_) = false;
-  std::vector<StagedTarget> staging_ NEES_GUARDED_BY(mu_);
-  /// Recycled StagedTarget shells: FlushBatch parks its emptied groups here
-  /// so the next window's staging reuses their calls-vector and token
-  /// capacity instead of reallocating. Bounded by the widest fan-out seen.
-  std::vector<StagedTarget> staging_pool_ NEES_GUARDED_BY(mu_);
   /// Recycled PendingCall slots: every resolved call hands its slot back
   /// (response capacity intact), so steady-state
   /// traffic allocates no per-call control blocks.

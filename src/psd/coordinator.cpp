@@ -130,35 +130,52 @@ util::Status SimulationCoordinator::RunPhase(obs::Atom span_name, Issue issue,
   if (ops.size() != site_count) ops.resize(site_count);
   std::vector<std::uint64_t>& site_spans = site_spans_scratch_;
   site_spans.assign(site_count, 0);
-  // kAsync issues every site in one window, staged as one framed send per
-  // site; kSequential issues a window of one site at a time, unbatched.
-  const bool batched = config_.step_engine == StepEngine::kAsync;
-  const std::size_t window = batched ? site_count : 1;
+  std::vector<char>& open = site_open_scratch_;
+  open.assign(site_count, 0);
+  // kAsync issues every site in one window; kSequential issues a window of
+  // one site at a time.
+  const std::size_t window =
+      config_.step_engine == StepEngine::kAsync ? site_count : 1;
   util::Status first_error;
+  std::size_t first_error_site = site_count;
+  // Closing a site records its step time, decodes its op and ends its span.
+  // Sites may close out of order; the reported error is the lowest site's.
+  auto close_site = [&](std::size_t i) {
+    site_stats_[i].step_micros.Add(
+        static_cast<double>(ops[i].elapsed_micros()));
+    const util::Status status = finish(i, ops[i]);
+    if (config_.tracer != nullptr) config_.tracer->EndSpanId(site_spans[i]);
+    if (!status.ok() && i < first_error_site) {
+      first_error = status;
+      first_error_site = i;
+    }
+  };
   for (std::size_t begin = 0; begin < site_count; begin += window) {
     const std::size_t end = std::min(begin + window, site_count);
-    if (batched) rpc_->BeginBatch();
     for (std::size_t i = begin; i < end; ++i) {
       // Explicit span parenting: every site's spans are created from this
       // one thread, so the implicit per-thread span stack cannot tell them
       // apart. The span still joins that stack, as does the op's protocol
-      // span, so in a window of one the site's server spans nest inside.
+      // span, so server spans that run inline during issue nest inside it.
       if (config_.tracer != nullptr) {
         site_spans[i] = config_.tracer->BeginSpanId(
             span_name, kCoordination, step_span_id_,
             {{kSite, site_atoms_[i]}});
       }
       ops[i] = issue(i, site_spans[i]);
+      // An op that resolved during issue (kImmediate delivers inline) is
+      // closed before the next site is issued, so both engines record the
+      // same spans in the same order.
+      if (ops[i].finished()) {
+        close_site(i);
+      } else {
+        open[i] = 1;
+      }
     }
-    if (batched) rpc_->FlushBatch();
     ntcp::NtcpClient::AwaitAll(
         std::span<ntcp::NtcpClient::AsyncOp>(ops).subspan(begin, end - begin));
     for (std::size_t i = begin; i < end; ++i) {
-      site_stats_[i].step_micros.Add(
-          static_cast<double>(ops[i].elapsed_micros()));
-      const util::Status status = finish(i, ops[i]);
-      if (config_.tracer != nullptr) config_.tracer->EndSpanId(site_spans[i]);
-      if (!status.ok() && first_error.ok()) first_error = status;
+      if (open[i]) close_site(i);
     }
   }
   return first_error;

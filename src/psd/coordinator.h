@@ -56,11 +56,12 @@ enum class StepEngine {
   /// One site after another on the coordinator thread; a phase costs
   /// `sites` round trips. The §3 baseline.
   kSequential,
-  /// Completion-driven: issue every site's request (staged as one framed
-  /// "rpc.batch" send per site), then multiplex all the completions (and
-  /// retry backoff timers) on the coordinator thread. ~1 RTT per phase
-  /// (the §5 near-real-time path). In kImmediate delivery this degenerates
-  /// to the sequential order, so results are bit-identical to kSequential.
+  /// Completion-driven: send every site's request as it is issued, then
+  /// multiplex all the completions (and retry backoff timers) on the
+  /// coordinator thread. ~1 RTT per phase (the §5 near-real-time path). In
+  /// kImmediate delivery a call resolves inline during its issue, so the
+  /// results are those of kSequential, and so is the trace of a phase
+  /// whose calls all resolve during their issue.
   kAsync,
 };
 
@@ -82,8 +83,9 @@ struct CoordinatorConfig {
   ntcp::RetryPolicy retry;        // per-RPC policy (ignored under kNaive)
   int max_step_attempts = 3;      // re-proposals per step (kFaultTolerant)
   std::int64_t proposal_timeout_micros = 60'000'000;
-  /// Fan-out strategy per phase; results are identical across engines
-  /// (only the modeled phase latency changes).
+  /// Fan-out strategy per phase: one window of every site (kAsync) or one
+  /// site at a time (kSequential). Results are identical across engines;
+  /// under kVirtual the modeled phase latency differs.
   StepEngine step_engine = StepEngine::kAsync;
 
   PsdIntegrator integrator = PsdIntegrator::kCentralDifference;
@@ -219,9 +221,10 @@ class SimulationCoordinator {
   /// One phase over every site, for both engines: windows of sites are
   /// issued (`issue(site, span_id)` returns the site's op) and awaited
   /// together with NtcpClient::AwaitAll, then `finish(site, op)` decodes
-  /// each. The window is every site, batched, for kAsync and one site,
-  /// unbatched, for kSequential. Returns the first error after all sites
-  /// have run.
+  /// each. A site whose op resolved during issue is finished at once,
+  /// before the next site is issued. The window is every site for kAsync
+  /// and one site for kSequential. Returns the lowest site's error after
+  /// all sites have run.
   template <typename Issue, typename Finish>
   util::Status RunPhase(obs::Atom span_name, Issue issue, Finish finish);
   /// The propose and execute phases; `accepted` / `executed` record
@@ -276,6 +279,7 @@ class SimulationCoordinator {
   std::vector<ntcp::Proposal> proposal_scratch_;
   std::vector<ntcp::NtcpClient::AsyncOp> ops_scratch_;
   std::vector<std::uint64_t> site_spans_scratch_;
+  std::vector<char> site_open_scratch_;  // ops still unfinished after issue
 
   // The integrators' working vectors, reused across steps so a step's
   // arithmetic allocates nothing (only the history records it appends).

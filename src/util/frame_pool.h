@@ -57,10 +57,10 @@ class FramePool {
   static constexpr std::size_t kMaxPooled = 4096;  // summed over shards
   static constexpr std::size_t kMaxPooledPerShard = kMaxPooled / kShards;
   /// Buffers at or below this capacity go on the small freelist. Keeping
-  /// two size classes stops a large request (batch envelope, multi-KB
-  /// payload) from repeatedly regrowing a recycled small buffer: a request
-  /// that finds no recycled frame with the capacity mints fresh instead,
-  /// and after warm-up each class recycles within itself.
+  /// two size classes stops a large request (a multi-KB payload) from
+  /// repeatedly regrowing a recycled small buffer: a request that finds no
+  /// recycled frame with the capacity mints fresh instead, and after
+  /// warm-up each class recycles within itself.
   static constexpr std::size_t kSmallBytes = 512;
   /// Capacity of a frame minted for a request without a size hint: enough
   /// for a typical control message, so its writer does not regrow it.

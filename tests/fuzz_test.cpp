@@ -610,7 +610,7 @@ TEST(FuzzExportPinTest, HybridMostTraceIsByteStable) {
   ASSERT_TRUE(report.ok());
   ASSERT_TRUE(report->completed);
   EXPECT_EQ(util::Sha256::HexHash(tracer.ExportJsonLines()),
-            "1a0d65906077f5e80ea268112c8fc7295f929b9d6549034fdac525010475223b");
+            "255eaf10d91549df9a216ea3c7f48099ba8158eeee8dcadd054b71ec69507c39");
 }
 
 }  // namespace

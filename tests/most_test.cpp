@@ -5,6 +5,9 @@
 #include <cmath>
 #include <filesystem>
 #include <iterator>
+#include <map>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +16,7 @@
 #include "most/most.h"
 #include "testbed/shorewestern.h"
 #include "nsds/nsds.h"
+#include "obs/trace.h"
 #include "util/clock.h"
 
 namespace nees::most {
@@ -161,9 +165,8 @@ TEST_F(MostRunTest, AsyncEngineBitIdenticalToSequential) {
   // E5/E6 determinism gate: in kImmediate delivery the completion-driven
   // engine resolves each site's call inline in issue order, so the hybrid
   // displacement record must match the sequential baseline bit for bit —
-  // including across a recovered transient fault. The async engine stages
-  // each phase as one "rpc.batch" frame per site, so the batch envelope is
-  // held to the same bit-for-bit standard.
+  // including across a recovered transient fault, where the async engine
+  // issues the next site while the faulted one backs off.
   const psd::StepEngine engines[] = {psd::StepEngine::kSequential,
                                      psd::StepEngine::kAsync};
   structural::TimeHistory histories[2];
@@ -199,8 +202,85 @@ TEST_F(MostRunTest, AsyncEngineBitIdenticalToSequential) {
   for (std::size_t i = 0; i < histories[0].displacement.size(); ++i) {
     ASSERT_EQ(histories[0].displacement[i][0],
               histories[1].displacement[i][0])
-        << "batched async diverged at step " << i;
+        << "async diverged at step " << i;
   }
+}
+
+// A fault-free traced 30-step hybrid run on a SimClock under kImmediate
+// delivery with a modeled WAN link. Every call is answered inline while it
+// is issued, so the trace depends on nothing but the engine.
+struct TracedRun {
+  std::string jsonl;
+  std::vector<obs::SpanRecord> spans;
+};
+
+TracedRun TracedHybridRun(psd::StepEngine engine) {
+  util::SimClock sim;
+  obs::Tracer tracer(&sim, &sim);
+  net::Network network;
+  network.SetClock(&sim);
+  net::LinkModel wan;
+  wan.latency_micros = 20'000;
+  network.SetDefaultLink(wan);
+  MostOptions options;
+  options.steps = 30;
+  options.hybrid = true;
+  options.tracer = &tracer;
+  options.step_engine = engine;
+  MostExperiment experiment(&network, &sim, options);
+  const auto report =
+      experiment.Run(psd::FaultPolicy::kFaultTolerant, "engine-trace");
+  EXPECT_TRUE(report.ok() && report->completed);
+  return {tracer.ExportJsonLines(), tracer.Snapshot()};
+}
+
+TEST(MostTraceTest, AsyncTraceIsByteIdenticalToSequential) {
+  const TracedRun sequential = TracedHybridRun(psd::StepEngine::kSequential);
+  const TracedRun async = TracedHybridRun(psd::StepEngine::kAsync);
+  ASSERT_FALSE(sequential.jsonl.empty());
+  // Not EXPECT_EQ: a failure would print both traces, about 1 MB each.
+  EXPECT_TRUE(async.jsonl == sequential.jsonl)
+      << "async and sequential kImmediate traces differ";
+}
+
+TEST(MostTraceTest, AsyncServerSpansNestUnderTheirOwnSitesCall) {
+  // Each server span must descend from the client "protocol" span of the
+  // NTCP call that reached that server, never from another site's call.
+  const TracedRun async = TracedHybridRun(psd::StepEngine::kAsync);
+  std::map<std::uint64_t, const obs::SpanRecord*> by_id;
+  for (const obs::SpanRecord& span : async.spans) by_id[span.id] = &span;
+  const obs::Atom protocol("protocol");
+  const obs::Atom endpoint("endpoint");
+  const obs::Atom server("server");
+  std::size_t server_spans = 0;
+  for (const obs::SpanRecord& span : async.spans) {
+    if (!span.name.str().starts_with("server.")) continue;
+    ++server_spans;
+    const obs::Tag* at = span.FindTag(endpoint);
+    ASSERT_NE(at, nullptr) << span.name.str();
+    const obs::SpanRecord* call = nullptr;
+    for (std::uint64_t id = span.parent_id; id != 0;) {
+      const auto it = by_id.find(id);
+      ASSERT_NE(it, by_id.end()) << "dangling parent " << id;
+      const obs::SpanRecord* ancestor = it->second;
+      if (ancestor->category == protocol &&
+          ancestor->name.str().starts_with("ntcp.")) {
+        call = ancestor;
+        break;
+      }
+      id = ancestor->parent_id;
+    }
+    ASSERT_NE(call, nullptr)
+        << span.name.str() << " " << span.id << " has no ntcp.* ancestor";
+    const obs::Tag* target = call->FindTag(server);
+    ASSERT_NE(target, nullptr);
+    EXPECT_EQ(target->ValueText(), at->ValueText())
+        << span.name.str() << " " << span.id << " nests under the call to "
+        << target->ValueText();
+  }
+  // A propose and an execute at each of the three sites for each of the 29
+  // steps that follow the at-rest initial state.
+  EXPECT_EQ(server_spans, 29u * 3u * 2u);
 }
 
 TEST_F(MostRunTest, FaultNarrativeNaiveDiesFaultTolerantFinishes) {

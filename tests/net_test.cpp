@@ -813,90 +813,22 @@ TEST_F(RpcTest, AsyncDeadlineUsesInjectedClock) {
   EXPECT_TRUE(call.Wait().ok());
 }
 
-// --- batched pipelining ------------------------------------------------------
-
-TEST_F(RpcTest, BatchedCallsRoundTripLikeUnbatched) {
-  client_->BeginBatch();
+TEST_F(RpcTest, OverlappedCallsRoundTripInImmediateMode) {
+  // Several calls in flight on one client before any wait: each goes on
+  // the wire when issued and, under kImmediate, is answered inline, so the
+  // waits find every reply already in its own slot.
   RpcClient::AsyncCall a = client_->CallAsync("server", "echo", AsBytes("a"));
   RpcClient::AsyncCall b = client_->CallAsync("server", "echo", AsBytes("b"));
   RpcClient::AsyncCall c = client_->CallAsync("server", "echo", AsBytes("c"));
-  client_->FlushBatch();
+  auto rc = c.Wait();
   auto ra = a.Wait();
   auto rb = b.Wait();
-  auto rc = c.Wait();
   ASSERT_TRUE(ra.ok());
   ASSERT_TRUE(rb.ok());
   ASSERT_TRUE(rc.ok());
   EXPECT_EQ(AsString(*ra), "a");
   EXPECT_EQ(AsString(*rb), "b");
   EXPECT_EQ(AsString(*rc), "c");
-}
-
-TEST_F(RpcTest, WaitOnStagedCallFlushesTheBatchFirst) {
-  client_->BeginBatch();
-  RpcClient::AsyncCall call =
-      client_->CallAsync("server", "echo", AsBytes("staged"));
-  // No explicit FlushBatch: forgetting it must degrade to unbatched
-  // timing, never a hang or a spurious immediate-mode timeout.
-  auto result = call.Wait();
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(AsString(*result), "staged");
-}
-
-TEST(RpcBatchWireTest, FlushCoalescesStagedCallsIntoOneFramePerTarget) {
-  Network network;
-  std::vector<Message> at_sink1;
-  std::vector<Message> at_sink2;
-  ASSERT_TRUE(network
-                  .RegisterEndpoint("batch.sink1",
-                                    [&](const Message& m) {
-                                      at_sink1.push_back(m);
-                                    })
-                  .ok());
-  ASSERT_TRUE(network
-                  .RegisterEndpoint("batch.sink2",
-                                    [&](const Message& m) {
-                                      at_sink2.push_back(m);
-                                    })
-                  .ok());
-  RpcClient client(&network, "batch.client");
-  client.BeginBatch();
-  auto a = client.CallAsync("batch.sink1", "m", AsBytes("1"));
-  auto b = client.CallAsync("batch.sink1", "m", AsBytes("2"));
-  auto c = client.CallAsync("batch.sink1", "m", AsBytes("3"));
-  auto d = client.CallAsync("batch.sink2", "m", AsBytes("4"));
-  auto e = client.CallAsync("batch.sink2", "m", AsBytes("5"));
-  EXPECT_TRUE(at_sink1.empty());  // staged, not sent
-  client.FlushBatch();
-  ASSERT_EQ(at_sink1.size(), 1u);  // three calls, one frame
-  ASSERT_EQ(at_sink2.size(), 1u);  // two calls, one frame
-  EXPECT_EQ(at_sink1[0].method, MethodId("rpc.batch"));
-  EXPECT_EQ(at_sink2[0].method, MethodId("rpc.batch"));
-  EXPECT_EQ(at_sink1[0].kind, MessageKind::kRequest);
-}
-
-TEST(RpcBatchWireTest, SingletonBatchIsWireIdenticalToPlainRequest) {
-  Network network;
-  std::vector<Message> frames;
-  ASSERT_TRUE(network
-                  .RegisterEndpoint("single.sink",
-                                    [&](const Message& m) {
-                                      frames.push_back(m);
-                                    })
-                  .ok());
-  RpcClient client(&network, "single.client");
-  client.SetAuthToken("tok");
-  auto plain = client.CallAsync("single.sink", "method.x", AsBytes("body"));
-  client.BeginBatch();
-  auto staged = client.CallAsync("single.sink", "method.x", AsBytes("body"));
-  client.FlushBatch();
-  ASSERT_EQ(frames.size(), 2u);
-  // A lone staged call needs no batch envelope: same method, same payload
-  // bytes — only the correlation id differs.
-  EXPECT_EQ(frames[1].method, frames[0].method);
-  EXPECT_EQ(frames[1].kind, frames[0].kind);
-  EXPECT_EQ(frames[1].payload, frames[0].payload);
-  EXPECT_NE(frames[1].correlation_id, frames[0].correlation_id);
 }
 
 // --- overlapped calls: CallAsync + Wait / WaitAnyUntil -----------------------
