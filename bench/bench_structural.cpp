@@ -74,14 +74,20 @@ void PrintIntegratorStabilityTable() {
     structural::ElasticSubstructure cd_model(k);
     structural::CentralDifferencePsd cd(m, c, {1.0});
     auto cd_history = cd.Integrate(
-        motion, [&](std::size_t, const structural::Vector& d) {
-          return cd_model.Restore(d);
+        motion, [&](std::size_t, const structural::Vector& d)
+            -> util::Result<structural::Vector> {
+          structural::Vector force;
+          NEES_RETURN_IF_ERROR(cd_model.Restore(d, force));
+          return force;
         });
     structural::ElasticSubstructure os_model(k);
     structural::OperatorSplittingPsd os(m, c, k, {1.0});
     auto os_history = os.Integrate(
-        motion, [&](std::size_t, const structural::Vector& d) {
-          return os_model.Restore(d);
+        motion, [&](std::size_t, const structural::Vector& d)
+            -> util::Result<structural::Vector> {
+          structural::Vector force;
+          NEES_RETURN_IF_ERROR(os_model.Restore(d, force));
+          return force;
         });
     auto fmt_peak = [](double peak) {
       return peak > 100.0 ? std::string("DIVERGED")
@@ -190,9 +196,10 @@ void BM_BoucWenRestore(benchmark::State& state) {
   structural::BoucWenSubstructure model(params);
   double d = 0.0;
   std::uint64_t i = 0;
+  structural::Vector force;
   for (auto _ : state) {
     d = 0.02 * std::sin(0.01 * static_cast<double>(i++));
-    benchmark::DoNotOptimize(model.Restore({d}));
+    benchmark::DoNotOptimize(model.Restore({d}, force));
   }
   state.SetItemsProcessed(state.iterations());
 }

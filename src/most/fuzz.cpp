@@ -1085,7 +1085,7 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     out.inflight_failed += slot->inflight_failed;
   }
   const obs::Trace trace = tracer.TakeTrace();
-  out.history = report.history;
+  out.history = std::move(report.history);
   if (digests) {
     out.metrics_table = tracer.metrics().ReportTable();
     out.trace_fingerprint = obs::FingerprintSpans(trace);

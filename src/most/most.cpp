@@ -261,8 +261,8 @@ util::Status MostExperiment::StartSiteServices() {
                         options_.hysteretic_columns, options_.seed + 2));
       auto xpc = cu_xpc_;
       obs::Tracer* tracer = options_.tracer;
-      compute = [xpc, tracer](const ntcp::Proposal& proposal)
-          -> util::Result<ntcp::TransactionResult> {
+      compute = [xpc, tracer](const ntcp::Proposal& proposal,
+                              ntcp::TransactionResult& out) -> util::Status {
         if (proposal.actions.size() != 1 ||
             proposal.actions[0].target_displacement.size() != 1) {
           return util::InvalidArgument("CU rig takes one 1-DOF action");
@@ -278,13 +278,12 @@ util::Status MostExperiment::StartSiteServices() {
           tracer->metrics().Observe(
               "actuator.settle_micros", measurement.motion_seconds * 1e6);
         }
-        ntcp::TransactionResult result;
-        ntcp::ControlPointResult cp;
+        out.results.resize(1);
+        ntcp::ControlPointResult& cp = out.results[0];
         cp.control_point = proposal.actions[0].control_point;
-        cp.measured_displacement = {measurement.displacement_m};
-        cp.measured_force = {measurement.force_n};
-        result.results.push_back(std::move(cp));
-        return result;
+        cp.measured_displacement.assign(1, measurement.displacement_m);
+        cp.measured_force.assign(1, measurement.force_n);
+        return util::OkStatus();
       };
     } else {
       auto models = std::make_shared<std::map<

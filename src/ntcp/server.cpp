@@ -364,13 +364,13 @@ util::Result<TransactionResult> NtcpServer::Execute(
 }
 
 template <typename Consume>
-util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
+util::Status NtcpServer::ExecuteWith(std::string_view transaction_id,
                                      Consume&& consume) {
   obs::Span span;
   if (tracer_ != nullptr) {
     span = tracer_->StartSpan(kExecuteSpan, kProtocol);
     span.AddTag(kEndpoint, endpoint_atom());
-    span.AddTag(kTxn, transaction_id);
+    span.AddTag(kTxn, std::string(transaction_id));
     tracer_->metrics().Increment("ntcp.server.executes");
   }
   TransactionRecord* executing = nullptr;
@@ -378,7 +378,8 @@ util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
     util::MutexLock lock(mu_);
     TransactionRecord* found = transactions_.Find(transaction_id);
     if (found == nullptr) {
-      return util::NotFound("unknown transaction: " + transaction_id);
+      return util::NotFound("unknown transaction: " +
+                            std::string(transaction_id));
     }
     TransactionRecord& record = *found;
 
@@ -429,7 +430,9 @@ util::Status NtcpServer::ExecuteWith(const std::string& transaction_id,
     // Safe to use outside the lock: the proposal is immutable once the
     // record is created, records never move, and the record cannot be
     // erased while kExecuting (GarbageCollect only drops terminal states,
-    // and AttachWal runs before the server takes traffic).
+    // and AttachWal runs before the server takes traffic). The plugin
+    // relies on this too: an MPlugin queues this very proposal, not a copy
+    // (DESIGN.md decision 26).
     executing = &record;
     ++stats_.executions;
   }
@@ -637,7 +640,7 @@ util::Result<WalRecovery> NtcpServer::AttachWal(wal::Log* log) {
       if (!detail.empty()) record->detail = std::move(detail);
       StampState(*record, record->state, at);
       if (has_result) {
-        NEES_ASSIGN_OR_RETURN(record->result, DecodeTransactionResult(reader));
+        NEES_RETURN_IF_ERROR(DecodeTransactionResultInto(reader, record->result));
       }
     } else {
       return util::DataLoss(util::Format(
@@ -720,7 +723,8 @@ void NtcpServer::BindRpcMethods() {
       [this](const net::CallContext&,
              const net::Bytes& body) -> util::Result<net::Bytes> {
         util::ByteReader reader(body);
-        NEES_ASSIGN_OR_RETURN(std::string id, reader.ReadString());
+        // A view into the request frame, which outlives the call.
+        NEES_ASSIGN_OR_RETURN(std::string_view id, reader.ReadStringView());
         util::ByteWriter writer(util::AcquireFrame());
         NEES_RETURN_IF_ERROR(
             ExecuteWith(id, [&writer](const TransactionResult& result) {

@@ -151,8 +151,7 @@ class NtcpServer {
   /// under the table lock instead of copied out: the RPC handler encodes the
   /// cached result straight into its reply frame.
   template <typename Consume>
-  util::Status ExecuteWith(const std::string& transaction_id,
-                           Consume&& consume);
+  util::Status ExecuteWith(std::string_view transaction_id, Consume&& consume);
   /// Moves `record` to `to`, stamped `at`: the caller's one clock read,
   /// shared by every transition it makes at that instant.
   void TransitionLocked(TransactionRecord& record, TransactionState to,

@@ -179,13 +179,6 @@ void EncodeTransactionResult(const TransactionResult& result,
   }
 }
 
-util::Result<TransactionResult> DecodeTransactionResult(
-    util::ByteReader& reader) {
-  TransactionResult result;
-  NEES_RETURN_IF_ERROR(DecodeTransactionResultInto(reader, result));
-  return result;
-}
-
 util::Status DecodeTransactionResultInto(util::ByteReader& reader,
                                          TransactionResult& result) {
   NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
@@ -227,7 +220,7 @@ util::Result<TransactionRecord> DecodeTransactionRecord(
   }
   record.state = static_cast<TransactionState>(state);
   NEES_ASSIGN_OR_RETURN(record.detail, reader.ReadString());
-  NEES_ASSIGN_OR_RETURN(record.result, DecodeTransactionResult(reader));
+  NEES_RETURN_IF_ERROR(DecodeTransactionResultInto(reader, record.result));
   NEES_ASSIGN_OR_RETURN(std::uint32_t count, reader.ReadU32());
   std::string key;
   for (std::uint32_t i = 0; i < count; ++i) {

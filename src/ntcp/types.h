@@ -187,10 +187,9 @@ util::Status DecodeProposalInto(util::ByteReader& reader, Proposal& proposal);
 
 void EncodeTransactionResult(const TransactionResult& result,
                              util::ByteWriter& writer);
-util::Result<TransactionResult> DecodeTransactionResult(
-    util::ByteReader& reader);
-/// DecodeTransactionResult into `result`, reusing the storage of its
-/// entries (a coordinator decodes the same shape every step).
+/// Decodes into `result`, reusing the storage of its entries (a
+/// coordinator decodes the same shape every step, an MPlugin decodes into
+/// its pending slot).
 util::Status DecodeTransactionResultInto(util::ByteReader& reader,
                                          TransactionResult& result);
 

@@ -1,7 +1,5 @@
 #include "plugins/labview_plugin.h"
 
-#include <cmath>
-
 #include "obs/trace.h"
 
 namespace nees::plugins {
@@ -20,8 +18,8 @@ util::Status LabViewPlugin::Validate(const ntcp::Proposal& proposal) {
   if (action.target_displacement.size() != 1) {
     return util::InvalidArgument("control point has exactly one DOF");
   }
-  if (std::fabs(action.target_displacement[0]) >
-      config_.max_abs_displacement_m) {
+  if (!ntcp::WithinLimit(action.target_displacement[0],
+                         config_.max_abs_displacement_m)) {
     return util::PolicyViolation("target exceeds Mini-MOST travel limit");
   }
   if (specimen_->interlock_tripped()) {

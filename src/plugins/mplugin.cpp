@@ -1,7 +1,6 @@
 #include "plugins/mplugin.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/trace.h"
 #include "util/frame_pool.h"
@@ -27,10 +26,10 @@ net::MethodId NotifyMethod() {
 }
 
 // The {has_work, Proposal} answer of both mplugin.poll and mplugin.notify.
-net::Bytes EncodePoll(const std::optional<ntcp::Proposal>& proposal) {
+net::Bytes EncodePoll(const ntcp::Proposal* proposal) {
   util::ByteWriter writer(util::AcquireFrame());
-  writer.WriteBool(proposal.has_value());
-  if (proposal) ntcp::EncodeProposal(*proposal, writer);
+  writer.WriteBool(proposal != nullptr);
+  if (proposal != nullptr) ntcp::EncodeProposal(*proposal, writer);
   return writer.Take();
 }
 
@@ -51,7 +50,7 @@ util::Status MPlugin::Validate(const ntcp::Proposal& proposal) {
   }
   for (const auto& action : proposal.actions) {
     for (double d : action.target_displacement) {
-      if (std::fabs(d) > config_.max_abs_displacement_m) {
+      if (!ntcp::WithinLimit(d, config_.max_abs_displacement_m)) {
         return util::PolicyViolation("target exceeds Mplugin site limit");
       }
     }
@@ -61,127 +60,173 @@ util::Status MPlugin::Validate(const ntcp::Proposal& proposal) {
 
 util::Result<ntcp::TransactionResult> MPlugin::Execute(
     const ntcp::Proposal& proposal) {
-  auto pending = std::make_shared<Pending>();
+  // A remote backend polls from another context; remember ours so the
+  // queue/compute records attach under the server.execute span.
+  std::uint64_t parent_span_id = 0;
+  std::int64_t enqueued_micros = 0;
   if (tracer_ != nullptr) {
-    // A remote backend polls from another context; remember ours so the
-    // queue/compute records attach under the server.execute span.
-    pending->parent_span_id = tracer_->CurrentSpanId();
-    pending->enqueued_micros = tracer_->NowMicros();
+    parent_span_id = tracer_->CurrentSpanId();
+    enqueued_micros = tracer_->NowMicros();
   }
-  std::function<void()> notify;
+  Slot* slot = nullptr;
+  std::shared_ptr<const std::function<void()>> notify;
   {
     util::MutexLock lock(mu_);
-    pending_[proposal.transaction_id] = pending;
-    queue_.push_back(proposal);
+    for (const std::unique_ptr<Slot>& free : slots_) {
+      if (free->proposal == nullptr) {
+        slot = free.get();
+        break;
+      }
+    }
+    if (slot == nullptr) {
+      slot = slots_.emplace_back(std::make_unique<Slot>()).get();
+    }
+    slot->proposal = &proposal;
+    slot->queued_seq = ++enqueued_;
+    slot->done = false;
+    slot->status = util::OkStatus();
+    slot->parent_span_id = parent_span_id;
+    slot->enqueued_micros = enqueued_micros;
+    slot->compute_span_id = 0;
     notify = work_notifier_;
   }
   // Outside the lock: an in-process backend polls and posts right here, and
   // a remote backend's notifier issues a network send.
-  if (notify) notify();
-  {
-    util::MutexLock lock(mu_);
-    if (virtual_net_ != nullptr) {
-      // Virtual time: drive the event loop. Each pump runs outside mu_ (it
-      // delivers the wake, the backend's poll, the compute, and the notify
-      // — possibly recursively) until PostResult marks us done or the
-      // timeout's virtual deadline passes.
-      util::Clock* clock = virtual_net_->clock();
-      const std::int64_t give_up =
-          clock->NowMicros() + config_.execute_timeout_micros;
-      std::int64_t rewake_at = config_.rewake_micros > 0
-                                   ? clock->NowMicros() + config_.rewake_micros
-                                   : give_up;
-      while (!pending->done && !shutting_down_) {
-        const std::int64_t now = clock->NowMicros();
-        if (now >= give_up) break;
-        if (now >= rewake_at) {
-          // Still unpolled one interval on: the wake was lost, so the
-          // backend is not coming. Tell it again.
-          rewake_at = now + config_.rewake_micros;
-          const bool unpolled = std::any_of(
-              queue_.begin(), queue_.end(), [&](const ntcp::Proposal& q) {
-                return q.transaction_id == proposal.transaction_id;
-              });
-          if (unpolled && work_notifier_) {
-            ++rewakes_;
-            std::function<void()> renotify = work_notifier_;
-            lock.Unlock();
-            renotify();
-            lock.Lock();
-          }
-          continue;
+  if (notify) (*notify)();
+  util::MutexLock lock(mu_);
+  if (virtual_net_ != nullptr) {
+    // Virtual time: drive the event loop. Each pump runs outside mu_ (it
+    // delivers the wake, the backend's poll, the compute, and the notify
+    // — possibly recursively) until PostResult marks us done or the
+    // timeout's virtual deadline passes.
+    util::Clock* clock = virtual_net_->clock();
+    const std::int64_t give_up =
+        clock->NowMicros() + config_.execute_timeout_micros;
+    std::int64_t rewake_at = config_.rewake_micros > 0
+                                 ? clock->NowMicros() + config_.rewake_micros
+                                 : give_up;
+    while (!slot->done && !shutting_down_) {
+      const std::int64_t now = clock->NowMicros();
+      if (now >= give_up) break;
+      if (now >= rewake_at) {
+        // Still unpolled one interval on: the wake was lost, so the
+        // backend is not coming. Tell it again.
+        rewake_at = now + config_.rewake_micros;
+        if (slot->queued_seq != 0 && work_notifier_) {
+          ++rewakes_;
+          std::shared_ptr<const std::function<void()>> renotify =
+              work_notifier_;
+          lock.Unlock();
+          (*renotify)();
+          lock.Lock();
         }
-        lock.Unlock();
-        virtual_net_->PumpOneUntil(std::min(give_up, rewake_at));
-        lock.Lock();
+        continue;
       }
-    }
-    // Outside kVirtual there is nothing to wait for: the inline
-    // PollingBackend posted the result before notify() returned, so a
-    // request still open here has no backend and fails fast.
-    pending_.erase(proposal.transaction_id);
-    if (!pending->done) {
-      // Remove the unclaimed request so a late backend can't act on it.
-      std::erase_if(queue_, [&](const ntcp::Proposal& queued) {
-        return queued.transaction_id == proposal.transaction_id;
-      });
-      return util::TimeoutError("backend did not service request " +
-                                proposal.transaction_id);
+      lock.Unlock();
+      virtual_net_->PumpOneUntil(std::min(give_up, rewake_at));
+      lock.Lock();
     }
   }
-  if (!pending->status.ok()) return pending->status;
-  return pending->result;
+  // Outside kVirtual there is nothing to wait for: the inline
+  // PollingBackend posted the result before notify() returned, so a
+  // request still open here has no backend and fails fast. Either way
+  // the slot is freed: an unclaimed request leaves the queue, and a late
+  // notify finds no slot under its id.
+  slot->proposal = nullptr;
+  slot->queued_seq = 0;
+  if (!slot->done) {
+    return util::TimeoutError("backend did not service request " +
+                              proposal.transaction_id);
+  }
+  if (!slot->status.ok()) return slot->status;
+  return std::move(slot->result);
 }
 
-std::optional<ntcp::Proposal> MPlugin::PollRequest() {
+const ntcp::Proposal* MPlugin::PollRequest() {
   util::MutexLock lock(mu_);
   ++polls_;
-  if (queue_.empty()) return std::nullopt;
-  ntcp::Proposal proposal = std::move(queue_.front());
-  queue_.pop_front();
+  Slot* oldest = nullptr;
+  for (const std::unique_ptr<Slot>& slot : slots_) {
+    if (slot->queued_seq != 0 &&
+        (oldest == nullptr || slot->queued_seq < oldest->queued_seq)) {
+      oldest = slot.get();
+    }
+  }
+  if (oldest == nullptr) return nullptr;
+  oldest->queued_seq = 0;
   if (tracer_ != nullptr) {
     // Idle polls record nothing (their count depends on host scheduling);
     // only a successful dequeue leaves a trace.
-    auto it = pending_.find(proposal.transaction_id);
-    if (it != pending_.end()) {
-      const std::int64_t now = tracer_->NowMicros();
-      tracer_->RecordInterval(it->second->parent_span_id, kQueueSpan,
-                              kQueueCategory, it->second->enqueued_micros, now,
-                              {{kTxn, proposal.transaction_id}});
-      tracer_->metrics().Observe(
-          "mplugin.queue_micros",
-          static_cast<double>(now - it->second->enqueued_micros));
-      it->second->compute_span_id = tracer_->BeginSpanId(
-          kComputeSpan, kSimulationCategory, it->second->parent_span_id);
+    const std::int64_t now = tracer_->NowMicros();
+    tracer_->RecordInterval(oldest->parent_span_id, kQueueSpan, kQueueCategory,
+                            oldest->enqueued_micros, now,
+                            {{kTxn, oldest->proposal->transaction_id}});
+    tracer_->metrics().Observe(
+        "mplugin.queue_micros",
+        static_cast<double>(now - oldest->enqueued_micros));
+    oldest->compute_span_id = tracer_->BeginSpanId(
+        kComputeSpan, kSimulationCategory, oldest->parent_span_id);
+  }
+  return oldest->proposal;
+}
+
+MPlugin::Slot* MPlugin::FindSlotLocked(std::string_view transaction_id) {
+  for (const std::unique_ptr<Slot>& slot : slots_) {
+    if (slot->proposal != nullptr &&
+        slot->proposal->transaction_id == transaction_id) {
+      return slot.get();
     }
   }
-  return proposal;
+  return nullptr;
+}
+
+void MPlugin::CompleteLocked(Slot& slot, util::Status status) {
+  if (tracer_ != nullptr && slot.compute_span_id != 0) {
+    tracer_->EndSpanId(slot.compute_span_id);
+    slot.compute_span_id = 0;
+  }
+  slot.done = true;
+  slot.status = std::move(status);
 }
 
 util::Status MPlugin::PostResult(
-    const std::string& transaction_id,
+    std::string_view transaction_id,
     util::Result<ntcp::TransactionResult> outcome) {
   util::MutexLock lock(mu_);
-  auto it = pending_.find(transaction_id);
-  if (it == pending_.end()) {
-    return util::NotFound("no pending execution named " + transaction_id);
+  Slot* slot = FindSlotLocked(transaction_id);
+  if (slot == nullptr) {
+    return util::NotFound("no pending execution named " +
+                          std::string(transaction_id));
   }
-  if (tracer_ != nullptr && it->second->compute_span_id != 0) {
-    tracer_->EndSpanId(it->second->compute_span_id);
-    it->second->compute_span_id = 0;
+  if (!outcome.ok()) {
+    CompleteLocked(*slot, outcome.status());
+    return util::OkStatus();
   }
-  it->second->done = true;
-  if (outcome.ok()) {
-    it->second->result = std::move(outcome).value();
-  } else {
-    it->second->status = outcome.status();
+  slot->result = std::move(outcome).value();
+  CompleteLocked(*slot, util::OkStatus());
+  return util::OkStatus();
+}
+
+util::Status MPlugin::PostEncodedResult(std::string_view transaction_id,
+                                        util::ByteReader& reader) {
+  util::MutexLock lock(mu_);
+  Slot* slot = FindSlotLocked(transaction_id);
+  if (slot == nullptr) {
+    return util::NotFound("no pending execution named " +
+                          std::string(transaction_id));
   }
+  NEES_RETURN_IF_ERROR(ntcp::DecodeTransactionResultInto(reader, slot->result));
+  CompleteLocked(*slot, util::OkStatus());
   return util::OkStatus();
 }
 
 void MPlugin::SetWorkNotifier(std::function<void()> notifier) {
+  std::shared_ptr<const std::function<void()>> shared;
+  if (notifier) {
+    shared = std::make_shared<const std::function<void()>>(std::move(notifier));
+  }
   util::MutexLock lock(mu_);
-  work_notifier_ = std::move(notifier);
+  work_notifier_ = std::move(shared);
 }
 
 void MPlugin::AttachVirtualNetwork(net::Network* network) {
@@ -207,15 +252,15 @@ void MPlugin::BindBackendRpc(net::RpcServer& server) {
       [this](const net::CallContext&,
              const net::Bytes& body) -> util::Result<net::Bytes> {
         util::ByteReader reader(body);
-        NEES_ASSIGN_OR_RETURN(std::string id, reader.ReadString());
+        NEES_ASSIGN_OR_RETURN(std::string_view id, reader.ReadStringView());
         NEES_ASSIGN_OR_RETURN(bool ok, reader.ReadBool());
         if (ok) {
-          NEES_ASSIGN_OR_RETURN(ntcp::TransactionResult result,
-                                ntcp::DecodeTransactionResult(reader));
-          NEES_RETURN_IF_ERROR(PostResult(id, std::move(result)));
+          NEES_RETURN_IF_ERROR(PostEncodedResult(id, reader));
         } else {
-          NEES_ASSIGN_OR_RETURN(std::string error, reader.ReadString());
-          NEES_RETURN_IF_ERROR(PostResult(id, util::Internal(error)));
+          NEES_ASSIGN_OR_RETURN(std::string_view error,
+                                reader.ReadStringView());
+          NEES_RETURN_IF_ERROR(
+              PostResult(id, util::Internal(std::string(error))));
         }
         return EncodePoll(PollRequest());
       });
@@ -228,7 +273,9 @@ std::uint64_t MPlugin::polls() const {
 
 std::size_t MPlugin::buffered() const {
   util::MutexLock lock(mu_);
-  return queue_.size();
+  return std::count_if(
+      slots_.begin(), slots_.end(),
+      [](const std::unique_ptr<Slot>& slot) { return slot->queued_seq != 0; });
 }
 
 std::uint64_t MPlugin::rewakes() const {
@@ -263,10 +310,13 @@ std::uint64_t PollingBackend::processed() const {
 
 void PollingBackend::Drain() {
   util::MutexLock lock(mu_);
-  while (auto proposal = plugin_->PollRequest()) {
-    auto outcome = compute_(*proposal);
+  while (const ntcp::Proposal* proposal = plugin_->PollRequest()) {
+    util::Status computed = compute_(*proposal, result_);
     const util::Status posted =
-        plugin_->PostResult(proposal->transaction_id, std::move(outcome));
+        computed.ok()
+            ? plugin_->PostResult(proposal->transaction_id, std::move(result_))
+            : plugin_->PostResult(proposal->transaction_id,
+                                  std::move(computed));
     if (!posted.ok()) {
       NEES_LOG_WARN("plugins.backend")
           << "late notify dropped: " << posted.ToString();
@@ -354,14 +404,14 @@ util::Result<bool> VirtualPollingBackend::TakeWork(
 util::Result<bool> VirtualPollingBackend::ComputeAndNotify() {
   // The request body is encoded into body_, which the RPC layer copies
   // into its envelope.
-  auto outcome = compute_(proposal_);
+  const util::Status computed = compute_(proposal_, result_);
   util::ByteWriter notify_writer(std::move(body_));
   notify_writer.WriteString(proposal_.transaction_id);
-  notify_writer.WriteBool(outcome.ok());
-  if (outcome.ok()) {
-    ntcp::EncodeTransactionResult(*outcome, notify_writer);
+  notify_writer.WriteBool(computed.ok());
+  if (computed.ok()) {
+    ntcp::EncodeTransactionResult(result_, notify_writer);
   } else {
-    notify_writer.WriteString(outcome.status().ToString());
+    notify_writer.WriteString(computed.ToString());
   }
   util::Result<net::Bytes> notified =
       rpc_->Call(plugin_id_, NotifyMethod(), notify_writer.data());
@@ -373,24 +423,23 @@ PollingBackend::Compute MakeSimulationCompute(
     std::shared_ptr<std::map<
         std::string, std::unique_ptr<structural::SubstructureModel>>>
         models) {
-  return [models](const ntcp::Proposal& proposal)
-             -> util::Result<ntcp::TransactionResult> {
-    ntcp::TransactionResult result;
-    for (const auto& action : proposal.actions) {
+  return [models](const ntcp::Proposal& proposal,
+                  ntcp::TransactionResult& out) -> util::Status {
+    out.results.resize(proposal.actions.size());
+    for (std::size_t i = 0; i < proposal.actions.size(); ++i) {
+      const ntcp::ControlPointRequest& action = proposal.actions[i];
       auto it = models->find(action.control_point);
       if (it == models->end()) {
         return util::NotFound("unknown control point: " +
                               action.control_point);
       }
-      NEES_ASSIGN_OR_RETURN(structural::Vector force,
-                            it->second->Restore(action.target_displacement));
-      ntcp::ControlPointResult cp;
+      ntcp::ControlPointResult& cp = out.results[i];
+      NEES_RETURN_IF_ERROR(
+          it->second->Restore(action.target_displacement, cp.measured_force));
       cp.control_point = action.control_point;
       cp.measured_displacement = action.target_displacement;
-      cp.measured_force = force;
-      result.results.push_back(std::move(cp));
     }
-    return result;
+    return util::OkStatus();
   };
 }
 

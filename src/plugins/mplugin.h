@@ -5,6 +5,12 @@
 // execution. NCSA ran this against a pure simulation; CU ran the same
 // plugin code against Matlab xPC driving real servo-hydraulics.
 //
+// One payload per transaction (DESIGN.md decision 26): the buffer holds no
+// copy of a request. Each Execute takes a reused pending slot that points
+// at the proposal the caller passed in (the NTCP server passes the one in
+// its transaction record), polls hand out that pointer, and the result is
+// written into the slot's storage and moved out by Execute.
+//
 // Backend-facing surface, both in-process and over RPC:
 //   mplugin.poll    {max_wait} -> {has_work, Proposal}
 //   mplugin.notify  {txn_id, ok, TransactionResult|error}
@@ -15,11 +21,11 @@
 // keeps computing while notifies hand it work never sends an empty poll.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
+#include <string_view>
+#include <vector>
 
 #include "net/rpc.h"
 #include "util/mutex.h"
@@ -64,11 +70,18 @@ class MPlugin final : public ntcp::ControlPlugin {
   std::string_view kind() const override { return "mplugin"; }
 
   // --- backend-facing service -------------------------------------------------
-  /// Dequeues the oldest buffered request; nullopt when the queue is empty.
+  /// Dequeues the oldest buffered request; null when the queue is empty.
   /// Never blocks: backends poll when the work notifier says work is queued.
-  std::optional<ntcp::Proposal> PollRequest();
-  /// Completes a pending execution with a result or an error.
-  util::Status PostResult(const std::string& transaction_id,
+  /// The pointer is the proposal its Execute() was called with, not a copy
+  /// (under NtcpServer, the transaction record's), valid until that
+  /// Execute() returns: once the result is posted, at its timeout, or at
+  /// Shutdown(). A backend reads it before posting and never holds it
+  /// across a wait: the RPC poll handler encodes it at once, and the inline
+  /// PollingBackend computes before its work notifier returns.
+  const ntcp::Proposal* PollRequest();
+  /// Completes a pending execution with a result or an error. NotFound
+  /// when no Execute() is waiting on `transaction_id` (e.g. it timed out).
+  util::Status PostResult(std::string_view transaction_id,
                           util::Result<ntcp::TransactionResult> outcome);
 
   /// Hook invoked (outside the plugin lock, on the enqueuing thread)
@@ -92,9 +105,18 @@ class MPlugin final : public ntcp::ControlPlugin {
   std::uint64_t rewakes() const;
 
  private:
-  struct Pending {
+  /// One Execute() in flight, keyed by its proposal's transaction id. Slots
+  /// are reused: Execute frees its slot on return and the next Execute
+  /// takes the first free one, so the steady state allocates no slot.
+  struct Slot {
+    /// The proposal Execute() was called with; null while the slot is free.
+    const ntcp::Proposal* proposal = nullptr;
+    /// Position in the poll queue (FIFO by this number); 0 once polled or
+    /// withdrawn.
+    std::uint64_t queued_seq = 0;
     bool done = false;
     util::Status status;
+    /// Posted (or decoded off the wire) here; Execute() moves it out.
     ntcp::TransactionResult result;
     // Tracing context carried across the Execute -> poll -> notify hop.
     std::uint64_t parent_span_id = 0;
@@ -102,15 +124,28 @@ class MPlugin final : public ntcp::ControlPlugin {
     std::uint64_t compute_span_id = 0;
   };
 
+  /// The slot waiting on `transaction_id`, or null.
+  Slot* FindSlotLocked(std::string_view transaction_id) NEES_REQUIRES(mu_);
+  /// Ends `slot`'s compute span and marks it done with `status`.
+  void CompleteLocked(Slot& slot, util::Status status) NEES_REQUIRES(mu_);
+  /// mplugin.notify's ok branch: decodes the result off the wire straight
+  /// into the waiting slot's storage.
+  util::Status PostEncodedResult(std::string_view transaction_id,
+                                 util::ByteReader& reader);
+
   Config config_;
   // Set once via AttachVirtualNetwork before the run starts; the pump loop
   // reads it with mu_ released, so it is deliberately not guarded.
   net::Network* virtual_net_ = nullptr;  // set iff DeliveryMode::kVirtual
   mutable util::Mutex mu_{"plugins.MPlugin"};
-  std::deque<ntcp::Proposal> queue_ NEES_GUARDED_BY(mu_);
-  std::map<std::string, std::shared_ptr<Pending>> pending_
+  // Boxed so a slot's address survives the vector growing under a nested
+  // Execute (a kVirtual pump can deliver another transaction).
+  std::vector<std::unique_ptr<Slot>> slots_ NEES_GUARDED_BY(mu_);
+  std::uint64_t enqueued_ NEES_GUARDED_BY(mu_) = 0;  // last queued_seq
+  // Shared, so Execute() takes it out of the lock without copying the
+  // callable (a capturing notifier would allocate on every copy).
+  std::shared_ptr<const std::function<void()>> work_notifier_
       NEES_GUARDED_BY(mu_);
-  std::function<void()> work_notifier_ NEES_GUARDED_BY(mu_);
   std::uint64_t polls_ NEES_GUARDED_BY(mu_) = 0;
   std::uint64_t rewakes_ NEES_GUARDED_BY(mu_) = 0;
   bool shutting_down_ NEES_GUARDED_BY(mu_) = false;
@@ -123,8 +158,10 @@ class MPlugin final : public ntcp::ControlPlugin {
 /// result already posted and never parks. The backend owns no thread.
 class PollingBackend {
  public:
-  using Compute = std::function<util::Result<ntcp::TransactionResult>(
-      const ntcp::Proposal&)>;
+  /// Computes `proposal` into `out`, a result the backend reuses from call
+  /// to call: every entry must be overwritten and the vector resized.
+  using Compute = std::function<util::Status(const ntcp::Proposal& proposal,
+                                             ntcp::TransactionResult& out)>;
 
   PollingBackend(MPlugin* plugin, Compute compute);
   ~PollingBackend();
@@ -147,6 +184,8 @@ class PollingBackend {
   // threads execute on the plugin at once.
   mutable util::Mutex mu_{"plugins.PollingBackend"};
   std::uint64_t processed_ NEES_GUARDED_BY(mu_) = 0;
+  // Compute target; each result is moved into the plugin's slot.
+  ntcp::TransactionResult result_ NEES_GUARDED_BY(mu_);
 };
 
 /// Remote backend speaking the RPC surface (Matlab at NCSA, across the
@@ -191,6 +230,7 @@ class VirtualPollingBackend {
   Compute compute_;
   std::vector<std::uint8_t> body_;  // reused poll/notify request body
   ntcp::Proposal proposal_;         // reused decode target of each response
+  ntcp::TransactionResult result_;  // reused compute target, encoded out
   // Captured by the wake binding; cleared on Stop() so a late wake is a
   // safe no-op even after this object is torn down.
   std::shared_ptr<bool> running_ = std::make_shared<bool>(false);

@@ -1,7 +1,5 @@
 #include "plugins/policy_plugin.h"
 
-#include <cmath>
-
 #include "util/strings.h"
 
 namespace nees::plugins {
@@ -13,7 +11,7 @@ LimitPolicyPlugin::LimitPolicyPlugin(SitePolicy policy,
 util::Status LimitPolicyPlugin::Validate(const ntcp::Proposal& proposal) {
   for (const ntcp::ControlPointRequest& action : proposal.actions) {
     for (double d : action.target_displacement) {
-      if (std::fabs(d) > policy_.max_abs_displacement_m) {
+      if (!ntcp::WithinLimit(d, policy_.max_abs_displacement_m)) {
         ++rejections_;
         return util::PolicyViolation(util::Format(
             "site policy: |displacement| %.4g exceeds limit %.4g", d,
@@ -26,7 +24,7 @@ util::Status LimitPolicyPlugin::Validate(const ntcp::Proposal& proposal) {
           "site policy: force-controlled actions not accepted here");
     }
     for (double f : action.target_force) {
-      if (std::fabs(f) > policy_.max_abs_force_n) {
+      if (!ntcp::WithinLimit(f, policy_.max_abs_force_n)) {
         ++rejections_;
         return util::PolicyViolation(util::Format(
             "site policy: |force| %.4g exceeds limit %.4g", f,

@@ -1,7 +1,5 @@
 #include "plugins/shorewestern_plugin.h"
 
-#include <cmath>
-
 #include "obs/trace.h"
 #include "util/strings.h"
 
@@ -21,8 +19,8 @@ util::Status ShoreWesternPlugin::Validate(const ntcp::Proposal& proposal) {
   if (action.target_displacement.size() != 1) {
     return util::InvalidArgument("control point has exactly one DOF");
   }
-  if (std::fabs(action.target_displacement[0]) >
-      config_.max_abs_displacement_m) {
+  if (!ntcp::WithinLimit(action.target_displacement[0],
+                         config_.max_abs_displacement_m)) {
     return util::PolicyViolation("target exceeds site displacement limit");
   }
   if (!action.target_force.empty()) {

@@ -39,18 +39,17 @@ util::Result<ntcp::TransactionResult> SimulationPlugin::Execute(
     const ntcp::Proposal& proposal) {
   ++executions_;
   ntcp::TransactionResult result;
+  result.results.reserve(proposal.actions.size());
   for (const ntcp::ControlPointRequest& action : proposal.actions) {
     auto it = models_.find(action.control_point);
     if (it == models_.end()) {
       return util::NotFound("unknown control point: " + action.control_point);
     }
-    NEES_ASSIGN_OR_RETURN(structural::Vector force,
-                          it->second->Restore(action.target_displacement));
-    ntcp::ControlPointResult cp;
+    ntcp::ControlPointResult& cp = result.results.emplace_back();
+    NEES_RETURN_IF_ERROR(
+        it->second->Restore(action.target_displacement, cp.measured_force));
     cp.control_point = action.control_point;
     cp.measured_displacement = action.target_displacement;  // ideal tracking
-    cp.measured_force = std::move(force);
-    result.results.push_back(std::move(cp));
   }
   if (tracer_ != nullptr) {
     tracer_->RecordEvent(kComputeEvent, kSimulationCategory, 0,

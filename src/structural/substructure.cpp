@@ -8,12 +8,13 @@ namespace nees::structural {
 ElasticSubstructure::ElasticSubstructure(Matrix stiffness)
     : stiffness_(std::move(stiffness)) {}
 
-util::Result<Vector> ElasticSubstructure::Restore(
-    const Vector& displacement) {
+util::Status ElasticSubstructure::Restore(const Vector& displacement,
+                                          Vector& force) {
   if (displacement.size() != stiffness_.rows()) {
     return util::InvalidArgument("displacement dimension mismatch");
   }
-  return stiffness_ * displacement;
+  stiffness_.MultiplyInto(displacement, force);
+  return util::OkStatus();
 }
 
 BoucWenSubstructure::BoucWenSubstructure(Params params) : params_(params) {}
@@ -23,8 +24,8 @@ void BoucWenSubstructure::Reset() {
   z_ = 0.0;
 }
 
-util::Result<Vector> BoucWenSubstructure::Restore(
-    const Vector& displacement) {
+util::Status BoucWenSubstructure::Restore(const Vector& displacement,
+                                          Vector& force) {
   if (displacement.size() != 1) {
     return util::InvalidArgument("BoucWen is a 1-DOF model");
   }
@@ -47,9 +48,8 @@ util::Result<Vector> BoucWenSubstructure::Restore(
   d_prev_ = d;
 
   const double k = params_.elastic_stiffness;
-  const double force =
-      params_.alpha * k * d + (1.0 - params_.alpha) * k * dy * z_;
-  return Vector{force};
+  force.assign(1, params_.alpha * k * d + (1.0 - params_.alpha) * k * dy * z_);
+  return util::OkStatus();
 }
 
 FirstOrderKineticSubstructure::FirstOrderKineticSubstructure(Params params)
@@ -57,15 +57,16 @@ FirstOrderKineticSubstructure::FirstOrderKineticSubstructure(Params params)
 
 void FirstOrderKineticSubstructure::Reset() { position_ = 0.0; }
 
-util::Result<Vector> FirstOrderKineticSubstructure::Restore(
-    const Vector& displacement) {
+util::Status FirstOrderKineticSubstructure::Restore(
+    const Vector& displacement, Vector& force) {
   if (displacement.size() != 1) {
     return util::InvalidArgument("kinetic simulator is a 1-DOF model");
   }
   const double target = displacement[0];
   const double decay = std::exp(-params_.dt / params_.time_constant);
   position_ = target + (position_ - target) * decay;
-  return Vector{params_.stiffness * position_};
+  force.assign(1, params_.stiffness * position_);
+  return util::OkStatus();
 }
 
 }  // namespace nees::structural

@@ -21,8 +21,10 @@ class SubstructureModel {
 
   virtual std::size_t dof_count() const = 0;
 
-  /// Applies the displacement and returns the restoring force.
-  virtual util::Result<Vector> Restore(const Vector& displacement) = 0;
+  /// Applies the displacement and writes the restoring force into `force`
+  /// (resized to dof_count(), its storage reused; must not alias
+  /// `displacement`).
+  virtual util::Status Restore(const Vector& displacement, Vector& force) = 0;
 
   /// Resets internal state to the undeformed configuration.
   virtual void Reset() {}
@@ -34,7 +36,7 @@ class ElasticSubstructure final : public SubstructureModel {
   explicit ElasticSubstructure(Matrix stiffness);
 
   std::size_t dof_count() const override { return stiffness_.rows(); }
-  util::Result<Vector> Restore(const Vector& displacement) override;
+  util::Status Restore(const Vector& displacement, Vector& force) override;
   const Matrix& stiffness() const { return stiffness_; }
 
  private:
@@ -61,7 +63,7 @@ class BoucWenSubstructure final : public SubstructureModel {
   explicit BoucWenSubstructure(Params params);
 
   std::size_t dof_count() const override { return 1; }
-  util::Result<Vector> Restore(const Vector& displacement) override;
+  util::Status Restore(const Vector& displacement, Vector& force) override;
   void Reset() override;
 
   double hysteretic_variable() const { return z_; }
@@ -88,7 +90,7 @@ class FirstOrderKineticSubstructure final : public SubstructureModel {
   explicit FirstOrderKineticSubstructure(Params params);
 
   std::size_t dof_count() const override { return 1; }
-  util::Result<Vector> Restore(const Vector& displacement) override;
+  util::Status Restore(const Vector& displacement, Vector& force) override;
   void Reset() override;
 
   double position() const { return position_; }

@@ -41,9 +41,9 @@ util::Result<Measurement> PhysicalSpecimen::ApplyDisplacement(
     last_move_seconds_ = actuator->elapsed_motion_seconds() - elapsed_before;
   }
 
-  auto force = model_->Restore({*position});
-  if (!force.ok()) return force.status();
-  last_true_force_ = (*force)[0];
+  structural::Vector force;
+  NEES_RETURN_IF_ERROR(model_->Restore({*position}, force));
+  last_true_force_ = force[0];
 
   if (std::fabs(last_true_force_) > config_.limits.max_force_n) {
     interlock_tripped_ = true;

@@ -152,6 +152,12 @@ Result<std::string> ByteReader::ReadString() {
   return value;
 }
 
+Result<std::string_view> ByteReader::ReadStringView() {
+  NEES_ASSIGN_OR_RETURN(std::span<const std::uint8_t> bytes, ReadBytesView());
+  return std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                          bytes.size());
+}
+
 Status ByteReader::ReadStringInto(std::string& out) {
   NEES_ASSIGN_OR_RETURN(std::uint32_t length, ReadU32());
   NEES_RETURN_IF_ERROR(Need(length));

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/result.h"
@@ -89,6 +90,9 @@ class ByteReader {
   Result<double> ReadDouble();
   Result<bool> ReadBool();
   Result<std::string> ReadString();
+  /// Zero-copy variant of ReadString: a view into the borrowed buffer,
+  /// valid only while the underlying frame lives and is unmodified.
+  Result<std::string_view> ReadStringView();
   Result<std::vector<std::uint8_t>> ReadBytes();
   /// Zero-copy variant: a view into the borrowed buffer, valid only while
   /// the underlying frame lives and is unmodified.

@@ -357,8 +357,11 @@ TEST(MultiStoryTest, ThreeStoryCondensedHybridMatchesMonolithicModel) {
                                            config.iota);
   auto reference = psd_ref.Integrate(
       config.motion,
-      [&](std::size_t, const structural::Vector& d) {
-        return monolithic.Restore(d);
+      [&](std::size_t, const structural::Vector& d)
+          -> util::Result<structural::Vector> {
+        structural::Vector force;
+        NEES_RETURN_IF_ERROR(monolithic.Restore(d, force));
+        return force;
       });
   ASSERT_TRUE(reference.ok());
   for (std::size_t i = 0; i < reference->displacement.size(); ++i) {

@@ -5,6 +5,7 @@
 // indistinguishable to an NTCP client.
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,52 @@ std::unique_ptr<structural::SubstructureModel> ElasticModel(double k_value) {
   k(0, 0) = k_value;
   return std::make_unique<structural::ElasticSubstructure>(k);
 }
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+using Models =
+    std::map<std::string, std::unique_ptr<structural::SubstructureModel>>;
+
+// Three control points, six DOF: two elastic frames (2 and 3 DOF, coupled
+// stiffness) and a hysteretic column, whose state makes call order matter.
+Models SixDofModels() {
+  Models models;
+  structural::Matrix k2(2, 2);
+  k2(0, 0) = 2000.0;
+  k2(0, 1) = -500.0;
+  k2(1, 0) = -500.0;
+  k2(1, 1) = 1500.0;
+  models["frame-2"] = std::make_unique<structural::ElasticSubstructure>(k2);
+  structural::Matrix k3(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      k3(i, j) = i == j ? 3000.0 + 100.0 * i : -250.0;
+    }
+  }
+  models["frame-3"] = std::make_unique<structural::ElasticSubstructure>(k3);
+  models["column"] = std::make_unique<structural::BoucWenSubstructure>(
+      structural::BoucWenSubstructure::Params{});
+  return models;
+}
+
+ntcp::Proposal SixDofProposal(const std::string& id, double scale) {
+  ntcp::Proposal proposal;
+  proposal.transaction_id = id;
+  proposal.actions.resize(3);
+  proposal.actions[0].control_point = "frame-2";
+  proposal.actions[0].target_displacement = {0.010 * scale, -0.004 * scale};
+  proposal.actions[1].control_point = "frame-3";
+  proposal.actions[1].target_displacement = {0.003 * scale, 0.007 * scale,
+                                             -0.002 * scale};
+  proposal.actions[2].control_point = "column";
+  proposal.actions[2].target_displacement = {0.02 * scale};
+  return proposal;
+}
+
+// Scales of the proposals the six-DOF comparison steps through: a load
+// cycle, so the hysteretic column yields and unloads.
+constexpr double kSixDofScales[] = {0.5, 1.0, 1.5, 0.2, -1.0, -0.3};
 
 // --- SimulationPlugin ----------------------------------------------------------
 
@@ -107,6 +154,42 @@ TEST(LimitPolicyTest, RejectsForceControlWhenConfigured) {
   ntcp::Proposal proposal = MakeProposal("a", "cp", 0.01);
   proposal.actions[0].target_force = {100.0};
   EXPECT_EQ(plugin.Validate(proposal).code(), ErrorCode::kPolicyViolation);
+}
+
+// A NaN compares false against any limit, so a bare `|x| > limit` test
+// would wave it through to the actuator.
+TEST(LimitPolicyTest, RejectsNanDisplacementAndForce) {
+  SitePolicy policy;
+  policy.max_abs_displacement_m = 0.05;
+  policy.max_abs_force_n = 50.0;
+  auto inner = std::make_unique<SimulationPlugin>();
+  inner->AddControlPoint("cp", ElasticModel(1.0));
+  LimitPolicyPlugin plugin(policy, std::move(inner));
+
+  EXPECT_EQ(plugin.Validate(MakeProposal("d", "cp", kNaN)).code(),
+            ErrorCode::kPolicyViolation);
+  ntcp::Proposal force = MakeProposal("f", "cp", 0.01);
+  force.actions[0].target_force = {kNaN};
+  EXPECT_EQ(plugin.Validate(force).code(), ErrorCode::kPolicyViolation);
+  EXPECT_EQ(plugin.rejections(), 2u);
+}
+
+TEST(LimitPolicyTest, RejectsInfiniteDisplacementAndForce) {
+  SitePolicy policy;
+  policy.max_abs_displacement_m = 0.05;
+  policy.max_abs_force_n = 50.0;
+  auto inner = std::make_unique<SimulationPlugin>();
+  inner->AddControlPoint("cp", ElasticModel(1.0));
+  LimitPolicyPlugin plugin(policy, std::move(inner));
+
+  for (const double value : {kInf, -kInf}) {
+    EXPECT_EQ(plugin.Validate(MakeProposal("d", "cp", value)).code(),
+              ErrorCode::kPolicyViolation);
+    ntcp::Proposal force = MakeProposal("f", "cp", 0.01);
+    force.actions[0].target_force = {value};
+    EXPECT_EQ(plugin.Validate(force).code(), ErrorCode::kPolicyViolation);
+  }
+  EXPECT_EQ(plugin.rejections(), 4u);
 }
 
 TEST(LimitPolicyTest, ForceLimitChecked) {
@@ -210,6 +293,21 @@ TEST_F(ShoreWesternPluginTest, ValidateEnforcesSiteShape) {
             ErrorCode::kPolicyViolation);
 }
 
+TEST_F(ShoreWesternPluginTest, ValidateRejectsNanTarget) {
+  ShoreWesternPlugin plugin({}, plugin_rpc_.get(), "sw.uiuc");
+  EXPECT_EQ(plugin.Validate(MakeProposal("t", "column-top", kNaN)).code(),
+            ErrorCode::kPolicyViolation);
+}
+
+TEST_F(ShoreWesternPluginTest, ValidateRejectsInfiniteTargets) {
+  ShoreWesternPlugin plugin({}, plugin_rpc_.get(), "sw.uiuc");
+  for (const double value : {kInf, -kInf}) {
+    EXPECT_EQ(plugin.Validate(MakeProposal("t", "column-top", value)).code(),
+              ErrorCode::kPolicyViolation)
+        << value;
+  }
+}
+
 TEST_F(ShoreWesternPluginTest, ControllerLossSurfacesAsTimeout) {
   ShoreWesternPlugin plugin({}, plugin_rpc_.get(), "sw.uiuc");
   network_.SetLinkUp("plugin.rpc", "sw.uiuc", false);
@@ -228,8 +326,7 @@ TEST_F(ShoreWesternPluginTest, InterlockSurfacesAsSafetyError) {
 
 TEST(MPluginTest, BackendServicesExecute) {
   MPlugin plugin;
-  auto models = std::make_shared<std::map<
-      std::string, std::unique_ptr<structural::SubstructureModel>>>();
+  auto models = std::make_shared<Models>();
   (*models)["cp"] = ElasticModel(1000.0);
   PollingBackend backend(&plugin, MakeSimulationCompute(models));
   backend.Start();
@@ -265,12 +362,56 @@ TEST(MPluginTest, LateNotifyAfterTimeoutIsRejected) {
             ErrorCode::kNotFound);
 }
 
+TEST(MPluginTest, LateNotifyNeverCompletesTheTransactionReusingItsSlot) {
+  // "m5" times out and frees its slot; "m6" takes that slot. Notifies for
+  // "m5" that arrive while "m6" waits, in-process and over the wire, find
+  // no slot under their id: they fail NotFound and leave "m6" unserviced.
+  net::Network network;
+  MPlugin plugin;
+  net::RpcServer server(&network, "mplugin.late");
+  ASSERT_TRUE(server.Start().ok());
+  plugin.BindBackendRpc(server);
+  net::RpcClient backend_rpc(&network, "matlab.late");
+  ASSERT_EQ(plugin.Execute(MakeProposal("m5", "cp", 0.01)).status().code(),
+            ErrorCode::kTimeout);
+
+  ntcp::TransactionResult stale;
+  stale.results.resize(1);
+  stale.results[0].control_point = "cp";
+  stale.results[0].measured_displacement = {0.01};
+  stale.results[0].measured_force = {99.0};
+  util::Status posted;
+  util::Status notified;
+  plugin.SetWorkNotifier([&] {
+    posted = plugin.PostResult("m5", stale);
+    util::ByteWriter body;
+    body.WriteString("m5");
+    body.WriteBool(true);
+    ntcp::EncodeTransactionResult(stale, body);
+    notified =
+        backend_rpc.Call("mplugin.late", "mplugin.notify", body.data())
+            .status();
+  });
+  const auto result = plugin.Execute(MakeProposal("m6", "cp", 0.01));
+  EXPECT_EQ(posted.code(), ErrorCode::kNotFound);
+  EXPECT_EQ(notified.code(), ErrorCode::kNotFound) << notified.ToString();
+  EXPECT_EQ(result.status().code(), ErrorCode::kTimeout);
+}
+
+TEST(MPluginTest, PollAfterTimeoutReturnsNothing) {
+  MPlugin plugin;
+  ASSERT_EQ(plugin.Execute(MakeProposal("p1", "cp", 0.01)).status().code(),
+            ErrorCode::kTimeout);
+  EXPECT_EQ(plugin.PollRequest(), nullptr);
+  EXPECT_EQ(plugin.buffered(), 0u);
+}
+
 TEST(MPluginTest, BackendErrorPropagates) {
   MPlugin plugin;
-  PollingBackend backend(&plugin, [](const ntcp::Proposal&) {
-    return util::Result<ntcp::TransactionResult>(
-        util::Internal("matlab crashed"));
-  });
+  PollingBackend backend(
+      &plugin, [](const ntcp::Proposal&, ntcp::TransactionResult&) {
+        return util::Internal("matlab crashed");
+      });
   backend.Start();
   auto result = plugin.Execute(MakeProposal("m4", "cp", 0.01));
   EXPECT_EQ(result.status().code(), ErrorCode::kInternal);
@@ -285,20 +426,35 @@ TEST(MPluginTest, ValidateEnforcesLimit) {
             ErrorCode::kPolicyViolation);
 }
 
+TEST(MPluginTest, ValidateRejectsNanTarget) {
+  MPlugin plugin;
+  EXPECT_EQ(plugin.Validate(MakeProposal("t", "cp", kNaN)).code(),
+            ErrorCode::kPolicyViolation);
+}
+
+TEST(MPluginTest, ValidateRejectsInfiniteTargets) {
+  MPlugin plugin;
+  for (const double value : {kInf, -kInf}) {
+    EXPECT_EQ(plugin.Validate(MakeProposal("t", "cp", value)).code(),
+              ErrorCode::kPolicyViolation)
+        << value;
+  }
+}
+
 TEST(MPluginTest, BackendRunsInlineOnTheExecutingThread) {
   // The backend owns no thread: the work notifier runs poll -> compute ->
   // post on the thread that called Execute(). Once Stop() removes the
   // notifier nothing services the plugin, so the next Execute() times out.
   MPlugin plugin;
-  auto models = std::make_shared<std::map<
-      std::string, std::unique_ptr<structural::SubstructureModel>>>();
+  auto models = std::make_shared<Models>();
   (*models)["cp"] = ElasticModel(1000.0);
   std::thread::id compute_thread;
   PollingBackend backend(
       &plugin, [&, simulate = MakeSimulationCompute(models)](
-                   const ntcp::Proposal& proposal) {
+                   const ntcp::Proposal& proposal,
+                   ntcp::TransactionResult& out) {
         compute_thread = std::this_thread::get_id();
-        return simulate(proposal);
+        return simulate(proposal, out);
       });
   backend.Start();
   ASSERT_TRUE(plugin.Execute(MakeProposal("in1", "cp", 0.01)).ok());
@@ -317,12 +473,14 @@ TEST(MPluginTest, BackendComputesOneAtATimeAcrossExecutingThreads) {
   // overlap, and both executions complete.
   MPlugin plugin;
   std::atomic<int> active{0};
-  PollingBackend backend(&plugin, [&](const ntcp::Proposal&) {
-    EXPECT_EQ(++active, 1);  // no other compute in flight
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    --active;
-    return util::Result<ntcp::TransactionResult>(ntcp::TransactionResult{});
-  });
+  PollingBackend backend(
+      &plugin, [&](const ntcp::Proposal&, ntcp::TransactionResult& out) {
+        EXPECT_EQ(++active, 1);  // no other compute in flight
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        --active;
+        out.results.clear();
+        return util::OkStatus();
+      });
   backend.Start();
   util::Status first;
   util::Status second;
@@ -377,14 +535,15 @@ TEST(MPluginTest, WorkNotifierFiresOnEnqueue) {
 // backend's control endpoint "matlab.v.ctl" from "mplugin.v.notifier".
 struct VirtualMPluginRig {
   explicit VirtualMPluginRig(net::Network* network,
-                             std::int64_t rewake_micros = 0)
+                             std::int64_t rewake_micros = 0,
+                             std::shared_ptr<Models> models = MakeModels())
       : plugin(MakeConfig(rewake_micros)),
         plugin_server(network, "mplugin.v"),
         backend_rpc(network, "matlab.v"),
         backend_ctl(network, "matlab.v.ctl"),
         wake_rpc(network, "mplugin.v.notifier"),
         backend(&backend_rpc, "mplugin.v",
-                MakeSimulationCompute(MakeModels())) {
+                MakeSimulationCompute(std::move(models))) {
     plugin.AttachVirtualNetwork(network);
     EXPECT_TRUE(plugin_server.Start().ok());
     plugin.BindBackendRpc(plugin_server);
@@ -401,11 +560,8 @@ struct VirtualMPluginRig {
     config.rewake_micros = rewake_micros;
     return config;
   }
-  static std::shared_ptr<
-      std::map<std::string, std::unique_ptr<structural::SubstructureModel>>>
-  MakeModels() {
-    auto models = std::make_shared<std::map<
-        std::string, std::unique_ptr<structural::SubstructureModel>>>();
+  static std::shared_ptr<Models> MakeModels() {
+    auto models = std::make_shared<Models>();
     (*models)["cp"] = ElasticModel(500.0);
     return models;
   }
@@ -512,6 +668,63 @@ TEST(MPluginTest, VirtualBackendLostWakeOnlyDelaysNeverStalls) {
   EXPECT_EQ(network.RunUntilQuiescent(), 0u);
 }
 
+TEST(MPluginTest, VirtualPollAfterTimeoutReturnsNothing) {
+  // The backend is never woken, so Execute pumps virtual time out to its
+  // timeout; the withdrawn request is gone from the poll queue.
+  net::Network network(net::DeliveryMode::kVirtual);
+  VirtualMPluginRig rig(&network);
+  rig.plugin.SetWorkNotifier(nullptr);
+  const std::int64_t t0 = network.clock()->NowMicros();
+  ASSERT_EQ(
+      rig.plugin.Execute(MakeProposal("vt", "cp", 0.01)).status().code(),
+      ErrorCode::kTimeout);
+  EXPECT_GE(network.clock()->NowMicros() - t0, 10'000'000);
+  EXPECT_EQ(rig.plugin.PollRequest(), nullptr);
+  EXPECT_EQ(rig.plugin.buffered(), 0u);
+  rig.backend.Stop();
+}
+
+TEST(MPluginTest, SixDofProposalMatchesSimulationPluginOnBothBackends) {
+  // Three actions, six DOF, a load cycle of proposals: the results through
+  // the Mplugin, with the inline backend and with the kVirtual backend
+  // whose proposals and results cross the wire, are bit-identical to a
+  // SimulationPlugin's over the same models.
+  SimulationPlugin reference;
+  Models reference_models = SixDofModels();
+  for (auto& [name, model] : reference_models) {
+    reference.AddControlPoint(name, std::move(model));
+  }
+  std::vector<ntcp::TransactionResult> expected;
+  for (const double scale : kSixDofScales) {
+    auto result = reference.Execute(SixDofProposal("ref", scale));
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    expected.push_back(*std::move(result));
+  }
+
+  MPlugin inline_plugin;
+  PollingBackend inline_backend(
+      &inline_plugin,
+      MakeSimulationCompute(std::make_shared<Models>(SixDofModels())));
+  inline_backend.Start();
+  net::Network network(net::DeliveryMode::kVirtual);
+  VirtualMPluginRig rig(&network, /*rewake_micros=*/0,
+                        std::make_shared<Models>(SixDofModels()));
+  for (std::size_t i = 0; i < std::size(kSixDofScales); ++i) {
+    const ntcp::Proposal proposal =
+        SixDofProposal("s" + std::to_string(i), kSixDofScales[i]);
+    auto in_process = inline_plugin.Execute(proposal);
+    ASSERT_TRUE(in_process.ok()) << in_process.status().ToString();
+    EXPECT_EQ(*in_process, expected[i]) << "inline, step " << i;
+    auto over_wire = rig.plugin.Execute(proposal);
+    ASSERT_TRUE(over_wire.ok()) << over_wire.status().ToString();
+    EXPECT_EQ(*over_wire, expected[i]) << "kVirtual, step " << i;
+  }
+  EXPECT_EQ(inline_backend.processed(), std::size(kSixDofScales));
+  EXPECT_EQ(rig.backend.processed(), std::size(kSixDofScales));
+  inline_backend.Stop();
+  rig.backend.Stop();
+}
+
 // --- LabViewPlugin ----------------------------------------------------------------
 
 TEST(LabViewPluginTest, DrivesMiniMostRig) {
@@ -530,6 +743,21 @@ TEST(LabViewPluginTest, TravelLimitAndInterlock) {
   plugin.specimen().EStop();
   EXPECT_EQ(plugin.Validate(MakeProposal("t", "beam-tip", 0.01)).code(),
             ErrorCode::kSafetyInterlock);
+}
+
+TEST(LabViewPluginTest, ValidateRejectsNanTarget) {
+  LabViewPlugin plugin({}, testbed::MakeMiniMostRig(2000.0, 7));
+  EXPECT_EQ(plugin.Validate(MakeProposal("t", "beam-tip", kNaN)).code(),
+            ErrorCode::kPolicyViolation);
+}
+
+TEST(LabViewPluginTest, ValidateRejectsInfiniteTargets) {
+  LabViewPlugin plugin({}, testbed::MakeMiniMostRig(2000.0, 7));
+  for (const double value : {kInf, -kInf}) {
+    EXPECT_EQ(plugin.Validate(MakeProposal("t", "beam-tip", value)).code(),
+              ErrorCode::kPolicyViolation)
+        << value;
+  }
 }
 
 // --- transparency: simulation vs physical plugin (§2.1 / §3) -----------------------

@@ -400,14 +400,14 @@ TEST_P(BoucWenPropertyTest, ForceStaysInsidePhysicalEnvelope) {
   for (int i = 0; i < 500; ++i) {
     d += rng.Gaussian(0.0, params.yield_displacement / 5);
     d = std::clamp(d, -0.2, 0.2);
-    auto force = model.Restore({d});
-    ASSERT_TRUE(force.ok());
+    structural::Vector force;
+    ASSERT_TRUE(model.Restore({d}, force).ok());
     // |r| <= alpha k |d| + (1-alpha) k dy  (z is clamped to [-1, 1]).
     const double envelope =
         params.alpha * params.elastic_stiffness * std::fabs(d) +
         (1.0 - params.alpha) * params.elastic_stiffness *
             params.yield_displacement + 1e-9;
-    EXPECT_LE(std::fabs((*force)[0]), envelope) << "step " << i;
+    EXPECT_LE(std::fabs(force[0]), envelope) << "step " << i;
   }
 }
 

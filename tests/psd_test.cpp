@@ -88,8 +88,11 @@ TEST_F(CoordinatorTest, DistributedRunMatchesLocalCentralDifference) {
   structural::CentralDifferencePsd psd(config.mass, config.damping, {1.0});
   auto reference = psd.Integrate(
       config.motion,
-      [&](std::size_t, const structural::Vector& d) {
-        return elastic.Restore(d);
+      [&](std::size_t, const structural::Vector& d)
+          -> util::Result<structural::Vector> {
+        structural::Vector force;
+        NEES_RETURN_IF_ERROR(elastic.Restore(d, force));
+        return force;
       });
   ASSERT_TRUE(reference.ok());
 
@@ -544,8 +547,11 @@ TEST_F(CoordinatorTest, OperatorSplittingMatchesLocalReference) {
                                       {1.0});
   auto reference = os.Integrate(
       config.motion,
-      [&](std::size_t, const structural::Vector& d) {
-        return elastic.Restore(d);
+      [&](std::size_t, const structural::Vector& d)
+          -> util::Result<structural::Vector> {
+        structural::Vector force;
+        NEES_RETURN_IF_ERROR(elastic.Restore(d, force));
+        return force;
       });
   ASSERT_TRUE(reference.ok());
   ASSERT_EQ(report.history.displacement.size(),
@@ -721,8 +727,11 @@ TEST_F(CoordinatorTest, MultiDofSystemDistributesByDofIndex) {
                                        config.iota);
   auto reference = psd.Integrate(
       config.motion,
-      [&](std::size_t, const structural::Vector& d) {
-        return elastic.Restore(d);
+      [&](std::size_t, const structural::Vector& d)
+          -> util::Result<structural::Vector> {
+        structural::Vector force;
+        NEES_RETURN_IF_ERROR(elastic.Restore(d, force));
+        return force;
       });
   ASSERT_TRUE(reference.ok());
   for (std::size_t i = 0; i < reference->displacement.size(); ++i) {

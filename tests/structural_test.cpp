@@ -15,6 +15,15 @@
 namespace nees::structural {
 namespace {
 
+// The integrators' restoring-force callback over `model`.
+RestoringForceFn RestoringForce(SubstructureModel& model) {
+  return [&model](std::size_t, const Vector& d) -> util::Result<Vector> {
+    Vector force;
+    NEES_RETURN_IF_ERROR(model.Restore(d, force));
+    return force;
+  };
+}
+
 // --- linear algebra ------------------------------------------------------------
 
 TEST(MatrixTest, BasicOps) {
@@ -443,8 +452,7 @@ TEST(CentralDifferenceTest, MatchesNewmarkOnLinearSystem) {
 
   ElasticSubstructure elastic(k);
   CentralDifferencePsd psd(m, c, {1.0});
-  auto history = psd.Integrate(
-      motion, [&](std::size_t, const Vector& d) { return elastic.Restore(d); });
+  auto history = psd.Integrate(motion, RestoringForce(elastic));
   ASSERT_TRUE(history.ok());
 
   const double peak_ref = reference->PeakDisplacement(0);
@@ -475,16 +483,12 @@ TEST(CentralDifferenceTest, DivergesAboveStabilityLimit) {
   CentralDifferencePsd psd(m, c, {1.0});
 
   GroundMotion unstable = Harmonic(0.12, 500, 1.0, 1.0);  // dt > 0.1 limit
-  auto bad = psd.Integrate(unstable, [&](std::size_t, const Vector& d) {
-    return elastic.Restore(d);
-  });
+  auto bad = psd.Integrate(unstable, RestoringForce(elastic));
   ASSERT_TRUE(bad.ok());
   EXPECT_GT(bad->PeakDisplacement(0), 1e3);  // exponential blow-up
 
   GroundMotion stable = Harmonic(0.02, 500, 1.0, 1.0);
-  auto good = psd.Integrate(stable, [&](std::size_t, const Vector& d) {
-    return elastic.Restore(d);
-  });
+  auto good = psd.Integrate(stable, RestoringForce(elastic));
   ASSERT_TRUE(good.ok());
   EXPECT_LT(good->PeakDisplacement(0), 1.0);
 }
@@ -521,8 +525,7 @@ TEST(OperatorSplittingTest, MatchesNewmarkOnLinearSystemWithExactK0) {
 
   ElasticSubstructure elastic(k);
   OperatorSplittingPsd os(m, c, k, {1.0});
-  auto history = os.Integrate(
-      motion, [&](std::size_t, const Vector& d) { return elastic.Restore(d); });
+  auto history = os.Integrate(motion, RestoringForce(elastic));
   ASSERT_TRUE(history.ok());
 
   const double peak = reference->PeakDisplacement(0);
@@ -546,17 +549,13 @@ TEST(OperatorSplittingTest, StableBeyondCentralDifferenceLimit) {
 
   ElasticSubstructure elastic_cd(k);
   CentralDifferencePsd cd(m, c, {1.0});
-  auto diverged = cd.Integrate(coarse, [&](std::size_t, const Vector& d) {
-    return elastic_cd.Restore(d);
-  });
+  auto diverged = cd.Integrate(coarse, RestoringForce(elastic_cd));
   ASSERT_TRUE(diverged.ok());
   EXPECT_GT(diverged->PeakDisplacement(0), 1e3);  // explicit scheme blows up
 
   ElasticSubstructure elastic_os(k);
   OperatorSplittingPsd os(m, c, k, {1.0});
-  auto bounded = os.Integrate(coarse, [&](std::size_t, const Vector& d) {
-    return elastic_os.Restore(d);
-  });
+  auto bounded = os.Integrate(coarse, RestoringForce(elastic_os));
   ASSERT_TRUE(bounded.ok());
   EXPECT_LT(bounded->PeakDisplacement(0), 0.1);  // OS stays physical
 }
@@ -573,8 +572,7 @@ TEST(OperatorSplittingTest, SofteningHystereticSystemStaysBounded) {
   BoucWenSubstructure model(params);
   OperatorSplittingPsd os(m, c, k0, {1.0});
   GroundMotion motion = Harmonic(0.05, 600, 4.0, 1.0);  // strong + coarse dt
-  auto history = os.Integrate(
-      motion, [&](std::size_t, const Vector& d) { return model.Restore(d); });
+  auto history = os.Integrate(motion, RestoringForce(model));
   ASSERT_TRUE(history.ok());
   EXPECT_LT(history->PeakDisplacement(0), 1.0);
   EXPECT_GT(history->PeakDisplacement(0), 0.005);  // it did yield
@@ -599,11 +597,11 @@ TEST(OperatorSplittingTest, RestoringFailurePropagates) {
 TEST(SubstructureTest, ElasticRestoringForce) {
   Matrix k = Matrix::Identity(2) * 1000.0;
   ElasticSubstructure elastic(k);
-  auto r = elastic.Restore({0.01, -0.02});
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR((*r)[0], 10.0, 1e-12);
-  EXPECT_NEAR((*r)[1], -20.0, 1e-12);
-  EXPECT_FALSE(elastic.Restore({1.0}).ok());  // wrong dimension
+  Vector r;
+  ASSERT_TRUE(elastic.Restore({0.01, -0.02}, r).ok());
+  EXPECT_NEAR(r[0], 10.0, 1e-12);
+  EXPECT_NEAR(r[1], -20.0, 1e-12);
+  EXPECT_FALSE(elastic.Restore({1.0}, r).ok());  // wrong dimension
 }
 
 TEST(SubstructureTest, BoucWenSmallAmplitudeIsNearlyElastic) {
@@ -612,9 +610,9 @@ TEST(SubstructureTest, BoucWenSmallAmplitudeIsNearlyElastic) {
   params.yield_displacement = 0.01;
   BoucWenSubstructure model(params);
   const double d = 0.0005;  // 5% of yield
-  auto r = model.Restore({d});
-  ASSERT_TRUE(r.ok());
-  EXPECT_NEAR((*r)[0], params.elastic_stiffness * d,
+  Vector r;
+  ASSERT_TRUE(model.Restore({d}, r).ok());
+  EXPECT_NEAR(r[0], params.elastic_stiffness * d,
               0.05 * params.elastic_stiffness * d);
 }
 
@@ -626,9 +624,9 @@ TEST(SubstructureTest, BoucWenYieldBoundsForce) {
   BoucWenSubstructure model(params);
   double force = 0.0;
   for (int i = 1; i <= 100; ++i) {
-    auto r = model.Restore({0.001 * i});  // push to 10x yield
-    ASSERT_TRUE(r.ok());
-    force = (*r)[0];
+    Vector r;
+    ASSERT_TRUE(model.Restore({0.001 * i}, r).ok());  // push to 10x yield
+    force = r[0];
   }
   const double yield_force =
       params.elastic_stiffness * params.yield_displacement;
@@ -646,11 +644,11 @@ TEST(SubstructureTest, BoucWenHysteresisDissipatesEnergy) {
   const int n = 400;
   for (int i = 1; i <= n; ++i) {
     const double d = 0.03 * std::sin(2.0 * M_PI * i / n);
-    auto r = model.Restore({d});
-    ASSERT_TRUE(r.ok());
-    energy += 0.5 * ((*r)[0] + f_prev) * (d - d_prev);
+    Vector r;
+    ASSERT_TRUE(model.Restore({d}, r).ok());
+    energy += 0.5 * (r[0] + f_prev) * (d - d_prev);
     d_prev = d;
-    f_prev = (*r)[0];
+    f_prev = r[0];
   }
   EXPECT_GT(energy, 100.0);  // a yielding cycle dissipates real energy
 }
@@ -658,7 +656,8 @@ TEST(SubstructureTest, BoucWenHysteresisDissipatesEnergy) {
 TEST(SubstructureTest, BoucWenResetRestoresVirginState) {
   BoucWenSubstructure::Params params;
   BoucWenSubstructure model(params);
-  (void)model.Restore({0.05});
+  Vector force;
+  (void)model.Restore({0.05}, force);
   EXPECT_NE(model.hysteretic_variable(), 0.0);
   model.Reset();
   EXPECT_EQ(model.hysteretic_variable(), 0.0);
@@ -672,9 +671,9 @@ TEST(SubstructureTest, FirstOrderKineticConvergesToCommand) {
   FirstOrderKineticSubstructure model(params);
   double force = 0.0;
   for (int i = 0; i < 50; ++i) {
-    auto r = model.Restore({0.01});
-    ASSERT_TRUE(r.ok());
-    force = (*r)[0];
+    Vector r;
+    ASSERT_TRUE(model.Restore({0.01}, r).ok());
+    force = r[0];
   }
   EXPECT_NEAR(model.position(), 0.01, 1e-6);
   EXPECT_NEAR(force, 1e3, 1.0);
@@ -685,8 +684,8 @@ TEST(SubstructureTest, FirstOrderKineticLagsStep) {
   params.time_constant = 0.1;
   params.dt = 0.02;
   FirstOrderKineticSubstructure model(params);
-  auto r = model.Restore({1.0});
-  ASSERT_TRUE(r.ok());
+  Vector r;
+  ASSERT_TRUE(model.Restore({1.0}, r).ok());
   // After one dt the response is 1 - exp(-dt/tau) = 18.1% of the command.
   EXPECT_NEAR(model.position(), 1.0 - std::exp(-0.2), 1e-9);
 }
