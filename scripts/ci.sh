@@ -10,7 +10,8 @@
 # compiled out, skips them) and the gridbench self-test after the Release
 # leg (plus one 10-second untraced run of each gridbench workload and a
 # 100,000-seed Release fuzz campaign, whose summary must count at least
-# one crash-marked transaction and one re-wake, and a 40-step bench_obs
+# one crash-marked transaction and one re-wake and whose count fields must
+# equal tests/data/campaign_100k.txt, and a 40-step bench_obs
 # run whose traces must be byte-identical and whose breakdown must bill
 # 0.0% to protocol), then gates on
 # protocol conformance: a fresh
@@ -95,6 +96,19 @@ for counter in crash-marked re-wakes; do
     exit 1
   fi
 done
+# Identity gate: the campaign's count fields (failures, determinism-checked
+# seeds, virtual events, the template mix and the fault totals) must equal
+# the committed record. A refactor that keeps event order prints the same
+# counts; one that moves it on purpose re-records the file.
+campaign_counts="$prefix-release/campaign-100k-counts.txt"
+sed -e 's/ across [0-9]* workers,/,/' -e '/s wall (/d' "$campaign_log" \
+    > "$campaign_counts"
+if ! grep -v '^#' "$repo/tests/data/campaign_100k.txt" |
+     diff -u - "$campaign_counts"; then
+  echo "campaign identity FAILED: counts differ from" \
+       "tests/data/campaign_100k.txt" >&2
+  exit 1
+fi
 
 echo
 echo "######## E-obs breakdown (bench_obs 40, Release) ########"

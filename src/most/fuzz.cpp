@@ -256,61 +256,89 @@ std::string FuzzScenario::Describe() const {
 
 namespace {
 
-/// Appends the three post-crash fault lanes shared by the MOST-shaped
-/// generators. Each class draws from its own forked lane and lands after
-/// every earlier class in the schedule, so adding one never shifts another
-/// class's values or mask bits for any pre-existing seed.
-///
-/// Survivability by construction, per class:
-///  * kFrameCorrupt — a mutated frame either fails the Decode CRC (a
-///    detected loss the 6-attempt retry ladder absorbs) or parses (and
-///    must then be semantically harmless or caught by the oracles);
-///  * kClockSkew — forward jumps are capped far below the 20s proposal
-///    window, so a skewed server's expiry clock never kills a live step;
-///  * kCredentialExpiry — expiry at `at` forces a mid-run re-handshake;
-///    the refresher grants the op one extra attempt, so the retry budget
-///    is never consumed by the auth round trip.
-void AppendNewFaultLanes(FuzzScenario& s, util::Rng& corrupt, util::Rng& skew,
-                         util::Rng& creds, std::int64_t horizon,
-                         int max_corrupt, int max_skew, double cred_prob) {
-  const int corrupt_count = corrupt.UniformInt(0, max_corrupt);
-  for (int j = 0; j < corrupt_count; ++j) {
-    FuzzFault f;
-    f.kind = FuzzFault::Kind::kFrameCorrupt;
-    f.site = static_cast<std::size_t>(
-        corrupt.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.to_site = corrupt.Bernoulli(0.5);
-    f.at_micros =
-        1000LL * corrupt.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.count = corrupt.UniformInt(1, 3);
-    s.faults.push_back(f);
-  }
-  const int skew_count = skew.UniformInt(0, max_skew);
-  for (int j = 0; j < skew_count; ++j) {
-    FuzzFault f;
-    f.kind = FuzzFault::Kind::kClockSkew;
-    f.site = static_cast<std::size_t>(
-        skew.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.at_micros =
-        1000LL * skew.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.duration_micros = 1000LL * skew.UniformInt(500, 5000);
-    s.faults.push_back(f);
-  }
-  if (creds.Bernoulli(cred_prob)) {
-    FuzzFault f;
-    f.kind = FuzzFault::Kind::kCredentialExpiry;
-    f.site = static_cast<std::size_t>(
-        creds.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.at_micros =
-        1000LL * creds.UniformInt(500, static_cast<int>(horizon / 1000));
-    s.faults.push_back(f);
-  }
+/// A closed range of whole numbers, drawn with Rng::UniformInt.
+struct Range {
+  int lo = 0;
+  int hi = 0;
+};
+
+int Draw(util::Rng& lane, Range range) {
+  return lane.UniformInt(range.lo, range.hi);
 }
 
-FuzzScenario GenerateMini(std::uint64_t seed) {
-  // Same lane layout as the standard generator; only the ranges shrink.
-  // Minis are the campaign's throughput carrier: small topologies, short
-  // runs, but every fault class still reachable.
+std::size_t DrawSite(util::Rng& lane, std::size_t sites) {
+  return static_cast<std::size_t>(
+      lane.UniformInt(0, static_cast<int>(sites) - 1));
+}
+
+/// A fault time: a whole millisecond from `from_ms` up to the horizon.
+std::int64_t DrawAtMicros(util::Rng& lane, int from_ms, std::int64_t horizon) {
+  return 1000LL * lane.UniformInt(from_ms, static_cast<int>(horizon / 1000));
+}
+
+/// One MOST-shaped template: the ranges GenerateMost draws from. Every
+/// template draws the same lanes in the same order, so a template is only
+/// its row. Times are whole milliseconds.
+struct MostRanges {
+  FuzzTemplate shape = FuzzTemplate::kStandard;
+  Range sites;
+  Range steps;  // lo == hi: fixed, not drawn
+  Range latency_ms;
+  Range jitter_ms;
+  double lossy_links = 0.0;  // share of links that drop at random...
+  double max_drop = 0.0;     // ...with a probability below this
+  Range faults;              // outage / drop-next / wake-drop
+  Range fault_ms;            // an outage's window
+  /// Crash lane: a count drawn from `crashes`. A template with `one_crash`
+  /// set flips one coin with that probability instead (crashes {0, 1}).
+  Range crashes;
+  double one_crash = 0.0;
+  Range downtime_ms;
+  int max_corrupt = 0;
+  int max_skew = 0;
+  double credential_expiry = 0.0;  // probability of one expiry
+};
+
+// Minis are the campaign's throughput carrier: small topologies, short
+// runs, but every fault class still reachable.
+constexpr MostRanges kMiniRanges{
+    .shape = FuzzTemplate::kMini, .sites = {2, 5}, .steps = {5, 10},
+    .latency_ms = {1, 40}, .jitter_ms = {0, 5}, .lossy_links = 0.25,
+    .max_drop = 0.03, .faults = {0, 3}, .fault_ms = {100, 1000},
+    .crashes = {0, 1}, .one_crash = 0.35, .downtime_ms = {250, 1000},
+    .max_corrupt = 2, .max_skew = 1, .credential_expiry = 0.15};
+
+// Lossy links on roughly a third of sites, bounded so six attempts
+// virtually never all drop (the completion oracle must stay sound).
+// Outages stay far under the ~4.5s retry span (6 attempts x 500ms timeout
+// plus backoffs), so every schedule is survivable and the completion
+// oracle is sound by construction. Crash downtime (250ms–1.2s) stays far
+// under the coordinator's ~6s re-proposal tolerance (4 step attempts x
+// ~1.55s of dead-site RPC backoff), for the same reason.
+constexpr MostRanges kStandardRanges{
+    .shape = FuzzTemplate::kStandard, .sites = {3, 32}, .steps = {8, 24},
+    .latency_ms = {1, 80}, .jitter_ms = {0, 10}, .lossy_links = 0.35,
+    .max_drop = 0.05, .faults = {0, 8}, .fault_ms = {100, 1500},
+    .crashes = {0, 2}, .downtime_ms = {250, 1200}, .max_corrupt = 2,
+    .max_skew = 1, .credential_expiry = 0.25};
+
+// Paper-length: the §3 MOST run was a 1,500-step earthquake record, and
+// the public run died at step 1493 — bugs that only appear deep into a
+// long campaign (slow leaks of retry budget, expiry interactions, late
+// faults) are exactly what the short templates cannot see. Its faults are
+// scattered over the full 10-minute horizon, so late-run faults (the
+// step-1493 class) are as likely as early ones.
+constexpr MostRanges kFullMostRanges{
+    .shape = FuzzTemplate::kFullMost, .sites = {2, 4}, .steps = {1500, 1500},
+    .latency_ms = {5, 80}, .jitter_ms = {0, 10}, .lossy_links = 0.35,
+    .max_drop = 0.02, .faults = {8, 20}, .fault_ms = {100, 1500},
+    .crashes = {0, 3}, .downtime_ms = {250, 1200}, .max_corrupt = 4,
+    .max_skew = 2, .credential_expiry = 0.5};
+
+FuzzScenario GenerateMost(std::uint64_t seed, const MostRanges& r) {
+  // Each dimension draws from its own forked lane so widening one (say,
+  // adding a fault kind) never shifts another dimension's values for the
+  // same seed.
   util::Rng root(seed);
   util::Rng topo = root.Fork(1);
   util::Rng links = root.Fork(2);
@@ -324,9 +352,10 @@ FuzzScenario GenerateMini(std::uint64_t seed) {
 
   FuzzScenario s;
   s.seed = seed;
-  s.shape = FuzzTemplate::kMini;
-  s.sites = static_cast<std::size_t>(topo.UniformInt(2, 5));
-  s.steps = static_cast<std::size_t>(topo.UniformInt(5, 10));
+  s.shape = r.shape;
+  s.sites = static_cast<std::size_t>(Draw(topo, r.sites));
+  s.steps = static_cast<std::size_t>(
+      r.steps.lo == r.steps.hi ? r.steps.lo : Draw(topo, r.steps));
   s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
                                     : psd::StepEngine::kSequential;
   s.rewake_micros = 1000LL * timing.UniformInt(150, 400);
@@ -334,15 +363,18 @@ FuzzScenario GenerateMini(std::uint64_t seed) {
 
   for (std::size_t i = 0; i < s.sites; ++i) {
     net::LinkModel m;
-    m.latency_micros = 1000LL * links.UniformInt(1, 40);
-    m.jitter_micros = 1000LL * links.UniformInt(0, 5);
-    m.drop_probability =
-        links.Bernoulli(0.25) ? links.UniformDouble(0.0, 0.03) : 0.0;
+    m.latency_micros = 1000LL * Draw(links, r.latency_ms);
+    m.jitter_micros = 1000LL * Draw(links, r.jitter_ms);
+    m.drop_probability = links.Bernoulli(r.lossy_links)
+                             ? links.UniformDouble(0.0, r.max_drop)
+                             : 0.0;
     s.site_links.push_back(m);
   }
 
+  // Fault schedule: scattered over a horizon that comfortably covers the
+  // run (a faulty step takes well under 400ms of virtual time on average).
   const std::int64_t horizon = static_cast<std::int64_t>(s.steps) * 400'000;
-  const int fault_count = faults.UniformInt(0, 3);
+  const int fault_count = Draw(faults, r.faults);
   for (int j = 0; j < fault_count; ++j) {
     FuzzFault f;
     switch (faults.UniformInt(0, 2)) {
@@ -356,109 +388,64 @@ FuzzScenario GenerateMini(std::uint64_t seed) {
         f.kind = FuzzFault::Kind::kWakeDrop;
         break;
     }
-    f.site = static_cast<std::size_t>(
-        faults.UniformInt(0, static_cast<int>(s.sites) - 1));
+    f.site = DrawSite(faults, s.sites);
     f.to_site = faults.Bernoulli(0.5);
-    f.at_micros =
-        1000LL * faults.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.duration_micros = 1000LL * faults.UniformInt(100, 1000);
+    f.at_micros = DrawAtMicros(faults, 100, horizon);
+    f.duration_micros = 1000LL * Draw(faults, r.fault_ms);
     f.count = faults.UniformInt(1, 3);
     s.faults.push_back(f);
   }
 
-  if (crashes.Bernoulli(0.35)) {
-    FuzzFault f;
-    f.kind = FuzzFault::Kind::kSiteCrashRestart;
-    f.site = static_cast<std::size_t>(
-        crashes.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.at_micros =
-        1000LL * crashes.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.duration_micros = 1000LL * crashes.UniformInt(250, 1000);
-    s.faults.push_back(f);
-  }
-
-  AppendNewFaultLanes(s, corrupt, skew, creds, horizon, /*max_corrupt=*/2,
-                      /*max_skew=*/1, /*cred_prob=*/0.15);
-  return s;
-}
-
-FuzzScenario GenerateFullMost(std::uint64_t seed) {
-  // Paper-length: the §3 MOST run was a 1,500-step earthquake record, and
-  // the public run died at step 1493 — bugs that only appear deep into a
-  // long campaign (slow leaks of retry budget, expiry interactions, late
-  // faults) are exactly what the short templates cannot see.
-  util::Rng root(seed);
-  util::Rng topo = root.Fork(1);
-  util::Rng links = root.Fork(2);
-  util::Rng engines = root.Fork(3);
-  util::Rng timing = root.Fork(4);
-  util::Rng faults = root.Fork(5);
-  util::Rng crashes = root.Fork(6);
-  util::Rng corrupt = root.Fork(7);
-  util::Rng skew = root.Fork(8);
-  util::Rng creds = root.Fork(9);
-
-  FuzzScenario s;
-  s.seed = seed;
-  s.shape = FuzzTemplate::kFullMost;
-  s.sites = static_cast<std::size_t>(topo.UniformInt(2, 4));
-  s.steps = 1500;
-  s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
-                                    : psd::StepEngine::kSequential;
-  s.rewake_micros = 1000LL * timing.UniformInt(150, 400);
-  s.expiry_period_micros = 1000LL * timing.UniformInt(200, 1000);
-
-  for (std::size_t i = 0; i < s.sites; ++i) {
-    net::LinkModel m;
-    m.latency_micros = 1000LL * links.UniformInt(5, 80);
-    m.jitter_micros = 1000LL * links.UniformInt(0, 10);
-    m.drop_probability =
-        links.Bernoulli(0.35) ? links.UniformDouble(0.0, 0.02) : 0.0;
-    s.site_links.push_back(m);
-  }
-
-  // 1,500 steps x 400ms budget = the full 10-minute virtual horizon; the
-  // fault schedule is scattered across all of it, so late-run faults (the
-  // step-1493 class) are as likely as early ones.
-  const std::int64_t horizon = static_cast<std::int64_t>(s.steps) * 400'000;
-  const int fault_count = faults.UniformInt(8, 20);
-  for (int j = 0; j < fault_count; ++j) {
-    FuzzFault f;
-    switch (faults.UniformInt(0, 2)) {
-      case 0:
-        f.kind = FuzzFault::Kind::kOutage;
-        break;
-      case 1:
-        f.kind = FuzzFault::Kind::kDropNext;
-        break;
-      default:
-        f.kind = FuzzFault::Kind::kWakeDrop;
-        break;
-    }
-    f.site = static_cast<std::size_t>(
-        faults.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.to_site = faults.Bernoulli(0.5);
-    f.at_micros =
-        1000LL * faults.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.duration_micros = 1000LL * faults.UniformInt(100, 1500);
-    f.count = faults.UniformInt(1, 3);
-    s.faults.push_back(f);
-  }
-
-  const int crash_count = crashes.UniformInt(0, 3);
+  // Every later fault class draws from its own lane and is appended after
+  // every earlier class, so adding one never shifted another class's
+  // values or mask bits for any pre-existing seed.
+  const int crash_count =
+      r.one_crash > 0.0 ? (crashes.Bernoulli(r.one_crash) ? 1 : 0)
+                        : Draw(crashes, r.crashes);
   for (int j = 0; j < crash_count; ++j) {
     FuzzFault f;
     f.kind = FuzzFault::Kind::kSiteCrashRestart;
-    f.site = static_cast<std::size_t>(
-        crashes.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.at_micros =
-        1000LL * crashes.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.duration_micros = 1000LL * crashes.UniformInt(250, 1200);
+    f.site = DrawSite(crashes, s.sites);
+    f.at_micros = DrawAtMicros(crashes, 100, horizon);
+    f.duration_micros = 1000LL * Draw(crashes, r.downtime_ms);
     s.faults.push_back(f);
   }
 
-  AppendNewFaultLanes(s, corrupt, skew, creds, horizon, /*max_corrupt=*/4,
-                      /*max_skew=*/2, /*cred_prob=*/0.5);
+  // Survivability by construction, per class:
+  //  * kFrameCorrupt — a mutated frame either fails the Decode CRC (a
+  //    detected loss the 6-attempt retry ladder absorbs) or parses (and
+  //    must then be semantically harmless or caught by the oracles);
+  //  * kClockSkew — forward jumps are capped far below the 20s proposal
+  //    window, so a skewed server's expiry clock never kills a live step;
+  //  * kCredentialExpiry — expiry at `at` forces a mid-run re-handshake;
+  //    the refresher grants the op one extra attempt, so the retry budget
+  //    is never consumed by the auth round trip.
+  const int corrupt_count = corrupt.UniformInt(0, r.max_corrupt);
+  for (int j = 0; j < corrupt_count; ++j) {
+    FuzzFault f;
+    f.kind = FuzzFault::Kind::kFrameCorrupt;
+    f.site = DrawSite(corrupt, s.sites);
+    f.to_site = corrupt.Bernoulli(0.5);
+    f.at_micros = DrawAtMicros(corrupt, 100, horizon);
+    f.count = corrupt.UniformInt(1, 3);
+    s.faults.push_back(f);
+  }
+  const int skew_count = skew.UniformInt(0, r.max_skew);
+  for (int j = 0; j < skew_count; ++j) {
+    FuzzFault f;
+    f.kind = FuzzFault::Kind::kClockSkew;
+    f.site = DrawSite(skew, s.sites);
+    f.at_micros = DrawAtMicros(skew, 100, horizon);
+    f.duration_micros = 1000LL * skew.UniformInt(500, 5000);
+    s.faults.push_back(f);
+  }
+  if (creds.Bernoulli(r.credential_expiry)) {
+    FuzzFault f;
+    f.kind = FuzzFault::Kind::kCredentialExpiry;
+    f.site = DrawSite(creds, s.sites);
+    f.at_micros = DrawAtMicros(creds, 500, horizon);
+    s.faults.push_back(f);
+  }
   return s;
 }
 
@@ -511,8 +498,7 @@ FuzzScenario GenerateCentrifuge(std::uint64_t seed) {
                                    : FuzzFault::Kind::kDropNext;
     f.site = 0;
     f.to_site = faults.Bernoulli(0.5);
-    f.at_micros =
-        1000LL * faults.UniformInt(100, static_cast<int>(horizon / 1000));
+    f.at_micros = DrawAtMicros(faults, 100, horizon);
     f.duration_micros = 1000LL * faults.UniformInt(100, 1500);
     f.count = faults.UniformInt(1, 3);
     if (f.kind == FuzzFault::Kind::kDropNext) {
@@ -528,8 +514,7 @@ FuzzScenario GenerateCentrifuge(std::uint64_t seed) {
     f.kind = FuzzFault::Kind::kFrameCorrupt;
     f.site = 0;
     f.to_site = corrupt.Bernoulli(0.5);
-    f.at_micros =
-        1000LL * corrupt.UniformInt(100, static_cast<int>(horizon / 1000));
+    f.at_micros = DrawAtMicros(corrupt, 100, horizon);
     f.count = corrupt.UniformInt(1, 3);
     if (f.count > loss_budget) continue;
     loss_budget -= f.count;
@@ -541,132 +526,177 @@ FuzzScenario GenerateCentrifuge(std::uint64_t seed) {
 }  // namespace
 
 FuzzScenario GenerateScenario(std::uint64_t seed) {
-  // Each dimension draws from its own forked lane so widening one (say,
-  // adding a fault kind) never shifts another dimension's values for the
-  // same seed.
-  util::Rng root(seed);
-  util::Rng topo = root.Fork(1);
-  util::Rng links = root.Fork(2);
-  util::Rng engines = root.Fork(3);
-  util::Rng timing = root.Fork(4);
-  util::Rng faults = root.Fork(5);
-  util::Rng crashes = root.Fork(6);
-  util::Rng corrupt = root.Fork(7);
-  util::Rng skew = root.Fork(8);
-  util::Rng creds = root.Fork(9);
-
-  FuzzScenario s;
-  s.seed = seed;
-  s.shape = FuzzTemplate::kStandard;
-  s.sites = static_cast<std::size_t>(topo.UniformInt(3, 32));
-  s.steps = static_cast<std::size_t>(topo.UniformInt(8, 24));
-  s.engine = engines.Bernoulli(0.5) ? psd::StepEngine::kAsync
-                                    : psd::StepEngine::kSequential;
-  s.rewake_micros = 1000LL * timing.UniformInt(150, 400);
-  s.expiry_period_micros = 1000LL * timing.UniformInt(200, 1000);
-
-  for (std::size_t i = 0; i < s.sites; ++i) {
-    net::LinkModel m;
-    m.latency_micros = 1000LL * links.UniformInt(1, 80);
-    m.jitter_micros = 1000LL * links.UniformInt(0, 10);
-    // Lossy links on roughly a third of sites, bounded so six attempts
-    // virtually never all drop (the completion oracle must stay sound).
-    m.drop_probability =
-        links.Bernoulli(0.35) ? links.UniformDouble(0.0, 0.05) : 0.0;
-    s.site_links.push_back(m);
-  }
-
-  // Fault schedule: scattered over a horizon that comfortably covers the
-  // run (a faulty step takes well under 400ms of virtual time on average).
-  const std::int64_t horizon = static_cast<std::int64_t>(s.steps) * 400'000;
-  const int fault_count = faults.UniformInt(0, 8);
-  for (int j = 0; j < fault_count; ++j) {
-    FuzzFault f;
-    switch (faults.UniformInt(0, 2)) {
-      case 0:
-        f.kind = FuzzFault::Kind::kOutage;
-        break;
-      case 1:
-        f.kind = FuzzFault::Kind::kDropNext;
-        break;
-      default:
-        f.kind = FuzzFault::Kind::kWakeDrop;
-        break;
-    }
-    f.site = static_cast<std::size_t>(
-        faults.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.to_site = faults.Bernoulli(0.5);
-    f.at_micros = 1000LL * faults.UniformInt(
-                               100, static_cast<int>(horizon / 1000));
-    // Outages stay far under the ~4.5s retry span (6 attempts x 500ms
-    // timeout plus backoffs), so every schedule is survivable and the
-    // completion oracle is sound by construction.
-    f.duration_micros = 1000LL * faults.UniformInt(100, 1500);
-    f.count = faults.UniformInt(1, 3);
-    s.faults.push_back(f);
-  }
-
-  // Crash/restart faults draw from their own lane and are appended AFTER
-  // the base schedule, so adding this fault class shifted neither the base
-  // faults' values nor their mask bits for any pre-existing seed. Downtime
-  // (250ms–1.2s) stays far under the coordinator's ~6s re-proposal
-  // tolerance (4 step attempts x ~1.55s of dead-site RPC backoff), keeping
-  // the completion oracle sound by construction.
-  const int crash_count = crashes.UniformInt(0, 2);
-  for (int j = 0; j < crash_count; ++j) {
-    FuzzFault f;
-    f.kind = FuzzFault::Kind::kSiteCrashRestart;
-    f.site = static_cast<std::size_t>(
-        crashes.UniformInt(0, static_cast<int>(s.sites) - 1));
-    f.at_micros =
-        1000LL * crashes.UniformInt(100, static_cast<int>(horizon / 1000));
-    f.duration_micros = 1000LL * crashes.UniformInt(250, 1200);
-    s.faults.push_back(f);
-  }
-
-  // Corruption / skew / credential lanes follow the same append discipline,
-  // one lane per class (see AppendNewFaultLanes).
-  AppendNewFaultLanes(s, corrupt, skew, creds, horizon, /*max_corrupt=*/2,
-                      /*max_skew=*/1, /*cred_prob=*/0.25);
-  return s;
+  return GenerateScenario(seed, FuzzTemplate::kStandard);
 }
 
 FuzzScenario GenerateScenario(std::uint64_t seed, FuzzTemplate shape) {
   switch (shape) {
     case FuzzTemplate::kMini:
-      return GenerateMini(seed);
-    case FuzzTemplate::kStandard:
-      return GenerateScenario(seed);
+      return GenerateMost(seed, kMiniRanges);
     case FuzzTemplate::kFullMost:
-      return GenerateFullMost(seed);
+      return GenerateMost(seed, kFullMostRanges);
     case FuzzTemplate::kCentrifuge:
       return GenerateCentrifuge(seed);
+    case FuzzTemplate::kStandard:
+      break;
   }
-  return GenerateScenario(seed);
+  return GenerateMost(seed, kStandardRanges);
 }
 
 namespace {
+
+// The retry ladder of every fuzz client, coordinator and operator alike:
+// 6 attempts, 500ms each, backoff from 50ms doubling up to 1s. The
+// generators' survivability bounds are set against its ~4.5s span.
+constexpr ntcp::RetryPolicy kRetryLadder{.max_attempts = 6,
+                                         .initial_backoff_micros = 50'000,
+                                         .max_backoff_micros = 1'000'000,
+                                         .rpc_timeout_micros = 500'000};
+// How long a proposal stays open (virtual; generous). The teardown advances
+// past it so server-side expiry terminalizes every orphaned accept.
+constexpr std::int64_t kProposalWindowMicros = 20'000'000;
+
+/// The directed link a link fault hits.
+struct DirectedLink {
+  net::EndpointId from;
+  net::EndpointId to;
+
+  /// `grid` -> `site` when the fault hits the grid-to-site direction.
+  static DirectedLink Of(const FuzzFault& f, net::EndpointId grid,
+                         net::EndpointId site) {
+    return f.to_site ? DirectedLink{grid, site} : DirectedLink{site, grid};
+  }
+};
+
+/// What every case builds, schedules, tears down and checks the same way.
+/// The runners add their own sites and clients on top.
+struct CaseWorld {
+  explicit CaseWorld(std::uint64_t seed)
+      : network(net::DeliveryMode::kVirtual, seed),
+        tracer(network.clock(), nullptr) {
+    network.set_tracer(&tracer);
+    net::LinkModel local;  // site-local plumbing: fast, clean
+    local.latency_micros = 200;
+    network.SetDefaultLink(local);
+  }
+
+  /// Arms the enabled faults in index order and tracks the fault horizon.
+  /// The link faults (kOutage, kDropNext, kWakeDrop, kFrameCorrupt) are
+  /// armed here on `link(f)`; every other kind goes to `other(f)`.
+  template <typename Link, typename Other>
+  void ScheduleFaults(const FuzzScenario& scenario, std::uint64_t fault_mask,
+                      Link&& link, Other&& other) {
+    for (std::size_t i = 0; i < scenario.faults.size(); ++i) {
+      if (!FaultEnabled(fault_mask, i)) continue;
+      const FuzzFault& f = scenario.faults[i];
+      fault_horizon = std::max(
+          fault_horizon,
+          f.at_micros + std::max<std::int64_t>(f.duration_micros, 0));
+      switch (f.kind) {
+        case FuzzFault::Kind::kOutage: {
+          const DirectedLink l = link(f);
+          network.AddOutage(l.from, l.to,
+                            {f.at_micros, f.at_micros + f.duration_micros});
+          break;
+        }
+        case FuzzFault::Kind::kDropNext:
+        case FuzzFault::Kind::kWakeDrop:
+          network.ScheduleAt(f.at_micros,
+                             [net = &network, l = link(f), count = f.count] {
+                               net->DropNext(l.from, l.to, count);
+                             });
+          break;
+        case FuzzFault::Kind::kFrameCorrupt:
+          network.ScheduleAt(f.at_micros,
+                             [net = &network, l = link(f), count = f.count] {
+                               net->CorruptNext(l.from, l.to, count);
+                             });
+          break;
+        default:
+          other(f);
+          break;
+      }
+    }
+  }
+
+  /// A dropped propose *response* leaves the server holding an accepted
+  /// transaction the client never learned about (so it cannot cancel it —
+  /// found by seed 187's first sweep). The protocol's backstop is
+  /// server-side proposal expiry; advance past the proposal window so every
+  /// armed expiry timer fires and terminalizes such orphans BEFORE the trace
+  /// snapshot. nees-lint then enforces the backstop: any transaction still
+  /// non-terminal at end of trace fails the run, and each kExpired
+  /// transition must be legal on the trace clock.
+  ///
+  /// The advance starts from the fault horizon, not just `now`: on a run
+  /// that stopped early (completion failure) or a long template whose
+  /// schedule outlives the natural end, crash faults may still be pending,
+  /// and their revivals must fire here — not during RunUntilQuiescent,
+  /// after the advance that expires what a revived incarnation recovered.
+  /// Then `stop_servers` disarms the timer chains and the loop drains.
+  template <typename Stop>
+  void Teardown(std::int64_t expiry_period_micros, Stop&& stop_servers) {
+    network.AdvanceTo(std::max(network.clock()->NowMicros(), fault_horizon) +
+                      kProposalWindowMicros + 2 * expiry_period_micros);
+    stop_servers();
+    network.RunUntilQuiescent();
+  }
+
+  /// Collects the artifacts every case reports, then runs the oracle tail:
+  /// nees-lint and `more_oracles(trace)` when options.run_oracles, then
+  /// lockdep.
+  template <typename MoreOracles>
+  void Finish(FuzzOutcome& out, const FuzzRunOptions& options, bool digests,
+              MoreOracles&& more_oracles) {
+    const obs::Trace trace = tracer.TakeTrace();
+    if (digests) {
+      out.metrics_table = tracer.metrics().ReportTable();
+      out.trace_fingerprint = obs::FingerprintSpans(trace);
+      out.metrics_fingerprint = FingerprintString(out.metrics_table);
+    }
+    out.net_totals = network.TotalMetrics();
+    out.events_processed = network.virtual_stats().events();
+    out.frames_corrupted = out.net_totals.corrupted;
+    if (options.export_artifacts) {
+      out.trace_jsonl = obs::ExportJsonLines(trace);
+    }
+
+    if (options.run_oracles) {
+      const check::LintReport lint = check::LintSpans(trace);
+      for (const auto& violation : lint.violations) {
+        out.failures.push_back("lint: " + violation.ToString());
+      }
+      more_oracles(trace);
+    }
+
+    if (util::lockdep::kEnabled) {
+      const auto violations = util::lockdep::Violations();
+      for (std::size_t i = lockdep_before; i < violations.size(); ++i) {
+        out.failures.push_back("lockdep: " + violations[i].description);
+      }
+    }
+  }
+
+  // Oracle 5 (lockdep builds): no lock-order inversion, wait-while-holding,
+  // or blocking-RPC-under-lock may appear during the run. Snapshot the
+  // global count so violations from earlier cases aren't re-billed here.
+  const std::size_t lockdep_before = util::lockdep::ViolationCount();
+  net::Network network;
+  // modeled == nullptr: in kVirtual the wall clock IS the modeled timeline;
+  // letting the tracer advance a second SimClock would double-count time.
+  obs::Tracer tracer;
+  /// The last instant any enabled fault can still be in flight.
+  std::int64_t fault_horizon = 0;
+};
 
 // `digests`: fill metrics_table and the three fingerprints. Only runs that
 // export artifacts or feed the determinism oracle pay for them.
 FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
                         const FuzzRunOptions& options, bool digests) {
   FuzzOutcome out;
-
-  // Oracle 5 (lockdep builds): no lock-order inversion, wait-while-holding,
-  // or blocking-RPC-under-lock may appear during the run. Snapshot the
-  // global count so violations from earlier cases aren't re-billed here.
-  const std::size_t lockdep_before = util::lockdep::ViolationCount();
-
-  net::Network network(net::DeliveryMode::kVirtual, scenario.seed);
-  // modeled == nullptr: in kVirtual the wall clock IS the modeled timeline;
-  // letting the tracer advance a second SimClock would double-count time.
-  obs::Tracer tracer(network.clock(), nullptr);
-  network.set_tracer(&tracer);
-
-  net::LinkModel local;  // backend-local plumbing: fast, clean
-  local.latency_micros = 200;
-  network.SetDefaultLink(local);
+  CaseWorld world(scenario.seed);
+  net::Network& network = world.network;
+  obs::Tracer& tracer = world.tracer;
 
   // Which sites need a skewable machine clock / a real auth service. Bit
   // semantics matter for the shrinker: a disabled kClockSkew leaves the
@@ -871,46 +901,22 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   };
 
   // --- fault schedule --------------------------------------------------------
-  // Tracks the last instant any enabled fault can still be in flight; the
-  // teardown advance must clear it, or (on runs that fail early, or long
-  // templates whose faults land past the natural end) a crash fault's
-  // revival would fire inside RunUntilQuiescent, after the orphan sweep
-  // below, and its recovered transactions would never be swept.
-  std::int64_t fault_horizon = 0;
-  for (std::size_t i = 0; i < scenario.faults.size(); ++i) {
-    if (!FaultEnabled(fault_mask, i)) continue;
-    const FuzzFault& f = scenario.faults[i];
-    fault_horizon = std::max(
-        fault_horizon, f.at_micros + std::max<std::int64_t>(
-                                         f.duration_micros, 0));
-    const std::string ntcp_ep = SiteNtcpEndpoint(f.site);
+  // The teardown advance must clear the fault horizon, or (on runs that fail
+  // early, or long templates whose faults land past the natural end) a
+  // crash fault's revival would fire inside RunUntilQuiescent, after the
+  // orphan sweep, and its recovered transactions would never be swept.
+  // Link faults hit the coordinator<->site WAN link, except kWakeDrop:
+  // the wake notification crosses its own notify.sN -> wake.sN path.
+  const auto fault_link = [](const FuzzFault& f) {
+    if (f.kind == FuzzFault::Kind::kWakeDrop) {
+      return DirectedLink{NotifierEndpoint(f.site), WakeEndpoint(f.site)};
+    }
+    return DirectedLink::Of(f, kCoordinatorEndpoint, SiteNtcpEndpoint(f.site));
+  };
+  // The rest hit the site itself.
+  const auto site_fault = [&](const FuzzFault& f) {
     switch (f.kind) {
-      case FuzzFault::Kind::kOutage: {
-        net::OutageWindow window{f.at_micros, f.at_micros + f.duration_micros};
-        if (f.to_site) {
-          network.AddOutage(kCoordinatorEndpoint, ntcp_ep, window);
-        } else {
-          network.AddOutage(ntcp_ep, kCoordinatorEndpoint, window);
-        }
-        break;
-      }
-      case FuzzFault::Kind::kDropNext: {
-        const net::EndpointId from(f.to_site ? kCoordinatorEndpoint : ntcp_ep);
-        const net::EndpointId to(f.to_site ? ntcp_ep : kCoordinatorEndpoint);
-        network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
-          network.DropNext(from, to, count);
-        });
-        break;
-      }
-      case FuzzFault::Kind::kWakeDrop: {
-        const net::EndpointId from(NotifierEndpoint(f.site));
-        const net::EndpointId to(WakeEndpoint(f.site));
-        network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
-          network.DropNext(from, to, count);
-        });
-        break;
-      }
-      case FuzzFault::Kind::kSiteCrashRestart: {
+      case FuzzFault::Kind::kSiteCrashRestart:
         // Revival is scheduled only when the kill actually happened: if an
         // overlapping crash already holds the site down, this fault is a
         // no-op and the earlier crash's revival stands.
@@ -922,15 +928,6 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
                                  [&revive_site, site] { revive_site(site); });
             });
         break;
-      }
-      case FuzzFault::Kind::kFrameCorrupt: {
-        const net::EndpointId from(f.to_site ? kCoordinatorEndpoint : ntcp_ep);
-        const net::EndpointId to(f.to_site ? ntcp_ep : kCoordinatorEndpoint);
-        network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
-          network.CorruptNext(from, to, count);
-        });
-        break;
-      }
       case FuzzFault::Kind::kClockSkew: {
         // The skewed clock lives in the slot (want_skew built it above), so
         // the jump survives any crash/revival interleaving.
@@ -941,13 +938,15 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
                            });
         break;
       }
-      case FuzzFault::Kind::kCredentialExpiry:
-        // Nothing to schedule: the expiry time is baked into the site's
-        // session-token lifetime (token_lifetime above). The fault "fires"
-        // when the coordinator's next RPC after at_micros is rejected.
+      default:
+        // kCredentialExpiry: nothing to schedule. The expiry time is baked
+        // into the site's session-token lifetime (token_lifetime above); the
+        // fault "fires" when the coordinator's next RPC after at_micros is
+        // rejected.
         break;
     }
-  }
+  };
+  world.ScheduleFaults(scenario, fault_mask, fault_link, site_fault);
 
   // --- coordinator -----------------------------------------------------------
   psd::CoordinatorConfig config;
@@ -964,11 +963,8 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   config.fault_policy = psd::FaultPolicy::kFaultTolerant;
   config.step_engine = scenario.engine;
   config.max_step_attempts = 4;
-  config.proposal_timeout_micros = 20'000'000;
-  config.retry.max_attempts = 6;
-  config.retry.rpc_timeout_micros = 500'000;
-  config.retry.initial_backoff_micros = 50'000;
-  config.retry.max_backoff_micros = 1'000'000;
+  config.proposal_timeout_micros = kProposalWindowMicros;
+  config.retry = kRetryLadder;
   config.tracer = &tracer;
 
   net::RpcClient coordinator_rpc(&network, kCoordinatorEndpoint);
@@ -1033,31 +1029,15 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
   psd::RunReport report = coordinator.Run();
 
   // --- teardown --------------------------------------------------------------
-  // A dropped propose *response* leaves the server holding an accepted
-  // transaction the coordinator never learned about (so it cannot cancel
-  // it — found by seed 187's first sweep). The protocol's backstop is
-  // server-side proposal expiry; advance past the proposal window so every
-  // armed expiry timer fires and terminalizes such orphans BEFORE the trace
-  // snapshot. nees-lint then enforces the backstop: any transaction still
-  // non-terminal at end of trace fails the run, and each kExpired
-  // transition must be legal on the trace clock.
-  //
-  // The advance starts from the fault horizon, not just `now`: on a run
-  // that stopped early (completion failure) or a long template whose
-  // schedule outlives the natural end, crash faults may still be pending,
-  // and their revivals must fire here — not during RunUntilQuiescent,
-  // after the advance that expires what a revived incarnation recovered.
-  network.AdvanceTo(std::max(network.clock()->NowMicros(), fault_horizon) +
-                    config.proposal_timeout_micros +
-                    2 * scenario.expiry_period_micros);
-  // Now disarm the timer chains and drain to empty. Every crash fault's
-  // revival has fired by now, so each slot holds a live stack again.
-  for (auto& slot : sites) {
-    if (slot->live == nullptr) continue;
-    slot->live->backend->Stop();
-    slot->live->server->Stop();
-  }
-  network.RunUntilQuiescent();
+  // Every crash fault's revival has fired by the end of the advance, so
+  // each slot holds a live stack again.
+  world.Teardown(scenario.expiry_period_micros, [&sites] {
+    for (auto& slot : sites) {
+      if (slot->live == nullptr) continue;
+      slot->live->backend->Stop();
+      slot->live->server->Stop();
+    }
+  });
 
   // --- collect ---------------------------------------------------------------
   out.run_completed = report.completed;
@@ -1084,21 +1064,9 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
     out.transactions_recovered += slot->transactions_recovered;
     out.inflight_failed += slot->inflight_failed;
   }
-  const obs::Trace trace = tracer.TakeTrace();
   out.history = std::move(report.history);
-  if (digests) {
-    out.metrics_table = tracer.metrics().ReportTable();
-    out.trace_fingerprint = obs::FingerprintSpans(trace);
-    out.metrics_fingerprint = FingerprintString(out.metrics_table);
-    out.history_fingerprint = FingerprintHistory(out.history);
-  }
-  out.net_totals = network.TotalMetrics();
-  out.events_processed = network.virtual_stats().events();
-  out.frames_corrupted = out.net_totals.corrupted;
+  if (digests) out.history_fingerprint = FingerprintHistory(out.history);
   out.auth_refreshes = *auth_refresh_count;
-  if (options.export_artifacts) {
-    out.trace_jsonl = obs::ExportJsonLines(trace);
-  }
 
   // --- oracles ---------------------------------------------------------------
   if (!report.completed) {
@@ -1106,29 +1074,14 @@ FuzzOutcome RunMostCase(const FuzzScenario& scenario, std::uint64_t fault_mask,
         "completion: run stopped at step %zu/%zu: %s", report.steps_completed,
         report.total_steps, report.failure.ToString().c_str()));
   }
-
-  if (options.run_oracles) {
-    const check::LintReport lint = check::LintSpans(trace);
-    for (const auto& violation : lint.violations) {
-      out.failures.push_back("lint: " + violation.ToString());
+  world.Finish(out, options, digests, [&](const obs::Trace& trace) {
+    if (!report.completed) return;
+    for (const auto& message : check::CheckExactlyOncePerStep(
+             trace, ntcp_endpoints, report.steps_completed,
+             out.step_reattempts)) {
+      out.failures.push_back("exactly-once: " + message);
     }
-
-    if (report.completed) {
-      for (const auto& message : check::CheckExactlyOncePerStep(
-               trace, ntcp_endpoints, report.steps_completed,
-               out.step_reattempts)) {
-        out.failures.push_back("exactly-once: " + message);
-      }
-    }
-  }
-
-  if (util::lockdep::kEnabled) {
-    const auto violations = util::lockdep::Violations();
-    for (std::size_t i = lockdep_before; i < violations.size(); ++i) {
-      out.failures.push_back("lockdep: " + violations[i].description);
-    }
-  }
-
+  });
   return out;
 }
 
@@ -1136,15 +1089,9 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
                               std::uint64_t fault_mask,
                               const FuzzRunOptions& options, bool digests) {
   FuzzOutcome out;
-  const std::size_t lockdep_before = util::lockdep::ViolationCount();
-
-  net::Network network(net::DeliveryMode::kVirtual, scenario.seed);
-  obs::Tracer tracer(network.clock(), nullptr);
-  network.set_tracer(&tracer);
-
-  net::LinkModel local;
-  local.latency_micros = 200;
-  network.SetDefaultLink(local);
+  CaseWorld world(scenario.seed);
+  net::Network& network = world.network;
+  obs::Tracer& tracer = world.tracer;
   network.SetLink(kOperatorEndpoint, kCentrifugeEndpoint,
                   scenario.site_links[0]);
   network.SetLink(kCentrifugeEndpoint, kOperatorEndpoint,
@@ -1173,47 +1120,17 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   server.ArmExpiryTimer(&network, scenario.expiry_period_micros);
 
   // --- fault schedule (operator link only) -----------------------------------
-  std::int64_t fault_horizon = 0;
-  for (std::size_t i = 0; i < scenario.faults.size(); ++i) {
-    if (!FaultEnabled(fault_mask, i)) continue;
-    const FuzzFault& f = scenario.faults[i];
-    fault_horizon = std::max(
-        fault_horizon,
-        f.at_micros + std::max<std::int64_t>(f.duration_micros, 0));
-    const net::EndpointId from(f.to_site ? kOperatorEndpoint
-                                         : kCentrifugeEndpoint);
-    const net::EndpointId to(f.to_site ? kCentrifugeEndpoint
-                                       : kOperatorEndpoint);
-    switch (f.kind) {
-      case FuzzFault::Kind::kOutage: {
-        net::OutageWindow window{f.at_micros, f.at_micros + f.duration_micros};
-        network.AddOutage(from, to, window);
-        break;
-      }
-      case FuzzFault::Kind::kDropNext:
-        network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
-          network.DropNext(from, to, count);
-        });
-        break;
-      case FuzzFault::Kind::kFrameCorrupt:
-        network.ScheduleAt(f.at_micros, [&network, from, to, count = f.count] {
-          network.CorruptNext(from, to, count);
-        });
-        break;
-      default:
-        // The centrifuge generator only emits the three classes above.
-        break;
-    }
-  }
+  // The centrifuge generator emits only the directed link faults.
+  const auto operator_link = [](const FuzzFault& f) {
+    return DirectedLink::Of(f, kOperatorEndpoint, kCentrifugeEndpoint);
+  };
+  world.ScheduleFaults(scenario, fault_mask, operator_link,
+                       [](const FuzzFault&) {});
 
   // --- the campaign ----------------------------------------------------------
   net::RpcClient rpc(&network, kOperatorEndpoint);
-  ntcp::RetryPolicy retry;
-  retry.max_attempts = 6;
-  retry.rpc_timeout_micros = 500'000;
-  retry.initial_backoff_micros = 50'000;
-  retry.max_backoff_micros = 1'000'000;
-  ntcp::NtcpClient client(&rpc, kCentrifugeEndpoint, retry, network.clock());
+  ntcp::NtcpClient client(&rpc, kCentrifugeEndpoint, kRetryLadder,
+                          network.clock());
   client.set_tracer(&tracer);
 
   int transaction = 0;
@@ -1241,7 +1158,7 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
                      : util::Format("fuzz-cam-%d-r%d", step, round);
       proposal.step_index = step;
       proposal.actions = actions;
-      proposal.timeout_micros = 20'000'000;
+      proposal.timeout_micros = kProposalWindowMicros;
       const util::Status accepted = client.Propose(proposal);
       if (!accepted.ok()) {
         failure = util::Unavailable(
@@ -1309,45 +1226,14 @@ FuzzOutcome RunCentrifugeCase(const FuzzScenario& scenario,
   out.run_completed = completed;
   out.steps_completed = piles_installed;
 
-  // --- teardown (same expiry backstop + fault-horizon rule as MOST) ----------
-  network.AdvanceTo(std::max(network.clock()->NowMicros(), fault_horizon) +
-                    20'000'000 + 2 * scenario.expiry_period_micros);
-  server.Stop();
-  network.RunUntilQuiescent();
-
-  // --- collect + oracles -----------------------------------------------------
-  const obs::Trace trace = tracer.TakeTrace();
+  world.Teardown(scenario.expiry_period_micros, [&server] { server.Stop(); });
   // The measured digest is folded in during the run, so it is always set.
   out.history_fingerprint = measured_digest.value();
-  if (digests) {
-    out.metrics_table = tracer.metrics().ReportTable();
-    out.trace_fingerprint = obs::FingerprintSpans(trace);
-    out.metrics_fingerprint = FingerprintString(out.metrics_table);
-  }
-  out.net_totals = network.TotalMetrics();
-  out.frames_corrupted = out.net_totals.corrupted;
-  out.events_processed = network.virtual_stats().events();
-  if (options.export_artifacts) {
-    out.trace_jsonl = obs::ExportJsonLines(trace);
-  }
-
-  if (options.run_oracles) {
-    const check::LintReport lint = check::LintSpans(trace);
-    for (const auto& violation : lint.violations) {
-      out.failures.push_back("lint: " + violation.ToString());
-    }
+  world.Finish(out, options, digests, [](const obs::Trace&) {
     // exactly-once is a coordinator-shaped oracle (per-(site, step) spans);
     // teleoperation's equivalent — no duplicated execution — is already
     // covered by lint's at-most-once rule on transaction ids.
-  }
-
-  if (util::lockdep::kEnabled) {
-    const auto violations = util::lockdep::Violations();
-    for (std::size_t i = lockdep_before; i < violations.size(); ++i) {
-      out.failures.push_back("lockdep: " + violations[i].description);
-    }
-  }
-
+  });
   return out;
 }
 

@@ -10,6 +10,19 @@
 // crash/restarts) from independent Rng lanes; RunFuzzCase wires up a full
 // MOST-shaped experiment (coordinator + per-site NTCP server + MPlugin +
 // event-driven polling backend) and runs it to completion on virtual time.
+// The three MOST-shaped templates are one generator driven by a range table
+// per template; the MOST and centrifuge runners share one case skeleton
+// (network and tracer, link-fault schedule, teardown, artifacts, oracles).
+//
+// Event order is pinned: every generated field (FuzzTemplateTest), the
+// export and WAL digests, the regression corpus, and the count fields of
+// the 100,000-seed campaign (tests/data/campaign_100k.txt, scripts/ci.sh).
+// Site handlers still nest: MPlugin::Execute pumps the loop from inside the
+// ntcp.execute handler. Over `nees_fuzz --sweep 2000`, 4,800 of 85,121
+// executes began while another site's Execute was on the stack (up to 8
+// deep), and 2,632 replies left more than one 200us local hop after their
+// result was posted. So deferred replies, which would send each reply when
+// its result is posted, must move event order and re-pin these once.
 //
 // Scenario templates (TemplateForSeed makes the choice a pure function of
 // the seed, so `nees_fuzz --seed N` replays exactly what a sweep ran):

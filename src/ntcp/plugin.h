@@ -6,8 +6,6 @@
 // *before* any irreversible motion happens anywhere (§2.1).
 #pragma once
 
-#include <cmath>
-
 #include "ntcp/types.h"
 #include "util/result.h"
 
@@ -16,13 +14,6 @@ class Tracer;
 }  // namespace nees::obs
 
 namespace nees::ntcp {
-
-/// The site-limit test of a plugin's Validate: true when `value` is finite
-/// and at most `limit` in magnitude. A NaN fails every comparison, so
-/// `std::fabs(value) > limit` alone would let it through to the actuator.
-inline bool WithinLimit(double value, double limit) {
-  return std::isfinite(value) && std::fabs(value) <= limit;
-}
 
 class ControlPlugin {
  public:

@@ -1,6 +1,7 @@
 #include "plugins/labview_plugin.h"
 
 #include "obs/trace.h"
+#include "util/limit.h"
 
 namespace nees::plugins {
 
@@ -18,7 +19,7 @@ util::Status LabViewPlugin::Validate(const ntcp::Proposal& proposal) {
   if (action.target_displacement.size() != 1) {
     return util::InvalidArgument("control point has exactly one DOF");
   }
-  if (!ntcp::WithinLimit(action.target_displacement[0],
+  if (!util::WithinLimit(action.target_displacement[0],
                          config_.max_abs_displacement_m)) {
     return util::PolicyViolation("target exceeds Mini-MOST travel limit");
   }

@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "util/frame_pool.h"
+#include "util/limit.h"
 #include "util/logging.h"
 
 namespace nees::plugins {
@@ -50,7 +51,7 @@ util::Status MPlugin::Validate(const ntcp::Proposal& proposal) {
   }
   for (const auto& action : proposal.actions) {
     for (double d : action.target_displacement) {
-      if (!ntcp::WithinLimit(d, config_.max_abs_displacement_m)) {
+      if (!util::WithinLimit(d, config_.max_abs_displacement_m)) {
         return util::PolicyViolation("target exceeds Mplugin site limit");
       }
     }

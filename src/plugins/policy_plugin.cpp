@@ -1,5 +1,6 @@
 #include "plugins/policy_plugin.h"
 
+#include "util/limit.h"
 #include "util/strings.h"
 
 namespace nees::plugins {
@@ -11,7 +12,7 @@ LimitPolicyPlugin::LimitPolicyPlugin(SitePolicy policy,
 util::Status LimitPolicyPlugin::Validate(const ntcp::Proposal& proposal) {
   for (const ntcp::ControlPointRequest& action : proposal.actions) {
     for (double d : action.target_displacement) {
-      if (!ntcp::WithinLimit(d, policy_.max_abs_displacement_m)) {
+      if (!util::WithinLimit(d, policy_.max_abs_displacement_m)) {
         ++rejections_;
         return util::PolicyViolation(util::Format(
             "site policy: |displacement| %.4g exceeds limit %.4g", d,
@@ -24,7 +25,7 @@ util::Status LimitPolicyPlugin::Validate(const ntcp::Proposal& proposal) {
           "site policy: force-controlled actions not accepted here");
     }
     for (double f : action.target_force) {
-      if (!ntcp::WithinLimit(f, policy_.max_abs_force_n)) {
+      if (!util::WithinLimit(f, policy_.max_abs_force_n)) {
         ++rejections_;
         return util::PolicyViolation(util::Format(
             "site policy: |force| %.4g exceeds limit %.4g", f,

@@ -1,7 +1,6 @@
 #include "testbed/specimen.h"
 
-#include <cmath>
-
+#include "util/limit.h"
 #include "util/logging.h"
 
 namespace nees::testbed {
@@ -25,7 +24,7 @@ util::Result<Measurement> PhysicalSpecimen::ApplyDisplacement(
   if (interlock_tripped_) {
     return util::SafetyInterlock(config_.name + ": interlock tripped");
   }
-  if (std::fabs(target_m) > config_.limits.max_displacement_m) {
+  if (!util::WithinLimit(target_m, config_.limits.max_displacement_m)) {
     return util::SafetyInterlock(config_.name + ": target " +
                                  std::to_string(target_m) +
                                  " exceeds travel limit");
@@ -45,7 +44,7 @@ util::Result<Measurement> PhysicalSpecimen::ApplyDisplacement(
   NEES_RETURN_IF_ERROR(model_->Restore({*position}, force));
   last_true_force_ = force[0];
 
-  if (std::fabs(last_true_force_) > config_.limits.max_force_n) {
+  if (!util::WithinLimit(last_true_force_, config_.limits.max_force_n)) {
     interlock_tripped_ = true;
     NEES_LOG_WARN("testbed." + config_.name)
         << "force limit exceeded (" << last_true_force_

@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "most/fuzz.h"
 #include "most/most.h"
 #include "obs/trace.h"
 #include "util/clock.h"
 #include "util/sha256.h"
+#include "util/strings.h"
 
 namespace nees::most {
 namespace {
@@ -111,6 +113,69 @@ TEST(FuzzTemplateTest, NewFaultClassesAppearInGeneratedSchedules) {
   EXPECT_TRUE(corrupt);
   EXPECT_TRUE(skew);
   EXPECT_TRUE(creds);
+}
+
+// SHA-256 over every field of seeds 1-2,000 of one template: integers as
+// 8 little-endian bytes, doubles by bit pattern (Describe() rounds the drop
+// probability, so it would miss a shifted draw).
+std::string ScenarioDigest(FuzzTemplate shape) {
+  util::Sha256 sha;
+  const auto word = [&sha](std::uint64_t v) {
+    std::uint8_t bytes[8];
+    for (int i = 0; i < 8; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    sha.Update(bytes, sizeof bytes);
+  };
+  const auto real = [&word](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof bits);
+    word(bits);
+  };
+  for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
+    const FuzzScenario s = GenerateScenario(seed, shape);
+    word(s.seed);
+    word(static_cast<std::uint64_t>(s.shape));
+    word(s.sites);
+    word(s.steps);
+    word(static_cast<std::uint64_t>(s.engine));
+    word(static_cast<std::uint64_t>(s.rewake_micros));
+    word(static_cast<std::uint64_t>(s.expiry_period_micros));
+    word(s.piles);
+    word(s.site_links.size());
+    for (const net::LinkModel& m : s.site_links) {
+      word(static_cast<std::uint64_t>(m.latency_micros));
+      word(static_cast<std::uint64_t>(m.jitter_micros));
+      real(m.drop_probability);
+      real(m.bytes_per_second);
+    }
+    word(s.faults.size());
+    for (const FuzzFault& f : s.faults) {
+      word(static_cast<std::uint64_t>(f.kind));
+      word(f.site);
+      word(f.to_site ? 1 : 0);
+      word(static_cast<std::uint64_t>(f.at_micros));
+      word(static_cast<std::uint64_t>(f.duration_micros));
+      word(static_cast<std::uint64_t>(f.count));
+    }
+  }
+  const util::Sha256Digest digest = sha.Finish();
+  std::string hex;
+  for (const std::uint8_t b : digest) hex += util::Format("%02x", b);
+  return hex;
+}
+
+// Pins every generated field, so a change to the generator that moves any
+// draw of any template fails here before it reaches a run.
+TEST(FuzzTemplateTest, GeneratedScenariosArePinned) {
+  EXPECT_EQ(ScenarioDigest(FuzzTemplate::kMini),
+            "eed6042f288f7f3e6d7fb84e7d226e5c6d80c0055ce5ccb701cd08d92900c1d3");
+  EXPECT_EQ(ScenarioDigest(FuzzTemplate::kStandard),
+            "559f50d3f669fd872a74ddee5c1d004651a16470e052d515dd563fb32112aeee");
+  EXPECT_EQ(ScenarioDigest(FuzzTemplate::kFullMost),
+            "f335605efc238d9dc14deaeaa39b39eaa6e90c7fc89b8ba95db1952c5d92a20c");
+  EXPECT_EQ(ScenarioDigest(FuzzTemplate::kCentrifuge),
+            "426f34f0a773a647a6b323eb57d61ed9d864aacfb92611c59d305369025b7f5a");
 }
 
 // --- shrinker ----------------------------------------------------------------

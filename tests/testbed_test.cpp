@@ -204,6 +204,62 @@ TEST(SpecimenTest, ForceLimitTripsInterlock) {
   EXPECT_TRUE(specimen.ApplyDisplacement(0.001).ok());
 }
 
+// Counts commands, so a test can tell a rejected target from one that
+// reached the motion system.
+class CountingMotion final : public MotionSystem {
+ public:
+  explicit CountingMotion(int* moves) : moves_(moves) {}
+  util::Result<double> MoveTo(double target_m, double) override {
+    ++*moves_;
+    position_ = target_m;
+    return position_;
+  }
+  double position() const override { return position_; }
+  void Reset() override { position_ = 0.0; }
+
+ private:
+  int* moves_;
+  double position_ = 0.0;
+};
+
+TEST(SpecimenTest, NonFiniteTargetRejectsBeforeMoving) {
+  int moves = 0;
+  structural::Matrix k(1, 1);
+  k(0, 0) = 1e6;
+  PhysicalSpecimen specimen(
+      PhysicalSpecimen::Config{}, std::make_unique<CountingMotion>(&moves),
+      std::make_unique<structural::ElasticSubstructure>(k));
+  for (const double target : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_EQ(specimen.ApplyDisplacement(target).status().code(),
+              ErrorCode::kSafetyInterlock)
+        << target;
+  }
+  EXPECT_EQ(moves, 0);
+  EXPECT_FALSE(specimen.interlock_tripped());  // rejected, not tripped
+}
+
+// A model whose restoring force is NaN: a broken model or a NaN that got
+// past the travel check.
+class NanForceModel final : public structural::SubstructureModel {
+ public:
+  std::size_t dof_count() const override { return 1; }
+  util::Status Restore(const structural::Vector&,
+                       structural::Vector& force) override {
+    force.assign(1, std::nan(""));
+    return util::Status::Ok();
+  }
+};
+
+TEST(SpecimenTest, NanForceTripsInterlock) {
+  int moves = 0;
+  PhysicalSpecimen specimen(PhysicalSpecimen::Config{},
+                            std::make_unique<CountingMotion>(&moves),
+                            std::make_unique<NanForceModel>());
+  EXPECT_EQ(specimen.ApplyDisplacement(0.001).status().code(),
+            ErrorCode::kSafetyInterlock);
+  EXPECT_TRUE(specimen.interlock_tripped());
+}
+
 TEST(SpecimenTest, EStopLatches) {
   auto specimen = MakeElasticSpecimen(1e6, {});
   specimen.EStop();

@@ -11,12 +11,21 @@
 // empty poll per drain, or an expiry tick on a server with nothing open
 // each add events to every step. The budgets are the counts measured when
 // they were set plus under 10% headroom.
+//
+// Wire frames minted per step (util::FramePool's `minted` counter) are
+// gated exactly: after a warm-up run every frame a step encodes is a
+// recycled one, so a frame that is acquired and never released mints a
+// fresh buffer on every step and fails here.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 
 #include "most/fuzz.h"
+#include "most/mini_most.h"
+#include "net/network.h"
+#include "util/clock.h"
+#include "util/frame_pool.h"
 
 namespace nees {
 namespace {
@@ -31,11 +40,20 @@ constexpr std::uint64_t kCampaignEventBudget = 76'000;
 // A steady-state step costs each site two round trips (propose, execute),
 // one wake, one poll round trip and one notify round trip.
 constexpr double kMessagesPerSiteStep = 9.0;
+// Frames minted per warm steady-state step, measured when the gate was set:
+// 0 for both loops (a cold first run mints a few while the pool fills).
+constexpr double kFuzzMiniFramesPerStep = 0.0;
+constexpr double kMiniMostFramesPerStep = 0.0;
 
 struct Work {
   std::uint64_t messages = 0;
   std::uint64_t events = 0;
+  std::uint64_t frames_minted = 0;
 };
+
+std::uint64_t FramesMinted() {
+  return util::FramePool::Instance().stats().minted;
+}
 
 // Seed 11's mini scenario without faults: coordinator, per-site NTCP server
 // with a WAL, MPlugin and virtual polling backend, all traced.
@@ -46,12 +64,30 @@ Work FuzzMiniWork(std::size_t steps, std::size_t* sites) {
   scenario.faults.clear();
   most::FuzzRunOptions options;
   options.export_artifacts = false;
+  const std::uint64_t minted_before = FramesMinted();
   const most::FuzzOutcome outcome =
       most::RunFuzzCase(scenario, most::kAllFaults, options);
+  const std::uint64_t minted = FramesMinted() - minted_before;
   EXPECT_TRUE(outcome.ok()) << outcome.failures.front();
   EXPECT_EQ(outcome.steps_completed + 1, steps);
   *sites = scenario.sites;
-  return {outcome.net_totals.sent, outcome.events_processed};
+  return {outcome.net_totals.sent, outcome.events_processed, minted};
+}
+
+// The 2-site kImmediate Mini-MOST loop (the farm tenant), as
+// alloc_budget_test runs it: the frames it mints.
+std::uint64_t MiniMostFramesMinted(std::size_t steps) {
+  net::Network network;
+  most::MiniMostOptions options;
+  options.steps = steps;
+  options.real_hardware = false;
+  most::MiniMostExperiment experiment(
+      &network, &util::SystemClock::Instance(), options);
+  const std::uint64_t minted_before = FramesMinted();
+  const auto report = experiment.Run("work-budget");
+  const std::uint64_t minted = FramesMinted() - minted_before;
+  EXPECT_TRUE(report.ok() && report->completed);
+  return minted;
 }
 
 double PerStep(std::uint64_t long_run, std::uint64_t short_run,
@@ -71,6 +107,31 @@ TEST(WorkBudgetTest, FuzzMiniStepSendsNineMessagesPerSite) {
               sites, messages, events);
   EXPECT_EQ(messages, kMessagesPerSiteStep * static_cast<double>(sites));
   EXPECT_LE(events, kMiniStepEventBudget);
+}
+
+TEST(WorkBudgetTest, FuzzMiniStepMintsNoFrames) {
+  std::size_t sites = 0;
+  FuzzMiniWork(200, &sites);  // warm the process-wide frame pool
+  const Work short_run = FuzzMiniWork(100, &sites);
+  const Work long_run = FuzzMiniWork(200, &sites);
+  const double frames =
+      PerStep(long_run.frames_minted, short_run.frames_minted, 100);
+  std::printf("fuzz mini: %llu / %llu frames minted, %.2f per step\n",
+              static_cast<unsigned long long>(short_run.frames_minted),
+              static_cast<unsigned long long>(long_run.frames_minted),
+              frames);
+  EXPECT_EQ(frames, kFuzzMiniFramesPerStep);
+}
+
+TEST(WorkBudgetTest, MiniMostStepMintsNoFrames) {
+  MiniMostFramesMinted(200);  // warm the process-wide frame pool
+  const std::uint64_t short_run = MiniMostFramesMinted(100);
+  const std::uint64_t long_run = MiniMostFramesMinted(200);
+  const double frames = PerStep(long_run, short_run, 100);
+  std::printf("mini-most: %llu / %llu frames minted, %.2f per step\n",
+              static_cast<unsigned long long>(short_run),
+              static_cast<unsigned long long>(long_run), frames);
+  EXPECT_EQ(frames, kMiniMostFramesPerStep);
 }
 
 TEST(WorkBudgetTest, CampaignBlockStaysInEventBudget) {
